@@ -33,7 +33,7 @@ import numpy as np
 from .errors import PoleProximity
 from .roots import RHO_CHECK, RootDatum, Weight, WeylElement
 from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
-                   completed_L, ratio_L)
+                   circle_nodes, completed_L, ratio_L)
 
 __all__ = [
     "GL3",
@@ -47,6 +47,8 @@ __all__ = [
     "rank_one_residual",
     "symmetry_residual",
     "multiplicativity_residual",
+    "m_on_grid",
+    "iterated_circle_residue",
     "transverse_residue",
     "double_residue_table",
     "double_residue_closed_forms",
@@ -181,21 +183,51 @@ def multiplicativity_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> fl
     return worst
 
 
-def _circle_nodes(radius: float, nodes: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return radius * np.exp(1j * theta)
+def m_on_grid(ws, base: Weight, x_dir: Weight, x, y_dir: Weight | None = None,
+              y=None, config: EvaluatorConfig = DEFAULT_CONFIG) -> list:
+    """m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
 
-
-def _m_product_on_ray(w: WeylElement, base: Weight, direction: Weight,
-                      u: np.ndarray,
-                      config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """m(w, base + u * direction) vectorized over a complex array u."""
-    out = np.ones_like(u, dtype=np.complex128)
-    for root in sorted(w.inversions()):
+    Each root argument <lam, root_check> = a0 + ax x_k + ay y_l is an outer
+    sum, so ratio_L is called once per root in the union of the inversion
+    sets: on the 1-D nodes when the argument depends on x or y alone, as one
+    separable grid otherwise.  The values broadcast to (x.size, y.size), or
+    to x.shape without y.
+    """
+    inversions = [sorted(w.inversions()) for w in ws]
+    ratios = {}
+    for root in sorted(set().union(*inversions)):
         a0 = complex(base.pair_root(root))
-        a1 = complex(direction.pair_root(root))
-        out = out * np.asarray(ratio_L(a0 + a1 * u, config))
+        ax = complex(x_dir.pair_root(root))
+        ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
+        if ay == 0:
+            vals = np.asarray(ratio_L(a0 + ax * x, config))
+            ratios[root] = vals if y is None else vals[:, None]
+        elif ax == 0:
+            ratios[root] = np.asarray(ratio_L(a0 + ay * y, config))[None, :]
+        else:
+            ratios[root] = np.asarray(ratio_L(a0 + ax * x, config, plus=ay * y))
+    out = []
+    for roots in inversions:
+        m = np.ones(1, dtype=np.complex128)
+        for root in roots:
+            m = m * ratios[root]
+        out.append(m)
     return out
+
+
+def iterated_circle_residue(f, r_inner: float, r_outer: float,
+                            nodes: int) -> complex:
+    """(1/2pi i)^2 oint oint f du_in du_out by the trapezoid rule.
+
+    f(u_out, u_in) gets the offsets on the outer and inner circles and
+    returns the integrand on their (outer, inner) grid, or anything that
+    broadcasts to it.  The inner circle is kept strictly smaller than the
+    outer one so that it encloses only the hyperplane through the centre,
+    never a pole that moves with the outer variable.
+    """
+    u_out = circle_nodes(r_outer, nodes)
+    u_in = circle_nodes(r_inner, nodes)
+    return complex(np.mean(f(u_out, u_in) * np.multiply.outer(u_out, u_in)))
 
 
 def transverse_residue(i: int, j: int, z, radius: float = 0.3,
@@ -207,10 +239,13 @@ def transverse_residue(i: int, j: int, z, radius: float = 0.3,
     normalization <xi_i, beta_check_i> = 1 makes the value equal
     n_ij(z)/L(2) independently of the remaining gauge freedom.
     """
-    u = _circle_nodes(radius, nodes)
-    vals = _m_product_on_ray(sigma(i, j), lambda_line(i, z),
-                             transverse_direction(i), u, config)
+    u = circle_nodes(radius, nodes)
+    vals, = m_on_grid([sigma(i, j)], lambda_line(i, z),
+                      transverse_direction(i), u, config=config)
     return complex(np.mean(vals * u))
+
+
+_AXIS = {1: GL3.weight((1, 0)), 2: GL3.weight((0, 1))}
 
 
 def _iterated_double_residue(w: WeylElement, inner_axis: int,
@@ -219,24 +254,16 @@ def _iterated_double_residue(w: WeylElement, inner_axis: int,
                              r_inner: float = 0.1, r_outer: float = 0.3,
                              nodes: int = 96,
                              config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
-    """Iterated residue of m(w, .) in the chart (z1, z2) = coroot pairings.
+    """Iterated residue of m(w, .) in the chart (z1, z2) = coroot pairings."""
+    center = {inner_axis: inner_center, outer_axis: outer_center}
+    base = GL3.weight((center[1], center[2]))
 
-    The inner circle is kept strictly smaller than the outer one so that it
-    encloses only the coordinate hyperplane through the target point, never
-    the moving pole of the z1 + z2 factor.
-    """
-    u_in = _circle_nodes(r_inner, nodes)
-    u_out = _circle_nodes(r_outer, nodes)
-    inner_dir = GL3.weight((1, 0) if inner_axis == 1 else (0, 1))
+    def integrand(u_out, u_in):
+        m, = m_on_grid([w], base, _AXIS[outer_axis], u_out,
+                       _AXIS[inner_axis], u_in, config)
+        return m
 
-    inner_means = np.empty(nodes, dtype=np.complex128)
-    for k, uo in enumerate(u_out):
-        outer = outer_center + uo
-        base = GL3.weight((inner_center, outer) if inner_axis == 1
-                          else (outer, inner_center))
-        vals = _m_product_on_ray(w, base, inner_dir, u_in, config)
-        inner_means[k] = np.mean(vals * u_in)
-    return complex(np.mean(inner_means * u_out))
+    return iterated_circle_residue(integrand, r_inner, r_outer, nodes)
 
 
 # Double-residue targets: (weyl element name, point, inner axis/center,

@@ -42,11 +42,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .gl3 import (GL3, delta_weight, line_direction, sigma,
-                  transverse_direction)
+from .gl3 import (GL3, delta_weight, iterated_circle_residue, line_direction,
+                  m_on_grid, sigma, transverse_direction)
 from .roots import RootDatum, Weight, WeylElement
 from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
-                   completed_L, ratio_L)
+                   circle_nodes, completed_L, ratio_L)
 
 __all__ = [
     "PaleyWienerGaussian",
@@ -392,34 +392,24 @@ def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
     on the circle lam = lam_i(z) + u xi_i, |u| = radius.
     """
     star = phi.star()
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    u = radius * np.exp(1j * theta)
+    u = circle_nodes(radius, nodes)
+    x = 1j * t
     d = delta_weight(i)
     e = line_direction(i)
     xi = transverse_direction(i)
-    # coordinates on (t, u) product grid
-    c1 = (complex(d.coeffs[0]) + 1j * np.outer(t, np.ones(nodes)) * complex(e.coeffs[0])
-          + np.outer(np.ones(t.size), u) * complex(xi.coeffs[0]))
-    c2 = (complex(d.coeffs[1]) + 1j * np.outer(t, np.ones(nodes)) * complex(e.coeffs[1])
-          + np.outer(np.ones(t.size), u) * complex(xi.coeffs[1]))
+    # coordinates on the (t, u) product grid
+    c1, c2 = (complex(d.coeffs[k]) + np.add.outer(x * complex(e.coeffs[k]),
+                                                  u * complex(xi.coeffs[k]))
+              for k in (0, 1))
     phi_vals = phi.value_coords(c1, c2)
 
+    ws = [sigma(i, j) for j in (1, 2, 3)]
     total = np.zeros(t.size, dtype=np.complex128)
-    for j in (1, 2, 3):
-        w = sigma(i, j)
-        factors = np.ones_like(c1)
-        for root in sorted(w.inversions()):
-            if root == (1, 2):
-                args = c1
-            elif root == (2, 3):
-                args = c2
-            else:
-                args = c1 + c2
-            factors = factors * np.asarray(ratio_L(args, config))
+    for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u, config)):
         mat = _weyl_coord_matrix(w)
         im1 = -(mat[0, 0] * c1 + mat[0, 1] * c2)
         im2 = -(mat[1, 0] * c1 + mat[1, 1] * c2)
-        integrand = factors * phi_vals * star.value_coords(im1, im2)
+        integrand = m * phi_vals * star.value_coords(im1, im2)
         total += (integrand * u[None, :]).mean(axis=1)
     return total
 
@@ -451,23 +441,17 @@ def measure_constants(phi: PaleyWienerGaussian, step: float = 0.05,
     mat = _weyl_coord_matrix(s3)
     star = phi.star()
 
-    inner_nodes = 96
-    th = 2.0 * np.pi * np.arange(inner_nodes) / inner_nodes
-    u_in = 0.1 * np.exp(1j * th)
-    u_out = 0.3 * np.exp(1j * th)
-
-    def inner(z2: complex) -> complex:
-        z1 = 1.0 + u_in
-        m = (np.asarray(ratio_L(z1, config)) * complex(ratio_L(z2, config))
-             * np.asarray(ratio_L(z1 + z2, config)))
+    def integrand(u_out, u_in):
+        # inner circle in z1 around 1, outer circle in z2 around 1
+        z1 = 1.0 + u_in[None, :]
+        z2 = 1.0 + u_out[:, None]
+        m, = m_on_grid([s3], GL3.rho(), GL3.weight((0, 1)), u_out,
+                       GL3.weight((1, 0)), u_in, config)
         im1 = -(mat[0, 0] * z1 + mat[0, 1] * z2)
         im2 = -(mat[1, 0] * z1 + mat[1, 1] * z2)
-        vals = m * phi.value_coords(z1, np.full_like(z1, z2)) \
-            * star.value_coords(im1, im2)
-        return complex(np.mean(vals * u_in))
+        return m * phi.value_coords(z1, z2) * star.value_coords(im1, im2)
 
-    outer_vals = np.array([inner(1.0 + uu) for uu in u_out])
-    point = complex(np.mean(outer_vals * u_out))
+    point = iterated_circle_residue(integrand, 0.1, 0.3, 96)
     kappa_c = (point / contribution_C(phi, config)).real
     return float(kappa_b), float(kappa_c)
 

@@ -14,6 +14,17 @@ Evaluation strategy:
   Re(s) >= -1; for Re(s) < -1 the value is reflected through the completed
   functional equation (written with Gamma factors of positive real part so
   trivial zeros come out exactly from sin(pi*s/2)).
+* Separable grids.  The evaluators take an optional second argument and
+  then work on the outer sum s_ij = a_i + b_j.  The Euler-Maclaurin partial
+  sum factors there, sum_{n<N} n^(-a_i - b_j) = (E_a @ E_b^T)_ij with
+  E_x[k, n] = exp(-x_k log n), so |a| + |b| rows of exponentials and one
+  matrix product replace |a| |b| N exponentials (the dense, low-N relative
+  of Odlyzko-Schoenhage multi-evaluation).  The Bernoulli tail, Gamma,
+  pi^(-s/2), the pole guard and the Laurent fill stay per point, and N is
+  chosen from max |Im s_ij| over the whole grid.  A pointwise call is the
+  degenerate case without b, where the product is the row sum of n^(-s); a
+  grid with points at Re(s) < -1 or inside the Laurent radius is evaluated
+  pointwise.
 * Gamma by a fixed Lanczos coefficient set (g = 607/128, 15 terms), with the
   reflection formula for Re(s) < 1/2.
 * ratio_L(z) = L(z)/L(1+z) is a first-class primitive: the removable
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, PoleProximity
+from .errors import DomainError, NonConvergence, PoleProximity
 
 __all__ = [
     "EvaluatorConfig",
@@ -43,6 +54,7 @@ __all__ = [
     "local_L",
     "ratio_L",
     "residue_at",
+    "circle_nodes",
     "primes_upto",
 ]
 
@@ -123,17 +135,32 @@ def _gamma_raw(s):
     return out[0] if scalar else out
 
 
-def _zeta_em_core(s, config: EvaluatorConfig):
-    """Euler-Maclaurin zeta, valid for Re(s) >= -1 (s != 1)."""
-    z = np.atleast_1d(_as_complex_array(s))
+def _outer_sum(s, plus):
+    """The evaluation points: s itself, or the outer sum s (+) plus."""
+    z = _as_complex_array(s)
+    return z if plus is None else np.add.outer(z, _as_complex_array(plus))
+
+
+def _zeta_em_core(a, config: EvaluatorConfig, b=None):
+    """Euler-Maclaurin zeta, valid for Re(s) >= -1 (s != 1).
+
+    Evaluated at the points of the 1-D array a, or with b (1-D) on the grid
+    a_i + b_j of shape (a.size, b.size).
+    """
+    z = a if b is None else np.add.outer(a, b)
     tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
     n_terms = max(config.euler_maclaurin_terms, int(0.6 * tmax) + 24)
     kmax = config.bernoulli_order
 
     n = np.arange(1, n_terms, dtype=np.float64)
-    # sum_{n < N} n^{-s}, vectorized as exp(-s log n)
     logn = np.log(n)
-    acc = np.exp(-np.multiply.outer(z, logn)).sum(axis=-1)
+    if b is None:
+        # sum_{n < N} n^{-s}, vectorized as exp(-s log n)
+        acc = np.exp(-np.multiply.outer(z, logn)).sum(axis=-1)
+    else:
+        # sum_{n < N} n^{-a-b} = exp(-a log n) @ exp(-b log n)^T
+        acc = (np.exp(-np.multiply.outer(a, logn))
+               @ np.exp(-np.multiply.outer(b, logn)).T)
 
     N = float(n_terms)
     logN = np.log(N)
@@ -150,13 +177,18 @@ def _zeta_em_core(s, config: EvaluatorConfig):
     return acc + corr
 
 
-def _zeta_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG):
-    z = _as_complex_array(s)
+def _zeta_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
+    z = _outer_sum(s, plus)
     scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
     direct = z.real >= -1.0
+    if plus is not None and np.all(direct):
+        a = np.ravel(_as_complex_array(s))
+        b = np.ravel(_as_complex_array(plus))
+        return _zeta_em_core(a, config, b).reshape(z.shape)
+
+    z = np.atleast_1d(z)
+    direct = np.atleast_1d(direct)
+    out = np.empty_like(z)
     if np.any(direct):
         out[direct] = _zeta_em_core(z[direct], config)
     if np.any(~direct):
@@ -171,10 +203,10 @@ def _zeta_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG):
     return out[0] if scalar else out
 
 
-def _completed_L_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG):
-    z = _as_complex_array(s)
+def _completed_L_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
+    z = _outer_sum(s, plus)
     return (np.power(np.pi + 0j, -z / 2.0) * _gamma_raw(z / 2.0)
-            * _zeta_raw(z, config))
+            * _zeta_raw(s, config, plus))
 
 
 def _check_pole(s, poles, radius, what: str):
@@ -225,44 +257,55 @@ def local_L(p: int, s, config: EvaluatorConfig = DEFAULT_CONFIG):
     return 1.0 / den
 
 
-_LAURENT_C0_CACHE: dict[int, complex] = {}
+_LAURENT_C0_CACHE: dict[EvaluatorConfig, complex] = {}
+
+
+def circle_nodes(radius: float, nodes: int) -> np.ndarray:
+    """The offsets u = radius * exp(2 pi i k / nodes) of a trapezoid circle."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    return radius * np.exp(1j * theta)
 
 
 def _laurent_c0(config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
     """Constant Laurent coefficient of L at s = 1 (L(s) = 1/(s-1) + c0 + ...).
 
     c0 = (1/2pi i) oint L(s)/(s-1) ds on |s-1| = 1/2, which the trapezoid
-    rule turns into a plain mean of L(1+u) over the circle nodes.
+    rule turns into a plain mean of L(1+u) over the circle nodes.  Cached
+    per config, since L itself depends on it.
     """
-    if 0 not in _LAURENT_C0_CACHE:
-        n = 256
-        theta = 2.0 * np.pi * np.arange(n) / n
-        u = 0.5 * np.exp(1j * theta)
-        _LAURENT_C0_CACHE[0] = complex(np.mean(_completed_L_raw(1.0 + u, config)))
-    return _LAURENT_C0_CACHE[0]
+    if config not in _LAURENT_C0_CACHE:
+        u = circle_nodes(0.5, 256)
+        _LAURENT_C0_CACHE[config] = complex(
+            np.mean(_completed_L_raw(1.0 + u, config)))
+    return _LAURENT_C0_CACHE[config]
 
 
-def ratio_L(z, config: EvaluatorConfig = DEFAULT_CONFIG):
+def ratio_L(z, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
     """L(z)/L(1+z) with the removable singularity at z = 0 filled.
 
     The genuine pole sits at z = 1 (numerator pole); near z = 0 both L
     factors have simple poles with opposite residues and the quotient
-    extends analytically with value -1.
+    extends analytically with value -1.  With plus given the quotient is
+    evaluated on the outer sum z (+) plus, of shape z.shape + plus.shape,
+    through the separable kernel.
     """
-    arr = _as_complex_array(z)
+    arr = _outer_sum(z, plus)
+    _check_pole(arr, (1.0,), config.pole_exclusion_radius, "ratio_L")
+    tiny = np.abs(arr) < config.pole_exclusion_radius
+    if not np.any(tiny):
+        return (_completed_L_raw(z, config, plus)
+                / _completed_L_raw(1.0 + _as_complex_array(z), config, plus))
+
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    _check_pole(arr, (1.0,), config.pole_exclusion_radius, "ratio_L")
-
+    tiny = np.atleast_1d(tiny)
     out = np.empty_like(arr)
-    tiny = np.abs(arr) < config.pole_exclusion_radius
     if np.any(~tiny):
         w = arr[~tiny]
         out[~tiny] = _completed_L_raw(w, config) / _completed_L_raw(1.0 + w, config)
-    if np.any(tiny):
-        # ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1
-        a0 = _laurent_c0(config)
-        out[tiny] = -1.0 + 2.0 * a0 * arr[tiny]
+    # ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1
+    a0 = _laurent_c0(config)
+    out[tiny] = -1.0 + 2.0 * a0 * arr[tiny]
     return out[0] if scalar else out
 
 
@@ -272,17 +315,20 @@ def residue_at(f, s0, radius: float, nodes: int = 64,
 
     f must be analytic on the punctured disk with at most a simple pole at
     s0.  Trapezoidal quadrature on the circle is spectrally accurate; the
-    node count is doubled until two successive values agree to tol.
+    node count is doubled until two successive values agree to tol.  An f
+    that rejects arrays is retried point by point; a pole or domain error
+    is not retried.
     """
     s0 = complex(s0)
     prev = None
     n = max(64, nodes)
     while n <= max_nodes:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        u = radius * np.exp(1j * theta)
+        u = circle_nodes(radius, n)
         pts = s0 + u
         try:
             vals = f(pts)
+        except (PoleProximity, DomainError):
+            raise
         except (TypeError, ValueError):
             vals = np.array([f(p) for p in pts], dtype=np.complex128)
         est = complex(np.mean(np.asarray(vals, dtype=np.complex128) * u))

@@ -15,7 +15,7 @@ from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
                            volume_constant, volume_factors)
 from eisenspec.intertwine import m_scalar
 from eisenspec.roots import RHO_CHECK, RootDatum
-from eisenspec.zeta import completed_L
+from eisenspec.zeta import circle_nodes, completed_L, ratio_L
 
 # frozen oracle values (mpmath): 1/L(2)^2 and 1/(L(2) L(3))
 INV_L2_SQ = 3.6475626111241587
@@ -156,6 +156,18 @@ def test_double_residue_table_values():
     assert table[0][2].real == pytest.approx(INV_L2_SQ, rel=1e-9)
     assert table[2][2].real == pytest.approx(-INV_L2_SQ, rel=1e-9)
     assert table[4][2].real == pytest.approx(INV_L2_L3, rel=1e-9)
+
+
+def test_double_residue_at_rho_matches_pointwise_circles():
+    # s3 at rho: inner circle in z1, outer in z2, every node point by point
+    u_in = circle_nodes(0.1, 96)[None, :]
+    u_out = circle_nodes(0.3, 96)[:, None]
+    z1 = 1.0 + u_in + 0.0 * u_out
+    z2 = 1.0 + u_out + 0.0 * u_in
+    m = (np.asarray(ratio_L(z1)) * np.asarray(ratio_L(z1 + z2))
+         * np.asarray(ratio_L(z2)))
+    want = complex(np.mean(m * u_in * u_out))
+    assert abs(double_residue_table()[4][2] - want) <= 1e-13
 
 
 def test_double_residue_cancellation():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eisenspec import gl3, parseval
 from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 contribution_A, contribution_B,
                                 contribution_C, decomposed_norm_gl2,
@@ -12,7 +13,7 @@ from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 shifted_norm_gl2, shifted_norm_gl3,
                                 shifted_norm_gl3_terms)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import completed_L
+from eisenspec.zeta import DEFAULT_CONFIG, completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -122,6 +123,23 @@ def test_measure_constants_are_unity():
     kb, kc = measure_constants(phi)
     assert kb == pytest.approx(1.0, abs=1e-9)
     assert kc == pytest.approx(1.0, abs=1e-9)
+
+
+def test_measure_constants_one_ratio_call_per_root(monkeypatch):
+    calls = []
+
+    def counting(z, config=DEFAULT_CONFIG, plus=None):
+        calls.append(plus is not None)
+        return ratio_L(z, config, plus)
+
+    monkeypatch.setattr(gl3, "ratio_L", counting)
+    monkeypatch.setattr(parseval, "ratio_L", counting)
+    measure_constants(PaleyWienerGaussian(GL3, 0.6))
+    # three roots on each of the three lines, three at rho
+    assert len(calls) == 12
+    # on each line one root argument lies on the circle alone, and at rho
+    # z1 and z2 do; the rest are separable grids
+    assert sum(calls) == 7
 
 
 def test_parseval_gl3_full_report():

@@ -11,10 +11,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eisenspec.errors import NonConvergence, PoleProximity
-from eisenspec.zeta import (DEFAULT_CONFIG, EvaluatorConfig, completed_L,
-                            gamma_fn, local_L, primes_upto, ratio_L,
-                            residue_at, zeta)
+from eisenspec.errors import DomainError, NonConvergence, PoleProximity
+from eisenspec.zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
+                            _laurent_c0, circle_nodes, completed_L, gamma_fn,
+                            local_L, primes_upto, ratio_L, residue_at, zeta)
 
 mp.mp.dps = 30
 
@@ -183,3 +183,83 @@ def test_config_is_honored():
     with pytest.raises(PoleProximity):
         completed_L(1.3, loose)
     assert complex(completed_L(1.3, DEFAULT_CONFIG)) != 0
+
+
+@pytest.mark.parametrize("error", [PoleProximity, DomainError])
+def test_residue_at_does_not_retry_pole_or_domain_errors(error):
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        raise error("rejected")
+
+    with pytest.raises(error):
+        residue_at(f, 0.0, 0.1)
+    assert len(calls) == 1
+
+
+def test_laurent_constant_cached_per_config():
+    coarse = EvaluatorConfig(euler_maclaurin_terms=8, bernoulli_order=2)
+    u = circle_nodes(0.5, 256)
+    c_coarse = _laurent_c0(coarse)
+    c_default = _laurent_c0(DEFAULT_CONFIG)
+    assert c_coarse == complex(np.mean(_completed_L_raw(1.0 + u, coarse)))
+    assert c_default == complex(np.mean(_completed_L_raw(1.0 + u)))
+    assert c_coarse != c_default
+    # L(s) = 1/(s-1) + (gamma - log 4pi)/2 + O(s-1)
+    assert c_default == pytest.approx(
+        (np.euler_gamma - math.log(4.0 * math.pi)) / 2.0, abs=1e-13)
+    assert complex(ratio_L(1e-8, coarse)) == -1.0 + 2e-8 * c_coarse
+
+
+# ----------------------------------------------------- separable grids --
+
+
+def _ratio_oracle(z) -> complex:
+    s = mp.mpc(z.real, z.imag)
+
+    def big_l(w):
+        return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
+
+    return complex(big_l(s) / big_l(1 + s))
+
+
+@pytest.mark.parametrize("re", [-0.65, -0.5, 0.5, 1.0, 2.3])
+def test_ratio_L_grid_matches_pointwise_and_oracle(re):
+    # the (line point) + (circle node) shapes of the measure-constant grids
+    a = re + 1j * np.linspace(-14.0, 14.0, 9)
+    b = circle_nodes(0.3, 12)
+    grid = np.asarray(ratio_L(a, plus=b))
+    pointwise = np.asarray(ratio_L(np.add.outer(a, b)))
+    assert grid.shape == (9, 12)
+    want = np.array([[_ratio_oracle(z) for z in row]
+                     for row in np.add.outer(a, b)])
+    err_grid = np.max(np.abs(grid - want))
+    err_point = np.max(np.abs(pointwise - want))
+    assert err_grid <= 5e-12
+    assert err_grid <= 2.0 * err_point + 1e-14
+
+
+def test_ratio_L_grid_high_imaginary_part():
+    # |Im| > 40 on the grid, though on neither factor alone, raises the
+    # Euler-Maclaurin length above its default of 48
+    a = 0.4 + 1j * np.linspace(20.0, 24.0, 4)
+    b = 21j + circle_nodes(0.3, 8)
+    grid = np.asarray(ratio_L(a, plus=b))
+    want = np.array([[_ratio_oracle(z) for z in row]
+                     for row in np.add.outer(a, b)])
+    assert np.max(np.abs(grid - want) / np.abs(want)) <= 1e-11
+
+
+def test_ratio_L_grid_pole_guard():
+    with pytest.raises(PoleProximity):
+        ratio_L(np.array([0.2, 0.5]), plus=np.array([0.3, 0.5 + 1e-9j]))
+
+
+def test_ratio_L_grid_laurent_fill():
+    a = np.array([0.0, 0.3 + 0.2j])
+    b = np.array([1e-8, 0.1, -0.2j])
+    grid = np.asarray(ratio_L(a, plus=b))
+    assert grid[0, 0] == -1.0 + 2e-8 * _laurent_c0()
+    pointwise = np.asarray(ratio_L(np.add.outer(a, b)))
+    assert np.max(np.abs(grid - pointwise)) <= 1e-14
