@@ -10,8 +10,8 @@ from .roots import (RHO_CHECK, AssociationClass, RootDatum, StandardParabolic,
                     weyl_act)
 from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, completed_L, gamma_fn,
                    local_L, ratio_L, residue_at, zeta)
-from .intertwine import (ScalarIntertwiner, cocycle_check, m_scalar,
-                         su3_local_factor, unitarity_check)
+from .intertwine import (cocycle_check, m_scalar, su3_local_factor,
+                         unitarity_check)
 from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,
                   line_direction, multiplicativity_residual, n_entry,
                   n_matrix, rank_one_residual, sigma, symmetry_residual,

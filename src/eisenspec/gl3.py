@@ -30,10 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleProximity
+from .intertwine import m_on_grid
 from .roots import RHO_CHECK, RootDatum, Weight, WeylElement
-from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
-                   circle_nodes, completed_L, ratio_L)
+from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, circle_nodes, completed_L,
+                   ratio_L)
 
 __all__ = [
     "GL3",
@@ -47,7 +47,7 @@ __all__ = [
     "rank_one_residual",
     "symmetry_residual",
     "multiplicativity_residual",
-    "m_on_grid",
+    "named_weyl",
     "iterated_circle_residue",
     "transverse_residue",
     "double_residue_table",
@@ -107,47 +107,35 @@ def transverse_direction(i: int) -> Weight:
     return delta_weight(i)
 
 
-def _entry_ratio(a, b, config: EvaluatorConfig) -> complex:
-    """L(a)/L(b) with a pole guard on the numerator argument."""
-    for arg, pole in ((a, 0.0), (a, 1.0)):
-        if abs(arg - pole) < config.pole_exclusion_radius:
-            raise PoleProximity(
-                f"n_entry: L argument {arg} within exclusion radius of {pole}",
-                point=arg, pole=pole)
-    return complex(_completed_L_raw(a, config) / _completed_L_raw(b, config))
+def n_matrix(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The residue matrix N(z) = (n_ij(z)), of shape (3, 3) + z.shape.
+
+    Every entry is a product of r = ratio_L at the four points +-z +- 1/2,
+    evaluated in one call: n_13 = n_32 = r(-z + 1/2), n_23 = n_31 =
+    r(z + 1/2), n_12 = r(-z - 1/2) r(-z + 1/2), n_21 = r(z - 1/2) r(z + 1/2)
+    and n_33 = n_31 n_32; the diagonal entries n_11 = n_22 = 1 are exact.
+    The off-diagonal entries collapse this far because 1 + <lam_i, a_check>
+    and <lam_i, rho_check> coincide along the first two lines.  Raises
+    PoleProximity at the poles z = +-1/2, +-3/2.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    r_mm, r_mp, r_pm, r_pp = ratio_L(
+        np.stack((-z - 0.5, -z + 0.5, z - 0.5, z + 0.5)), config)
+    n = np.empty((3, 3) + z.shape, dtype=np.complex128)
+    n[0, 0] = n[1, 1] = 1.0
+    n[0, 2] = n[2, 1] = r_mp
+    n[1, 2] = n[2, 0] = r_pp
+    n[0, 1] = r_mm * r_mp
+    n[1, 0] = r_pm * r_pp
+    n[2, 2] = n[2, 0] * n[2, 1]
+    return n
 
 
 def n_entry(i: int, j: int, z, config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
-    """Closed-form entry n_ij(z) of the residue matrix N(z).
-
-    The diagonal entries n_11 = n_22 = 1 are exact; the off-diagonal entries
-    collapse to single completed-zeta ratios because 1 + <lam_i, a_check> and
-    <lam_i, rho_check> coincide along the first two lines.
-    """
-    z = complex(z)
-    if (i, j) in ((1, 1), (2, 2)):
-        return 1.0 + 0.0j
-    if (i, j) == (1, 2):
-        return _entry_ratio(-z - 0.5, -z + 1.5, config)
-    if (i, j) == (1, 3):
-        return _entry_ratio(-z + 0.5, -z + 1.5, config)
-    if (i, j) == (2, 1):
-        return _entry_ratio(z - 0.5, z + 1.5, config)
-    if (i, j) == (2, 3):
-        return _entry_ratio(z + 0.5, z + 1.5, config)
-    if (i, j) == (3, 1):
-        return _entry_ratio(z + 0.5, z + 1.5, config)
-    if (i, j) == (3, 2):
-        return _entry_ratio(-z + 0.5, -z + 1.5, config)
-    if (i, j) == (3, 3):
-        return (_entry_ratio(z + 0.5, z + 1.5, config)
-                * _entry_ratio(-z + 0.5, -z + 1.5, config))
-    raise ValueError(f"n_entry indices out of range: ({i}, {j})")
-
-
-def n_matrix(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
-    return np.array([[n_entry(i, j, z, config) for j in (1, 2, 3)]
-                     for i in (1, 2, 3)])
+    """Closed-form entry n_ij(z) of the residue matrix N(z), i, j in 1..3."""
+    if i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise ValueError(f"n_entry indices out of range: ({i}, {j})")
+    return complex(n_matrix(complex(z), config)[i - 1, j - 1])
 
 
 def rank_one_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
@@ -183,38 +171,6 @@ def multiplicativity_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> fl
     return worst
 
 
-def m_on_grid(ws, base: Weight, x_dir: Weight, x, y_dir: Weight | None = None,
-              y=None, config: EvaluatorConfig = DEFAULT_CONFIG) -> list:
-    """m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
-
-    Each root argument <lam, root_check> = a0 + ax x_k + ay y_l is an outer
-    sum, so ratio_L is called once per root in the union of the inversion
-    sets: on the 1-D nodes when the argument depends on x or y alone, as one
-    separable grid otherwise.  The values broadcast to (x.size, y.size), or
-    to x.shape without y.
-    """
-    inversions = [sorted(w.inversions()) for w in ws]
-    ratios = {}
-    for root in sorted(set().union(*inversions)):
-        a0 = complex(base.pair_root(root))
-        ax = complex(x_dir.pair_root(root))
-        ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
-        if ay == 0:
-            vals = np.asarray(ratio_L(a0 + ax * x, config))
-            ratios[root] = vals if y is None else vals[:, None]
-        elif ax == 0:
-            ratios[root] = np.asarray(ratio_L(a0 + ay * y, config))[None, :]
-        else:
-            ratios[root] = np.asarray(ratio_L(a0 + ax * x, config, plus=ay * y))
-    out = []
-    for roots in inversions:
-        m = np.ones(1, dtype=np.complex128)
-        for root in roots:
-            m = m * ratios[root]
-        out.append(m)
-    return out
-
-
 def iterated_circle_residue(f, r_inner: float, r_outer: float,
                             nodes: int) -> complex:
     """(1/2pi i)^2 oint oint f du_in du_out by the trapezoid rule.
@@ -245,9 +201,6 @@ def transverse_residue(i: int, j: int, z, radius: float = 0.3,
     return complex(np.mean(vals * u))
 
 
-_AXIS = {1: GL3.weight((1, 0)), 2: GL3.weight((0, 1))}
-
-
 def _iterated_double_residue(w: WeylElement, inner_axis: int,
                              inner_center: complex, outer_axis: int,
                              outer_center: complex,
@@ -259,8 +212,8 @@ def _iterated_double_residue(w: WeylElement, inner_axis: int,
     base = GL3.weight((center[1], center[2]))
 
     def integrand(u_out, u_in):
-        m, = m_on_grid([w], base, _AXIS[outer_axis], u_out,
-                       _AXIS[inner_axis], u_in, config)
+        m, = m_on_grid([w], base, GL3.fundamental_weight(outer_axis), u_out,
+                       GL3.fundamental_weight(inner_axis), u_in, config)
         return m
 
     return iterated_circle_residue(integrand, r_inner, r_outer, nodes)
@@ -278,11 +231,14 @@ _DOUBLE_RESIDUE_PLAN = (
 )
 
 
-def _named_weyl() -> dict[str, WeylElement]:
+@lru_cache(maxsize=None)
+def named_weyl() -> dict[str, WeylElement]:
+    """The six elements of W(GL(3)) by name: e, s1, s2, r1 = s1 s2,
+    r2 = s2 s1 and the longest element s3 = s1 s2 s1."""
     s1 = GL3.simple_reflection(1)
     s2 = GL3.simple_reflection(2)
-    return {"s1": s1, "s2": s2, "s3": s1 * s2 * s1,
-            "r1": s1 * s2, "r2": s2 * s1}
+    return {"e": GL3.identity(), "s1": s1, "s2": s2,
+            "r1": s1 * s2, "r2": s2 * s1, "s3": s1 * s2 * s1}
 
 
 def double_residue_closed_forms(config: EvaluatorConfig = DEFAULT_CONFIG) -> list[complex]:
@@ -300,7 +256,7 @@ def double_residue_table(config: EvaluatorConfig = DEFAULT_CONFIG,
     Returns (weyl element, point, value) in the order
     (r1, w2), (r2, w1), (s3, w2), (s3, w1), (s3, rho).
     """
-    named = _named_weyl()
+    named = named_weyl()
     out = []
     for name, point, in_ax, in_c, out_ax, out_c in _DOUBLE_RESIDUE_PLAN:
         w = named[name]

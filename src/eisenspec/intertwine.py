@@ -17,16 +17,14 @@ is included for p != 2 (the p = 2 case is not specified and is rejected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, PoleProximity
+from .errors import DomainError
 from .roots import RootDatum, Weight, WeylElement
 from .zeta import DEFAULT_CONFIG, EvaluatorConfig, ratio_L
 
 __all__ = [
-    "ScalarIntertwiner",
+    "m_on_grid",
     "m_scalar",
     "cocycle_check",
     "unitarity_check",
@@ -34,35 +32,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarIntertwiner:
-    """The scalar by which M(w, .) acts on constant K-invariant data."""
+def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray,
+               config: EvaluatorConfig) -> np.ndarray:
+    """ratio_L(a0 + p_i + q_j) on the (p.size, q.size) outer sum.
 
-    datum: RootDatum
-    w: WeylElement
+    If p and q are arithmetic progressions of one step h = p_1 - p_0 (every
+    difference within rounding of h), the sums lie on the 1-D lattice
+    p_0 + q_0 + (i + j) h, and one ratio_L call on its |p| + |q| - 1 points
+    is read as the (p.size, q.size) Hankel view vals[i + j], which copies
+    nothing.  Otherwise the outer sum is evaluated as a separable grid.
+    """
+    h = p[1] - p[0] if p.size > 1 else np.nan
+    tol = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(np.append(p, q)))
+    if q.size < 2 or not all(np.all(np.abs(np.diff(v) - h) <= tol)
+                             for v in (p, q)):
+        return np.asarray(ratio_L(a0 + p, config, plus=q))
+    k = np.arange(p.size + q.size - 1, dtype=np.float64)
+    vals = np.asarray(ratio_L(a0 + ((p[0] + q[0]) + h * k), config))
+    return np.lib.stride_tricks.sliding_window_view(vals, q.size)
 
-    def factor_arguments(self, lam: Weight):
-        """The ratio arguments <lam, alpha_check> over the inversion set."""
-        return [lam.pair_root(root) for root in sorted(self.w.inversions())]
 
-    def __call__(self, lam: Weight, config: EvaluatorConfig = DEFAULT_CONFIG):
-        value = 1.0 + 0.0j
-        for root, arg in zip(sorted(self.w.inversions()),
-                             self.factor_arguments(lam)):
-            arg = complex(arg)
-            if abs(arg - 1.0) < config.pole_exclusion_radius:
-                raise PoleProximity(
-                    f"m_scalar: factor for root {root} has argument {arg} "
-                    f"within exclusion radius of the pole at 1",
-                    point=arg, pole=1.0)
-            value *= complex(ratio_L(arg, config))
-        return value
+def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
+              y_dir: Weight | None = None, y=None,
+              config: EvaluatorConfig = DEFAULT_CONFIG):
+    """Yield m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
+
+    The one evaluator of the intertwining scalars.  Each root argument
+    <lam, root_check> = a0 + ax x_k + ay y_l is an outer sum, so ratio_L is
+    called once per root in the union of the inversion sets: at base itself
+    without x, on the 1-D nodes when the argument depends on x or y alone,
+    and on the outer sum otherwise (see _sum_ratio).  The products are
+    formed as they are consumed; each broadcasts to (x.size, y.size), to
+    x.shape without y, and is a scalar without x.
+    """
+    inversions = [sorted(w.inversions()) for w in ws]
+    ratios = {}
+    for root in sorted(set().union(*inversions)):
+        a0 = complex(base.pair_root(root))
+        ax = complex(x_dir.pair_root(root)) if x is not None else 0.0
+        ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
+        if x is None:
+            ratios[root] = ratio_L(a0, config)
+        elif ay == 0:
+            vals = np.asarray(ratio_L(a0 + ax * x, config))
+            ratios[root] = vals if y is None else vals[:, None]
+        elif ax == 0:
+            ratios[root] = np.asarray(ratio_L(a0 + ay * y, config))[None, :]
+        else:
+            ratios[root] = _sum_ratio(a0, ax * np.asarray(x),
+                                      ay * np.asarray(y), config)
+    for roots in inversions:
+        m = 1.0 + 0.0j
+        for root in roots:
+            m = m * ratios[root]
+        yield m
 
 
 def m_scalar(w: WeylElement, lam: Weight,
              config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
     """Product of completed-zeta ratios over the inversion set of w."""
-    return ScalarIntertwiner(w.datum, w)(lam, config)
+    m, = m_on_grid([w], lam, config=config)
+    return complex(m)
 
 
 def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight,

@@ -43,10 +43,11 @@ import numpy as np
 
 from .errors import DomainError
 from .gl3 import (GL3, delta_weight, iterated_circle_residue, line_direction,
-                  m_on_grid, sigma, transverse_direction)
+                  n_matrix, named_weyl, sigma, transverse_direction)
+from .intertwine import m_on_grid
 from .roots import RootDatum, Weight, WeylElement
-from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
-                   circle_nodes, completed_L, ratio_L)
+from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, circle_nodes, completed_L,
+                   ratio_L)
 
 __all__ = [
     "PaleyWienerGaussian",
@@ -160,17 +161,26 @@ def _grid(width: float, step: float) -> np.ndarray:
     return step * np.arange(-n, n + 1, dtype=np.float64)
 
 
-def _weyl_coord_matrix(w: WeylElement) -> np.ndarray:
-    """Integer matrix of w on fundamental-weight coordinates (columns)."""
-    r = w.datum.rank
-    cols = []
-    for k in range(1, r + 1):
-        img = w.act(w.datum.fundamental_weight(k))
-        cols.append([float(c) for c in img.coeffs])
-    return np.array(cols, dtype=np.float64).T
+def _weyl_image(w: WeylElement, c1, c2) -> tuple:
+    """Fundamental-weight coordinates of w lam from those (c1, c2) of lam."""
+    # cols[k] holds the coordinates of w applied to the (k+1)-th weight
+    cols = [[float(v) for v in w.act(w.datum.fundamental_weight(k)).coeffs]
+            for k in (1, 2)]
+    return (cols[0][0] * c1 + cols[1][0] * c2,
+            cols[0][1] * c1 + cols[1][1] * c2)
 
 
 # ----------------------------------------------------------------- GL(2) --
+
+
+def _gl2_line_sum(phi: PaleyWienerGaussian, z: np.ndarray, step: float,
+                  config: EvaluatorConfig) -> complex:
+    """(step/2pi) sum over z of Phi(z) Phi*(-z) + m(s, z) Phi(z) Phi*(z)."""
+    star = phi.star()
+    vals = (phi.value_coords(z) * star.value_coords(-z)
+            + np.asarray(ratio_L(z, config))
+            * phi.value_coords(z) * star.value_coords(z))
+    return complex(np.sum(vals) * step / (2.0 * np.pi))
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
@@ -183,12 +193,7 @@ def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
         raise DomainError("sigma0 must exceed 1 (convergence domain)")
     spec = spec or ContourSpec((sigma0,))
     t = _grid(spec.resolved_width(phi.beta), spec.step)
-    z = sigma0 + 1j * t
-    star = phi.star()
-    vals = (phi.value_coords(z) * star.value_coords(-z)
-            + np.asarray(ratio_L(z, config))
-            * phi.value_coords(z) * star.value_coords(z))
-    return complex(np.sum(vals) * spec.step / (2.0 * np.pi))
+    return _gl2_line_sum(phi, sigma0 + 1j * t, spec.step, config)
 
 
 def decomposed_norm_gl2(phi: PaleyWienerGaussian,
@@ -202,12 +207,7 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian,
     if phi.datum.n != 2:
         raise DomainError("decomposed_norm_gl2 needs a GL(2) profile")
     t = _grid(math.sqrt(88.0 / phi.beta), step)
-    z = 1j * t
-    star = phi.star()
-    vals = (phi.value_coords(z) * star.value_coords(-z)
-            + np.asarray(ratio_L(z, config))
-            * phi.value_coords(z) * star.value_coords(z))
-    axis = complex(np.sum(vals) * step / (2.0 * np.pi))
+    axis = _gl2_line_sum(phi, 1j * t, step, config)
     L2 = complex(completed_L(2.0, config))
     phi1 = phi.value(GL2.weight((1.0,)))
     residue = phi1 * phi1.conjugate() / L2
@@ -215,48 +215,6 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian,
 
 
 # ----------------------------------------------------------------- GL(3) --
-
-_INVERSION_FACTORS = {
-    # which of the ratio caches (z1, z2, z1+z2) enter m(w, .), by Weyl name
-    "e": (), "s1": (0,), "s2": (1,), "r1": (1, 2), "r2": (0, 2),
-    "s3": (0, 1, 2),
-}
-
-
-def _gl3_named() -> dict[str, WeylElement]:
-    s1 = GL3.simple_reflection(1)
-    s2 = GL3.simple_reflection(2)
-    return {"e": GL3.identity(), "s1": s1, "s2": s2,
-            "r1": s1 * s2, "r2": s2 * s1, "s3": s1 * s2 * s1}
-
-
-def _ratio_caches(c1: float, c2: float, t: np.ndarray,
-                  config: EvaluatorConfig):
-    """ratio_L along the three coordinate lines of the contour grid."""
-    n = t.size
-    step = t[1] - t[0]
-    r1 = np.asarray(ratio_L(c1 + 1j * t, config))
-    r2 = np.asarray(ratio_L(c2 + 1j * t, config))
-    # sums t_i + t_j live on the uniform grid 2 t[0] + step * (0 .. 2n-2)
-    tsum = 2.0 * t[0] + step * np.arange(2 * n - 1, dtype=np.float64)
-    r12 = np.asarray(ratio_L(c1 + c2 + 1j * tsum, config))
-    idx = np.add.outer(np.arange(n), np.arange(n))
-    return r1, r2, r12, idx
-
-
-def _m_grid(name: str, caches, config: EvaluatorConfig) -> np.ndarray:
-    r1, r2, r12, idx = caches
-    n = r1.size
-    m = np.ones((n, n), dtype=np.complex128)
-    for which in _INVERSION_FACTORS[name]:
-        if which == 0:
-            m = m * r1[:, None]
-        elif which == 1:
-            m = m * r2[None, :]
-        else:
-            m = m * r12[idx]
-    return m
-
 
 def shifted_norm_gl3_terms(phi: PaleyWienerGaussian, lam0: tuple[float, float],
                            spec: ContourSpec | None = None,
@@ -274,19 +232,18 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian, lam0: tuple[float, float],
     t = _grid(spec.resolved_width(phi.beta), spec.step)
     z1 = (c1 + 1j * t)[:, None]
     z2 = (c2 + 1j * t)[None, :]
-    caches = _ratio_caches(c1, c2, t, config)
     star = phi.star()
     phi_grid = phi.value_coords(z1, z2)
 
     scale = (spec.step / (2.0 * np.pi)) ** 2
     terms = {}
-    for name, w in _gl3_named().items():
-        mw = _m_grid(name, caches, config)
-        mat = _weyl_coord_matrix(w)
-        im1 = -(mat[0, 0] * z1 + mat[0, 1] * z2)
-        im2 = -(mat[1, 0] * z1 + mat[1, 1] * z2)
+    ms = m_on_grid(named_weyl().values(), GL3.weight((c1, c2)),
+                   GL3.fundamental_weight(1), 1j * t,
+                   GL3.fundamental_weight(2), 1j * t, config)
+    for (name, w), mw in zip(named_weyl().items(), ms):
+        w1, w2 = _weyl_image(w, z1, z2)
         terms[name] = complex(
-            np.sum(mw * phi_grid * star.value_coords(im1, im2))) * scale
+            np.sum(mw * phi_grid * star.value_coords(-w1, -w2))) * scale
     return terms
 
 
@@ -303,42 +260,20 @@ def contribution_A(phi: PaleyWienerGaussian, step: float = 0.1,
     t = _grid(math.sqrt(88.0 / phi.beta), step)
     z1 = (1j * t)[:, None]
     z2 = (1j * t)[None, :]
-    caches = _ratio_caches(0.0, 0.0, t, config)
     phi_grid = phi.value_coords(z1, z2)
 
     direct = 0.0 + 0.0j
     f_sum = np.zeros_like(phi_grid)
-    for name, w in _gl3_named().items():
-        mw = _m_grid(name, caches, config)
-        mat = _weyl_coord_matrix(w)
-        s1g = mat[0, 0] * z1 + mat[0, 1] * z2
-        s2g = mat[1, 0] * z1 + mat[1, 1] * z2
-        phi_s = phi.value_coords(s1g, s2g)
+    ms = m_on_grid(named_weyl().values(), GL3.weight((0, 0)),
+                   GL3.fundamental_weight(1), 1j * t,
+                   GL3.fundamental_weight(2), 1j * t, config)
+    for w, mw in zip(named_weyl().values(), ms):
+        phi_s = phi.value_coords(*_weyl_image(w, z1, z2))
         direct += np.sum(mw * phi_grid * np.conj(phi_s))
         f_sum += phi_s / mw
     scale = (step / (2.0 * np.pi)) ** 2
     symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
     return complex(direct) * scale, complex(symmetric) * scale
-
-
-def _n_row_grids(t: np.ndarray, config: EvaluatorConfig) -> np.ndarray:
-    """n_ij(i t) for the nine entries, vectorized over the grid."""
-    z = 1j * t
-
-    def ratio_pair(a, b):
-        return _completed_L_raw(a, config) / _completed_L_raw(b, config)
-
-    n = np.empty((3, 3, t.size), dtype=np.complex128)
-    n[0, 0] = 1.0
-    n[1, 1] = 1.0
-    n[0, 1] = ratio_pair(-z - 0.5, -z + 1.5)
-    n[0, 2] = ratio_pair(-z + 0.5, -z + 1.5)
-    n[1, 0] = ratio_pair(z - 0.5, z + 1.5)
-    n[1, 2] = ratio_pair(z + 0.5, z + 1.5)
-    n[2, 0] = n[1, 2]
-    n[2, 1] = n[0, 2]
-    n[2, 2] = n[1, 2] * n[0, 2]
-    return n
 
 
 def _phi_on_lines(phi: PaleyWienerGaussian, t: np.ndarray) -> np.ndarray:
@@ -360,7 +295,7 @@ def contribution_B(phi: PaleyWienerGaussian, step: float = 0.05,
     factored = (1/L(2)) int |sum_i n_i1(z) Phi_i(z)|^2 (1/2pi)|dz|
     """
     t = _grid(math.sqrt(66.0 / phi.beta), step)
-    n = _n_row_grids(t, config)
+    n = n_matrix(1j * t, config)
     vals = _phi_on_lines(phi, t)
     L2 = complex(completed_L(2.0, config))
     direct = 0.0 + 0.0j
@@ -406,10 +341,8 @@ def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
     ws = [sigma(i, j) for j in (1, 2, 3)]
     total = np.zeros(t.size, dtype=np.complex128)
     for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u, config)):
-        mat = _weyl_coord_matrix(w)
-        im1 = -(mat[0, 0] * c1 + mat[0, 1] * c2)
-        im2 = -(mat[1, 0] * c1 + mat[1, 1] * c2)
-        integrand = m * phi_vals * star.value_coords(im1, im2)
+        w1, w2 = _weyl_image(w, c1, c2)
+        integrand = m * phi_vals * star.value_coords(-w1, -w2)
         total += (integrand * u[None, :]).mean(axis=1)
     return total
 
@@ -437,19 +370,17 @@ def measure_constants(phi: PaleyWienerGaussian, step: float = 0.05,
             "singular lines (B is numerically zero)")
     kappa_b = (pickup / b_direct).real
 
-    s3 = _gl3_named()["s3"]
-    mat = _weyl_coord_matrix(s3)
+    s3 = named_weyl()["s3"]
     star = phi.star()
 
     def integrand(u_out, u_in):
         # inner circle in z1 around 1, outer circle in z2 around 1
         z1 = 1.0 + u_in[None, :]
         z2 = 1.0 + u_out[:, None]
-        m, = m_on_grid([s3], GL3.rho(), GL3.weight((0, 1)), u_out,
-                       GL3.weight((1, 0)), u_in, config)
-        im1 = -(mat[0, 0] * z1 + mat[0, 1] * z2)
-        im2 = -(mat[1, 0] * z1 + mat[1, 1] * z2)
-        return m * phi.value_coords(z1, z2) * star.value_coords(im1, im2)
+        m, = m_on_grid([s3], GL3.rho(), GL3.fundamental_weight(2), u_out,
+                       GL3.fundamental_weight(1), u_in, config)
+        w1, w2 = _weyl_image(s3, z1, z2)
+        return m * phi.value_coords(z1, z2) * star.value_coords(-w1, -w2)
 
     point = iterated_circle_residue(integrand, 0.1, 0.3, 96)
     kappa_c = (point / contribution_C(phi, config)).real

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaincc, exp1
 
 from .errors import DomainError, NonConvergence, PoleProximity
-from .zeta import DEFAULT_CONFIG, EvaluatorConfig, _zeta_raw, ratio_L
+from .zeta import DEFAULT_CONFIG, EvaluatorConfig, ratio_L, zeta
 
 __all__ = [
     "UpperHalfPoint",
@@ -173,17 +173,9 @@ def eisenstein(z: UpperHalfPoint, params: EisensteinParams) -> complex:
     Convention: pairs are taken modulo the unit -1 by requiring c >= 0, with
     (0, 1) contributing y^s.
     """
-    s = complex(params.s)
-    b = params.lattice_bound
-    x, y = z.x, z.y
-    total = np.complex128(np.exp(s * np.log(y)))  # the (0, 1) term
-    d = np.arange(-b, b + 1, dtype=np.int64)
-    for c in range(1, b + 1):
-        mask = np.gcd(np.int64(c), d) == 1
-        dd = d[mask].astype(np.float64)
-        q = (c * x + dd) ** 2 + (c * y) ** 2
-        total += np.exp(s * np.log(y)) * np.exp(-s * np.log(q)).sum()
-    return complex(total)
+    return complex(_eisenstein_direct_array(
+        np.array([z.x]), np.array([z.y]), complex(params.s),
+        params.lattice_bound)[0])
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -243,7 +235,7 @@ def eisenstein_theta(x, y, s: float,
                         + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
 
     star = 0.5 / (s - 1.0) - 0.5 / s + total
-    zeta2s = float(np.real(_zeta_raw(2.0 * s, config)))
+    zeta2s = float(np.real(zeta(2.0 * s, config)))
     value = star * math.pi ** s / (math.gamma(s) * zeta2s)
     return float(value.reshape(-1)[0]) if scalar else value
 
@@ -314,7 +306,7 @@ def truncated_eisenstein(s: float, trunc: TruncationParam,
         config)
 
 
-def _eisenstein_direct_array(x: np.ndarray, y: np.ndarray, s: float,
+def _eisenstein_direct_array(x: np.ndarray, y: np.ndarray, s: complex,
                              bound: int) -> np.ndarray:
     """Direct coprime sum, vectorized over 1-d point arrays."""
     d = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -346,8 +338,6 @@ class QuadratureSpec:
     max_panels: int = 2000
     base_order: int = 10
     y_split: float = 2.0
-    y_breaks: tuple[float, ...] = ()
-    x_range: tuple[float, float] = (-0.5, 0.5)
 
 
 @dataclass
@@ -369,11 +359,12 @@ def _leg_nodes(order: int):
 
 
 class _Region:
-    """A region (x, t) in [x0,x1] x [0,1] mapped onto part of D."""
+    """The part of D below y_top, mapped from (x, t) in [-1/2, 1/2] x [0, 1]
+    by y = floor(x) + (y_top - floor(x)) t over the arc floor, or with top
+    set the part above y_top."""
 
-    def __init__(self, ylo: Callable, yhi: Callable, top: bool = False):
-        self.ylo = ylo
-        self.yhi = yhi
+    def __init__(self, y_top: float, top: bool = False):
+        self.y_top = y_top
         self.top = top  # top regions use u = 1/y, du = dy / y^2
 
     def sample(self, integrand, x0, x1, t0, t1, nodes, weights):
@@ -385,9 +376,9 @@ class _Region:
             Y = 1.0 / U
             vals = integrand(X, Y)  # measure dy/y^2 = du
         else:
-            lo = self.ylo(X)
-            Y = lo + (self.yhi(X) - lo) * Tt
-            vals = integrand(X, Y) * (self.yhi(X) - lo) / (Y * Y)
+            lo = np.sqrt(np.maximum(1.0 - X * X, 0.0))
+            Y = lo + (self.y_top - lo) * Tt
+            vals = integrand(X, Y) * (self.y_top - lo) / (Y * Y)
         wmat = np.multiply.outer(weights, weights)
         return complex(np.sum(vals * wmat)) * (x1 - x0) * (t1 - t0)
 
@@ -396,24 +387,15 @@ def inner_product_fd(f: Callable, g: Callable,
                      quad: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Adaptive quadrature of integral over D of f * conj(g) dx dy / y^2.
 
-    f and g must be vectorized callables of (x, y).  The domain is covered
-    by the arc-floor region up to y_split, optional rectangular strips cut
-    at the supplied y_breaks, and a top region mapped by u = 1/y covering
-    [y_split', infinity).  Panels are refined worst-first until the summed
-    two-order error estimate meets the tolerance.
+    f and g must be vectorized callables of (x, y).  The domain, x in
+    [-1/2, 1/2], is covered by the arc-floor region up to y_split and a top
+    region mapped by u = 1/y covering [y_split, infinity).  Panels are
+    refined worst-first until the summed two-order error estimate meets the
+    tolerance.
     """
-    x0, x1 = quad.x_range
-    arc = lambda X: np.sqrt(np.maximum(1.0 - X * X, 0.0))
-
-    levels = sorted({float(b) for b in quad.y_breaks if b > 1.0}
-                    | {float(quad.y_split)})
-    regions: list[_Region] = []
-    lo_fn = arc
-    for lvl in levels:
-        regions.append(_Region(lo_fn, lambda X, l=lvl: np.full_like(X, l)))
-        lo_fn = (lambda X, l=lvl: np.full_like(X, l))
-    y_top = levels[-1]
-    regions.append(_Region(None, None, top=True))
+    x0, x1 = -0.5, 0.5
+    y_top = float(quad.y_split)
+    regions = (_Region(y_top), _Region(y_top, top=True))
 
     def integrand(X, Y):
         return f(X, Y) * np.conj(g(X, Y))
@@ -508,8 +490,7 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc, config)
     f2 = truncated_eisenstein(s2, trunc, config)
-    spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0,
-                          y_breaks=(), max_panels=3000)
+    spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, max_panels=3000)
     quad = inner_product_fd(f1, f2, spec)
     formula = omega_rank1(s1, s2, trunc, config)
     abs_err = abs(complex(quad.value) - formula)

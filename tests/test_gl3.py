@@ -4,9 +4,11 @@ each other in both directions."""
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from eisenspec.errors import PoleProximity
 from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
                            double_residue_table, lambda_line, line_direction,
                            multiplicativity_residual, n_entry, n_matrix,
@@ -98,6 +100,52 @@ def test_n_entry_closed_forms():
     assert n_entry(2, 1, z) == pytest.approx(L(z - 0.5) / L(z + 1.5), rel=1e-13)
     assert n_entry(3, 3, z) == pytest.approx(
         n_entry(3, 1, z) * n_entry(3, 2, z), rel=1e-13)
+
+
+def test_n_matrix_on_an_array_equals_scalar_calls():
+    zs = np.array([0.8j, -1.3j, 0.3 + 0.4j, -0.3 - 2.1j, 0.0])
+    n = n_matrix(zs)
+    assert n.shape == (3, 3, zs.size)
+    for k, z in enumerate(zs):
+        np.testing.assert_allclose(n[..., k], n_matrix(z), rtol=1e-15, atol=0)
+
+
+# Off the axis n_12 (n_21) needs L at Re -0.8, where the Euler-Maclaurin
+# zeta cancels toward Re -1: its relative error there is 1.7e-12 to 3.7e-12
+# at these points, in the ratio form as in the direct quotient L(a)/L(b).
+_ZETA_NEAR_MINUS_ONE = pytest.mark.xfail(
+    strict=True, reason="Euler-Maclaurin zeta loses digits toward Re -1")
+
+
+@pytest.mark.parametrize("re", [
+    0.0,
+    pytest.param(0.3, marks=_ZETA_NEAR_MINUS_ONE),
+    pytest.param(-0.3, marks=_ZETA_NEAR_MINUS_ONE),
+])
+def test_n_matrix_matches_mpmath(re):
+    def L(w):
+        return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
+
+    with mp.workdps(30):
+        for im in (-2.3, -0.6, 0.0, 0.9, 2.7):
+            z = complex(re, im)
+            w = mp.mpc(re, im)
+            n13, n23 = L(-w + 0.5) / L(-w + 1.5), L(w + 0.5) / L(w + 1.5)
+            want = np.array([
+                [1, L(-w - 0.5) / L(-w + 1.5), n13],
+                [L(w - 0.5) / L(w + 1.5), 1, n23],
+                [n23, n13, n23 * n13]], dtype=np.complex128)
+            got = n_matrix(z)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_n_entry_poles_and_indices():
+    with pytest.raises(PoleProximity):
+        n_entry(2, 3, 0.5)      # L(z + 1/2) at its pole
+    with pytest.raises(PoleProximity):
+        n_entry(2, 1, 1.5)      # L(z - 1/2) at its pole
+    with pytest.raises(ValueError):
+        n_entry(4, 1, 0.3j)
 
 
 def test_nmatrix_lemmas_on_axis():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from eisenspec.errors import DomainError, PoleProximity
-from eisenspec.intertwine import (cocycle_check, m_scalar, su3_local_factor,
-                                  unitarity_check)
+from eisenspec.gl3 import named_weyl
+from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
+                                  su3_local_factor, unitarity_check)
 from eisenspec.roots import RootDatum
 from eisenspec.zeta import completed_L, ratio_L
 
@@ -91,6 +92,21 @@ def test_m_scalar_pole_guard_names_pole():
     s1 = GL3.simple_reflection(1)
     with pytest.raises(PoleProximity):
         m_scalar(s1, lam)
+
+
+@pytest.mark.parametrize("c", [(1.5, 1.5), (0.0, 0.0)])
+def test_m_on_grid_lattice_matches_separable_grid(c):
+    # on the t (+) t plane the z1 + z2 root is evaluated on the 1-D lattice
+    # of sums; at c = (0, 0) the grid runs through the Laurent fill at 0
+    x = 1j * 0.1 * np.arange(-30, 31)
+    got = list(m_on_grid(named_weyl().values(), GL3.weight(c),
+                         GL3.weight((1, 0)), x, GL3.weight((0, 1)), x))
+    r1 = np.asarray(ratio_L(c[0] + x))[:, None]
+    r2 = np.asarray(ratio_L(c[1] + x))[None, :]
+    r12 = np.asarray(ratio_L(c[0] + c[1] + x, plus=x))
+    want = [np.ones((1, 1)), r1, r2, r2 * r12, r1 * r12, r1 * r2 * r12]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w) / np.abs(w)) <= 1e-13
 
 
 def test_su3_factor_value():

@@ -1,11 +1,12 @@
 """Contour-shift Parseval identities for GL(2) and GL(3)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from eisenspec import gl3, parseval
+from eisenspec import intertwine, parseval
 from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 contribution_A, contribution_B,
                                 contribution_C, decomposed_norm_gl2,
@@ -132,7 +133,7 @@ def test_measure_constants_one_ratio_call_per_root(monkeypatch):
         calls.append(plus is not None)
         return ratio_L(z, config, plus)
 
-    monkeypatch.setattr(gl3, "ratio_L", counting)
+    monkeypatch.setattr(intertwine, "ratio_L", counting)
     monkeypatch.setattr(parseval, "ratio_L", counting)
     measure_constants(PaleyWienerGaussian(GL3, 0.6))
     # three roots on each of the three lines, three at rho
@@ -140,6 +141,26 @@ def test_measure_constants_one_ratio_call_per_root(monkeypatch):
     # on each line one root argument lies on the circle alone, and at rho
     # z1 and z2 do; the rest are separable grids
     assert sum(calls) == 7
+
+
+def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
+    sizes = []
+
+    def counting(z, config=DEFAULT_CONFIG, plus=None):
+        sizes.append(np.size(z) * (1 if plus is None else np.size(plus)))
+        return ratio_L(z, config, plus)
+
+    monkeypatch.setattr(intertwine, "ratio_L", counting)
+    monkeypatch.setattr(parseval, "ratio_L", counting)
+    phi = PaleyWienerGaussian(GL3, 0.6)
+    n = parseval._grid(math.sqrt(88.0 / phi.beta), 0.1).size
+    for run in (lambda: shifted_norm_gl3_terms(phi, (1.5, 1.5)),
+                lambda: contribution_A(phi)):
+        sizes.clear()
+        run()
+        # z1, z2 and the z1 + z2 lattice, never the n x n grid
+        assert len(sizes) == 3
+        assert max(sizes) <= 2 * n - 1
 
 
 def test_parseval_gl3_full_report():
