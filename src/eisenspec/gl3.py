@@ -32,8 +32,7 @@ import numpy as np
 
 from .intertwine import m_on_grid
 from .roots import RHO_CHECK, RootDatum, Weight, WeylElement
-from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, circle_nodes, completed_L,
-                   ratio_L)
+from .zeta import circle_nodes, completed_L, ratio_L
 
 __all__ = [
     "GL3",
@@ -64,6 +63,18 @@ _HALF = Fraction(1, 2)
 # Pairing index cutting out Line_i: the simple coroots for i = 1, 2 and
 # rho_check for i = 3.
 _LINE_COROOT = {1: 1, 2: 2, 3: RHO_CHECK}
+
+# The u-circle of transverse_residue.
+_TRANSVERSE_RADIUS = 0.3
+_TRANSVERSE_NODES = 128
+
+# The iterated circles of the double residues, 96 trapezoid nodes each.  The
+# inner radius is kept strictly below the outer one so that the inner circle
+# encloses only the hyperplane through the centre, never a pole that moves
+# with the outer variable.
+_INNER_RADIUS = 0.1
+_OUTER_RADIUS = 0.3
+_ITERATED_NODES = 96
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +118,7 @@ def transverse_direction(i: int) -> Weight:
     return delta_weight(i)
 
 
-def n_matrix(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+def n_matrix(z) -> np.ndarray:
     """The residue matrix N(z) = (n_ij(z)), of shape (3, 3) + z.shape.
 
     Every entry is a product of r = ratio_L at the four points +-z +- 1/2,
@@ -120,7 +131,7 @@ def n_matrix(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.complex128)
     r_mm, r_mp, r_pm, r_pp = ratio_L(
-        np.stack((-z - 0.5, -z + 0.5, z - 0.5, z + 0.5)), config)
+        np.stack((-z - 0.5, -z + 0.5, z - 0.5, z + 0.5)))
     n = np.empty((3, 3) + z.shape, dtype=np.complex128)
     n[0, 0] = n[1, 1] = 1.0
     n[0, 2] = n[2, 1] = r_mp
@@ -131,16 +142,20 @@ def n_matrix(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     return n
 
 
-def n_entry(i: int, j: int, z, config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def n_entry(i: int, j: int, z) -> complex:
     """Closed-form entry n_ij(z) of the residue matrix N(z), i, j in 1..3."""
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"n_entry indices out of range: ({i}, {j})")
-    return complex(n_matrix(complex(z), config)[i - 1, j - 1])
+    return complex(n_matrix(complex(z))[i - 1, j - 1])
 
 
-def rank_one_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def rank_one_residual(z) -> float:
     """Max modulus of the nine 2x2 minors of N(z)."""
-    m = n_matrix(z, config)
+    return _max_minor(n_matrix(z))
+
+
+def _max_minor(m: np.ndarray) -> float:
+    """Max modulus of the nine 2x2 minors of a 3x3 matrix."""
     worst = 0.0
     for r1, r2 in ((0, 1), (0, 2), (1, 2)):
         for c1, c2 in ((0, 1), (0, 2), (1, 2)):
@@ -148,14 +163,14 @@ def rank_one_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
     return worst
 
 
-def symmetry_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def symmetry_residual(z) -> float:
     """Max |n_ij(z) - n_ji(-z)|."""
-    m = n_matrix(z, config)
-    mr = n_matrix(-complex(z), config)
+    m = n_matrix(z)
+    mr = n_matrix(-complex(z))
     return float(np.max(np.abs(m - mr.T)))
 
 
-def multiplicativity_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def multiplicativity_residual(z) -> float:
     """Max |n_ij(z) - n_ik(z) conj(n_jk(z))| over i, j and k in {1, 2}.
 
     Requires purely imaginary z (the identity is Hermitian in nature).
@@ -163,7 +178,7 @@ def multiplicativity_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> fl
     z = complex(z)
     if abs(z.real) > 1e-12:
         raise ValueError("multiplicativity_residual needs purely imaginary z")
-    m = n_matrix(z, config)
+    m = n_matrix(z)
     worst = 0.0
     for k in (0, 1):
         worst = max(worst, float(np.max(np.abs(
@@ -171,52 +186,44 @@ def multiplicativity_residual(z, config: EvaluatorConfig = DEFAULT_CONFIG) -> fl
     return worst
 
 
-def iterated_circle_residue(f, r_inner: float, r_outer: float,
-                            nodes: int) -> complex:
+def iterated_circle_residue(f) -> complex:
     """(1/2pi i)^2 oint oint f du_in du_out by the trapezoid rule.
 
-    f(u_out, u_in) gets the offsets on the outer and inner circles and
-    returns the integrand on their (outer, inner) grid, or anything that
-    broadcasts to it.  The inner circle is kept strictly smaller than the
-    outer one so that it encloses only the hyperplane through the centre,
-    never a pole that moves with the outer variable.
+    f(u_out, u_in) gets the offsets on the outer and inner circles (radii
+    0.3 and 0.1) and returns the integrand on their (outer, inner) grid, or
+    anything that broadcasts to it.
     """
-    u_out = circle_nodes(r_outer, nodes)
-    u_in = circle_nodes(r_inner, nodes)
+    u_out = circle_nodes(_OUTER_RADIUS, _ITERATED_NODES)
+    u_in = circle_nodes(_INNER_RADIUS, _ITERATED_NODES)
     return complex(np.mean(f(u_out, u_in) * np.multiply.outer(u_out, u_in)))
 
 
-def transverse_residue(i: int, j: int, z, radius: float = 0.3,
-                       nodes: int = 128,
-                       config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def transverse_residue(i: int, j: int, z) -> complex:
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
     Integrates m(sigma_ij, lam_i(z) + u xi_i) around a small u-circle; the
     normalization <xi_i, beta_check_i> = 1 makes the value equal
     n_ij(z)/L(2) independently of the remaining gauge freedom.
     """
-    u = circle_nodes(radius, nodes)
+    u = circle_nodes(_TRANSVERSE_RADIUS, _TRANSVERSE_NODES)
     vals, = m_on_grid([sigma(i, j)], lambda_line(i, z),
-                      transverse_direction(i), u, config=config)
+                      transverse_direction(i), u)
     return complex(np.mean(vals * u))
 
 
 def _iterated_double_residue(w: WeylElement, inner_axis: int,
                              inner_center: complex, outer_axis: int,
-                             outer_center: complex,
-                             r_inner: float = 0.1, r_outer: float = 0.3,
-                             nodes: int = 96,
-                             config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+                             outer_center: complex) -> complex:
     """Iterated residue of m(w, .) in the chart (z1, z2) = coroot pairings."""
     center = {inner_axis: inner_center, outer_axis: outer_center}
     base = GL3.weight((center[1], center[2]))
 
     def integrand(u_out, u_in):
         m, = m_on_grid([w], base, GL3.fundamental_weight(outer_axis), u_out,
-                       GL3.fundamental_weight(inner_axis), u_in, config)
+                       GL3.fundamental_weight(inner_axis), u_in)
         return m
 
-    return iterated_circle_residue(integrand, r_inner, r_outer, nodes)
+    return iterated_circle_residue(integrand)
 
 
 # Double-residue targets: (weyl element name, point, inner axis/center,
@@ -241,16 +248,15 @@ def named_weyl() -> dict[str, WeylElement]:
             "r1": s1 * s2, "r2": s2 * s1, "s3": s1 * s2 * s1}
 
 
-def double_residue_closed_forms(config: EvaluatorConfig = DEFAULT_CONFIG) -> list[complex]:
+def double_residue_closed_forms() -> list[complex]:
     """Closed-form values for the five double residues, from L(2), L(3)."""
-    L2 = complex(completed_L(2.0, config))
-    L3 = complex(completed_L(3.0, config))
+    L2 = complex(completed_L(2.0))
+    L3 = complex(completed_L(3.0))
     return [1.0 / L2 ** 2, 1.0 / L2 ** 2, -1.0 / L2 ** 2, -1.0 / L2 ** 2,
             1.0 / (L2 * L3)]
 
 
-def double_residue_table(config: EvaluatorConfig = DEFAULT_CONFIG,
-                         nodes: int = 96) -> list[tuple[WeylElement, Weight, complex]]:
+def double_residue_table() -> list[tuple[WeylElement, Weight, complex]]:
     """The five double residues of the m-scalars, by iterated quadrature.
 
     Returns (weyl element, point, value) in the order
@@ -260,8 +266,7 @@ def double_residue_table(config: EvaluatorConfig = DEFAULT_CONFIG,
     out = []
     for name, point, in_ax, in_c, out_ax, out_c in _DOUBLE_RESIDUE_PLAN:
         w = named[name]
-        val = _iterated_double_residue(w, in_ax, in_c, out_ax, out_c,
-                                       nodes=nodes, config=config)
+        val = _iterated_double_residue(w, in_ax, in_c, out_ax, out_c)
         out.append((w, GL3.weight(point), val))
     return out
 
@@ -288,17 +293,19 @@ def volume_factors(datum: RootDatum) -> list[int]:
     return factors
 
 
-def volume_constant(datum: RootDatum,
-                    config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def volume_constant(datum: RootDatum) -> float:
     """vol(X_G) for split GL(n) in the normalized measure: L(2)...L(n)."""
     value = 1.0
     for k in volume_factors(datum):
-        value *= float(np.real(completed_L(float(k), config)))
+        value *= float(np.real(completed_L(float(k))))
     return value
 
 
-def emit_nmatrix_csv(path, z_values, config: EvaluatorConfig = DEFAULT_CONFIG):
-    """Sample N on the imaginary axis: z, Re/Im of each entry, minor residual."""
+def emit_nmatrix_csv(path, z_values):
+    """Sample N on the imaginary axis: z, Re/Im of each entry, minor residual.
+
+    N is built once per row, and the residual is taken from that matrix.
+    """
     header = ["z_imag"]
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -310,9 +317,9 @@ def emit_nmatrix_csv(path, z_values, config: EvaluatorConfig = DEFAULT_CONFIG):
         for t in z_values:
             z = 1j * float(t)
             row = [f"{float(t):.17g}"]
-            m = n_matrix(z, config)
+            m = n_matrix(z)
             for i in range(3):
                 for j in range(3):
                     row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-            row.append(f"{rank_one_residual(z, config):.17g}")
+            row.append(f"{_max_minor(m):.17g}")
             writer.writerow(row)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .roots import RootDatum, Weight, WeylElement
-from .zeta import DEFAULT_CONFIG, EvaluatorConfig, ratio_L
+from .zeta import ratio_L
 
 __all__ = [
     "m_on_grid",
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray,
-               config: EvaluatorConfig) -> np.ndarray:
+def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """ratio_L(a0 + p_i + q_j) on the (p.size, q.size) outer sum.
 
     If p and q are arithmetic progressions of one step h = p_1 - p_0 (every
@@ -46,15 +45,14 @@ def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray,
     tol = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(np.append(p, q)))
     if q.size < 2 or not all(np.all(np.abs(np.diff(v) - h) <= tol)
                              for v in (p, q)):
-        return np.asarray(ratio_L(a0 + p, config, plus=q))
+        return np.asarray(ratio_L(a0 + p, plus=q))
     k = np.arange(p.size + q.size - 1, dtype=np.float64)
-    vals = np.asarray(ratio_L(a0 + ((p[0] + q[0]) + h * k), config))
+    vals = np.asarray(ratio_L(a0 + ((p[0] + q[0]) + h * k)))
     return np.lib.stride_tricks.sliding_window_view(vals, q.size)
 
 
 def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
-              y_dir: Weight | None = None, y=None,
-              config: EvaluatorConfig = DEFAULT_CONFIG):
+              y_dir: Weight | None = None, y=None):
     """Yield m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
 
     The one evaluator of the intertwining scalars.  Each root argument
@@ -72,15 +70,15 @@ def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
         ax = complex(x_dir.pair_root(root)) if x is not None else 0.0
         ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
         if x is None:
-            ratios[root] = ratio_L(a0, config)
+            ratios[root] = ratio_L(a0)
         elif ay == 0:
-            vals = np.asarray(ratio_L(a0 + ax * x, config))
+            vals = np.asarray(ratio_L(a0 + ax * x))
             ratios[root] = vals if y is None else vals[:, None]
         elif ax == 0:
-            ratios[root] = np.asarray(ratio_L(a0 + ay * y, config))[None, :]
+            ratios[root] = np.asarray(ratio_L(a0 + ay * y))[None, :]
         else:
             ratios[root] = _sum_ratio(a0, ax * np.asarray(x),
-                                      ay * np.asarray(y), config)
+                                      ay * np.asarray(y))
     for roots in inversions:
         m = 1.0 + 0.0j
         for root in roots:
@@ -88,27 +86,24 @@ def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
         yield m
 
 
-def m_scalar(w: WeylElement, lam: Weight,
-             config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def m_scalar(w: WeylElement, lam: Weight) -> complex:
     """Product of completed-zeta ratios over the inversion set of w."""
-    m, = m_on_grid([w], lam, config=config)
+    m, = m_on_grid([w], lam)
     return complex(m)
 
 
-def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight,
-                  config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight) -> float:
     """|m(st, lam) - m(s, t lam) m(t, lam)|; zero in exact arithmetic."""
-    lhs = m_scalar(s * t, lam, config)
-    rhs = m_scalar(s, t.act(lam), config) * m_scalar(t, lam, config)
+    lhs = m_scalar(s * t, lam)
+    rhs = m_scalar(s, t.act(lam)) * m_scalar(t, lam)
     return abs(lhs - rhs)
 
 
-def unitarity_check(w: WeylElement, y, datum: RootDatum | None = None,
-                    config: EvaluatorConfig = DEFAULT_CONFIG) -> float:
+def unitarity_check(w: WeylElement, y, datum: RootDatum | None = None) -> float:
     """| |m(w, i y)| - 1 | for a real coordinate vector y."""
     datum = datum or w.datum
     lam = datum.weight(tuple(1j * float(c) for c in np.atleast_1d(y)))
-    return abs(abs(m_scalar(w, lam, config)) - 1.0)
+    return abs(abs(m_scalar(w, lam)) - 1.0)
 
 
 def su3_local_factor(p: int, sigma) -> complex:

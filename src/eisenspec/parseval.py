@@ -46,8 +46,7 @@ from .gl3 import (GL3, delta_weight, iterated_circle_residue, line_direction,
                   n_matrix, named_weyl, sigma, transverse_direction)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight, WeylElement
-from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, circle_nodes, completed_L,
-                   ratio_L)
+from .zeta import circle_nodes, completed_L, ratio_L
 
 __all__ = [
     "PaleyWienerGaussian",
@@ -73,6 +72,10 @@ MEASURE_KAPPA_B = 1.0
 MEASURE_KAPPA_C = 1.0
 
 GL2 = RootDatum(2)
+
+# The transverse circles of the kappa_B pickup in measure_constants.
+_PICKUP_RADIUS = 0.3
+_PICKUP_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -129,13 +132,15 @@ class PaleyWienerGaussian:
             {e: complex(c).conjugate() for e, c in self.poly_coeffs.items()})
 
     @classmethod
-    def random(cls, datum: RootDatum, rng: np.random.Generator,
-               beta_range=(0.35, 0.8), degree: int = 2) -> "PaleyWienerGaussian":
-        beta = float(rng.uniform(*beta_range))
+    def random(cls, datum: RootDatum,
+               rng: np.random.Generator) -> "PaleyWienerGaussian":
+        """beta uniform in [0.35, 0.8), times a polynomial of degree <= 2
+        with coefficients uniform in the unit square."""
+        beta = float(rng.uniform(0.35, 0.8))
         coeffs = {}
         r = datum.rank
-        for expo in np.ndindex(*(degree + 1,) * r):
-            if sum(expo) <= degree:
+        for expo in np.ndindex(*(3,) * r):
+            if sum(expo) <= 2:
                 coeffs[tuple(int(e) for e in expo)] = complex(
                     rng.uniform(-1, 1), rng.uniform(-1, 1))
         return cls(datum, beta, coeffs)
@@ -143,22 +148,34 @@ class PaleyWienerGaussian:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical-contour quadrature window: base point, half width, step."""
+    """Quadrature window on a vertical contour: the trapezoid nodes
+    t = k step, |t| <= half_width (rounded up to a whole step)."""
 
-    base: tuple[float, ...]
-    half_width: float | None = None
-    step: float = 0.1
+    half_width: float
+    step: float
 
-    def resolved_width(self, beta: float) -> float:
-        if self.half_width is not None:
-            return self.half_width
-        # Gaussian tail exp(-beta W^2 / 2) below 1e-19 of scale.
-        return math.sqrt(88.0 / beta)
+    def grid(self) -> np.ndarray:
+        return _grid(self.half_width, self.step)
 
 
 def _grid(width: float, step: float) -> np.ndarray:
     n = int(math.ceil(width / step))
     return step * np.arange(-n, n + 1, dtype=np.float64)
+
+
+# The two windows of the spectral integrals.  At the edge |t| = W the
+# Gaussian factor of each integrand is at most exp(-beta W^2 / 2).
+
+def _plane_window(beta: float) -> ContourSpec:
+    """The GL(2) line and the GL(3) planes: W = sqrt(88/beta) puts the
+    tail at exp(-44), below 1e-19 of scale."""
+    return ContourSpec(math.sqrt(88.0 / beta), 0.1)
+
+
+def _line_window(beta: float) -> ContourSpec:
+    """The singular lines of B and kappa_B: W = sqrt(66/beta) puts the
+    tail at exp(-33), below 5e-15 of scale."""
+    return ContourSpec(math.sqrt(66.0 / beta), 0.05)
 
 
 def _weyl_image(w: WeylElement, c1, c2) -> tuple:
@@ -173,32 +190,29 @@ def _weyl_image(w: WeylElement, c1, c2) -> tuple:
 # ----------------------------------------------------------------- GL(2) --
 
 
-def _gl2_line_sum(phi: PaleyWienerGaussian, z: np.ndarray, step: float,
-                  config: EvaluatorConfig) -> complex:
+def _gl2_line_sum(phi: PaleyWienerGaussian, z: np.ndarray,
+                  step: float) -> complex:
     """(step/2pi) sum over z of Phi(z) Phi*(-z) + m(s, z) Phi(z) Phi*(z)."""
     star = phi.star()
     vals = (phi.value_coords(z) * star.value_coords(-z)
-            + np.asarray(ratio_L(z, config))
+            + np.asarray(ratio_L(z))
             * phi.value_coords(z) * star.value_coords(z))
     return complex(np.sum(vals) * step / (2.0 * np.pi))
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
-                     spec: ContourSpec | None = None,
-                     config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
-    """Shifted scalar-product integral on the line Re = sigma0 > 1."""
+                     spec: ContourSpec | None = None) -> complex:
+    """Shifted scalar-product integral on the line Re = sigma0 > 1, over the
+    plane window unless spec gives another."""
     if phi.datum.n != 2:
         raise DomainError("shifted_norm_gl2 needs a GL(2) profile")
     if sigma0 <= 1.0:
         raise DomainError("sigma0 must exceed 1 (convergence domain)")
-    spec = spec or ContourSpec((sigma0,))
-    t = _grid(spec.resolved_width(phi.beta), spec.step)
-    return _gl2_line_sum(phi, sigma0 + 1j * t, spec.step, config)
+    spec = spec or _plane_window(phi.beta)
+    return _gl2_line_sum(phi, sigma0 + 1j * spec.grid(), spec.step)
 
 
-def decomposed_norm_gl2(phi: PaleyWienerGaussian,
-                        step: float = 0.1,
-                        config: EvaluatorConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """(axis term, residue term) of the GL(2) decomposition.
 
     axis = integral over i R of |Phi|^2 + m(s,.) Phi (conj Phi after s);
@@ -206,9 +220,9 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian,
     """
     if phi.datum.n != 2:
         raise DomainError("decomposed_norm_gl2 needs a GL(2) profile")
-    t = _grid(math.sqrt(88.0 / phi.beta), step)
-    axis = _gl2_line_sum(phi, 1j * t, step, config)
-    L2 = complex(completed_L(2.0, config))
+    window = _plane_window(phi.beta)
+    axis = _gl2_line_sum(phi, 1j * window.grid(), window.step)
+    L2 = complex(completed_L(2.0))
     phi1 = phi.value(GL2.weight((1.0,)))
     residue = phi1 * phi1.conjugate() / L2
     return axis, residue
@@ -216,9 +230,8 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian,
 
 # ----------------------------------------------------------------- GL(3) --
 
-def shifted_norm_gl3_terms(phi: PaleyWienerGaussian, lam0: tuple[float, float],
-                           spec: ContourSpec | None = None,
-                           config: EvaluatorConfig = DEFAULT_CONFIG) -> dict[str, complex]:
+def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
+                           lam0: tuple[float, float]) -> dict[str, complex]:
     """Per-Weyl-element terms of the shifted integral, keyed by element name."""
     if phi.datum.n != 3:
         raise DomainError("shifted_norm_gl3 needs a GL(3) profile")
@@ -228,18 +241,18 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian, lam0: tuple[float, float],
     for plane, where in ((c1, "z1"), (c2, "z2"), (c1 + c2, "z1+z2")):
         if abs(plane - 1.0) < 0.05:
             raise DomainError(f"contour base too close to singular plane {where} = 1")
-    spec = spec or ContourSpec((c1, c2))
-    t = _grid(spec.resolved_width(phi.beta), spec.step)
+    window = _plane_window(phi.beta)
+    t = window.grid()
     z1 = (c1 + 1j * t)[:, None]
     z2 = (c2 + 1j * t)[None, :]
     star = phi.star()
     phi_grid = phi.value_coords(z1, z2)
 
-    scale = (spec.step / (2.0 * np.pi)) ** 2
+    scale = (window.step / (2.0 * np.pi)) ** 2
     terms = {}
     ms = m_on_grid(named_weyl().values(), GL3.weight((c1, c2)),
                    GL3.fundamental_weight(1), 1j * t,
-                   GL3.fundamental_weight(2), 1j * t, config)
+                   GL3.fundamental_weight(2), 1j * t)
     for (name, w), mw in zip(named_weyl().items(), ms):
         w1, w2 = _weyl_image(w, z1, z2)
         terms[name] = complex(
@@ -247,17 +260,16 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian, lam0: tuple[float, float],
     return terms
 
 
-def shifted_norm_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
-                     spec: ContourSpec | None = None,
-                     config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def shifted_norm_gl3(phi: PaleyWienerGaussian,
+                     lam0: tuple[float, float]) -> complex:
     """Six-term shifted integral over lam0 + i R^2 in coroot coordinates."""
-    return sum(shifted_norm_gl3_terms(phi, lam0, spec, config).values())
+    return sum(shifted_norm_gl3_terms(phi, lam0).values())
 
 
-def contribution_A(phi: PaleyWienerGaussian, step: float = 0.1,
-                   config: EvaluatorConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """Continuous contribution, both ways: (direct W-sum, (1/6) |F|^2 form)."""
-    t = _grid(math.sqrt(88.0 / phi.beta), step)
+    window = _plane_window(phi.beta)
+    t = window.grid()
     z1 = (1j * t)[:, None]
     z2 = (1j * t)[None, :]
     phi_grid = phi.value_coords(z1, z2)
@@ -266,12 +278,12 @@ def contribution_A(phi: PaleyWienerGaussian, step: float = 0.1,
     f_sum = np.zeros_like(phi_grid)
     ms = m_on_grid(named_weyl().values(), GL3.weight((0, 0)),
                    GL3.fundamental_weight(1), 1j * t,
-                   GL3.fundamental_weight(2), 1j * t, config)
+                   GL3.fundamental_weight(2), 1j * t)
     for w, mw in zip(named_weyl().values(), ms):
         phi_s = phi.value_coords(*_weyl_image(w, z1, z2))
         direct += np.sum(mw * phi_grid * np.conj(phi_s))
         f_sum += phi_s / mw
-    scale = (step / (2.0 * np.pi)) ** 2
+    scale = (window.step / (2.0 * np.pi)) ** 2
     symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
     return complex(direct) * scale, complex(symmetric) * scale
 
@@ -287,47 +299,45 @@ def _phi_on_lines(phi: PaleyWienerGaussian, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def contribution_B(phi: PaleyWienerGaussian, step: float = 0.05,
-                   config: EvaluatorConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """Line contribution, both ways: (direct nine-term sum, rank-one factor).
 
     direct   = (1/L(2)) sum_ij int n_ij(z) Phi_i conj(Phi_j) (1/2pi)|dz|
     factored = (1/L(2)) int |sum_i n_i1(z) Phi_i(z)|^2 (1/2pi)|dz|
     """
-    t = _grid(math.sqrt(66.0 / phi.beta), step)
-    n = n_matrix(1j * t, config)
+    window = _line_window(phi.beta)
+    t = window.grid()
+    n = n_matrix(1j * t)
     vals = _phi_on_lines(phi, t)
-    L2 = complex(completed_L(2.0, config))
+    L2 = complex(completed_L(2.0))
     direct = 0.0 + 0.0j
     for i in range(3):
         for j in range(3):
             direct += np.sum(n[i, j] * vals[i] * np.conj(vals[j]))
     fac_sum = (n[:, 0, :] * vals).sum(axis=0)
     factored = np.sum(fac_sum * np.conj(fac_sum))
-    scale = step / (2.0 * np.pi * L2)
+    scale = window.step / (2.0 * np.pi * L2)
     return complex(direct) * scale, complex(factored) * scale
 
 
-def contribution_C(phi: PaleyWienerGaussian,
-                   config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def contribution_C(phi: PaleyWienerGaussian) -> complex:
     """Point contribution (1/(L(2) L(3))) |Phi(rho)|^2."""
-    L2 = complex(completed_L(2.0, config))
-    L3 = complex(completed_L(3.0, config))
+    L2 = complex(completed_L(2.0))
+    L3 = complex(completed_L(3.0))
     v = phi.value(GL3.rho())
     return v * v.conjugate() / (L2 * L3)
 
 
 def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
-                                t: np.ndarray, radius: float, nodes: int,
-                                config: EvaluatorConfig) -> np.ndarray:
+                                t: np.ndarray) -> np.ndarray:
     """Transverse residue of the full shifted integrand along line i.
 
     For each grid point z = i t returns
     sum_j (1/2pi i) oint m(sigma_ij, lam) Phi(lam) Phi*(-sigma_ij lam) du
-    on the circle lam = lam_i(z) + u xi_i, |u| = radius.
+    on the circle lam = lam_i(z) + u xi_i, |u| = 0.3.
     """
     star = phi.star()
-    u = circle_nodes(radius, nodes)
+    u = circle_nodes(_PICKUP_RADIUS, _PICKUP_NODES)
     x = 1j * t
     d = delta_weight(i)
     e = line_direction(i)
@@ -340,16 +350,14 @@ def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
 
     ws = [sigma(i, j) for j in (1, 2, 3)]
     total = np.zeros(t.size, dtype=np.complex128)
-    for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u, config)):
+    for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u)):
         w1, w2 = _weyl_image(w, c1, c2)
         integrand = m * phi_vals * star.value_coords(-w1, -w2)
         total += (integrand * u[None, :]).mean(axis=1)
     return total
 
 
-def measure_constants(phi: PaleyWienerGaussian, step: float = 0.05,
-                      radius: float = 0.3, nodes: int = 64,
-                      config: EvaluatorConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def measure_constants(phi: PaleyWienerGaussian) -> tuple[float, float]:
     """Per-run numerical derivation of (kappa_B, kappa_C).
 
     kappa_B: ratio of the contour-quadrature line pickup (transverse
@@ -358,12 +366,13 @@ def measure_constants(phi: PaleyWienerGaussian, step: float = 0.05,
     longest-element term at rho, divided by the closed-form C.  Both are
     1 up to quadrature error, independently of the test profile.
     """
-    t = _grid(math.sqrt(66.0 / phi.beta), step)
+    window = _line_window(phi.beta)
+    t = window.grid()
     pickup = 0.0 + 0.0j
     for i in (1, 2, 3):
-        row = _full_integrand_residue_row(phi, i, t, radius, nodes, config)
-        pickup += np.sum(row) * step / (2.0 * np.pi)
-    b_direct, _ = contribution_B(phi, step=step, config=config)
+        row = _full_integrand_residue_row(phi, i, t)
+        pickup += np.sum(row) * window.step / (2.0 * np.pi)
+    b_direct, _ = contribution_B(phi)
     if abs(b_direct) < 1e-12:
         raise DomainError(
             "measure_constants needs a profile that does not vanish on the "
@@ -378,12 +387,12 @@ def measure_constants(phi: PaleyWienerGaussian, step: float = 0.05,
         z1 = 1.0 + u_in[None, :]
         z2 = 1.0 + u_out[:, None]
         m, = m_on_grid([s3], GL3.rho(), GL3.fundamental_weight(2), u_out,
-                       GL3.fundamental_weight(1), u_in, config)
+                       GL3.fundamental_weight(1), u_in)
         w1, w2 = _weyl_image(s3, z1, z2)
         return m * phi.value_coords(z1, z2) * star.value_coords(-w1, -w2)
 
-    point = iterated_circle_residue(integrand, 0.1, 0.3, 96)
-    kappa_c = (point / contribution_C(phi, config)).real
+    point = iterated_circle_residue(integrand)
+    kappa_c = (point / contribution_C(phi)).real
     return float(kappa_b), float(kappa_c)
 
 
@@ -435,18 +444,16 @@ class SpectralReport:
 def parseval_check_gl3(phi: PaleyWienerGaussian,
                        lam0: tuple[float, float] = (1.5, 1.5),
                        lam0_alt: tuple[float, float] | None = (1.3, 1.8),
-                       spec: ContourSpec | None = None,
-                       with_kappa: bool = True,
-                       config: EvaluatorConfig = DEFAULT_CONFIG) -> SpectralReport:
+                       with_kappa: bool = True) -> SpectralReport:
     """Assemble shifted = A + kappa_B B + kappa_C C and report residuals."""
-    shifted = shifted_norm_gl3(phi, lam0, spec, config)
-    shifted_alt = (shifted_norm_gl3(phi, lam0_alt, spec, config)
+    shifted = shifted_norm_gl3(phi, lam0)
+    shifted_alt = (shifted_norm_gl3(phi, lam0_alt)
                    if lam0_alt is not None else None)
-    a_direct, a_sym = contribution_A(phi, config=config)
-    b_direct, b_fact = contribution_B(phi, config=config)
-    c_val = contribution_C(phi, config)
+    a_direct, a_sym = contribution_A(phi)
+    b_direct, b_fact = contribution_B(phi)
+    c_val = contribution_C(phi)
     if with_kappa:
-        kappa_b, kappa_c = measure_constants(phi, config=config)
+        kappa_b, kappa_c = measure_constants(phi)
     else:
         kappa_b, kappa_c = MEASURE_KAPPA_B, MEASURE_KAPPA_C
     assembled = a_direct + MEASURE_KAPPA_B * b_direct + MEASURE_KAPPA_C * c_val

@@ -85,9 +85,6 @@ class RootDatum:
                      for i in range(1, self.n)
                      for j in range(i + 1, self.n + 1))
 
-    def simple_roots(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, i + 1) for i in range(1, self.n))
-
     def root_height(self, root: tuple[int, int]) -> int:
         i, j = root
         return j - i
@@ -102,10 +99,6 @@ class RootDatum:
 
     def rho(self) -> "Weight":
         return self.weight((1,) * self.rank)
-
-    def simple_root_weight(self, i: int) -> "Weight":
-        """alpha_i expressed in fundamental-weight coordinates (Cartan column)."""
-        return self.weight(tuple(self.cartan[i - 1]))
 
     def weyl_group(self) -> tuple["WeylElement", ...]:
         return _weyl_group(self.n)
@@ -184,22 +177,6 @@ class Weight:
         dot = sum(a * b for a, b in zip(v, u))
         return dot - Fraction(1, n) * sum(v) * sum(u)
 
-    def conjugate(self) -> "Weight":
-        return Weight(self.datum, tuple(
-            c.conjugate() if isinstance(c, complex) else c for c in self.coeffs))
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.datum, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self.datum, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(self.datum, tuple(-a for a in self.coeffs))
-
-    def scale(self, t) -> "Weight":
-        return Weight(self.datum, tuple(t * a for a in self.coeffs))
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -224,9 +201,6 @@ class WeylElement:
         for i, w in enumerate(self.perm, start=1):
             inv[w - 1] = i
         return WeylElement(self.datum, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(1, self.datum.n + 1))
 
     def length(self) -> int:
         return len(self.inversions())

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaincc, exp1
 
 from .errors import DomainError, NonConvergence, PoleProximity
-from .zeta import DEFAULT_CONFIG, EvaluatorConfig, ratio_L, zeta
+from .zeta import DEFAULT_CONFIG, ratio_L, zeta
 
 __all__ = [
     "UpperHalfPoint",
@@ -68,6 +68,9 @@ __all__ = [
 # below 1e-30 of scale; evaluators return exactly 0 beyond it.
 DECAY_CUTOFF = 12.0
 
+# Translate-and-invert steps UpperHalfPoint.reduce takes before giving up.
+_REDUCE_STEPS = 200
+
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
@@ -84,14 +87,15 @@ class UpperHalfPoint:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    def in_fundamental_domain(self, slack: float = 1e-12) -> bool:
-        return (abs(self.x) <= 0.5 + slack
-                and self.x * self.x + self.y * self.y >= 1.0 - slack)
+    def in_fundamental_domain(self) -> bool:
+        """Membership of D, with a slack of 1e-12 on each boundary."""
+        return (abs(self.x) <= 0.5 + 1e-12
+                and self.x * self.x + self.y * self.y >= 1.0 - 1e-12)
 
-    def reduce(self, max_iter: int = 200) -> "UpperHalfPoint":
-        """Translate/invert into D; NonConvergence if the loop cap is hit."""
+    def reduce(self) -> "UpperHalfPoint":
+        """Translate/invert into D; NonConvergence after 200 steps."""
         x, y = self.x, self.y
-        for _ in range(max_iter):
+        for _ in range(_REDUCE_STEPS):
             x = x - round(x)
             r2 = x * x + y * y
             if r2 >= 1.0 - 1e-15:
@@ -100,7 +104,7 @@ class UpperHalfPoint:
         raise NonConvergence(
             "fundamental-domain reduction did not terminate",
             diagnostics={"start": (self.x, self.y), "last": (x, y),
-                         "iterations": max_iter})
+                         "iterations": _REDUCE_STEPS})
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,15 @@ class EisensteinParams:
             raise DomainError("lattice_bound must be at least 3")
 
     @classmethod
-    def for_tolerance(cls, s: complex, tol: float, y_max: float = 2.0,
-                      kappa_min: float = 0.4,
-                      max_bound: int = 4000) -> "EisensteinParams":
-        """Pick the smallest lattice bound whose certified tail is <= tol."""
+    def for_tolerance(cls, s: complex, tol: float,
+                      y_max: float = 2.0) -> "EisensteinParams":
+        """Pick the smallest lattice bound, at most 4000, whose certified
+        tail is <= tol, with the form's smallest eigenvalue taken as 0.4."""
         sigma = complex(s).real
-        for b in (50, 100, 200, 400, 800, 1600, 3200, max_bound):
-            if _tail_bound_raw(sigma, y_max, kappa_min, b) <= tol:
+        for b in (50, 100, 200, 400, 800, 1600, 3200):
+            if _tail_bound_raw(sigma, y_max, 0.4, b) <= tol:
                 return cls(s, b, tol)
-        return cls(s, max_bound, tol)
+        return cls(s, 4000, tol)
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,7 @@ def _lattice_pairs(x_min: float, x_max: float, y_min: float, y_max: float,
     return pairs
 
 
-def eisenstein_theta(x, y, s: float,
-                     config: EvaluatorConfig = DEFAULT_CONFIG):
+def eisenstein_theta(x, y, s: float):
     """E(z, s) for real s > 1 via the incomplete-gamma representation.
 
     Vectorized over arrays x, y; every lattice term decays like exp(-pi Q),
@@ -235,48 +238,46 @@ def eisenstein_theta(x, y, s: float,
                         + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
 
     star = 0.5 / (s - 1.0) - 0.5 / s + total
-    zeta2s = float(np.real(zeta(2.0 * s, config)))
+    zeta2s = float(np.real(zeta(2.0 * s)))
     value = star * math.pi ** s / (math.gamma(s) * zeta2s)
     return float(value.reshape(-1)[0]) if scalar else value
 
 
-def constant_term(y, s, config: EvaluatorConfig = DEFAULT_CONFIG):
+def constant_term(y, s):
     """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s)."""
     s = complex(s)
-    if abs(s - 1.0) < config.pole_exclusion_radius:
+    if abs(s - 1.0) < DEFAULT_CONFIG.pole_exclusion_radius:
         raise PoleProximity("constant_term: c(s) has a pole at s = 1",
                             point=s, pole=1.0)
-    c = complex(ratio_L(2.0 * s - 1.0, config))
+    c = complex(ratio_L(2.0 * s - 1.0))
     ya = np.asarray(y, dtype=np.float64)
     out = np.exp(s * np.log(ya)) + c * np.exp((1.0 - s) * np.log(ya))
     return complex(out[()]) if out.ndim == 0 else out
 
 
-def truncate(z: UpperHalfPoint, s, trunc: TruncationParam,
-             params: EisensteinParams | None = None,
-             config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def truncate(z: UpperHalfPoint, s, trunc: TruncationParam) -> complex:
     """Truncated series at a reduced point: E below y0, E minus the constant
     term above.  Real s uses the exponentially convergent evaluator; complex
-    s falls back to the direct sum controlled by params."""
+    s falls back to the direct sum at the default EisensteinParams(s)."""
     if not z.in_fundamental_domain():
         raise DomainError(f"truncate expects a reduced point, got {z.z}")
     sc = complex(s)
     if sc.imag == 0.0:
-        val = complex(eisenstein_theta(z.x, z.y, sc.real, config))
+        val = complex(eisenstein_theta(z.x, z.y, sc.real))
     else:
-        val = eisenstein(z, params or EisensteinParams(s))
+        val = eisenstein(z, EisensteinParams(s))
     if z.y > trunc.y0:
-        val -= complex(np.asarray(constant_term(z.y, s, config)))
+        val -= complex(np.asarray(constant_term(z.y, s)))
     return val
 
 
-def _truncated_factory(s: float, trunc: TruncationParam, evaluator: Callable,
-                       config: EvaluatorConfig) -> Callable:
+def _truncated_factory(s: float, trunc: TruncationParam,
+                       evaluator: Callable) -> Callable:
     y0 = trunc.y0
     if y0 >= DECAY_CUTOFF:
         raise DomainError(
             f"truncation height {y0} above the decay cutoff {DECAY_CUTOFF}")
-    ct = lambda y: np.real(np.asarray(constant_term(y, float(s), config)))
+    ct = lambda y: np.real(np.asarray(constant_term(y, float(s))))
 
     def evaluate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -294,16 +295,14 @@ def _truncated_factory(s: float, trunc: TruncationParam, evaluator: Callable,
     return evaluate
 
 
-def truncated_eisenstein(s: float, trunc: TruncationParam,
-                         config: EvaluatorConfig = DEFAULT_CONFIG) -> Callable:
+def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
     """Vectorized truncated-series evaluator on D for the quadrature engine.
 
     Returns exactly 0 above DECAY_CUTOFF, where the remaining Fourier tail
     is below 1e-30 of scale; this keeps the top panels cheap and noise-free.
     """
     return _truncated_factory(
-        s, trunc, lambda x, y: eisenstein_theta(x, y, float(s), config),
-        config)
+        s, trunc, lambda x, y: eisenstein_theta(x, y, float(s)))
 
 
 def _eisenstein_direct_array(x: np.ndarray, y: np.ndarray, s: complex,
@@ -318,16 +317,15 @@ def _eisenstein_direct_array(x: np.ndarray, y: np.ndarray, s: complex,
     return total
 
 
-def truncated_eisenstein_direct(s: float, trunc: TruncationParam, bound: int,
-                                config: EvaluatorConfig = DEFAULT_CONFIG) -> Callable:
+def truncated_eisenstein_direct(s: float, trunc: TruncationParam,
+                                bound: int) -> Callable:
     """Truncated-series evaluator backed by the direct lattice sum.
 
     Only useful for convergence studies: the direct tail decays like
     bound^(2-2s), far too slowly for tight work near s = 1.
     """
     return _truncated_factory(
-        s, trunc, lambda x, y: _eisenstein_direct_array(x, y, float(s), bound),
-        config)
+        s, trunc, lambda x, y: _eisenstein_direct_array(x, y, float(s), bound))
 
 
 @dataclass(frozen=True)
@@ -443,17 +441,18 @@ def inner_product_fd(f: Callable, g: Callable,
                             panels=len(panels), evaluations=evals[0])
 
 
-def _c_function(s: float, config: EvaluatorConfig) -> complex:
-    return complex(ratio_L(2.0 * s - 1.0, config))
+def _c_function(s: float) -> complex:
+    return complex(ratio_L(2.0 * s - 1.0))
 
 
-def _c_derivative(s: float, config: EvaluatorConfig, h: float = 1e-4) -> complex:
-    return (complex(ratio_L(2.0 * (s + h) - 1.0, config))
-            - complex(ratio_L(2.0 * (s - h) - 1.0, config))) / (2.0 * h)
+def _c_derivative(s: float) -> complex:
+    """c'(s) by a central difference of step h = 1e-4."""
+    h = 1e-4
+    return (complex(ratio_L(2.0 * (s + h) - 1.0))
+            - complex(ratio_L(2.0 * (s - h) - 1.0))) / (2.0 * h)
 
 
-def omega_rank1(s1: float, s2: float, trunc: TruncationParam,
-                config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
     """Closed form for the truncated-series inner product (rank one).
 
     For real s1, s2 in the convergence range (1, 3/2]:
@@ -470,13 +469,13 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam,
     if abs(s1 + s2 - 1.0) < 1e-12:
         raise DomainError("omega_rank1: s1 + s2 = 1 is outside the domain")
     y0 = trunc.y0
-    c1 = _c_function(s1, config)
-    c2 = _c_function(s2, config)
+    c1 = _c_function(s1)
+    c2 = _c_function(s2)
     value = y0 ** (s1 + s2 - 1.0) / (s1 + s2 - 1.0) \
         + c1 * c2 * y0 ** (1.0 - s1 - s2) / (1.0 - s1 - s2)
     if abs(s1 - s2) < 1e-7:
         s = 0.5 * (s1 + s2)
-        value += 2.0 * trunc.T * _c_function(s, config) - _c_derivative(s, config)
+        value += 2.0 * trunc.T * _c_function(s) - _c_derivative(s)
     else:
         value += c2 * y0 ** (s1 - s2) / (s1 - s2) \
             + c1 * y0 ** (s2 - s1) / (s2 - s1)
@@ -484,15 +483,14 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam,
 
 
 def maass_selberg_record(s1: float, s2: float, T: float,
-                         quad_tol: float = 1e-6,
-                         config: EvaluatorConfig = DEFAULT_CONFIG) -> dict:
+                         quad_tol: float = 1e-6) -> dict:
     """Quadrature inner product vs closed formula for one (s1, s2, T)."""
     trunc = TruncationParam(T)
-    f1 = truncated_eisenstein(s1, trunc, config)
-    f2 = truncated_eisenstein(s2, trunc, config)
+    f1 = truncated_eisenstein(s1, trunc)
+    f2 = truncated_eisenstein(s2, trunc)
     spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, max_panels=3000)
     quad = inner_product_fd(f1, f2, spec)
-    formula = omega_rank1(s1, s2, trunc, config)
+    formula = omega_rank1(s1, s2, trunc)
     abs_err = abs(complex(quad.value) - formula)
     return {
         "s1": s1, "s2": s2, "T": T,
@@ -507,8 +505,7 @@ def maass_selberg_record(s1: float, s2: float, T: float,
 
 def maass_selberg_convergence_study(s1: float, s2: float, T: float,
                                     bounds: tuple[int, ...] = (50, 100, 200),
-                                    quad_tol: float = 1e-3,
-                                    config: EvaluatorConfig = DEFAULT_CONFIG) -> list[dict]:
+                                    quad_tol: float = 1e-3) -> list[dict]:
     """Residual against the rank-one formula as the lattice bound grows.
 
     One row per direct-sum lattice bound (tail certified by integral
@@ -516,12 +513,12 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
     evaluator, reported with lattice_bound = 0.
     """
     trunc = TruncationParam(T)
-    formula = omega_rank1(s1, s2, trunc, config)
+    formula = omega_rank1(s1, s2, trunc)
     kappa_min = _kappa(0.5, math.sqrt(3.0) / 2.0)
     rows = []
     for bound in bounds:
-        f1 = truncated_eisenstein_direct(s1, trunc, bound, config)
-        f2 = truncated_eisenstein_direct(s2, trunc, bound, config)
+        f1 = truncated_eisenstein_direct(s1, trunc, bound)
+        f2 = truncated_eisenstein_direct(s2, trunc, bound)
         spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, base_order=8)
         quad = inner_product_fd(f1, f2, spec)
         abs_err = abs(complex(quad.value) - formula)
@@ -534,8 +531,7 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
             "rel_err": abs_err / abs(formula), "tail_bound": tail,
             "quad_error_estimate": quad.error_estimate,
         })
-    exact = maass_selberg_record(s1, s2, T, quad_tol=min(quad_tol, 1e-6),
-                                 config=config)
+    exact = maass_selberg_record(s1, s2, T, quad_tol=min(quad_tol, 1e-6))
     exact["lattice_bound"] = 0
     rows.append(exact)
     return rows

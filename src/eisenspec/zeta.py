@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleProximity
+from .errors import NonConvergence, PoleProximity
 
 __all__ = [
     "EvaluatorConfig",
@@ -63,14 +63,14 @@ __all__ = [
 class EvaluatorConfig:
     """Tuning knobs for the Euler-Maclaurin / quadrature machinery.
 
-    The defaults keep |error| <= target_abs_error on the validated rectangle
+    The defaults keep |error| <= 1e-12 on the validated rectangle
     Re(s) in [-6, 6], |Im(s)| <= 60, staying pole_exclusion_radius away from
-    the poles.
+    the poles.  The config belongs to this module alone: every layer above
+    it evaluates at DEFAULT_CONFIG.
     """
 
     euler_maclaurin_terms: int = 48
     bernoulli_order: int = 14
-    target_abs_error: float = 1e-12
     pole_exclusion_radius: float = 1e-6
 
 
@@ -226,14 +226,15 @@ def zeta(s, config: EvaluatorConfig = DEFAULT_CONFIG):
     return _zeta_raw(s, config)
 
 
-def gamma_fn(s, config: EvaluatorConfig = DEFAULT_CONFIG):
+def gamma_fn(s):
     """Gamma function; raises PoleProximity at non-positive integers."""
+    radius = DEFAULT_CONFIG.pole_exclusion_radius
     z = np.atleast_1d(_as_complex_array(s))
-    near = z[np.abs(z.imag) < config.pole_exclusion_radius]
+    near = z[np.abs(z.imag) < radius]
     if near.size:
         k = np.round(near.real)
         d = np.abs(near - k)
-        bad = (k <= 0) & (d < config.pole_exclusion_radius)
+        bad = (k <= 0) & (d < radius)
         if np.any(bad):
             b = near[bad][0]
             raise PoleProximity(
@@ -248,7 +249,7 @@ def completed_L(s, config: EvaluatorConfig = DEFAULT_CONFIG):
     return _completed_L_raw(s, config)
 
 
-def local_L(p: int, s, config: EvaluatorConfig = DEFAULT_CONFIG):
+def local_L(p: int, s):
     """Local Euler factor 1/(1 - p^(-s))."""
     z = _as_complex_array(s)
     den = 1.0 - np.power(complex(p), -z)
@@ -314,24 +315,17 @@ def residue_at(f, s0, radius: float, nodes: int = 64,
     """Residue of f at s0 via (1/2пi) * contour integral on |s - s0| = radius.
 
     f must be analytic on the punctured disk with at most a simple pole at
-    s0.  Trapezoidal quadrature on the circle is spectrally accurate; the
-    node count is doubled until two successive values agree to tol.  An f
-    that rejects arrays is retried point by point; a pole or domain error
-    is not retried.
+    s0, and vectorized: it is called once per node count on the array of
+    circle nodes, and any error it raises propagates.  Trapezoidal
+    quadrature on the circle is spectrally accurate; the node count is
+    doubled until two successive values agree to tol.
     """
     s0 = complex(s0)
     prev = None
     n = max(64, nodes)
     while n <= max_nodes:
         u = circle_nodes(radius, n)
-        pts = s0 + u
-        try:
-            vals = f(pts)
-        except (PoleProximity, DomainError):
-            raise
-        except (TypeError, ValueError):
-            vals = np.array([f(p) for p in pts], dtype=np.complex128)
-        est = complex(np.mean(np.asarray(vals, dtype=np.complex128) * u))
+        est = complex(np.mean(np.asarray(f(s0 + u), dtype=np.complex128) * u))
         if prev is not None and abs(est - prev) < tol:
             return est
         prev = est

@@ -1,7 +1,11 @@
-"""Module boundaries: no module imports a private name from a sibling.
+"""Module boundaries.
 
-A name with a leading underscore is internal to the module that defines
-it; a sibling that needs it should call the public entry point instead.
+No module imports a private name from a sibling: a name with a leading
+underscore is internal to the module that defines it, and a sibling that
+needs it should call the public entry point instead.
+
+EvaluatorConfig belongs to zeta: the layers above it evaluate at
+DEFAULT_CONFIG, so none of them takes or imports a config.
 """
 
 import ast
@@ -31,3 +35,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 8
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def test_evaluator_config_stays_in_zeta():
+    hits = []
+    for name in ("intertwine", "gl3", "parseval", "truncation"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                hits += [f"{path.name}:{node.lineno} {node.name} takes config"
+                         for a in args.posonlyargs + args.args + args.kwonlyargs
+                         if a.arg == "config"]
+            elif isinstance(node, ast.ImportFrom):
+                hits += [f"{path.name}:{node.lineno} imports EvaluatorConfig"
+                         for alias in node.names
+                         if alias.name == "EvaluatorConfig"]
+    assert hits == []

@@ -218,7 +218,7 @@ def test_weyl_antisymmetric_profile_sign_bookkeeping():
 
 def test_contour_spec_width_override():
     phi = PaleyWienerGaussian(GL2, 0.5)
-    spec = ContourSpec((1.5,), half_width=14.0, step=0.05)
+    spec = ContourSpec(half_width=14.0, step=0.05)
     a = shifted_norm_gl2(phi, 1.5, spec)
     b = shifted_norm_gl2(phi, 1.5)
     assert abs(a - b) <= 1e-9
