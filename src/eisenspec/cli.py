@@ -2,10 +2,14 @@
 
 One binary, one suite per --command value.  Each suite runs its checks,
 prints an aligned table, optionally writes a versioned JSON report and
-plot-ready CSV, and exits 0 iff every residual met its tolerance.  All
+plot-ready CSV, and exits 0 iff every residual met its tolerance.  This is
+the only module that writes files.  The report times every check itself and
+keeps the times in a "timing" block apart from the checks.  A suite that
+raises DomainError, NonConvergence or PoleProximity is recorded as a failed
+"<suite>-error" check, and the run goes on to the next suite.  All
 randomized inputs are drawn from a numpy generator seeded by --seed, so a
 given (config, seed) pair reproduces its report byte for byte apart from the
-timestamp field and the measured wall_ms of each check.
+timestamp field and the timing block.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ import numpy as np
 
 from . import gl3 as gl3mod
 from . import parseval as pv
-from .errors import DomainError
+from .errors import DomainError, NonConvergence, PoleProximity
 from .intertwine import cocycle_check, m_scalar, su3_local_factor, unitarity_check
 from .roots import (RHO_CHECK, RootDatum, association_classes, tau_hat,
                     transporters, truncation_terms)
-from .truncation import (emit_maass_selberg_csv,
-                         maass_selberg_convergence_study,
-                         maass_selberg_record)
+from .truncation import maass_selberg_convergence_study, maass_selberg_record
 from .zeta import (completed_L, gamma_fn, local_L, primes_upto, ratio_L,
                    residue_at, zeta)
 
@@ -97,13 +99,24 @@ class CheckRecord:
 class VerificationReport:
     config: RunConfig
     records: list[CheckRecord] = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False)
+
+    def begin_suite(self):
+        """Start the clock of the next check at the start of a suite."""
+        self._mark = time.perf_counter()
 
     def add(self, name: str, anchor: str, expected, computed,
-            residual: float, tolerance: float, wall_ms: float = 0.0):
+            residual: float, tolerance: float):
+        """Record a check, timed since the previous check of its suite or
+        since the suite began."""
+        now = time.perf_counter()
         self.records.append(CheckRecord(
             name=name, anchor=anchor, expected=expected, computed=computed,
             residual=float(residual), tolerance=float(tolerance),
-            passed=bool(residual <= tolerance), wall_ms=wall_ms))
+            passed=bool(residual <= tolerance),
+            wall_ms=1000.0 * (now - self._mark)))
+        self._mark = now
 
     @property
     def all_passed(self) -> bool:
@@ -119,7 +132,7 @@ class VerificationReport:
                 return [enc(x) for x in v]
             return v
         return {
-            "schema": "eisenspec.verification_report/1",
+            "schema": "eisenspec.verification_report/2",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "command": self.config.command,
             "group": self.config.group,
@@ -137,8 +150,8 @@ class VerificationReport:
                 "residual": r.residual,
                 "tolerance": r.tolerance,
                 "pass": r.passed,
-                "wall_ms": r.wall_ms,
             } for r in self.records],
+            "timing": {"wall_ms": [r.wall_ms for r in self.records]},
         }
 
     def print_table(self, stream=sys.stdout):
@@ -168,83 +181,61 @@ def emit_csv(series: dict[str, list], path: str):
             writer.writerow([f"{float(series[c][k]):.17g}" for c in cols])
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, 1000.0 * (time.perf_counter() - t0)
-
-
 # ------------------------------------------------------------ the suites --
 
 
 def suite_zeta(report: VerificationReport, cfg: RunConfig):
     tol = cfg.tolerances
 
-    def fe_grid():
-        rng = np.random.default_rng(cfg.seed)
-        pts = []
-        while len(pts) < 200:
-            s = complex(rng.uniform(-2, 3), rng.uniform(-40, 40))
-            if abs(s) > 0.2 and abs(s - 1) > 0.2:
-                pts.append(s)
-        arr = np.array(pts)
-        return float(np.max(np.abs(completed_L(arr) - completed_L(1.0 - arr))))
-
-    worst, ms = _timed(fe_grid)
+    rng = np.random.default_rng(cfg.seed)
+    pts = []
+    while len(pts) < 200:
+        s = complex(rng.uniform(-2, 3), rng.uniform(-40, 40))
+        if abs(s) > 0.2 and abs(s - 1) > 0.2:
+            pts.append(s)
+    arr = np.array(pts)
+    worst = float(np.max(np.abs(completed_L(arr) - completed_L(1.0 - arr))))
     report.add("L-functional-equation-grid", "L(s) = L(1-s) on 200 points",
-               0.0, worst, worst, tol["functional-equation"], ms)
+               0.0, worst, worst, tol["functional-equation"])
 
-    res1, ms1 = _timed(lambda: residue_at(completed_L, 1.0, 0.3))
+    res1 = residue_at(completed_L, 1.0, 0.3)
     report.add("L-residue-at-1", "simple pole of L at 1 has residue 1",
-               1.0, res1, abs(res1 - 1.0), tol["residue"], ms1)
-    res0, ms0 = _timed(lambda: residue_at(completed_L, 0.0, 0.3))
+               1.0, res1, abs(res1 - 1.0), tol["residue"])
+    res0 = residue_at(completed_L, 0.0, 0.3)
     report.add("L-residue-at-0", "simple pole of L at 0 has residue -1",
-               -1.0, res0, abs(res0 + 1.0), tol["residue"], ms0)
+               -1.0, res0, abs(res0 + 1.0), tol["residue"])
 
-    def conj_grid():
-        rng = np.random.default_rng(cfg.seed + 1)
-        worst = 0.0
-        for _ in range(60):
-            s = complex(rng.uniform(-2, 3), rng.uniform(0.2, 40))
-            if min(abs(s), abs(s - 1)) < 0.25:
-                continue
-            for f in (zeta, completed_L):
-                worst = max(worst, abs(f(np.conj(s)) - np.conj(f(s))))
-        return worst
-
-    worst, ms = _timed(conj_grid)
+    rng = np.random.default_rng(cfg.seed + 1)
+    worst = 0.0
+    for _ in range(60):
+        s = complex(rng.uniform(-2, 3), rng.uniform(0.2, 40))
+        if min(abs(s), abs(s - 1)) < 0.25:
+            continue
+        for f in (zeta, completed_L):
+            worst = max(worst, abs(f(np.conj(s)) - np.conj(f(s))))
     report.add("conjugation-equivariance", "f(conj s) = conj f(s)",
-               0.0, worst, worst, tol["conjugation"], ms)
+               0.0, worst, worst, tol["conjugation"])
 
-    def euler(n):
+    for n in (100, 400):
         prod = 1.0 + 0.0j
         for p in primes_upto(n):
             prod *= local_L(p, 2.0)
-        return abs(complex(prod) - complex(zeta(2.0)))
-
-    for n in (100, 400):
-        err, ms = _timed(lambda n=n: euler(n))
+        err = abs(complex(prod) - complex(zeta(2.0)))
         report.add(f"euler-product-N{n}",
                    "prod_p 1/(1-p^-2) approaches zeta(2) within 2/N",
-                   0.0, err, err, 2.0 / n, ms)
+                   0.0, err, err, 2.0 / n)
 
-    def unimod():
-        t = np.linspace(-40, 40, 161)
-        vals = np.abs(np.asarray(ratio_L(1j * t)))
-        return float(np.max(np.abs(vals - 1.0)))
-
-    worst, ms = _timed(unimod)
+    t = np.linspace(-40, 40, 161)
+    vals = np.abs(np.asarray(ratio_L(1j * t)))
+    worst = float(np.max(np.abs(vals - 1.0)))
     report.add("ratio-unimodular-axis", "|L(it)/L(1+it)| = 1",
-               0.0, worst, worst, tol["unitarity"], ms)
+               0.0, worst, worst, tol["unitarity"])
 
-    def stability():
-        a = residue_at(completed_L, 1.0, 0.3, nodes=64, max_nodes=64 * 2)
-        b = residue_at(completed_L, 1.0, 0.3, nodes=128, max_nodes=128 * 2)
-        return abs(a - b)
-
-    diff, ms = _timed(stability)
+    a = residue_at(completed_L, 1.0, 0.3, nodes=64, max_nodes=64 * 2)
+    b = residue_at(completed_L, 1.0, 0.3, nodes=128, max_nodes=128 * 2)
+    diff = abs(a - b)
     report.add("residue-node-stability", "doubling contour nodes is stable",
-               0.0, diff, diff, 1e-10, ms)
+               0.0, diff, diff, 1e-10)
 
 
 def suite_lfn(report: VerificationReport, cfg: RunConfig):
@@ -271,31 +262,22 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
     W = datum.weyl_group()
     rng = np.random.default_rng(cfg.seed)
 
-    def cocycle_all():
-        worst = 0.0
-        for _ in range(5):
-            lam = datum.weight((complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1)),
-                                complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1))))
-            for s in W:
-                for t_el in W:
-                    worst = max(worst, cocycle_check(s, t_el, lam))
-        return worst
-
-    worst, ms = _timed(cocycle_all)
+    worst = 0.0
+    for _ in range(5):
+        lam = datum.weight((complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1)),
+                            complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1))))
+        for s in W:
+            for t_el in W:
+                worst = max(worst, cocycle_check(s, t_el, lam))
     report.add("cocycle-all-pairs", "m(st,.) = m(s,t.) m(t,.), 36 pairs x 5 pts",
-               0.0, worst, worst, cfg.tolerances["cocycle"], ms)
+               0.0, worst, worst, cfg.tolerances["cocycle"])
 
-    def unit_all():
-        worst = 0.0
-        ys = rng.uniform(-4.0, 4.0, size=(50, 2))
-        for y in ys:
-            for w in W:
-                worst = max(worst, unitarity_check(w, y, datum))
-        return worst
-
-    worst, ms = _timed(unit_all)
+    worst = 0.0
+    for y in rng.uniform(-4.0, 4.0, size=(50, 2)):
+        for w in W:
+            worst = max(worst, unitarity_check(w, y, datum))
     report.add("unitarity-all-elements", "|m(w, iy)| = 1, 6 elements x 50 pts",
-               0.0, worst, worst, cfg.tolerances["unitarity"], ms)
+               0.0, worst, worst, cfg.tolerances["unitarity"])
 
     # hand-coded closed forms vs inversion-set product
     sigma = 1.3
@@ -341,23 +323,18 @@ def suite_su3(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_combinatorics(report: VerificationReport, cfg: RunConfig):
-    def counting():
-        for n in range(2, 6):
-            datum = RootDatum(n)
-            for cls in association_classes(datum):
-                if cls.chamber_count() != cls.w_count() * cls.a_count:
-                    return 1.0
-            terms = truncation_terms(datum)
-            if len(terms) != 2 ** (n - 1):
-                return 1.0
-            if sum(sign for _, sign in terms) != 0:
-                return 1.0
-        return 0.0
-
-    bad, ms = _timed(counting)
+    bad = 0.0
+    for n in range(2, 6):
+        datum = RootDatum(n)
+        terms = truncation_terms(datum)
+        ok = (all(cls.chamber_count() == cls.w_count() * cls.a_count
+                  for cls in association_classes(datum))
+              and len(terms) == 2 ** (n - 1)
+              and sum(sign for _, sign in terms) == 0)
+        bad = max(bad, 0.0 if ok else 1.0)
     report.add("association-counting-gl2-gl5",
                "n(a_P) = w(P) a(class); 2^(n-1) truncation terms",
-               0.0, bad, bad, 0.0, ms)
+               0.0, bad, bad, 0.0)
 
     datum = RootDatum(3)
     rho = datum.rho()
@@ -385,21 +362,27 @@ def suite_nmatrix(report: VerificationReport, cfg: RunConfig):
     report.add(f"nmatrix-at-z={cfg.z}", "the nine entries of N(z), rank one",
                "rank one", entries, resid, cfg.tolerances["nmatrix-rank"])
 
-    def sweep(fn):
-        return max(fn(z) for z in zs)
-
-    worst, ms = _timed(lambda: sweep(gl3mod.rank_one_residual))
+    worst = max(gl3mod.rank_one_residual(z) for z in zs)
     report.add("nmatrix-rank-one", "all 2x2 minors of N(z) vanish",
-               0.0, worst, worst, cfg.tolerances["nmatrix-rank"], ms)
-    worst, ms = _timed(lambda: sweep(gl3mod.symmetry_residual))
+               0.0, worst, worst, cfg.tolerances["nmatrix-rank"])
+    worst = max(gl3mod.symmetry_residual(z) for z in zs)
     report.add("nmatrix-symmetry", "n_ij(z) = n_ji(-z)",
-               0.0, worst, worst, cfg.tolerances["nmatrix-symmetry"], ms)
-    worst, ms = _timed(lambda: sweep(gl3mod.multiplicativity_residual))
+               0.0, worst, worst, cfg.tolerances["nmatrix-symmetry"])
+    worst = max(gl3mod.multiplicativity_residual(z) for z in zs)
     report.add("nmatrix-multiplicativity", "n_ij = n_ik conj(n_jk), k = 1, 2",
-               0.0, worst, worst, cfg.tolerances["nmatrix-mult"], ms)
+               0.0, worst, worst, cfg.tolerances["nmatrix-mult"])
 
     if cfg.csv_path:
-        gl3mod.emit_nmatrix_csv(cfg.csv_path, np.linspace(-3, 3, 121))
+        # N on the imaginary axis, built once per row, and its minor residual.
+        ts = np.linspace(-3, 3, 121)
+        ns = [gl3mod.n_matrix(1j * float(t)) for t in ts]
+        series = {"z_imag": ts}
+        for i in range(3):
+            for j in range(3):
+                series[f"re_n{i + 1}{j + 1}"] = [n[i, j].real for n in ns]
+                series[f"im_n{i + 1}{j + 1}"] = [n[i, j].imag for n in ns]
+        series["minor_residual"] = [gl3mod.max_minor(n) for n in ns]
+        emit_csv(series, cfg.csv_path)
 
 
 def suite_residues(report: VerificationReport, cfg: RunConfig):
@@ -407,31 +390,27 @@ def suite_residues(report: VerificationReport, cfg: RunConfig):
     L2 = complex(completed_L(2.0))
     zs = 1j * rng.uniform(-2.5, 2.5, 5)
 
-    def transverse_all():
-        worst = 0.0
-        for z in zs:
-            n = gl3mod.n_matrix(complex(z))
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    got = gl3mod.transverse_residue(i, j, z)
-                    want = complex(n[i - 1, j - 1]) / L2
-                    worst = max(worst, abs(got - want) / abs(want))
-        return worst
-
-    worst, ms = _timed(transverse_all)
+    worst = 0.0
+    for z in zs:
+        n = gl3mod.n_matrix(complex(z))
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                got = gl3mod.transverse_residue(i, j, z)
+                want = complex(n[i - 1, j - 1]) / L2
+                worst = max(worst, abs(got - want) / abs(want))
     report.add("transverse-residues", "circle residue x L(2) = n_ij(z)",
-               0.0, worst, worst, cfg.tolerances["transverse"], ms)
+               0.0, worst, worst, cfg.tolerances["transverse"])
 
-    table, ms = _timed(gl3mod.double_residue_table)
+    table = gl3mod.double_residue_table()
     forms = gl3mod.double_residue_closed_forms()
     worst = max(abs(v - f) / abs(f) for (_, _, v), f in zip(table, forms))
     report.add("double-residue-table", "five double residues match closed forms",
-               0.0, worst, worst, cfg.tolerances["double-residue"], ms)
+               0.0, worst, worst, cfg.tolerances["double-residue"])
 
     cancel = abs(sum(v for (_, pt, v) in table if pt.coeffs != (1.0, 1.0)))
     report.add("double-residue-cancellation",
                "the four fundamental-weight residues sum to zero",
-               0.0, cancel, cancel, cfg.tolerances["cancellation"], 0.0)
+               0.0, cancel, cancel, cfg.tolerances["cancellation"])
 
 
 def suite_volume(report: VerificationReport, cfg: RunConfig):
@@ -447,25 +426,31 @@ def suite_volume(report: VerificationReport, cfg: RunConfig):
                    f"vol = {'*'.join('L(%d)' % f for f in factors)}",
                    closed, value,
                    abs(value - closed) + (0.0 if ok else 1.0),
-                   cfg.tolerances["volume"], 0.0)
+                   cfg.tolerances["volume"])
 
 
 def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
-    triples = [(1.2, 1.3, 1.0), (1.25, 1.25, 1.0), (1.4, 1.1, 0.5)]
-    if (cfg.s1, cfg.s2, cfg.T) != (1.2, 1.3, 1.0):
+    default = RunConfig()
+    triples = [(default.s1, default.s2, default.T), (1.25, 1.25, 1.0),
+               (1.4, 1.1, 0.5)]
+    if (cfg.s1, cfg.s2, cfg.T) != triples[0]:
         triples.append((cfg.s1, cfg.s2, cfg.T))
     records = []
     for (s1, s2, T) in triples:
-        rec, ms = _timed(lambda a=s1, b=s2, c=T: maass_selberg_record(a, b, c))
+        rec = maass_selberg_record(s1, s2, T)
         records.append(rec)
         report.add(f"maass-selberg-{s1}-{s2}-T{T}",
                    "truncated inner product matches the rank-one formula",
                    rec["formula_value"], rec["quadrature_value"],
-                   rec["rel_err"], cfg.tolerances["maass-selberg"], ms)
+                   rec["rel_err"], cfg.tolerances["maass-selberg"])
     if cfg.csv_path:
-        emit_maass_selberg_csv(cfg.csv_path, records)
+        # One column per field of the first row; complex values give their
+        # real part.
         study = maass_selberg_convergence_study(cfg.s1, cfg.s2, cfg.T)
-        emit_maass_selberg_csv(cfg.csv_path + ".study.csv", study)
+        for rows, path in ((records, cfg.csv_path),
+                           (study, cfg.csv_path + ".study.csv")):
+            emit_csv({c: [complex(r[c]).real for r in rows] for c in rows[0]},
+                     path)
         tail = [r["rel_err"] for r in study]
         ok = all(a >= b for a, b in zip(tail, tail[1:]))
         report.add("maass-selberg-convergence",
@@ -477,62 +462,49 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     g2 = RootDatum(2)
 
-    def gl2_runs():
-        worst = 0.0
-        for _ in range(5):
-            phi = pv.PaleyWienerGaussian.random(g2, rng)
-            shifted = pv.shifted_norm_gl2(phi, 1.5)
-            axis, res = pv.decomposed_norm_gl2(phi)
-            worst = max(worst, abs(shifted - axis - res) / abs(shifted))
-        return worst
-
-    worst, ms = _timed(gl2_runs)
+    worst = 0.0
+    for _ in range(5):
+        phi = pv.PaleyWienerGaussian.random(g2, rng)
+        shifted = pv.shifted_norm_gl2(phi, 1.5)
+        axis, res = pv.decomposed_norm_gl2(phi)
+        worst = max(worst, abs(shifted - axis - res) / abs(shifted))
     report.add("parseval-gl2", "shifted = axis + |Phi(rho)|^2 / L(2), 5 profiles",
-               0.0, worst, worst, cfg.tolerances["parseval-gl2"], ms)
+               0.0, worst, worst, cfg.tolerances["parseval-gl2"])
 
     g3 = RootDatum(3)
 
     fixed = pv.PaleyWienerGaussian(g3, cfg.beta)
-    rep_fixed, ms = _timed(lambda: pv.parseval_check_gl3(
-        fixed, cfg.lambda0, None, with_kappa=False))
+    rep = pv.parseval_check_gl3(fixed, cfg.lambda0, None, with_kappa=False)
     report.add("parseval-gl3-fixed-beta",
                f"decomposition at beta={cfg.beta}, lam0={list(cfg.lambda0)}",
-               0.0, rep_fixed.residual_rel, rep_fixed.residual_rel,
-               cfg.tolerances["parseval-gl3"], ms)
+               0.0, rep.residual_rel, rep.residual_rel,
+               cfg.tolerances["parseval-gl3"])
 
     kappas = []
-    json_report = None
-
-    def gl3_runs():
-        worst_resid = 0.0
-        worst_aform = 0.0
-        nonlocal json_report
-        for _ in range(3):
-            phi = pv.PaleyWienerGaussian.random(g3, rng)
-            rep = pv.parseval_check_gl3(phi, cfg.lambda0, (1.3, 1.8))
-            kappas.append((rep.kappa_B, rep.kappa_C))
-            worst_resid = max(worst_resid, rep.residual_rel)
-            worst_resid = max(worst_resid,
-                              abs(rep.shifted_alt - rep.shifted) / abs(rep.shifted))
-            worst_aform = max(worst_aform,
-                              abs(rep.A_direct - rep.A_symmetric)
-                              / max(abs(rep.A_direct), 1e-300))
-            json_report = rep
-        return worst_resid, worst_aform
-
-    (worst_resid, worst_aform), ms = _timed(gl3_runs)
+    worst_resid = 0.0
+    worst_aform = 0.0
+    for _ in range(3):
+        phi = pv.PaleyWienerGaussian.random(g3, rng)
+        rep = pv.parseval_check_gl3(phi, cfg.lambda0, (1.3, 1.8))
+        kappas.append((rep.kappa_B, rep.kappa_C))
+        worst_resid = max(worst_resid, rep.residual_rel)
+        worst_resid = max(worst_resid,
+                          abs(rep.shifted_alt - rep.shifted) / abs(rep.shifted))
+        worst_aform = max(worst_aform,
+                          abs(rep.A_direct - rep.A_symmetric)
+                          / max(abs(rep.A_direct), 1e-300))
     report.add("parseval-gl3", "shifted = A + kappa_B B + kappa_C C, 3 profiles",
-               0.0, worst_resid, worst_resid, cfg.tolerances["parseval-gl3"], ms)
+               0.0, worst_resid, worst_resid, cfg.tolerances["parseval-gl3"])
     spread = max(max(k) - min(k) for k in
                  (tuple(k[0] for k in kappas), tuple(k[1] for k in kappas)))
     report.add("parseval-kappa-spread", "kappa_B, kappa_C identical across runs",
-               0.0, spread, spread, cfg.tolerances["kappa-spread"], 0.0)
+               0.0, spread, spread, cfg.tolerances["kappa-spread"])
     report.add("a-form-equivalence", "W-sum A equals (1/6) integral |F|^2",
-               0.0, worst_aform, worst_aform, cfg.tolerances["a-form"], 0.0)
+               0.0, worst_aform, worst_aform, cfg.tolerances["a-form"])
 
-    if cfg.json_path and json_report is not None:
+    if cfg.json_path:
         with open(cfg.json_path + ".spectral", "w") as fh:
-            fh.write(json_report.to_json())
+            fh.write(rep.to_json())
 
 
 SUITES = {
@@ -554,7 +526,12 @@ def run(config: RunConfig) -> VerificationReport:
     report = VerificationReport(config)
     names = list(SUITES) if config.command == "all" else [config.command]
     for name in names:
-        SUITES[name](report, config)
+        report.begin_suite()
+        try:
+            SUITES[name](report, config)
+        except (DomainError, NonConvergence, PoleProximity) as err:
+            report.add(f"{name}-error", f"the {name} suite runs to completion",
+                       "no error", f"{type(err).__name__}: {err}", 1.0, 0.0)
     if config.json_path:
         with open(config.json_path, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -563,26 +540,27 @@ def run(config: RunConfig) -> VerificationReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    default = RunConfig()
     parser = argparse.ArgumentParser(
         prog="eisenspec",
         description="Verification suites for the K-invariant spectral "
                     "decomposition machinery (completed-zeta ratios, root "
                     "combinatorics, residue matrices, truncation formulas).")
-    parser.add_argument("--command", choices=COMMANDS, default="all")
-    parser.add_argument("--group", default="gl3",
+    parser.add_argument("--command", choices=COMMANDS, default=default.command)
+    parser.add_argument("--group", default=default.group,
                         help="gl2, gl3, gl4, ... (used by volume and friends)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--json", dest="json_path", default=None,
+    parser.add_argument("--seed", type=int, default=default.seed)
+    parser.add_argument("--json", dest="json_path", default=default.json_path,
                         help="write the verification report as JSON")
-    parser.add_argument("--csv", dest="csv_path", default=None,
+    parser.add_argument("--csv", dest="csv_path", default=default.csv_path,
                         help="write suite-specific sample CSV")
-    parser.add_argument("--beta", type=float, default=0.5)
-    parser.add_argument("--lambda0", default="1.5,1.5",
+    parser.add_argument("--beta", type=float, default=default.beta)
+    parser.add_argument("--lambda0", default=",".join(map(str, default.lambda0)),
                         help="contour base point, e.g. '1.5,1.5'")
-    parser.add_argument("--T", type=float, default=1.0)
-    parser.add_argument("--s1", type=float, default=1.2)
-    parser.add_argument("--s2", type=float, default=1.3)
-    parser.add_argument("--z", type=str, default="0.7j")
+    parser.add_argument("--T", type=float, default=default.T)
+    parser.add_argument("--s1", type=float, default=default.s1)
+    parser.add_argument("--s2", type=float, default=default.s2)
+    parser.add_argument("--z", type=str, default=str(default.z))
     for key, value in TOLERANCES.items():
         if value is not None:
             parser.add_argument(f"--tol-{key}", type=float, default=value,

@@ -24,7 +24,6 @@ independent route to every number.
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +43,7 @@ __all__ = [
     "n_entry",
     "n_matrix",
     "rank_one_residual",
+    "max_minor",
     "symmetry_residual",
     "multiplicativity_residual",
     "named_weyl",
@@ -53,7 +53,6 @@ __all__ = [
     "double_residue_closed_forms",
     "volume_factors",
     "volume_constant",
-    "emit_nmatrix_csv",
 ]
 
 GL3 = RootDatum(3)
@@ -151,10 +150,10 @@ def n_entry(i: int, j: int, z) -> complex:
 
 def rank_one_residual(z) -> float:
     """Max modulus of the nine 2x2 minors of N(z)."""
-    return _max_minor(n_matrix(z))
+    return max_minor(n_matrix(z))
 
 
-def _max_minor(m: np.ndarray) -> float:
+def max_minor(m: np.ndarray) -> float:
     """Max modulus of the nine 2x2 minors of a 3x3 matrix."""
     worst = 0.0
     for r1, r2 in ((0, 1), (0, 2), (1, 2)):
@@ -300,26 +299,3 @@ def volume_constant(datum: RootDatum) -> float:
         value *= float(np.real(completed_L(float(k))))
     return value
 
-
-def emit_nmatrix_csv(path, z_values):
-    """Sample N on the imaginary axis: z, Re/Im of each entry, minor residual.
-
-    N is built once per row, and the residual is taken from that matrix.
-    """
-    header = ["z_imag"]
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            header += [f"re_n{i}{j}", f"im_n{i}{j}"]
-    header.append("minor_residual")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in z_values:
-            z = 1j * float(t)
-            row = [f"{float(t):.17g}"]
-            m = n_matrix(z)
-            for i in range(3):
-                for j in range(3):
-                    row += [f"{m[i, j].real:.17g}", f"{m[i, j].imag:.17g}"]
-            row.append(f"{_max_minor(m):.17g}")
-            writer.writerow(row)

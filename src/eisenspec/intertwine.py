@@ -36,18 +36,19 @@ def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """ratio_L(a0 + p_i + q_j) on the (p.size, q.size) outer sum.
 
     If p and q are arithmetic progressions of one step h = p_1 - p_0 (every
-    difference within rounding of h), the sums lie on the 1-D lattice
-    p_0 + q_0 + (i + j) h, and one ratio_L call on its |p| + |q| - 1 points
-    is read as the (p.size, q.size) Hankel view vals[i + j], which copies
-    nothing.  Otherwise the outer sum is evaluated as a separable grid.
+    difference within rounding of h), the sums lie on a 1-D lattice, taken
+    as the grid sums down the first column and along the last row, so that
+    a grid symmetric about 0 gives an exactly antisymmetric lattice.  One
+    ratio_L call on its |p| + |q| - 1 points is read as the (p.size, q.size)
+    Hankel view vals[i + j], which copies nothing.  Otherwise the outer sum
+    is evaluated as a separable grid.
     """
     h = p[1] - p[0] if p.size > 1 else np.nan
     tol = 4.0 * np.finfo(np.float64).eps * np.max(np.abs(np.append(p, q)))
     if q.size < 2 or not all(np.all(np.abs(np.diff(v) - h) <= tol)
                              for v in (p, q)):
         return np.asarray(ratio_L(a0 + p, plus=q))
-    k = np.arange(p.size + q.size - 1, dtype=np.float64)
-    vals = np.asarray(ratio_L(a0 + ((p[0] + q[0]) + h * k)))
+    vals = np.asarray(ratio_L(a0 + np.concatenate((p + q[0], p[-1] + q[1:]))))
     return np.lib.stride_tricks.sliding_window_view(vals, q.size)
 
 

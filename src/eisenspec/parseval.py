@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -415,27 +415,10 @@ class SpectralReport:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def cx(v):
-            if v is None:
-                return None
-            v = complex(v)
-            return [v.real, v.imag]
-        return {
-            "schema": "eisenspec.spectral_report/1",
-            "group": self.group,
-            "shifted": cx(self.shifted),
-            "shifted_alt": cx(self.shifted_alt),
-            "A_direct": cx(self.A_direct),
-            "A_symmetric": cx(self.A_symmetric),
-            "B_direct": cx(self.B_direct),
-            "B_factored": cx(self.B_factored),
-            "C": cx(self.C),
-            "kappa_B": self.kappa_B,
-            "kappa_C": self.kappa_C,
-            "residual_abs": self.residual_abs,
-            "residual_rel": self.residual_rel,
-            "config": self.config,
-        }
+        """The fields, with each complex value encoded as [re, im]."""
+        fields = {k: [v.real, v.imag] if isinstance(v, complex) else v
+                  for k, v in asdict(self).items()}
+        return {"schema": "eisenspec.spectral_report/1", **fields}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)

@@ -33,7 +33,6 @@ the closed rank-one formula omega_rank1, which is the Maass-Selberg check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,7 +60,6 @@ __all__ = [
     "omega_rank1",
     "maass_selberg_record",
     "maass_selberg_convergence_study",
-    "emit_maass_selberg_csv",
 ]
 
 # Height above which a truncated series (for the s ranges used here) is
@@ -482,6 +480,17 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
     return complex(value)
 
 
+def _maass_selberg_row(s1: float, s2: float, T: float, quad: QuadratureResult,
+                       formula: complex, tail_bound: float) -> dict:
+    """One comparison of a quadrature inner product with the formula."""
+    abs_err = abs(complex(quad.value) - formula)
+    return {"s1": s1, "s2": s2, "T": T,
+            "quadrature_value": complex(quad.value), "formula_value": formula,
+            "abs_err": abs_err, "rel_err": abs_err / abs(formula),
+            "tail_bound": tail_bound,
+            "quad_error_estimate": quad.error_estimate}
+
+
 def maass_selberg_record(s1: float, s2: float, T: float,
                          quad_tol: float = 1e-6) -> dict:
     """Quadrature inner product vs closed formula for one (s1, s2, T)."""
@@ -489,18 +498,9 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     f1 = truncated_eisenstein(s1, trunc)
     f2 = truncated_eisenstein(s2, trunc)
     spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, max_panels=3000)
-    quad = inner_product_fd(f1, f2, spec)
-    formula = omega_rank1(s1, s2, trunc)
-    abs_err = abs(complex(quad.value) - formula)
-    return {
-        "s1": s1, "s2": s2, "T": T,
-        "quadrature_value": complex(quad.value),
-        "formula_value": formula,
-        "abs_err": abs_err,
-        "rel_err": abs_err / abs(formula),
-        "tail_bound": 1e-15,  # exp(-38) lattice cutoff of the theta form
-        "quad_error_estimate": quad.error_estimate,
-    }
+    # tail_bound: the exp(-38) lattice cutoff of the theta form.
+    return _maass_selberg_row(s1, s2, T, inner_product_fd(f1, f2, spec),
+                              omega_rank1(s1, s2, trunc), 1e-15)
 
 
 def maass_selberg_convergence_study(s1: float, s2: float, T: float,
@@ -520,43 +520,12 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
         f1 = truncated_eisenstein_direct(s1, trunc, bound)
         f2 = truncated_eisenstein_direct(s2, trunc, bound)
         spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, base_order=8)
-        quad = inner_product_fd(f1, f2, spec)
-        abs_err = abs(complex(quad.value) - formula)
         tail = max(_tail_bound_raw(s, DECAY_CUTOFF, kappa_min, bound)
                    for s in (s1, s2))
-        rows.append({
-            "lattice_bound": bound, "s1": s1, "s2": s2, "T": T,
-            "quadrature_value": complex(quad.value),
-            "formula_value": formula, "abs_err": abs_err,
-            "rel_err": abs_err / abs(formula), "tail_bound": tail,
-            "quad_error_estimate": quad.error_estimate,
-        })
+        rows.append({"lattice_bound": bound, **_maass_selberg_row(
+            s1, s2, T, inner_product_fd(f1, f2, spec), formula, tail)})
     exact = maass_selberg_record(s1, s2, T, quad_tol=min(quad_tol, 1e-6))
     exact["lattice_bound"] = 0
     rows.append(exact)
     return rows
 
-
-def emit_maass_selberg_csv(path, records: list[dict]):
-    """Numeric CSV of Maass-Selberg comparison records.
-
-    Columns: s1, s2, T, quadrature_value, formula_value, abs_err, rel_err,
-    tail_bound, quad_error_estimate (with a leading lattice_bound column
-    for convergence-study rows).
-    """
-    cols = ["s1", "s2", "T", "quadrature_value", "formula_value",
-            "abs_err", "rel_err", "tail_bound", "quad_error_estimate"]
-    if records and "lattice_bound" in records[0]:
-        cols = ["lattice_bound"] + cols
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for rec in records:
-            row = []
-            for c in cols:
-                v = rec.get(c, 0)
-                if isinstance(v, complex):
-                    row.append(f"{v.real:.17g}")
-                else:
-                    row.append(f"{float(v):.17g}")
-            writer.writerow(row)

@@ -9,6 +9,7 @@ import pytest
 
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
+from eisenspec.cli import main
 
 
 def test_run_combinatorics_suite(tmp_path):
@@ -17,7 +18,7 @@ def test_run_combinatorics_suite(tmp_path):
     report = run(cfg)
     assert report.all_passed
     blob = json.loads((tmp_path / "report.json").read_text())
-    assert blob["schema"] == "eisenspec.verification_report/1"
+    assert blob["schema"] == "eisenspec.verification_report/2"
     assert blob["summary"]["failed"] == 0
     assert all("anchor" in c for c in blob["checks"])
 
@@ -30,6 +31,11 @@ def test_run_volume_suite():
     assert "volume-gl4" in names
 
 
+def _without_clock(blob: dict) -> dict:
+    """A report without the two fields that vary between runs."""
+    return {k: v for k, v in blob.items() if k not in ("timestamp", "timing")}
+
+
 def test_seed_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     run(RunConfig(command="su3", seed=7, json_path=str(p1)))
@@ -38,7 +44,39 @@ def test_seed_determinism(tmp_path):
     b = json.loads(p2.read_text())
     a.pop("timestamp")
     b.pop("timestamp")
-    assert a == b
+    assert _without_clock(a) == _without_clock(b)
+    # A suite whose checks take measurable time reproduces too.
+    p3, p4 = tmp_path / "c.json", tmp_path / "d.json"
+    run(RunConfig(command="lfn", seed=7, json_path=str(p3)))
+    run(RunConfig(command="lfn", seed=7, json_path=str(p4)))
+    c = json.loads(p3.read_text())
+    d = json.loads(p4.read_text())
+    assert len(c["timing"]["wall_ms"]) == len(c["checks"]) == 7
+    assert _without_clock(c) == _without_clock(d)
+
+
+def test_every_check_is_timed():
+    report = run(RunConfig(command="su3"))
+    assert len(report.records) == 3
+    assert all(r.wall_ms > 0 for r in report.records)
+
+
+@pytest.mark.parametrize("argv, suite, error", [
+    (["--command", "nmatrix", "--z", "1.5"], "nmatrix", "PoleProximity"),
+    (["--command", "parseval", "--lambda0", "1.02,1.5"], "parseval",
+     "DomainError"),
+], ids=("nmatrix", "parseval"))
+def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
+    report = run(config_from_args(build_parser().parse_args(argv)))
+    record = report.records[-1]
+    assert record.name == f"{suite}-error"
+    assert record.computed.startswith(f"{error}: ")
+    assert not record.passed and record.residual == 1.0
+    path = tmp_path / "report.json"
+    assert main(argv + ["--json", str(path)]) == 1
+    blob = json.loads(path.read_text())
+    assert blob["checks"][-1]["name"] == f"{suite}-error"
+    assert blob["summary"]["failed"] == 1
 
 
 def test_nmatrix_suite_csv(tmp_path):

@@ -109,6 +109,17 @@ def test_m_on_grid_lattice_matches_separable_grid(c):
         assert np.max(np.abs(g - w) / np.abs(w)) <= 1e-13
 
 
+def test_m_on_grid_plane_is_conjugation_symmetric():
+    # at base 0 on a t (+) t plane symmetric about 0, m(w, -conj lam) =
+    # conj m(w, lam) must hold exactly: the lattice of sums is built from
+    # grid points, so rounding cannot break the symmetry
+    x = 1j * 0.1 * np.arange(-40, 41)
+    for m in m_on_grid(named_weyl().values(), GL3.weight((0, 0)),
+                       GL3.weight((1, 0)), x, GL3.weight((0, 1)), x):
+        m = np.broadcast_to(m, (x.size, x.size))
+        assert np.array_equal(m[::-1, ::-1], np.conj(m))
+
+
 def test_su3_factor_value():
     # direct arithmetic from the displayed rational expression: 28/27
     got = su3_local_factor(3, 1.0)

@@ -6,6 +6,9 @@ needs it should call the public entry point instead.
 
 EvaluatorConfig belongs to zeta: the layers above it evaluate at
 DEFAULT_CONFIG, so none of them takes or imports a config.
+
+The CLI is the only module that writes files: no other module imports csv
+or calls open.
 """
 
 import ast
@@ -51,4 +54,22 @@ def test_evaluator_config_stays_in_zeta():
                 hits += [f"{path.name}:{node.lineno} imports EvaluatorConfig"
                          for alias in node.names
                          if alias.name == "EvaluatorConfig"]
+    assert hits == []
+
+
+def test_only_the_cli_writes_files():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                hits += [f"{path.name}:{node.lineno} imports csv"
+                         for alias in node.names if alias.name == "csv"]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == "open":
+                    hits.append(f"{path.name}:{node.lineno} calls open")
     assert hits == []
