@@ -5,9 +5,8 @@ matrix, and the contour-shift Parseval identities."""
 
 from .errors import DomainError, NonConvergence, PoleProximity
 from .roots import (RHO_CHECK, AssociationClass, RootDatum, StandardParabolic,
-                    Weight, WeylElement, association_classes, inversion_set,
-                    pairing, tau_hat, transporters, truncation_terms,
-                    weyl_act)
+                    Weight, WeylElement, association_classes, tau_hat,
+                    transporters, truncation_terms)
 from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, completed_L, gamma_fn,
                    local_L, ratio_L, residue_at, zeta)
 from .intertwine import (cocycle_check, m_scalar, su3_local_factor,

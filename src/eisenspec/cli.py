@@ -262,20 +262,16 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
     W = datum.weyl_group()
     rng = np.random.default_rng(cfg.seed)
 
-    worst = 0.0
-    for _ in range(5):
-        lam = datum.weight((complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1)),
-                            complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1))))
-        for s in W:
-            for t_el in W:
-                worst = max(worst, cocycle_check(s, t_el, lam))
+    # Five weights, each drawn as (z1, z2) in turn, checked as one cloud.
+    draws = np.array([[complex(rng.uniform(1.1, 2.0), rng.uniform(-1, 1))
+                       for _ in range(2)] for _ in range(5)])
+    lam = datum.weight(tuple(draws.T))
+    worst = max(cocycle_check(s, t_el, lam) for s in W for t_el in W)
     report.add("cocycle-all-pairs", "m(st,.) = m(s,t.) m(t,.), 36 pairs x 5 pts",
                0.0, worst, worst, cfg.tolerances["cocycle"])
 
-    worst = 0.0
-    for y in rng.uniform(-4.0, 4.0, size=(50, 2)):
-        for w in W:
-            worst = max(worst, unitarity_check(w, y, datum))
+    ys = rng.uniform(-4.0, 4.0, size=(50, 2))
+    worst = max(unitarity_check(w, ys) for w in W)
     report.add("unitarity-all-elements", "|m(w, iy)| = 1, 6 elements x 50 pts",
                0.0, worst, worst, cfg.tolerances["unitarity"])
 
@@ -299,6 +295,9 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
                want3, got3, abs(got3 - want3) / abs(want3), 1e-12)
 
     if cfg.csv_path:
+        # Point by point, not as one cloud: a cloud call would take its
+        # Euler-Maclaurin term count from the largest |Im| (80 at y = 40)
+        # for every point of the sweep.
         ys = np.linspace(0.0, 40.0, 201)
         s3 = s1 * s2 * s1
         mods = [abs(m_scalar(s3, datum.weight((1j * y, 1j * y)))) for y in ys]
@@ -445,17 +444,13 @@ def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
                    rec["rel_err"], cfg.tolerances["maass-selberg"])
     if cfg.csv_path:
         # One column per field of the first row; complex values give their
-        # real part.
+        # real part.  --csv only writes files: the study's monotone decrease
+        # is held by the truncation tests, not by a check of this report.
         study = maass_selberg_convergence_study(cfg.s1, cfg.s2, cfg.T)
         for rows, path in ((records, cfg.csv_path),
                            (study, cfg.csv_path + ".study.csv")):
             emit_csv({c: [complex(r[c]).real for r in rows] for c in rows[0]},
                      path)
-        tail = [r["rel_err"] for r in study]
-        ok = all(a >= b for a, b in zip(tail, tail[1:]))
-        report.add("maass-selberg-convergence",
-                   "residual decreases with the lattice bound",
-                   True, ok, 0.0 if ok else 1.0, 0.0)
 
 
 def suite_parseval(report: VerificationReport, cfg: RunConfig):
@@ -539,6 +534,27 @@ def run(config: RunConfig) -> VerificationReport:
     return report
 
 
+def _base_point(text: str) -> tuple[float, float]:
+    """--lambda0: one or two comma-separated floats, 'c' meaning 'c,c'."""
+    values = text.split(",")
+    try:
+        if len(values) <= 2:
+            return tuple(float(values[k]) for k in (0, -1))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected one or two comma-separated floats, got {text!r}")
+
+
+def _complex_point(text: str) -> complex:
+    """--z: a complex number, with i or j as the imaginary unit."""
+    try:
+        return complex(text.replace("i", "j"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a complex number, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     default = RunConfig()
     parser = argparse.ArgumentParser(
@@ -555,12 +571,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", dest="csv_path", default=default.csv_path,
                         help="write suite-specific sample CSV")
     parser.add_argument("--beta", type=float, default=default.beta)
-    parser.add_argument("--lambda0", default=",".join(map(str, default.lambda0)),
-                        help="contour base point, e.g. '1.5,1.5'")
+    parser.add_argument("--lambda0", type=_base_point, default=default.lambda0,
+                        help="contour base point, e.g. '1.5,1.7' or '1.5'")
     parser.add_argument("--T", type=float, default=default.T)
     parser.add_argument("--s1", type=float, default=default.s1)
     parser.add_argument("--s2", type=float, default=default.s2)
-    parser.add_argument("--z", type=str, default=str(default.z))
+    parser.add_argument("--z", type=_complex_point, default=default.z,
+                        help="point of the nmatrix suite, e.g. '0.7j' or '0.7i'")
     for key, value in TOLERANCES.items():
         if value is not None:
             parser.add_argument(f"--tol-{key}", type=float, default=value,
@@ -569,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    lam0 = tuple(float(v) for v in args.lambda0.split(","))
-    if len(lam0) == 1:
-        lam0 = (lam0[0], lam0[0])
     tols = dict(TOLERANCES)
     for key in TOLERANCES:
         attr = f"tol_{key.replace('-', '_')}"
@@ -580,8 +594,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command, group=args.group, seed=args.seed,
         json_path=args.json_path, csv_path=args.csv_path, beta=args.beta,
-        lambda0=lam0, T=args.T, s1=args.s1, s2=args.s2,
-        z=complex(args.z.replace("i", "j")), tolerances=tols)
+        lambda0=args.lambda0, T=args.T, s1=args.s1, s2=args.s2, z=args.z,
+        tolerances=tols)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .intertwine import m_on_grid
-from .roots import RHO_CHECK, RootDatum, Weight, WeylElement
+from .roots import RootDatum, Weight, WeylElement
 from .zeta import circle_nodes, completed_L, ratio_L
 
 __all__ = [
@@ -58,10 +58,6 @@ __all__ = [
 GL3 = RootDatum(3)
 
 _HALF = Fraction(1, 2)
-
-# Pairing index cutting out Line_i: the simple coroots for i = 1, 2 and
-# rho_check for i = 3.
-_LINE_COROOT = {1: 1, 2: 2, 3: RHO_CHECK}
 
 # The u-circle of transverse_residue.
 _TRANSVERSE_RADIUS = 0.3
@@ -102,9 +98,11 @@ def sigma(i: int, j: int) -> WeylElement:
 
 
 def lambda_line(i: int, z) -> Weight:
-    """The point delta_i + z e_i on the i-th singular line."""
+    """The point delta_i + z e_i on the i-th singular line; an array z
+    gives the cloud of those points."""
     d, e = delta_weight(i), line_direction(i)
-    return GL3.weight(tuple(complex(a) + complex(z) * complex(b)
+    z = np.asarray(z, dtype=np.complex128)
+    return GL3.weight(tuple(complex(a) + z * complex(b)
                             for a, b in zip(d.coeffs, e.coeffs)))
 
 

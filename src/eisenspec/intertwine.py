@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .roots import RootDatum, Weight, WeylElement
+from .roots import Weight, WeylElement
 from .zeta import ratio_L
 
 __all__ = [
@@ -58,31 +58,40 @@ def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
 
     The one evaluator of the intertwining scalars.  Each root argument
     <lam, root_check> = a0 + ax x_k + ay y_l is an outer sum, so ratio_L is
-    called once per root in the union of the inversion sets: at base itself
-    without x, on the 1-D nodes when the argument depends on x or y alone,
-    and on the outer sum otherwise (see _sum_ratio).  The products are
-    formed as they are consumed; each broadcasts to (x.size, y.size), to
-    x.shape without y, and is a scalar without x.
+    called once per root in the union of the inversion sets: on the 1-D
+    nodes when the argument depends on x or y alone, and on the outer sum
+    otherwise (see _sum_ratio).  Without x, base may be a cloud of weights
+    (coordinate arrays of one broadcast shape), and one stacked ratio_L call
+    takes every root at every point; Euler-Maclaurin then takes its term
+    count for all of them from the largest |Im| in the cloud.  The products
+    are formed as they are consumed; each broadcasts to (x.size, y.size),
+    to x.shape without y, and to the cloud's shape without x.
     """
     inversions = [sorted(w.inversions()) for w in ws]
+    roots = sorted(set().union(*inversions))
     ratios = {}
-    for root in sorted(set().union(*inversions)):
-        a0 = complex(base.pair_root(root))
-        ax = complex(x_dir.pair_root(root)) if x is not None else 0.0
-        ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
-        if x is None:
-            ratios[root] = ratio_L(a0)
-        elif ay == 0:
-            vals = np.asarray(ratio_L(a0 + ax * x))
-            ratios[root] = vals if y is None else vals[:, None]
-        elif ax == 0:
-            ratios[root] = np.asarray(ratio_L(a0 + ay * y))[None, :]
-        else:
-            ratios[root] = _sum_ratio(a0, ax * np.asarray(x),
-                                      ay * np.asarray(y))
-    for roots in inversions:
-        m = 1.0 + 0.0j
+    if x is None:
+        if roots:
+            args = np.broadcast_arrays(*(
+                np.asarray(base.pair_root(root), dtype=np.complex128)
+                for root in roots))
+            ratios = dict(zip(roots, ratio_L(np.stack(args))))
+    else:
         for root in roots:
+            a0 = complex(base.pair_root(root))
+            ax = complex(x_dir.pair_root(root))
+            ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
+            if ay == 0:
+                vals = np.asarray(ratio_L(a0 + ax * x))
+                ratios[root] = vals if y is None else vals[:, None]
+            elif ax == 0:
+                ratios[root] = np.asarray(ratio_L(a0 + ay * y))[None, :]
+            else:
+                ratios[root] = _sum_ratio(a0, ax * np.asarray(x),
+                                          ay * np.asarray(y))
+    for inverted in inversions:
+        m = 1.0 + 0.0j
+        for root in inverted:
             m = m * ratios[root]
         yield m
 
@@ -94,17 +103,19 @@ def m_scalar(w: WeylElement, lam: Weight) -> complex:
 
 
 def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight) -> float:
-    """|m(st, lam) - m(s, t lam) m(t, lam)|; zero in exact arithmetic."""
-    lhs = m_scalar(s * t, lam)
-    rhs = m_scalar(s, t.act(lam)) * m_scalar(t, lam)
-    return abs(lhs - rhs)
+    """max |m(st, lam) - m(s, t lam) m(t, lam)| over lam, a weight or a
+    cloud (see m_on_grid); zero in exact arithmetic."""
+    m_st, m_t = m_on_grid([s * t, t], lam)
+    m_s, = m_on_grid([s], t.act(lam))
+    return float(np.max(np.abs(m_st - m_s * m_t)))
 
 
-def unitarity_check(w: WeylElement, y, datum: RootDatum | None = None) -> float:
-    """| |m(w, i y)| - 1 | for a real coordinate vector y."""
-    datum = datum or w.datum
-    lam = datum.weight(tuple(1j * float(c) for c in np.atleast_1d(y)))
-    return abs(abs(m_scalar(w, lam)) - 1.0)
+def unitarity_check(w: WeylElement, y) -> float:
+    """max | |m(w, i y)| - 1 | over the rows of y, each a real coordinate
+    vector; a single vector is one row."""
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    m, = m_on_grid([w], w.datum.weight(tuple(1j * y.T)))
+    return float(np.max(np.abs(np.abs(m) - 1.0)))
 
 
 def su3_local_factor(p: int, sigma) -> complex:

@@ -42,10 +42,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .gl3 import (GL3, delta_weight, iterated_circle_residue, line_direction,
-                  n_matrix, named_weyl, sigma, transverse_direction)
+from .gl3 import (GL3, delta_weight, iterated_circle_residue, lambda_line,
+                  line_direction, n_matrix, named_weyl, sigma,
+                  transverse_direction)
 from .intertwine import m_on_grid
-from .roots import RootDatum, Weight, WeylElement
+from .roots import RootDatum, Weight
 from .zeta import circle_nodes, completed_L, ratio_L
 
 __all__ = [
@@ -178,15 +179,6 @@ def _line_window(beta: float) -> ContourSpec:
     return ContourSpec(math.sqrt(66.0 / beta), 0.05)
 
 
-def _weyl_image(w: WeylElement, c1, c2) -> tuple:
-    """Fundamental-weight coordinates of w lam from those (c1, c2) of lam."""
-    # cols[k] holds the coordinates of w applied to the (k+1)-th weight
-    cols = [[float(v) for v in w.act(w.datum.fundamental_weight(k)).coeffs]
-            for k in (1, 2)]
-    return (cols[0][0] * c1 + cols[1][0] * c2,
-            cols[0][1] * c1 + cols[1][1] * c2)
-
-
 # ----------------------------------------------------------------- GL(2) --
 
 
@@ -254,9 +246,8 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
                    GL3.fundamental_weight(1), 1j * t,
                    GL3.fundamental_weight(2), 1j * t)
     for (name, w), mw in zip(named_weyl().items(), ms):
-        w1, w2 = _weyl_image(w, z1, z2)
-        terms[name] = complex(
-            np.sum(mw * phi_grid * star.value_coords(-w1, -w2))) * scale
+        phi_s = star.value_coords(*w.act_coords(-z1, -z2))
+        terms[name] = complex(np.sum(mw * phi_grid * phi_s)) * scale
     return terms
 
 
@@ -280,23 +271,12 @@ def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
                    GL3.fundamental_weight(1), 1j * t,
                    GL3.fundamental_weight(2), 1j * t)
     for w, mw in zip(named_weyl().values(), ms):
-        phi_s = phi.value_coords(*_weyl_image(w, z1, z2))
+        phi_s = phi.value_coords(*w.act_coords(z1, z2))
         direct += np.sum(mw * phi_grid * np.conj(phi_s))
         f_sum += phi_s / mw
     scale = (window.step / (2.0 * np.pi)) ** 2
     symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
     return complex(direct) * scale, complex(symmetric) * scale
-
-
-def _phi_on_lines(phi: PaleyWienerGaussian, t: np.ndarray) -> np.ndarray:
-    out = np.empty((3, t.size), dtype=np.complex128)
-    for i in (1, 2, 3):
-        d = delta_weight(i)
-        e = line_direction(i)
-        c1 = complex(d.coeffs[0]) + 1j * t * complex(e.coeffs[0])
-        c2 = complex(d.coeffs[1]) + 1j * t * complex(e.coeffs[1])
-        out[i - 1] = phi.value_coords(c1, c2)
-    return out
 
 
 def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
@@ -308,7 +288,8 @@ def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     window = _line_window(phi.beta)
     t = window.grid()
     n = n_matrix(1j * t)
-    vals = _phi_on_lines(phi, t)
+    vals = np.array([phi.value_coords(*lambda_line(i, 1j * t).coeffs)
+                     for i in (1, 2, 3)])
     L2 = complex(completed_L(2.0))
     direct = 0.0 + 0.0j
     for i in range(3):
@@ -351,8 +332,7 @@ def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
     ws = [sigma(i, j) for j in (1, 2, 3)]
     total = np.zeros(t.size, dtype=np.complex128)
     for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u)):
-        w1, w2 = _weyl_image(w, c1, c2)
-        integrand = m * phi_vals * star.value_coords(-w1, -w2)
+        integrand = m * phi_vals * star.value_coords(*w.act_coords(-c1, -c2))
         total += (integrand * u[None, :]).mean(axis=1)
     return total
 
@@ -388,8 +368,8 @@ def measure_constants(phi: PaleyWienerGaussian) -> tuple[float, float]:
         z2 = 1.0 + u_out[:, None]
         m, = m_on_grid([s3], GL3.rho(), GL3.fundamental_weight(2), u_out,
                        GL3.fundamental_weight(1), u_in)
-        w1, w2 = _weyl_image(s3, z1, z2)
-        return m * phi.value_coords(z1, z2) * star.value_coords(-w1, -w2)
+        return (m * phi.value_coords(z1, z2)
+                * star.value_coords(*s3.act_coords(-z1, -z2)))
 
     point = iterated_circle_residue(integrand)
     kappa_c = (point / contribution_C(phi)).real

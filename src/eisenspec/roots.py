@@ -36,9 +36,6 @@ __all__ = [
     "WeylElement",
     "StandardParabolic",
     "AssociationClass",
-    "pairing",
-    "weyl_act",
-    "inversion_set",
     "transporters",
     "association_classes",
     "tau_hat",
@@ -131,6 +128,16 @@ def _weyl_group(n: int) -> tuple["WeylElement", ...]:
                  for p in itertools.permutations(range(1, n + 1)))
 
 
+def _epsilon_coords(coeffs) -> tuple:
+    """Lift to e-coordinates (v_1..v_n) with the gauge v_n = 0."""
+    partial = []
+    total = 0
+    for c in reversed(coeffs):
+        total = total + c
+        partial.append(total)
+    return tuple(reversed(partial)) + (0,)
+
+
 @dataclass(frozen=True)
 class Weight:
     """A linear functional on the torus, in fundamental-weight coordinates.
@@ -158,21 +165,12 @@ class Weight:
         i, j = root
         return sum(self.coeffs[i - 1:j - 1])
 
-    def _epsilon_coords(self) -> tuple:
-        """Lift to e-coordinates (v_1..v_n) with the gauge v_n = 0."""
-        partial = []
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total + c
-            partial.append(total)
-        return tuple(reversed(partial)) + (0,)
-
     def inner(self, other: "Weight"):
         """Bilinear form with <alpha_i, alpha_i> = 2 (trace form mod center)."""
         if other.datum != self.datum:
             raise ValueError("weights over different root data")
-        v = self._epsilon_coords()
-        u = other._epsilon_coords()
+        v = _epsilon_coords(self.coeffs)
+        u = _epsilon_coords(other.coeffs)
         n = self.datum.n
         dot = sum(a * b for a, b in zip(v, u))
         return dot - Fraction(1, n) * sum(v) * sum(u)
@@ -216,13 +214,18 @@ class WeylElement:
         a, b = self(i), self(j)
         return (1, (a, b)) if a < b else (-1, (b, a))
 
-    def act(self, weight: Weight) -> Weight:
-        """Linear action on weights (exact for rational coordinates)."""
-        v = weight._epsilon_coords()
+    def act_coords(self, *coords) -> tuple:
+        """The action on fundamental-weight coordinates: lift to e-coordinates,
+        permute, take differences (exact for rational coordinates).  Arrays
+        of one broadcast shape act as a cloud of weights at once."""
+        v = _epsilon_coords(coords)
         inv = self.inverse()
         u = tuple(v[inv(k) - 1] for k in range(1, self.datum.n + 1))
-        coeffs = tuple(u[k] - u[k + 1] for k in range(self.datum.rank))
-        return Weight(self.datum, coeffs)
+        return tuple(u[k] - u[k + 1] for k in range(self.datum.rank))
+
+    def act(self, weight: Weight) -> Weight:
+        """Linear action on weights (exact for rational coordinates)."""
+        return Weight(self.datum, self.act_coords(*weight.coeffs))
 
 
 @dataclass(frozen=True)
@@ -285,20 +288,6 @@ class AssociationClass:
         """Chambers cut in a_P/a_G by the restricted root hyperplanes: k!."""
         p = next(iter(self.members))
         return math.factorial(len(p.blocks()))
-
-
-def pairing(lam: Weight, i):
-    """<lam, alpha_check_i>; i may be a simple index or RHO_CHECK."""
-    return lam.pairing(i)
-
-
-def weyl_act(w: WeylElement, lam: Weight) -> Weight:
-    return w.act(lam)
-
-
-def inversion_set(w: WeylElement) -> frozenset[tuple[int, int]]:
-    """{alpha > 0 : w(alpha) < 0}, of cardinality length(w)."""
-    return w.inversions()
 
 
 def transporters(p: StandardParabolic, q: StandardParabolic) -> frozenset[WeylElement]:

@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+from eisenspec import cli
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
+from eisenspec.truncation import maass_selberg_convergence_study
 
 
 def test_run_combinatorics_suite(tmp_path):
@@ -77,6 +79,39 @@ def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
     blob = json.loads(path.read_text())
     assert blob["checks"][-1]["name"] == f"{suite}-error"
     assert blob["summary"]["failed"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "nmatrix", "--z", "abc"],
+    ["--command", "parseval", "--lambda0", "x"],
+    ["--command", "parseval", "--lambda0", "1.5,1.5,9"],
+], ids=("z", "lambda0", "lambda0-three-values"))
+def test_bad_flag_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[2]}: " in capsys.readouterr().err
+
+
+def test_lambda0_single_value_is_the_diagonal():
+    args = build_parser().parse_args(["--lambda0", "1.7"])
+    assert config_from_args(args).lambda0 == (1.7, 1.7)
+
+
+def test_csv_changes_no_check(tmp_path, monkeypatch):
+    # a short convergence study: this test is about what the report holds
+    monkeypatch.setattr(
+        cli, "maass_selberg_convergence_study",
+        lambda s1, s2, T: maass_selberg_convergence_study(
+            s1, s2, T, bounds=(25,), quad_tol=1e-3))
+    argv = ["--command", "maass-selberg"]
+    path = tmp_path / "ms.csv"
+    plain = run(config_from_args(build_parser().parse_args(argv)))
+    with_csv = run(config_from_args(build_parser().parse_args(
+        argv + ["--csv", str(path)])))
+    assert [r.name for r in with_csv.records] == \
+        [r.name for r in plain.records]
+    assert path.exists() and (tmp_path / "ms.csv.study.csv").exists()
 
 
 def test_nmatrix_suite_csv(tmp_path):

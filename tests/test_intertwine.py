@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from eisenspec import intertwine
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.gl3 import named_weyl
 from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
                                   su3_local_factor, unitarity_check)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import completed_L, ratio_L
+from eisenspec.zeta import DEFAULT_CONFIG, completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -118,6 +119,61 @@ def test_m_on_grid_plane_is_conjugation_symmetric():
                        GL3.weight((1, 0)), x, GL3.weight((0, 1)), x):
         m = np.broadcast_to(m, (x.size, x.size))
         assert np.array_equal(m[::-1, ::-1], np.conj(m))
+
+
+def _cloud(rng, size):
+    """A cloud of GL(3) weights in the cocycle range, and its points."""
+    c = rng.uniform(1.1, 2.0, (2, size)) + 1j * rng.uniform(-1, 1, (2, size))
+    points = [GL3.weight((complex(c[0, k]), complex(c[1, k])))
+              for k in range(size)]
+    return GL3.weight((c[0], c[1])), points
+
+
+def test_cloud_matches_pointwise_calls():
+    rng = np.random.default_rng(5)
+    cloud, points = _cloud(rng, 5)
+    W = list(named_weyl().values())
+    size = {}
+    for w, m in zip(W, m_on_grid(W, cloud)):
+        want = np.array([m_scalar(w, p) for p in points])
+        assert np.max(np.abs(m - want) / np.abs(want)) <= 1e-14
+        size[w] = np.max(np.abs(want))
+    # a cocycle residual is round-off of m(st, .), so it moves with |m|
+    for s in W:
+        for t in W:
+            want = max(cocycle_check(s, t, p) for p in points)
+            assert abs(cocycle_check(s, t, cloud) - want) <= 1e-14 * size[s * t]
+    ys = rng.uniform(-4.0, 4.0, size=(50, 2))
+    for w in W:
+        want = max(unitarity_check(w, y) for y in ys)
+        assert abs(unitarity_check(w, ys) - want) <= 1e-14
+
+
+def test_one_ratio_call_per_point_evaluation(monkeypatch):
+    shapes = []
+
+    def counting(z, config=DEFAULT_CONFIG, plus=None):
+        shapes.append(np.shape(z))
+        return ratio_L(z, config, plus)
+
+    monkeypatch.setattr(intertwine, "ratio_L", counting)
+    W = list(named_weyl().values())
+    lam = GL3.weight((1.4 + 0.3j, 1.7 - 0.2j))
+    for w in W:
+        shapes.clear()
+        m_scalar(w, lam)
+        assert shapes == ([] if w.length() == 0 else [(w.length(),)])
+    ys = np.random.default_rng(6).uniform(-4.0, 4.0, size=(50, 2))
+    for w in W[1:]:
+        shapes.clear()
+        unitarity_check(w, ys)
+        assert shapes == [(w.length(), 50)]
+    cloud, _ = _cloud(np.random.default_rng(7), 5)
+    for s in W:
+        for t in W:
+            shapes.clear()
+            cocycle_check(s, t, cloud)
+            assert len(shapes) <= 2
 
 
 def test_su3_factor_value():

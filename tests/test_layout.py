@@ -9,6 +9,9 @@ DEFAULT_CONFIG, so none of them takes or imports a config.
 
 The CLI is the only module that writes files: no other module imports csv
 or calls open.
+
+The Weyl action lives in roots: WeylElement.act_coords acts on coordinates,
+and no other module rebuilds it from the images of the fundamental weights.
 """
 
 import ast
@@ -57,6 +60,13 @@ def test_evaluator_config_stays_in_zeta():
     assert hits == []
 
 
+def _called_name(node: ast.Call) -> str | None:
+    """The name a call is made through: f(...) or obj.f(...) give f."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(
+        func, "attr", None)
+
+
 def test_only_the_cli_writes_files():
     hits = []
     for path in sorted(SRC.glob("*.py")):
@@ -66,10 +76,21 @@ def test_only_the_cli_writes_files():
             if isinstance(node, ast.Import):
                 hits += [f"{path.name}:{node.lineno} imports csv"
                          for alias in node.names if alias.name == "csv"]
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(
-                    func, "attr", None)
-                if name == "open":
-                    hits.append(f"{path.name}:{node.lineno} calls open")
+            elif isinstance(node, ast.Call) and _called_name(node) == "open":
+                hits.append(f"{path.name}:{node.lineno} calls open")
+    assert hits == []
+
+
+def test_weyl_action_lives_in_roots():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "roots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and _called_name(node) == "act"
+                    and any(isinstance(arg, ast.Call)
+                            and _called_name(arg) == "fundamental_weight"
+                            for arg in node.args)):
+                hits.append(f"{path.name}:{node.lineno} acts on a "
+                            "fundamental weight")
     assert hits == []

@@ -2,14 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisenspec.roots import (RHO_CHECK, RootDatum, WeylElement,
-                             association_classes, inversion_set, pairing,
-                             tau_hat, transporters, truncation_terms,
-                             weyl_act)
+                             association_classes, tau_hat, transporters,
+                             truncation_terms)
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -24,9 +24,9 @@ def _named_gl3():
 
 def test_rho_pairings():
     rho = GL3.rho()
-    assert pairing(rho, 1) == 1
-    assert pairing(rho, 2) == 1
-    assert pairing(rho, RHO_CHECK) == 2
+    assert rho.pairing(1) == 1
+    assert rho.pairing(2) == 1
+    assert rho.pairing(RHO_CHECK) == 2
 
 
 def test_rho_norm():
@@ -37,8 +37,8 @@ def test_rho_norm():
 def test_delta_cross_pairings():
     d1 = GL3.weight((1, Fraction(-1, 2)))
     d2 = GL3.weight((Fraction(-1, 2), 1))
-    assert pairing(d1, 2) == Fraction(-1, 2)
-    assert pairing(d2, 1) == Fraction(-1, 2)
+    assert d1.pairing(2) == Fraction(-1, 2)
+    assert d2.pairing(1) == Fraction(-1, 2)
 
 
 def test_gram_is_inverse_cartan():
@@ -55,7 +55,7 @@ def test_cartan_shape():
 
 def test_weyl_act_identity():
     rho = GL3.rho()
-    assert weyl_act(GL3.identity(), rho).coeffs == rho.coeffs
+    assert GL3.identity().act(rho).coeffs == rho.coeffs
 
 
 def test_weyl_act_paper_images():
@@ -68,22 +68,40 @@ def test_weyl_act_paper_images():
     assert named["r1"].act(w2).coeffs == (-1, 0)   # r1(w2) = -w1
 
 
+def test_act_coords_on_arrays_is_pointwise_act():
+    # the action on a cloud of weights is the action on each of its points,
+    # bit for bit, also for coordinate arrays that only broadcast together
+    rng = np.random.default_rng(3)
+    for datum, shapes in ((GL3, [(4, 1), (1, 5)]),
+                          (RootDatum(4), [(6,), (6,), (1,)])):
+        coords = [rng.uniform(-2, 2, sh) + 1j * rng.uniform(-2, 2, sh)
+                  for sh in shapes]
+        grid = np.broadcast_arrays(*coords)
+        for w in datum.weyl_group():
+            got = np.broadcast_arrays(*w.act_coords(*coords))
+            for k in np.ndindex(grid[0].shape):
+                lam = datum.weight(tuple(complex(c[k]) for c in grid))
+                want = np.array(w.act(lam).coeffs, dtype=np.complex128)
+                have = np.array([g[k] for g in got])
+                assert have.tobytes() == want.tobytes()
+
+
 def test_inversion_sets_brute_force():
     # independent oracle: count pairs i < j with w(i) > w(j)
     for w in GL3.weyl_group():
         oracle = {(i, j) for i in (1, 2) for j in range(i + 1, 4)
                   if w(i) > w(j)}
-        assert inversion_set(w) == oracle
+        assert w.inversions() == oracle
     named = _named_gl3()
-    assert inversion_set(named["e"]) == frozenset()
-    assert inversion_set(named["s1"]) == {(1, 2)}
-    assert inversion_set(named["s3"]) == {(1, 2), (2, 3), (1, 3)}
+    assert named["e"].inversions() == frozenset()
+    assert named["s1"].inversions() == {(1, 2)}
+    assert named["s3"].inversions() == {(1, 2), (2, 3), (1, 3)}
 
 
 def test_inversion_set_matches_length():
     for n in (2, 3, 4):
         for w in RootDatum(n).weyl_group():
-            assert len(inversion_set(w)) == w.length()
+            assert len(w.inversions()) == w.length()
 
 
 def test_transporters_gl3():
