@@ -7,19 +7,19 @@ from .errors import DomainError, NonConvergence, PoleProximity
 from .roots import (RHO_CHECK, AssociationClass, RootDatum, StandardParabolic,
                     Weight, WeylElement, association_classes, tau_hat,
                     transporters, truncation_terms)
-from .zeta import (DEFAULT_CONFIG, EvaluatorConfig, completed_L, gamma_fn,
-                   local_L, ratio_L, residue_at, zeta)
+from .zeta import (completed_L, gamma_fn, local_L, ratio_L, residue_at,
+                   zeta)
 from .intertwine import (cocycle_check, m_scalar, su3_local_factor,
                          unitarity_check)
 from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,
                   line_direction, multiplicativity_residual, n_entry,
                   n_matrix, rank_one_residual, sigma, symmetry_residual,
                   transverse_residue, volume_constant, volume_factors)
-from .truncation import (EisensteinParams, QuadratureResult, QuadratureSpec,
-                         TruncationParam, UpperHalfPoint, constant_term,
-                         eisenstein, eisenstein_tail_bound, eisenstein_theta,
+from .truncation import (QuadratureResult, QuadratureSpec, TruncationParam,
+                         constant_term, eisenstein_direct,
+                         eisenstein_tail_bound, eisenstein_theta,
                          inner_product_fd, maass_selberg_convergence_study,
-                         maass_selberg_record, omega_rank1, truncate,
+                         maass_selberg_record, omega_rank1,
                          truncated_eisenstein, truncated_eisenstein_direct)
 from .parseval import (ContourSpec, PaleyWienerGaussian, SpectralReport,
                        contribution_A, contribution_B, contribution_C,

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,25 @@ class RunConfig:
         return int(digits)
 
 
+def enc(v):
+    """The JSON form of a value: complex as [re, im], numpy scalars as float,
+    and lists and tuples element by element."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, (np.floating, np.integer)):
+        return float(v)
+    if isinstance(v, (list, tuple)):
+        return [enc(x) for x in v]
+    return v
+
+
+def spectral_json(rep: pv.SpectralReport) -> str:
+    """The .spectral file: every field of the report, encoded by enc."""
+    return json.dumps({"schema": "eisenspec.spectral_report/1",
+                       **{k: enc(v) for k, v in asdict(rep).items()}},
+                      indent=2, sort_keys=True)
+
+
 @dataclass
 class CheckRecord:
     name: str
@@ -123,14 +142,6 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            return v
         return {
             "schema": "eisenspec.verification_report/2",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -499,7 +510,7 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
 
     if cfg.json_path:
         with open(cfg.json_path + ".spectral", "w") as fh:
-            fh.write(rep.to_json())
+            fh.write(spectral_json(rep))
 
 
 SUITES = {

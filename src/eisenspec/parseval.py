@@ -34,9 +34,8 @@ the contour shift legitimate.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -393,15 +392,6 @@ class SpectralReport:
     residual_abs: float
     residual_rel: float
     config: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        """The fields, with each complex value encoded as [re, im]."""
-        fields = {k: [v.real, v.imag] if isinstance(v, complex) else v
-                  for k, v in asdict(self).items()}
-        return {"schema": "eisenspec.spectral_report/1", **fields}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def parseval_check_gl3(phi: PaleyWienerGaussian,

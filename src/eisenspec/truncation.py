@@ -11,14 +11,16 @@ rapidly decreasing function on the fundamental domain
 
     D = { |Re z| <= 1/2, |z| >= 1 }.
 
-Two evaluators are provided:
+Two evaluators are provided, both vectorized over arrays x, y:
 
-* a direct coprime-pair sum with a certified integral-comparison tail bound
-  (the literal definition; its tail decays only like B^(2-2s), so it is the
+* eisenstein_direct, the direct coprime-pair sum, with the certified
+  integral-comparison bound eisenstein_tail_bound on what it drops (the
+  literal definition; its tail decays only like B^(2-2s), so it is the
   cross-check oracle, not the production path near s = 1);
-* an exponentially convergent incomplete-gamma representation for real s,
-  obtained from the theta integral of the associated unimodular lattice sum:
-  with Q(m,n) = |m z + n|^2 / y (determinant one),
+* eisenstein_theta, an exponentially convergent incomplete-gamma
+  representation for real s, obtained from the theta integral of the
+  associated unimodular lattice sum: with Q(m,n) = |m z + n|^2 / y
+  (determinant one),
 
       pi^(-s) Gamma(s) zeta(2s) E(z,s) = 1/(2(s-1)) - 1/(2s)
         + (1/2) sum_{(m,n) != 0} [ (pi Q)^(-s) Gamma(s, pi Q)
@@ -26,9 +28,10 @@ Two evaluators are provided:
 
   every term decaying like exp(-pi Q).
 
-The truncated inner product over D with the hyperbolic measure dx dy / y^2
-is computed by adaptive tensor Gauss-Legendre panels and compared against
-the closed rank-one formula omega_rank1, which is the Maass-Selberg check.
+Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y).  The truncated
+inner product over D with the hyperbolic measure dx dy / y^2 is computed by
+adaptive tensor Gauss-Legendre panels and compared against the closed
+rank-one formula omega_rank1, which is the Maass-Selberg check.
 """
 
 from __future__ import annotations
@@ -41,19 +44,16 @@ import numpy as np
 from scipy.special import gammaincc, exp1
 
 from .errors import DomainError, NonConvergence, PoleProximity
-from .zeta import DEFAULT_CONFIG, ratio_L, zeta
+from .zeta import POLE_EXCLUSION_RADIUS, ratio_L, zeta
 
 __all__ = [
-    "UpperHalfPoint",
-    "EisensteinParams",
     "TruncationParam",
     "QuadratureSpec",
     "QuadratureResult",
-    "eisenstein",
+    "eisenstein_direct",
     "eisenstein_tail_bound",
     "eisenstein_theta",
     "constant_term",
-    "truncate",
     "truncated_eisenstein",
     "truncated_eisenstein_direct",
     "inner_product_fd",
@@ -66,70 +66,8 @@ __all__ = [
 # below 1e-30 of scale; evaluators return exactly 0 beyond it.
 DECAY_CUTOFF = 12.0
 
-# Translate-and-invert steps UpperHalfPoint.reduce takes before giving up.
-_REDUCE_STEPS = 200
-
-
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A point x + i y of the upper half plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise DomainError(f"UpperHalfPoint needs y > 0, got {self.y}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    def in_fundamental_domain(self) -> bool:
-        """Membership of D, with a slack of 1e-12 on each boundary."""
-        return (abs(self.x) <= 0.5 + 1e-12
-                and self.x * self.x + self.y * self.y >= 1.0 - 1e-12)
-
-    def reduce(self) -> "UpperHalfPoint":
-        """Translate/invert into D; NonConvergence after 200 steps."""
-        x, y = self.x, self.y
-        for _ in range(_REDUCE_STEPS):
-            x = x - round(x)
-            r2 = x * x + y * y
-            if r2 >= 1.0 - 1e-15:
-                return UpperHalfPoint(x, y)
-            x, y = -x / r2, y / r2
-        raise NonConvergence(
-            "fundamental-domain reduction did not terminate",
-            diagnostics={"start": (self.x, self.y), "last": (x, y),
-                         "iterations": _REDUCE_STEPS})
-
-
-@dataclass(frozen=True)
-class EisensteinParams:
-    """Spectral parameter plus direct-sum truncation control."""
-
-    s: complex
-    lattice_bound: int = 400
-    tail_tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if complex(self.s).real <= 1.0:
-            raise DomainError(
-                f"direct Eisenstein summation needs Re(s) > 1, got {self.s}")
-        if self.lattice_bound < 3:
-            raise DomainError("lattice_bound must be at least 3")
-
-    @classmethod
-    def for_tolerance(cls, s: complex, tol: float,
-                      y_max: float = 2.0) -> "EisensteinParams":
-        """Pick the smallest lattice bound, at most 4000, whose certified
-        tail is <= tol, with the form's smallest eigenvalue taken as 0.4."""
-        sigma = complex(s).real
-        for b in (50, 100, 200, 400, 800, 1600, 3200):
-            if _tail_bound_raw(sigma, y_max, 0.4, b) <= tol:
-                return cls(s, b, tol)
-        return cls(s, 4000, tol)
+# Panel budget of inner_product_fd, past which it raises NonConvergence.
+_MAX_PANELS = 3000
 
 
 @dataclass(frozen=True)
@@ -147,37 +85,59 @@ class TruncationParam:
         return math.exp(self.T)
 
 
-def _kappa(x: float, y: float) -> float:
+def _kappa(x, y):
     """Smallest eigenvalue of the form (c,d) -> |c z + d|^2 (for tail bounds)."""
     r2 = x * x + y * y
-    return 0.5 * ((r2 + 1.0) - math.sqrt((r2 - 1.0) ** 2 + 4.0 * x * x))
+    return 0.5 * ((r2 + 1.0) - np.sqrt((r2 - 1.0) ** 2 + 4.0 * x * x))
 
 
-def _tail_bound_raw(sigma: float, y: float, kappa: float, bound: int) -> float:
+def _tail_bound_raw(sigma: float, y, kappa, bound: int):
     """Integral-comparison bound on the dropped coprime-pair terms."""
-    if bound < 3:
-        return math.inf
     b = bound - math.sqrt(2.0)
     geom = 2.0 * math.pi * (1.0 + math.sqrt(2.0) / (2.0 * b))
     return (y ** sigma) * kappa ** (-sigma) * geom * b ** (2.0 - 2.0 * sigma) \
         / (2.0 * sigma - 2.0)
 
 
-def eisenstein_tail_bound(z: UpperHalfPoint, params: EisensteinParams) -> float:
-    """Certified bound on the truncation error of the direct sum at z."""
-    sigma = complex(params.s).real
-    return _tail_bound_raw(sigma, z.y, _kappa(z.x, z.y), params.lattice_bound)
+def _direct_points(x, y, s, bound: int):
+    """Check the direct sum's domain; the points broadcast and flattened,
+    with their shape."""
+    if complex(s).real <= 1.0:
+        raise DomainError(
+            f"direct Eisenstein summation needs Re(s) > 1, got {s}")
+    if bound < 3:
+        raise DomainError(f"lattice bound must be at least 3, got {bound}")
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    return xa.shape, xa.ravel(), ya.ravel()
 
 
-def eisenstein(z: UpperHalfPoint, params: EisensteinParams) -> complex:
-    """Direct coprime-pair sum truncated at max(|c|, |d|) <= lattice_bound.
+def eisenstein_direct(x, y, s, bound: int):
+    """Direct coprime-pair sum truncated at max(|c|, |d|) <= bound.
 
-    Convention: pairs are taken modulo the unit -1 by requiring c >= 0, with
-    (0, 1) contributing y^s.
+    Vectorized over arrays x, y of one broadcast shape.  Convention: pairs
+    are taken modulo the unit -1 by requiring c >= 0, with (0, 1)
+    contributing y^s.
     """
-    return complex(_eisenstein_direct_array(
-        np.array([z.x]), np.array([z.y]), complex(params.s),
-        params.lattice_bound)[0])
+    shape, xs, ys = _direct_points(x, y, s, bound)
+    d = np.arange(-bound, bound + 1, dtype=np.int64)
+    total = ys ** s
+    for c in range(1, bound + 1):
+        dd = d[np.gcd(np.int64(c), d) == 1].astype(np.float64)
+        q = (c * xs[:, None] + dd[None, :]) ** 2 + (c * ys[:, None]) ** 2
+        total = total + ys ** s * (q ** (-s)).sum(axis=1)
+    return total.reshape(shape)
+
+
+def eisenstein_tail_bound(x, y, s, bound: int):
+    """Certified bound on what eisenstein_direct drops at the points (x, y).
+
+    The points are flattened first, so numpy takes its array power for one
+    point as for many, and a point's bound does not depend on its batch.
+    """
+    shape, xs, ys = _direct_points(x, y, s, bound)
+    return _tail_bound_raw(complex(s).real, ys, _kappa(xs, ys),
+                           bound).reshape(shape)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -244,29 +204,13 @@ def eisenstein_theta(x, y, s: float):
 def constant_term(y, s):
     """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s)."""
     s = complex(s)
-    if abs(s - 1.0) < DEFAULT_CONFIG.pole_exclusion_radius:
+    if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
         raise PoleProximity("constant_term: c(s) has a pole at s = 1",
                             point=s, pole=1.0)
     c = complex(ratio_L(2.0 * s - 1.0))
     ya = np.asarray(y, dtype=np.float64)
     out = np.exp(s * np.log(ya)) + c * np.exp((1.0 - s) * np.log(ya))
     return complex(out[()]) if out.ndim == 0 else out
-
-
-def truncate(z: UpperHalfPoint, s, trunc: TruncationParam) -> complex:
-    """Truncated series at a reduced point: E below y0, E minus the constant
-    term above.  Real s uses the exponentially convergent evaluator; complex
-    s falls back to the direct sum at the default EisensteinParams(s)."""
-    if not z.in_fundamental_domain():
-        raise DomainError(f"truncate expects a reduced point, got {z.z}")
-    sc = complex(s)
-    if sc.imag == 0.0:
-        val = complex(eisenstein_theta(z.x, z.y, sc.real))
-    else:
-        val = eisenstein(z, EisensteinParams(s))
-    if z.y > trunc.y0:
-        val -= complex(np.asarray(constant_term(z.y, s)))
-    return val
 
 
 def _truncated_factory(s: float, trunc: TruncationParam,
@@ -303,18 +247,6 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
         s, trunc, lambda x, y: eisenstein_theta(x, y, float(s)))
 
 
-def _eisenstein_direct_array(x: np.ndarray, y: np.ndarray, s: complex,
-                             bound: int) -> np.ndarray:
-    """Direct coprime sum, vectorized over 1-d point arrays."""
-    d = np.arange(-bound, bound + 1, dtype=np.int64)
-    total = y ** s
-    for c in range(1, bound + 1):
-        dd = d[np.gcd(np.int64(c), d) == 1].astype(np.float64)
-        q = (c * x[:, None] + dd[None, :]) ** 2 + (c * y[:, None]) ** 2
-        total = total + y ** s * (q ** (-s)).sum(axis=1)
-    return total
-
-
 def truncated_eisenstein_direct(s: float, trunc: TruncationParam,
                                 bound: int) -> Callable:
     """Truncated-series evaluator backed by the direct lattice sum.
@@ -323,7 +255,7 @@ def truncated_eisenstein_direct(s: float, trunc: TruncationParam,
     bound^(2-2s), far too slowly for tight work near s = 1.
     """
     return _truncated_factory(
-        s, trunc, lambda x, y: _eisenstein_direct_array(x, y, float(s), bound))
+        s, trunc, lambda x, y: eisenstein_direct(x, y, float(s), bound))
 
 
 @dataclass(frozen=True)
@@ -331,7 +263,6 @@ class QuadratureSpec:
     """Controls for the adaptive fundamental-domain quadrature."""
 
     tol: float = 1e-8
-    max_panels: int = 2000
     base_order: int = 10
     y_split: float = 2.0
 
@@ -419,7 +350,7 @@ def inner_product_fd(f: Callable, g: Callable,
         total_err = sum(p[0] for p in panels)
         if total_err <= quad.tol:
             break
-        if len(panels) >= quad.max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise NonConvergence(
                 "inner_product_fd: panel budget exhausted",
                 diagnostics={"panels": len(panels), "error": total_err,
@@ -443,11 +374,14 @@ def _c_function(s: float) -> complex:
     return complex(ratio_L(2.0 * s - 1.0))
 
 
-def _c_derivative(s: float) -> complex:
-    """c'(s) by a central difference of step h = 1e-4."""
-    h = 1e-4
-    return (complex(ratio_L(2.0 * (s + h) - 1.0))
-            - complex(ratio_L(2.0 * (s - h) - 1.0))) / (2.0 * h)
+def _c_derivative(s: float) -> float:
+    """c'(s) by the complex step Im c(s + ih) / h, h = 1e-30.
+
+    c is real on the real axis, so no difference cancels and the result is
+    exact to round-off (Squire & Trapp, SIAM Rev. 40, 1998).
+    """
+    h = 1e-30
+    return complex(ratio_L(2.0 * complex(s, h) - 1.0)).imag / h
 
 
 def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
@@ -497,7 +431,7 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc)
     f2 = truncated_eisenstein(s2, trunc)
-    spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, max_panels=3000)
+    spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0)
     # tail_bound: the exp(-38) lattice cutoff of the theta form.
     return _maass_selberg_row(s1, s2, T, inner_product_fd(f1, f2, spec),
                               omega_rank1(s1, s2, trunc), 1e-15)

@@ -34,20 +34,21 @@ Evaluation strategy:
   are reserved for test oracles.
 
 All evaluators accept scalars or numpy arrays and are conjugation
-equivariant: f(conj s) = conj(f(s)) to machine precision.
+equivariant: f(conj s) = conj(f(s)) to machine precision.  They take no
+configuration: the Euler-Maclaurin length, the Bernoulli order and the pole
+exclusion radius are module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .errors import NonConvergence, PoleProximity
 
 __all__ = [
-    "EvaluatorConfig",
-    "DEFAULT_CONFIG",
+    "POLE_EXCLUSION_RADIUS",
     "zeta",
     "gamma_fn",
     "completed_L",
@@ -59,22 +60,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvaluatorConfig:
-    """Tuning knobs for the Euler-Maclaurin / quadrature machinery.
-
-    The defaults keep |error| <= 1e-12 on the validated rectangle
-    Re(s) in [-6, 6], |Im(s)| <= 60, staying pole_exclusion_radius away from
-    the poles.  The config belongs to this module alone: every layer above
-    it evaluates at DEFAULT_CONFIG.
-    """
-
-    euler_maclaurin_terms: int = 48
-    bernoulli_order: int = 14
-    pole_exclusion_radius: float = 1e-6
-
-
-DEFAULT_CONFIG = EvaluatorConfig()
+# Euler-Maclaurin controls: at least 48 terms of the partial sum (more for
+# large |Im s|) and a Bernoulli tail of order 14.  With them |error| <= 1e-12
+# on the validated rectangle Re(s) in [-6, 6], |Im(s)| <= 60, staying
+# POLE_EXCLUSION_RADIUS away from the poles.
+_EM_TERMS = 48
+_BERNOULLI_ORDER = 14
+POLE_EXCLUSION_RADIUS = 1e-6
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -96,7 +88,7 @@ _LANCZOS_COEF = np.array([
     0.36899182659531622704e-5,
 ])
 
-# B_{2k}/(2k)! for k = 1..16; enough for bernoulli_order <= 16.
+# B_{2k}/(2k)! for k = 1..16; enough for _BERNOULLI_ORDER <= 16.
 _B2K_OVER_FACT = np.array([
     8.3333333333333333e-02, -1.3888888888888889e-03, 3.3068783068783069e-05,
     -8.2671957671957672e-07, 2.0876756987868099e-08, -5.2841901386874932e-10,
@@ -141,7 +133,7 @@ def _outer_sum(s, plus):
     return z if plus is None else np.add.outer(z, _as_complex_array(plus))
 
 
-def _zeta_em_core(a, config: EvaluatorConfig, b=None):
+def _zeta_em_core(a, b=None):
     """Euler-Maclaurin zeta, valid for Re(s) >= -1 (s != 1).
 
     Evaluated at the points of the 1-D array a, or with b (1-D) on the grid
@@ -149,8 +141,7 @@ def _zeta_em_core(a, config: EvaluatorConfig, b=None):
     """
     z = a if b is None else np.add.outer(a, b)
     tmax = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    n_terms = max(config.euler_maclaurin_terms, int(0.6 * tmax) + 24)
-    kmax = config.bernoulli_order
+    n_terms = max(_EM_TERMS, int(0.6 * tmax) + 24)
 
     n = np.arange(1, n_terms, dtype=np.float64)
     logn = np.log(n)
@@ -170,27 +161,27 @@ def _zeta_em_core(a, config: EvaluatorConfig, b=None):
     poch = z.copy()  # rising factorial of length 2k-1, k = 1 gives s
     npow = np.exp(-(z + 1.0) * logN)
     corr = np.zeros_like(z)
-    for k in range(1, kmax + 1):
+    for k in range(1, _BERNOULLI_ORDER + 1):
         corr = corr + _B2K_OVER_FACT[k - 1] * poch * npow
         poch = poch * (z + (2 * k - 1)) * (z + (2 * k))
         npow = npow / (N * N)
     return acc + corr
 
 
-def _zeta_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
+def _zeta_raw(s, plus=None):
     z = _outer_sum(s, plus)
     scalar = z.ndim == 0
     direct = z.real >= -1.0
     if plus is not None and np.all(direct):
         a = np.ravel(_as_complex_array(s))
         b = np.ravel(_as_complex_array(plus))
-        return _zeta_em_core(a, config, b).reshape(z.shape)
+        return _zeta_em_core(a, b).reshape(z.shape)
 
     z = np.atleast_1d(z)
     direct = np.atleast_1d(direct)
     out = np.empty_like(z)
     if np.any(direct):
-        out[direct] = _zeta_em_core(z[direct], config)
+        out[direct] = _zeta_em_core(z[direct])
     if np.any(~direct):
         # zeta(s) = pi^(s-3/2) Gamma((1-s)/2) Gamma(1-s/2) sin(pi s/2) zeta(1-s)
         w = z[~direct]
@@ -198,15 +189,15 @@ def _zeta_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
                 * _gamma_raw((1.0 - w) / 2.0)
                 * _gamma_raw(1.0 - w / 2.0)
                 * np.sin(np.pi * w / 2.0)
-                * _zeta_em_core(1.0 - w, config))
+                * _zeta_em_core(1.0 - w))
         out[~direct] = refl
     return out[0] if scalar else out
 
 
-def _completed_L_raw(s, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
+def _completed_L_raw(s, plus=None):
     z = _outer_sum(s, plus)
     return (np.power(np.pi + 0j, -z / 2.0) * _gamma_raw(z / 2.0)
-            * _zeta_raw(s, config, plus))
+            * _zeta_raw(s, plus))
 
 
 def _check_pole(s, poles, radius, what: str):
@@ -220,15 +211,15 @@ def _check_pole(s, poles, radius, what: str):
                 point=bad, pole=p)
 
 
-def zeta(s, config: EvaluatorConfig = DEFAULT_CONFIG):
+def zeta(s):
     """Riemann zeta on the validated rectangle (pole at s = 1 excluded)."""
-    _check_pole(s, (1.0,), config.pole_exclusion_radius, "zeta")
-    return _zeta_raw(s, config)
+    _check_pole(s, (1.0,), POLE_EXCLUSION_RADIUS, "zeta")
+    return _zeta_raw(s)
 
 
 def gamma_fn(s):
     """Gamma function; raises PoleProximity at non-positive integers."""
-    radius = DEFAULT_CONFIG.pole_exclusion_radius
+    radius = POLE_EXCLUSION_RADIUS
     z = np.atleast_1d(_as_complex_array(s))
     near = z[np.abs(z.imag) < radius]
     if near.size:
@@ -243,10 +234,10 @@ def gamma_fn(s):
     return _gamma_raw(s)
 
 
-def completed_L(s, config: EvaluatorConfig = DEFAULT_CONFIG):
+def completed_L(s):
     """Completed zeta L(s) = pi^(-s/2) Gamma(s/2) zeta(s); poles at 0 and 1."""
-    _check_pole(s, (0.0, 1.0), config.pole_exclusion_radius, "completed_L")
-    return _completed_L_raw(s, config)
+    _check_pole(s, (0.0, 1.0), POLE_EXCLUSION_RADIUS, "completed_L")
+    return _completed_L_raw(s)
 
 
 def local_L(p: int, s):
@@ -258,30 +249,25 @@ def local_L(p: int, s):
     return 1.0 / den
 
 
-_LAURENT_C0_CACHE: dict[EvaluatorConfig, complex] = {}
-
-
 def circle_nodes(radius: float, nodes: int) -> np.ndarray:
     """The offsets u = radius * exp(2 pi i k / nodes) of a trapezoid circle."""
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     return radius * np.exp(1j * theta)
 
 
-def _laurent_c0(config: EvaluatorConfig = DEFAULT_CONFIG) -> complex:
+@functools.cache
+def _laurent_c0() -> complex:
     """Constant Laurent coefficient of L at s = 1 (L(s) = 1/(s-1) + c0 + ...).
 
     c0 = (1/2pi i) oint L(s)/(s-1) ds on |s-1| = 1/2, which the trapezoid
-    rule turns into a plain mean of L(1+u) over the circle nodes.  Cached
-    per config, since L itself depends on it.
+    rule turns into a plain mean of L(1+u) over the circle nodes.  Computed
+    once and cached.
     """
-    if config not in _LAURENT_C0_CACHE:
-        u = circle_nodes(0.5, 256)
-        _LAURENT_C0_CACHE[config] = complex(
-            np.mean(_completed_L_raw(1.0 + u, config)))
-    return _LAURENT_C0_CACHE[config]
+    u = circle_nodes(0.5, 256)
+    return complex(np.mean(_completed_L_raw(1.0 + u)))
 
 
-def ratio_L(z, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
+def ratio_L(z, plus=None):
     """L(z)/L(1+z) with the removable singularity at z = 0 filled.
 
     The genuine pole sits at z = 1 (numerator pole); near z = 0 both L
@@ -291,11 +277,11 @@ def ratio_L(z, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
     through the separable kernel.
     """
     arr = _outer_sum(z, plus)
-    _check_pole(arr, (1.0,), config.pole_exclusion_radius, "ratio_L")
-    tiny = np.abs(arr) < config.pole_exclusion_radius
+    _check_pole(arr, (1.0,), POLE_EXCLUSION_RADIUS, "ratio_L")
+    tiny = np.abs(arr) < POLE_EXCLUSION_RADIUS
     if not np.any(tiny):
-        return (_completed_L_raw(z, config, plus)
-                / _completed_L_raw(1.0 + _as_complex_array(z), config, plus))
+        return (_completed_L_raw(z, plus)
+                / _completed_L_raw(1.0 + _as_complex_array(z), plus))
 
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -303,9 +289,9 @@ def ratio_L(z, config: EvaluatorConfig = DEFAULT_CONFIG, plus=None):
     out = np.empty_like(arr)
     if np.any(~tiny):
         w = arr[~tiny]
-        out[~tiny] = _completed_L_raw(w, config) / _completed_L_raw(1.0 + w, config)
+        out[~tiny] = _completed_L_raw(w) / _completed_L_raw(1.0 + w)
     # ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1
-    a0 = _laurent_c0(config)
+    a0 = _laurent_c0()
     out[tiny] = -1.0 + 2.0 * a0 * arr[tiny]
     return out[0] if scalar else out
 

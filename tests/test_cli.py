@@ -11,6 +11,7 @@ from eisenspec import cli
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
+from eisenspec.parseval import SpectralReport
 from eisenspec.truncation import maass_selberg_convergence_study
 
 
@@ -152,6 +153,19 @@ def test_parser_tolerance_flags():
     cfg = config_from_args(args)
     assert cfg.tolerances["functional-equation"] == 1e-9
     assert cfg.lambda0 == (1.4, 1.6)
+
+
+def test_spectral_json_round_trip():
+    # complex values as [re, im]; built by hand, so no quadrature runs
+    rep = SpectralReport(
+        group="gl3", shifted=1.5 + 2e-14j, shifted_alt=1.5 - 1e-14j,
+        A_direct=1.2 + 0j, A_symmetric=1.2 + 0j, B_direct=0.2 + 0j,
+        B_factored=0.2 + 0j, C=0.1 + 0j, kappa_B=1.0, kappa_C=1.0,
+        residual_abs=3e-14, residual_rel=2e-14, config={"lam0": [1.5, 1.5]})
+    blob = json.loads(cli.spectral_json(rep))
+    assert blob["schema"] == "eisenspec.spectral_report/1"
+    assert isinstance(blob["shifted"], list) and len(blob["shifted"]) == 2
+    assert blob["residual_rel"] <= 1e-4
 
 
 def test_cli_exit_code_zero():

@@ -9,7 +9,7 @@ from eisenspec.gl3 import named_weyl
 from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
                                   su3_local_factor, unitarity_check)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import DEFAULT_CONFIG, completed_L, ratio_L
+from eisenspec.zeta import completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -152,9 +152,9 @@ def test_cloud_matches_pointwise_calls():
 def test_one_ratio_call_per_point_evaluation(monkeypatch):
     shapes = []
 
-    def counting(z, config=DEFAULT_CONFIG, plus=None):
+    def counting(z, plus=None):
         shapes.append(np.shape(z))
-        return ratio_L(z, config, plus)
+        return ratio_L(z, plus)
 
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     W = list(named_weyl().values())

@@ -4,11 +4,13 @@ No module imports a private name from a sibling: a name with a leading
 underscore is internal to the module that defines it, and a sibling that
 needs it should call the public entry point instead.
 
-EvaluatorConfig belongs to zeta: the layers above it evaluate at
-DEFAULT_CONFIG, so none of them takes or imports a config.
+No evaluator takes a config: zeta's Euler-Maclaurin length, Bernoulli
+order and pole exclusion radius are module constants, and no function of
+zeta or of the layers above it takes or imports a config.
 
 The CLI is the only module that writes files: no other module imports csv
-or calls open.
+or calls open.  It is also the only one that decides the JSON format: no
+other module imports json.
 
 The Weyl action lives in roots: WeylElement.act_coords acts on coordinates,
 and no other module rebuilds it from the images of the fundamental weights.
@@ -43,9 +45,9 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert [hit for path in modules for hit in _private_imports(path)] == []
 
 
-def test_evaluator_config_stays_in_zeta():
+def test_no_evaluator_takes_a_config():
     hits = []
-    for name in ("intertwine", "gl3", "parseval", "truncation"):
+    for name in ("zeta", "intertwine", "gl3", "parseval", "truncation"):
         path = SRC / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -78,6 +80,18 @@ def test_only_the_cli_writes_files():
                          for alias in node.names if alias.name == "csv"]
             elif isinstance(node, ast.Call) and _called_name(node) == "open":
                 hits.append(f"{path.name}:{node.lineno} calls open")
+    assert hits == []
+
+
+def test_only_the_cli_writes_json():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                hits += [f"{path.name}:{node.lineno} imports json"
+                         for alias in node.names if alias.name == "json"]
     assert hits == []
 
 

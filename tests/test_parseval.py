@@ -1,6 +1,5 @@
 """Contour-shift Parseval identities for GL(2) and GL(3)."""
 
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 shifted_norm_gl2, shifted_norm_gl3,
                                 shifted_norm_gl3_terms)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import DEFAULT_CONFIG, completed_L, ratio_L
+from eisenspec.zeta import completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -129,9 +128,9 @@ def test_measure_constants_are_unity():
 def test_measure_constants_one_ratio_call_per_root(monkeypatch):
     calls = []
 
-    def counting(z, config=DEFAULT_CONFIG, plus=None):
+    def counting(z, plus=None):
         calls.append(plus is not None)
-        return ratio_L(z, config, plus)
+        return ratio_L(z, plus)
 
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     monkeypatch.setattr(parseval, "ratio_L", counting)
@@ -146,9 +145,9 @@ def test_measure_constants_one_ratio_call_per_root(monkeypatch):
 def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
     sizes = []
 
-    def counting(z, config=DEFAULT_CONFIG, plus=None):
+    def counting(z, plus=None):
         sizes.append(np.size(z) * (1 if plus is None else np.size(plus)))
-        return ratio_L(z, config, plus)
+        return ratio_L(z, plus)
 
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     monkeypatch.setattr(parseval, "ratio_L", counting)
@@ -171,11 +170,6 @@ def test_parseval_gl3_full_report():
     assert abs(rep.shifted_alt - rep.shifted) / abs(rep.shifted) <= 1e-6
     assert abs(rep.kappa_B - 1.0) <= 1e-8
     assert abs(rep.kappa_C - 1.0) <= 1e-8
-    # JSON round trip with complex values as [re, im]
-    blob = json.loads(rep.to_json())
-    assert blob["schema"] == "eisenspec.spectral_report/1"
-    assert isinstance(blob["shifted"], list) and len(blob["shifted"]) == 2
-    assert blob["residual_rel"] <= 1e-4
 
 
 def test_identity_term_isolation():

@@ -3,17 +3,17 @@ inner-product formula."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from eisenspec.errors import DomainError, PoleProximity
-from eisenspec.truncation import (EisensteinParams, QuadratureSpec,
-                                  TruncationParam, UpperHalfPoint,
-                                  constant_term, eisenstein,
-                                  eisenstein_tail_bound, eisenstein_theta,
-                                  inner_product_fd,
+from eisenspec.truncation import (QuadratureSpec, TruncationParam,
+                                  _c_derivative, constant_term,
+                                  eisenstein_direct, eisenstein_tail_bound,
+                                  eisenstein_theta, inner_product_fd,
                                   maass_selberg_convergence_study,
-                                  maass_selberg_record, omega_rank1, truncate,
+                                  maass_selberg_record, omega_rank1,
                                   truncated_eisenstein,
                                   truncated_eisenstein_direct)
 from eisenspec.zeta import ratio_L
@@ -21,69 +21,52 @@ from eisenspec.zeta import ratio_L
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
 
 
-def test_upper_half_point_validation():
-    with pytest.raises(DomainError):
-        UpperHalfPoint(0.0, -1.0)
-
-
-def test_reduction_into_fundamental_domain():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = UpperHalfPoint(rng.uniform(-8, 8), rng.uniform(0.05, 5.0))
-        r = z.reduce()
-        assert r.in_fundamental_domain()
-    assert UpperHalfPoint(0.3, 1.2).reduce().z == 0.3 + 1.2j
-
-
-def test_reduction_known_point():
-    # z = -1/(0.3 + 1.2i) reduces back to 0.3 + 1.2i
-    z0 = 0.3 + 1.2j
-    w = -1.0 / z0
-    r = UpperHalfPoint(w.real, w.imag).reduce()
-    assert r.z == pytest.approx(z0, abs=1e-14)
-
-
 def test_params_validation():
-    with pytest.raises(DomainError):
-        EisensteinParams(0.9)
+    for check in (eisenstein_direct, eisenstein_tail_bound):
+        with pytest.raises(DomainError):
+            check(0.0, 1.0, 0.9, 400)
+        with pytest.raises(DomainError):
+            check(0.0, 1.0, 1.5, 2)
     with pytest.raises(DomainError):
         TruncationParam(-0.5)
 
 
-def test_params_for_tolerance_certifies_bound():
-    params = EisensteinParams.for_tolerance(2.0, 1e-5, y_max=1.5)
-    z = UpperHalfPoint(0.0, 1.2)
-    assert eisenstein_tail_bound(z, params) <= 1e-5
-    # a tighter request picks a larger bound
-    tighter = EisensteinParams.for_tolerance(2.0, 1e-7, y_max=1.5)
-    assert tighter.lattice_bound > params.lattice_bound
-
-
 def test_direct_sum_matches_theta_within_tail():
-    z = UpperHalfPoint(0.0, 1.0)
-    params = EisensteinParams(2.0, 2000, 1e-6)
-    direct = eisenstein(z, params)
+    direct = eisenstein_direct(0.0, 1.0, 2.0, 2000)
     exact = eisenstein_theta(0.0, 1.0, 2.0)
-    bound = eisenstein_tail_bound(z, params)
+    bound = eisenstein_tail_bound(0.0, 1.0, 2.0, 2000)
     assert abs(direct - exact) <= bound
     assert bound < 1e-5
 
 
+def test_direct_sum_and_theta_agree_on_a_cloud():
+    # 20 seeded points of D below y = 2
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.5, 0.5, 20)
+    floor = np.sqrt(1.0 - x * x)
+    y = floor + (2.0 - floor) * rng.uniform(0.0, 1.0, 20)
+    for s in (1.3, 2.0):
+        bound = eisenstein_tail_bound(x, y, s, 400)
+        gap = np.abs(eisenstein_direct(x, y, s, 400) - eisenstein_theta(x, y, s))
+        assert np.all(gap <= bound)
+        pointwise = [eisenstein_tail_bound(a, b, s, 400) for a, b in zip(x, y)]
+        assert np.array_equal(bound, pointwise)
+
+
 def test_direct_sum_translation_invariance():
-    params = EisensteinParams(1.5, 600, 1e-2)
-    z1 = UpperHalfPoint(0.3, 1.2)
-    z2 = UpperHalfPoint(-0.7, 1.2)  # z1 - 1
-    tol = eisenstein_tail_bound(z1, params) + eisenstein_tail_bound(z2, params)
-    assert abs(eisenstein(z1, params) - eisenstein(z2, params)) <= tol
+    x, y = np.array([0.3, -0.7]), np.array([1.2, 1.2])  # z1 and z1 - 1
+    e = eisenstein_direct(x, y, 1.5, 600)
+    tol = np.sum(eisenstein_tail_bound(x, y, 1.5, 600))
+    assert abs(e[0] - e[1]) <= tol
 
 
 def test_direct_sum_inversion_invariance():
-    params = EisensteinParams(1.5, 600, 1e-2)
-    z = UpperHalfPoint(0.3, 1.2)
-    w = -1.0 / z.z
-    zi = UpperHalfPoint(w.real, w.imag)
-    tol = eisenstein_tail_bound(z, params) + eisenstein_tail_bound(zi, params)
-    assert abs(eisenstein(z, params) - eisenstein(zi, params)) <= tol
+    z = 0.3 + 1.2j
+    w = -1.0 / z
+    x, y = np.array([z.real, w.real]), np.array([z.imag, w.imag])
+    e = eisenstein_direct(x, y, 1.5, 600)
+    tol = np.sum(eisenstein_tail_bound(x, y, 1.5, 600))
+    assert abs(e[0] - e[1]) <= tol
 
 
 def test_theta_evaluator_modular_invariance():
@@ -127,22 +110,15 @@ def test_constant_term_pole_guard():
 
 
 def test_truncate_below_line_is_eisenstein():
-    z = UpperHalfPoint(0.2, 1.5)
     trunc = TruncationParam(1.0)  # y0 = e > 1.5
-    assert truncate(z, 1.5, trunc) == pytest.approx(
+    assert float(truncated_eisenstein(1.5, trunc)(0.2, 1.5)) == pytest.approx(
         eisenstein_theta(0.2, 1.5, 1.5), rel=1e-14)
-
-
-def test_truncate_large_T_is_identity():
-    z = UpperHalfPoint(0.1, 7.0)
-    assert truncate(z, 1.5, TruncationParam(50.0)) == pytest.approx(
-        eisenstein_theta(0.1, 7.0, 1.5), rel=1e-14)
 
 
 def test_truncate_above_line_subtracts_constant_term():
     trunc = TruncationParam(0.5)
     y = 10.0 * trunc.y0
-    got = truncate(UpperHalfPoint(0.0, y), 1.5, trunc)
+    got = float(truncated_eisenstein(1.5, trunc)(0.0, y))
     want = eisenstein_theta(0.0, y, 1.5) - complex(constant_term(y, 1.5))
     assert got == pytest.approx(want, abs=1e-12)
     assert abs(got) < 1e-8  # rapidly decreasing
@@ -152,11 +128,11 @@ def test_truncate_against_direct_sum_oracle():
     # independent oracle: direct lattice sum minus the constant term,
     # trusted to within its certified tail bound
     trunc = TruncationParam(0.5)
-    z = UpperHalfPoint(0.1, 1.2 * trunc.y0)
-    params = EisensteinParams(1.5, 2000, 1e-2)
-    oracle = eisenstein(z, params) - complex(constant_term(z.y, 1.5))
-    got = truncate(z, 1.5, trunc)
-    assert abs(got - oracle) <= eisenstein_tail_bound(z, params)
+    x, y = 0.1, 1.2 * trunc.y0
+    oracle = (eisenstein_direct(x, y, 1.5, 2000)
+              - complex(constant_term(y, 1.5)))
+    got = truncated_eisenstein(1.5, trunc)(x, y)
+    assert abs(got - oracle) <= eisenstein_tail_bound(x, y, 1.5, 2000)
 
 
 def test_truncated_series_rapid_decay():
@@ -209,6 +185,18 @@ def test_omega_domain():
         omega_rank1(0.9, 1.3, trunc)
     with pytest.raises(DomainError):
         omega_rank1(1.2, 1.7, trunc)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.25, 1.5])
+def test_c_derivative_matches_mpmath(s):
+    def c(t):
+        def big_l(w):
+            return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
+        return big_l(2 * t - 1) / big_l(2 * t)
+
+    with mp.workdps(30):
+        want = float(mp.diff(c, mp.mpf(s)))
+    assert abs(_c_derivative(s) - want) <= 1e-13 * abs(want)
 
 
 def test_omega_diagonal_limit_continuous():

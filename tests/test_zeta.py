@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from eisenspec.errors import DomainError, NonConvergence, PoleProximity
-from eisenspec.zeta import (DEFAULT_CONFIG, EvaluatorConfig, _completed_L_raw,
-                            _laurent_c0, circle_nodes, completed_L, gamma_fn,
-                            local_L, primes_upto, ratio_L, residue_at, zeta)
+from eisenspec.zeta import (_completed_L_raw, _laurent_c0, circle_nodes,
+                            completed_L, gamma_fn, local_L, primes_upto,
+                            ratio_L, residue_at, zeta)
 
 mp.mp.dps = 30
 
@@ -178,13 +178,6 @@ def test_residue_nonconvergence_diagnostics():
                    0.0, 0.5, tol=1e-14, max_nodes=256)
 
 
-def test_config_is_honored():
-    loose = EvaluatorConfig(pole_exclusion_radius=0.5)
-    with pytest.raises(PoleProximity):
-        completed_L(1.3, loose)
-    assert complex(completed_L(1.3, DEFAULT_CONFIG)) != 0
-
-
 @pytest.mark.parametrize("error", [PoleProximity, DomainError])
 def test_residue_at_does_not_retry_pole_or_domain_errors(error):
     calls = []
@@ -199,17 +192,13 @@ def test_residue_at_does_not_retry_pole_or_domain_errors(error):
 
 
 def test_laurent_constant_cached_per_config():
-    coarse = EvaluatorConfig(euler_maclaurin_terms=8, bernoulli_order=2)
     u = circle_nodes(0.5, 256)
-    c_coarse = _laurent_c0(coarse)
-    c_default = _laurent_c0(DEFAULT_CONFIG)
-    assert c_coarse == complex(np.mean(_completed_L_raw(1.0 + u, coarse)))
+    c_default = _laurent_c0()
     assert c_default == complex(np.mean(_completed_L_raw(1.0 + u)))
-    assert c_coarse != c_default
     # L(s) = 1/(s-1) + (gamma - log 4pi)/2 + O(s-1)
     assert c_default == pytest.approx(
         (np.euler_gamma - math.log(4.0 * math.pi)) / 2.0, abs=1e-13)
-    assert complex(ratio_L(1e-8, coarse)) == -1.0 + 2e-8 * c_coarse
+    assert complex(ratio_L(1e-8)) == -1.0 + 2e-8 * c_default
 
 
 # ----------------------------------------------------- separable grids --
