@@ -147,40 +147,39 @@ def n_entry(i: int, j: int, z) -> complex:
 
 
 def rank_one_residual(z) -> float:
-    """Max modulus of the nine 2x2 minors of N(z)."""
+    """Max modulus of the nine 2x2 minors of N(z), over z (a point or an
+    array)."""
     return max_minor(n_matrix(z))
 
 
 def max_minor(m: np.ndarray) -> float:
-    """Max modulus of the nine 2x2 minors of a 3x3 matrix."""
-    worst = 0.0
-    for r1, r2 in ((0, 1), (0, 2), (1, 2)):
-        for c1, c2 in ((0, 1), (0, 2), (1, 2)):
-            worst = max(worst, abs(m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]))
-    return worst
+    """Max modulus of the nine 2x2 minors of a 3x3 matrix, or of a stack
+    of shape (3, 3) + shape."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    minors = np.stack([m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]
+                       for r1, r2 in pairs for c1, c2 in pairs])
+    # np.hypot, unlike np.abs, agrees with abs() of one complex bit for bit
+    return float(np.max(np.hypot(minors.real, minors.imag)))
 
 
 def symmetry_residual(z) -> float:
-    """Max |n_ij(z) - n_ji(-z)|."""
-    m = n_matrix(z)
-    mr = n_matrix(-complex(z))
-    return float(np.max(np.abs(m - mr.T)))
+    """Max |n_ij(z) - n_ji(-z)|, over z (a point or an array)."""
+    z = np.asarray(z, dtype=np.complex128)
+    return float(np.max(np.abs(n_matrix(z) - np.swapaxes(n_matrix(-z), 0, 1))))
 
 
 def multiplicativity_residual(z) -> float:
-    """Max |n_ij(z) - n_ik(z) conj(n_jk(z))| over i, j and k in {1, 2}.
+    """Max |n_ij(z) - n_ik(z) conj(n_jk(z))| over i, j, k in {1, 2} and z
+    (a point or an array).
 
     Requires purely imaginary z (the identity is Hermitian in nature).
     """
-    z = complex(z)
-    if abs(z.real) > 1e-12:
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(np.abs(z.real) > 1e-12):
         raise ValueError("multiplicativity_residual needs purely imaginary z")
     m = n_matrix(z)
-    worst = 0.0
-    for k in (0, 1):
-        worst = max(worst, float(np.max(np.abs(
-            m - np.outer(m[:, k], np.conj(m[:, k]))))))
-    return worst
+    return float(max(np.max(np.abs(m - m[:, None, k] * np.conj(m[None, :, k])))
+                     for k in (0, 1)))
 
 
 def iterated_circle_residue(f) -> complex:
@@ -195,17 +194,21 @@ def iterated_circle_residue(f) -> complex:
     return complex(np.mean(f(u_out, u_in) * np.multiply.outer(u_out, u_in)))
 
 
-def transverse_residue(i: int, j: int, z) -> complex:
+def transverse_residue(i: int, j: int, z):
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
-    Integrates m(sigma_ij, lam_i(z) + u xi_i) around a small u-circle; the
-    normalization <xi_i, beta_check_i> = 1 makes the value equal
-    n_ij(z)/L(2) independently of the remaining gauge freedom.
+    Integrates m(sigma_ij, lam_i(z) + u xi_i) around a small u-circle, on
+    m_on_grid's z (+) u grid; the normalization <xi_i, beta_check_i> = 1
+    makes the value equal n_ij(z)/L(2) independently of the remaining gauge
+    freedom.  A point z gives a complex, an array z an array of its shape.
     """
     u = circle_nodes(_TRANSVERSE_RADIUS, _TRANSVERSE_NODES)
-    vals, = m_on_grid([sigma(i, j)], lambda_line(i, z),
-                      transverse_direction(i), u)
-    return complex(np.mean(vals * u))
+    zs = np.asarray(z, dtype=np.complex128)
+    m, = m_on_grid([sigma(i, j)], delta_weight(i), line_direction(i),
+                   zs.ravel(), transverse_direction(i), u)
+    # m has shape (1, u.size) when every root of sigma_ij depends on u alone
+    vals = np.broadcast_to(m * u, (zs.size, u.size)).mean(axis=1)
+    return complex(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
 
 def _iterated_double_residue(w: WeylElement, inner_axis: int,

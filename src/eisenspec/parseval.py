@@ -46,7 +46,7 @@ from .gl3 import (GL3, delta_weight, iterated_circle_residue, lambda_line,
                   transverse_direction)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
-from .zeta import circle_nodes, completed_L, ratio_L
+from .zeta import circle_nodes, completed_L
 
 __all__ = [
     "PaleyWienerGaussian",
@@ -178,17 +178,47 @@ def _line_window(beta: float) -> ContourSpec:
     return ContourSpec(math.sqrt(66.0 / beta), 0.05)
 
 
+# ------------------------------------------------------ shifted integrand --
+
+
+def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
+                       x_dir: Weight, x, y_dir: Weight | None, y):
+    """Yield (m(w, lam), Phi(lam), Phi*(-w lam)) for each w in ws, on the
+    grid lam = base + x_k x_dir (+ y_l y_dir, unless y is None) of
+    m_on_grid.
+
+    The one evaluator of the shifted integrand: every contour integral of
+    this module sums m(w, lam) Phi(lam) conj(Phi(-w conj lam)) over it.  A
+    coordinate takes only the nonzero components of the directions, so a
+    fundamental-weight plane keeps its (x.size, 1) and (1, y.size) shapes.
+    Phi*(-w lam) is built before m_on_grid forms m(w, lam): built after,
+    its temporaries would sit next to m and raise the peak memory by one
+    grid-sized array.
+    """
+    grids = [(x_dir, x)] if y is None else [(x_dir, x[:, None]),
+                                            (y_dir, y[None, :])]
+    coords = [complex(base.coeffs[k])
+              + sum(complex(d.coeffs[k]) * g for d, g in grids if d.coeffs[k])
+              for k in range(phi.datum.rank)]
+    phi_vals = phi.value_coords(*coords)
+    star = phi.star()
+    ms = m_on_grid(ws, base, x_dir, x, y_dir, y)
+    for w in ws:
+        image = star.value_coords(*w.act_coords(*(-c for c in coords)))
+        yield next(ms), phi_vals, image
+
+
 # ----------------------------------------------------------------- GL(2) --
 
 
-def _gl2_line_sum(phi: PaleyWienerGaussian, z: np.ndarray,
-                  step: float) -> complex:
-    """(step/2pi) sum over z of Phi(z) Phi*(-z) + m(s, z) Phi(z) Phi*(z)."""
-    star = phi.star()
-    vals = (phi.value_coords(z) * star.value_coords(-z)
-            + np.asarray(ratio_L(z))
-            * phi.value_coords(z) * star.value_coords(z))
-    return complex(np.sum(vals) * step / (2.0 * np.pi))
+def _gl2_line_sum(phi: PaleyWienerGaussian, base: float,
+                  spec: ContourSpec) -> complex:
+    """(step/2pi) sum over z = base + i t of the shifted integrand."""
+    total = sum(np.sum(m * phi_vals * image) for m, phi_vals, image in
+                _shifted_integrand(phi, GL2.weyl_group(), GL2.weight((base,)),
+                                   GL2.fundamental_weight(1), 1j * spec.grid(),
+                                   None, None))
+    return complex(total * spec.step / (2.0 * np.pi))
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
@@ -200,7 +230,7 @@ def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
     if sigma0 <= 1.0:
         raise DomainError("sigma0 must exceed 1 (convergence domain)")
     spec = spec or _plane_window(phi.beta)
-    return _gl2_line_sum(phi, sigma0 + 1j * spec.grid(), spec.step)
+    return _gl2_line_sum(phi, sigma0, spec)
 
 
 def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
@@ -211,8 +241,7 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """
     if phi.datum.n != 2:
         raise DomainError("decomposed_norm_gl2 needs a GL(2) profile")
-    window = _plane_window(phi.beta)
-    axis = _gl2_line_sum(phi, 1j * window.grid(), window.step)
+    axis = _gl2_line_sum(phi, 0.0, _plane_window(phi.beta))
     L2 = complex(completed_L(2.0))
     phi1 = phi.value(GL2.weight((1.0,)))
     residue = phi1 * phi1.conjugate() / L2
@@ -220,6 +249,16 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
 
 
 # ----------------------------------------------------------------- GL(3) --
+
+
+def _plane_integrand(phi: PaleyWienerGaussian, base: tuple[float, float],
+                     window: ContourSpec):
+    """The shifted integrand of each named Weyl element on base + i R^2."""
+    it = 1j * window.grid()
+    return _shifted_integrand(phi, named_weyl().values(), GL3.weight(base),
+                              GL3.fundamental_weight(1), it,
+                              GL3.fundamental_weight(2), it)
+
 
 def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
                            lam0: tuple[float, float]) -> dict[str, complex]:
@@ -233,21 +272,10 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
         if abs(plane - 1.0) < 0.05:
             raise DomainError(f"contour base too close to singular plane {where} = 1")
     window = _plane_window(phi.beta)
-    t = window.grid()
-    z1 = (c1 + 1j * t)[:, None]
-    z2 = (c2 + 1j * t)[None, :]
-    star = phi.star()
-    phi_grid = phi.value_coords(z1, z2)
-
     scale = (window.step / (2.0 * np.pi)) ** 2
-    terms = {}
-    ms = m_on_grid(named_weyl().values(), GL3.weight((c1, c2)),
-                   GL3.fundamental_weight(1), 1j * t,
-                   GL3.fundamental_weight(2), 1j * t)
-    for (name, w), mw in zip(named_weyl().items(), ms):
-        phi_s = star.value_coords(*w.act_coords(-z1, -z2))
-        terms[name] = complex(np.sum(mw * phi_grid * phi_s)) * scale
-    return terms
+    return {name: complex(np.sum(m * phi_vals * image)) * scale
+            for name, (m, phi_vals, image) in zip(
+                named_weyl(), _plane_integrand(phi, (c1, c2), window))}
 
 
 def shifted_norm_gl3(phi: PaleyWienerGaussian,
@@ -259,20 +287,12 @@ def shifted_norm_gl3(phi: PaleyWienerGaussian,
 def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """Continuous contribution, both ways: (direct W-sum, (1/6) |F|^2 form)."""
     window = _plane_window(phi.beta)
-    t = window.grid()
-    z1 = (1j * t)[:, None]
-    z2 = (1j * t)[None, :]
-    phi_grid = phi.value_coords(z1, z2)
-
     direct = 0.0 + 0.0j
-    f_sum = np.zeros_like(phi_grid)
-    ms = m_on_grid(named_weyl().values(), GL3.weight((0, 0)),
-                   GL3.fundamental_weight(1), 1j * t,
-                   GL3.fundamental_weight(2), 1j * t)
-    for w, mw in zip(named_weyl().values(), ms):
-        phi_s = phi.value_coords(*w.act_coords(z1, z2))
-        direct += np.sum(mw * phi_grid * np.conj(phi_s))
-        f_sum += phi_s / mw
+    f_sum = 0.0
+    # Phi(w lam) = conj Phi*(-w lam) on the imaginary plane
+    for m, phi_vals, image in _plane_integrand(phi, (0.0, 0.0), window):
+        direct += np.sum(m * phi_vals * image)
+        f_sum += np.conj(image) / m
     scale = (window.step / (2.0 * np.pi)) ** 2
     symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
     return complex(direct) * scale, complex(symmetric) * scale
@@ -308,70 +328,43 @@ def contribution_C(phi: PaleyWienerGaussian) -> complex:
     return v * v.conjugate() / (L2 * L3)
 
 
-def _full_integrand_residue_row(phi: PaleyWienerGaussian, i: int,
-                                t: np.ndarray) -> np.ndarray:
-    """Transverse residue of the full shifted integrand along line i.
-
-    For each grid point z = i t returns
-    sum_j (1/2pi i) oint m(sigma_ij, lam) Phi(lam) Phi*(-sigma_ij lam) du
-    on the circle lam = lam_i(z) + u xi_i, |u| = 0.3.
-    """
-    star = phi.star()
-    u = circle_nodes(_PICKUP_RADIUS, _PICKUP_NODES)
-    x = 1j * t
-    d = delta_weight(i)
-    e = line_direction(i)
-    xi = transverse_direction(i)
-    # coordinates on the (t, u) product grid
-    c1, c2 = (complex(d.coeffs[k]) + np.add.outer(x * complex(e.coeffs[k]),
-                                                  u * complex(xi.coeffs[k]))
-              for k in (0, 1))
-    phi_vals = phi.value_coords(c1, c2)
-
-    ws = [sigma(i, j) for j in (1, 2, 3)]
-    total = np.zeros(t.size, dtype=np.complex128)
-    for w, m in zip(ws, m_on_grid(ws, d, e, x, xi, u)):
-        integrand = m * phi_vals * star.value_coords(*w.act_coords(-c1, -c2))
-        total += (integrand * u[None, :]).mean(axis=1)
-    return total
-
-
-def measure_constants(phi: PaleyWienerGaussian) -> tuple[float, float]:
+def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
+                      c: complex) -> tuple[float, float]:
     """Per-run numerical derivation of (kappa_B, kappa_C).
 
-    kappa_B: ratio of the contour-quadrature line pickup (transverse
-    residues of the full integrand, integrated along the three lines) to
-    the kernel-form B.  kappa_C: iterated double-circle residue of the
-    longest-element term at rho, divided by the closed-form C.  Both are
-    1 up to quadrature error, independently of the test profile.
+    kappa_B: ratio of the contour-quadrature line pickup to b_direct, the
+    kernel-form B of contribution_B.  The pickup integrates along each
+    line i the transverse residues sum_j (1/2pi i) oint m(sigma_ij, lam)
+    Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) + u xi_i,
+    |u| = 0.3.  kappa_C: iterated double-circle residue of the
+    longest-element term at rho, divided by c, the closed-form C of
+    contribution_C.  Both are 1 up to quadrature error, independently of
+    the test profile.
     """
-    window = _line_window(phi.beta)
-    t = window.grid()
-    pickup = 0.0 + 0.0j
-    for i in (1, 2, 3):
-        row = _full_integrand_residue_row(phi, i, t)
-        pickup += np.sum(row) * window.step / (2.0 * np.pi)
-    b_direct, _ = contribution_B(phi)
     if abs(b_direct) < 1e-12:
         raise DomainError(
             "measure_constants needs a profile that does not vanish on the "
             "singular lines (B is numerically zero)")
+    window = _line_window(phi.beta)
+    x = 1j * window.grid()
+    u = circle_nodes(_PICKUP_RADIUS, _PICKUP_NODES)
+    pickup = 0.0 + 0.0j
+    for i in (1, 2, 3):
+        row = sum((m * phi_vals * image * u).mean(axis=1)
+                  for m, phi_vals, image in _shifted_integrand(
+                      phi, [sigma(i, j) for j in (1, 2, 3)], delta_weight(i),
+                      line_direction(i), x, transverse_direction(i), u))
+        pickup += np.sum(row) * window.step / (2.0 * np.pi)
     kappa_b = (pickup / b_direct).real
-
-    s3 = named_weyl()["s3"]
-    star = phi.star()
 
     def integrand(u_out, u_in):
         # inner circle in z1 around 1, outer circle in z2 around 1
-        z1 = 1.0 + u_in[None, :]
-        z2 = 1.0 + u_out[:, None]
-        m, = m_on_grid([s3], GL3.rho(), GL3.fundamental_weight(2), u_out,
-                       GL3.fundamental_weight(1), u_in)
-        return (m * phi.value_coords(z1, z2)
-                * star.value_coords(*s3.act_coords(-z1, -z2)))
+        (m, phi_vals, image), = _shifted_integrand(
+            phi, [named_weyl()["s3"]], GL3.rho(), GL3.fundamental_weight(2),
+            u_out, GL3.fundamental_weight(1), u_in)
+        return m * phi_vals * image
 
-    point = iterated_circle_residue(integrand)
-    kappa_c = (point / contribution_C(phi)).real
+    kappa_c = (iterated_circle_residue(integrand) / c).real
     return float(kappa_b), float(kappa_c)
 
 
@@ -398,7 +391,9 @@ def parseval_check_gl3(phi: PaleyWienerGaussian,
                        lam0: tuple[float, float] = (1.5, 1.5),
                        lam0_alt: tuple[float, float] | None = (1.3, 1.8),
                        with_kappa: bool = True) -> SpectralReport:
-    """Assemble shifted = A + kappa_B B + kappa_C C and report residuals."""
+    """Assemble shifted = A + B + C with the derived constants
+    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals; with_kappa
+    re-derives both constants numerically (measure_constants)."""
     shifted = shifted_norm_gl3(phi, lam0)
     shifted_alt = (shifted_norm_gl3(phi, lam0_alt)
                    if lam0_alt is not None else None)
@@ -406,7 +401,7 @@ def parseval_check_gl3(phi: PaleyWienerGaussian,
     b_direct, b_fact = contribution_B(phi)
     c_val = contribution_C(phi)
     if with_kappa:
-        kappa_b, kappa_c = measure_constants(phi)
+        kappa_b, kappa_c = measure_constants(phi, b_direct, c_val)
     else:
         kappa_b, kappa_c = MEASURE_KAPPA_B, MEASURE_KAPPA_C
     assembled = a_direct + MEASURE_KAPPA_B * b_direct + MEASURE_KAPPA_C * c_val

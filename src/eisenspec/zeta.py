@@ -298,7 +298,7 @@ def ratio_L(z, plus=None):
 
 def residue_at(f, s0, radius: float, nodes: int = 64,
                tol: float = 1e-10, max_nodes: int = 1024):
-    """Residue of f at s0 via (1/2пi) * contour integral on |s - s0| = radius.
+    """Residue of f at s0: (1/2 pi i) oint f(s) ds on |s - s0| = radius.
 
     f must be analytic on the punctured disk with at most a simple pole at
     s0, and vectorized: it is called once per node count on the array of

@@ -11,10 +11,11 @@ import pytest
 from eisenspec.errors import PoleProximity
 from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
                            double_residue_table, lambda_line, line_direction,
-                           multiplicativity_residual, n_entry, n_matrix,
-                           rank_one_residual, sigma, symmetry_residual,
-                           transverse_direction, transverse_residue,
-                           volume_constant, volume_factors)
+                           max_minor, multiplicativity_residual, n_entry,
+                           n_matrix, rank_one_residual, sigma,
+                           symmetry_residual, transverse_direction,
+                           transverse_residue, volume_constant,
+                           volume_factors)
 from eisenspec.intertwine import m_scalar
 from eisenspec.roots import RHO_CHECK, RootDatum
 from eisenspec.zeta import circle_nodes, completed_L, ratio_L
@@ -165,6 +166,26 @@ def test_multiplicativity_k_choice_consistent():
             via_k1 = m[i, 0] * np.conj(m[j, 0])
             via_k2 = m[i, 1] * np.conj(m[j, 1])
             assert abs(via_k1 - via_k2) <= 1e-10
+
+
+def test_array_calls_match_point_calls():
+    rng = np.random.default_rng(17)
+    zs = 1j * rng.uniform(-2.5, 2.5, (2, 3))
+    points = zs.ravel()
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            got = transverse_residue(i, j, zs)
+            assert got.shape == zs.shape
+            want = np.array([transverse_residue(i, j, z) for z in points])
+            assert np.all(np.abs(got.ravel() - want) <= 1e-13 * np.abs(want))
+    assert isinstance(transverse_residue(1, 2, 0.4j), complex)
+    for residual in (rank_one_residual, symmetry_residual,
+                     multiplicativity_residual):
+        assert residual(zs) == pytest.approx(
+            max(residual(z) for z in points), abs=1e-13)
+    assert max_minor(n_matrix(zs)) == rank_one_residual(zs)
+    with pytest.raises(ValueError):
+        multiplicativity_residual(np.append(points, 0.1 + 1j))
 
 
 def test_transverse_residue_matches_closed_form():

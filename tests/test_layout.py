@@ -14,6 +14,10 @@ other module imports json.
 
 The Weyl action lives in roots: WeylElement.act_coords acts on coordinates,
 and no other module rebuilds it from the images of the fundamental weights.
+
+The shifted integrand m(w, lam) Phi(lam) Phi*(-w lam) is built in one
+function of parseval: no other function there forms the starred profile,
+and parseval reaches ratio_L only through m_on_grid.
 """
 
 import ast
@@ -108,3 +112,18 @@ def test_weyl_action_lives_in_roots():
                 hits.append(f"{path.name}:{node.lineno} acts on a "
                             "fundamental weight")
     assert hits == []
+
+
+def test_shifted_integrand_is_built_once():
+    path = SRC / "parseval.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    builders = {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(call, ast.Call)
+                        and _called_name(call) == "star"
+                        for call in ast.walk(node))}
+    assert builders == {"_shifted_integrand"}
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.alias))
+            and getattr(node, "id", getattr(node, "name", None)) == "ratio_L"
+            ] == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eisenspec import intertwine, parseval
+from eisenspec.errors import DomainError
 from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 contribution_A, contribution_B,
                                 contribution_C, decomposed_norm_gl2,
@@ -120,7 +121,8 @@ def test_profile_vanishing_on_lines_kills_B_and_C():
 
 def test_measure_constants_are_unity():
     phi = PaleyWienerGaussian(GL3, 0.5)
-    kb, kc = measure_constants(phi)
+    kb, kc = measure_constants(phi, contribution_B(phi)[0],
+                               contribution_C(phi))
     assert kb == pytest.approx(1.0, abs=1e-9)
     assert kc == pytest.approx(1.0, abs=1e-9)
 
@@ -132,9 +134,10 @@ def test_measure_constants_one_ratio_call_per_root(monkeypatch):
         calls.append(plus is not None)
         return ratio_L(z, plus)
 
+    phi = PaleyWienerGaussian(GL3, 0.6)
+    b_direct, c = contribution_B(phi)[0], contribution_C(phi)
     monkeypatch.setattr(intertwine, "ratio_L", counting)
-    monkeypatch.setattr(parseval, "ratio_L", counting)
-    measure_constants(PaleyWienerGaussian(GL3, 0.6))
+    measure_constants(phi, b_direct, c)
     # three roots on each of the three lines, three at rho
     assert len(calls) == 12
     # on each line one root argument lies on the circle alone, and at rho
@@ -150,7 +153,6 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
         return ratio_L(z, plus)
 
     monkeypatch.setattr(intertwine, "ratio_L", counting)
-    monkeypatch.setattr(parseval, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._grid(math.sqrt(88.0 / phi.beta), 0.1).size
     for run in (lambda: shifted_norm_gl3_terms(phi, (1.5, 1.5)),
@@ -160,6 +162,29 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
         # z1, z2 and the z1 + z2 lattice, never the n x n grid
         assert len(sizes) == 3
         assert max(sizes) <= 2 * n - 1
+
+
+def test_parseval_check_computes_B_and_C_once(monkeypatch):
+    calls = {"B": 0, "C": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(parseval, "contribution_B",
+                        counted("B", parseval.contribution_B))
+    monkeypatch.setattr(parseval, "contribution_C",
+                        counted("C", parseval.contribution_C))
+    parseval_check_gl3(PaleyWienerGaussian(GL3, 0.6), (1.5, 1.5), None)
+    assert calls == {"B": 1, "C": 1}
+
+
+def test_measure_constants_rejects_a_vanishing_B():
+    phi = PaleyWienerGaussian(GL3, 0.6)
+    with pytest.raises(DomainError):
+        measure_constants(phi, 1e-13, contribution_C(phi))
 
 
 def test_parseval_gl3_full_report():
