@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.special
 
 from . import gl3 as gl3mod
 from . import parseval as pv
@@ -429,8 +430,9 @@ def suite_volume(report: VerificationReport, cfg: RunConfig):
         factors = gl3mod.volume_factors(datum)
         ok = factors == list(range(2, k + 1))
         value = gl3mod.volume_constant(datum)
-        closed = float(np.prod([float(np.real(completed_L(float(f))))
-                                for f in factors]))
+        # L(f) = pi^(-f/2) Gamma(f/2) zeta(f), computed outside eisenspec
+        closed = math.prod(math.pi ** (-f / 2) * math.gamma(f / 2)
+                           * float(scipy.special.zeta(f)) for f in factors)
         report.add(f"volume-gl{k}",
                    f"vol = {'*'.join('L(%d)' % f for f in factors)}",
                    closed, value,
@@ -504,6 +506,9 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
                  (tuple(k[0] for k in kappas), tuple(k[1] for k in kappas)))
     report.add("parseval-kappa-spread", "kappa_B, kappa_C identical across runs",
                0.0, spread, spread, cfg.tolerances["kappa-spread"])
+    unity = max(abs(k - 1.0) for pair in kappas for k in pair)
+    report.add("parseval-kappa-unity", "kappa_B = kappa_C = 1, 3 profiles",
+               0.0, unity, unity, cfg.tolerances["kappa-spread"])
     report.add("a-form-equivalence", "W-sum A equals (1/6) integral |F|^2",
                0.0, worst_aform, worst_aform, cfg.tolerances["a-form"])
 

@@ -25,7 +25,7 @@ independent route to every number.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -47,7 +47,9 @@ __all__ = [
     "symmetry_residual",
     "multiplicativity_residual",
     "named_weyl",
-    "iterated_circle_residue",
+    "TRANSVERSE_CIRCLE",
+    "DOUBLE_CIRCLES",
+    "circle_residue",
     "transverse_residue",
     "double_residue_table",
     "double_residue_closed_forms",
@@ -59,17 +61,13 @@ GL3 = RootDatum(3)
 
 _HALF = Fraction(1, 2)
 
-# The u-circle of transverse_residue.
-_TRANSVERSE_RADIUS = 0.3
-_TRANSVERSE_NODES = 128
-
-# The iterated circles of the double residues, 96 trapezoid nodes each.  The
-# inner radius is kept strictly below the outer one so that the inner circle
-# encloses only the hyperplane through the centre, never a pole that moves
-# with the outer variable.
-_INNER_RADIUS = 0.1
-_OUTER_RADIUS = 0.3
-_ITERATED_NODES = 96
+# The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
+# u-circle of transverse_residue.  DOUBLE_CIRCLES, outer then inner, are the
+# iterated circles of the double residues; the inner radius is kept strictly
+# below the outer one so that the inner circle encloses only the hyperplane
+# through the centre, never a pole that moves with the outer variable.
+TRANSVERSE_CIRCLE = (0.3, 128)
+DOUBLE_CIRCLES = ((0.3, 96), (0.1, 96))
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +161,24 @@ def max_minor(m: np.ndarray) -> float:
 
 
 def symmetry_residual(z) -> float:
-    """Max |n_ij(z) - n_ji(-z)|, over z (a point or an array)."""
+    """Max |n_ij(z) - n_ji(-z)|, over z (a point or an array).
+
+    N(-z) comes from root data, not from n_matrix's table: n_ji(-z) is the
+    product of ratio_L(<lam_j(-z), a_check>) over the inversions a of
+    sigma_ji other than beta_j, the root with <delta_j, beta_check_j> = 1
+    whose factor carries the 1/L(2) of the transverse residue.  All the
+    factors come from one stacked ratio_L call.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    return float(np.max(np.abs(n_matrix(z) - np.swapaxes(n_matrix(-z), 0, 1))))
+    factors = [(i, j, root) for i in range(3) for j in range(3)
+               for root in sorted(sigma(j + 1, i + 1).inversions())
+               if delta_weight(j + 1).pair_root(root) != 1]
+    vals = ratio_L(np.stack([lambda_line(j + 1, -z).pair_root(root)
+                             for _, j, root in factors]))
+    n_t = np.ones((3, 3) + z.shape, dtype=np.complex128)
+    for (i, j, _), v in zip(factors, vals):
+        n_t[i, j] *= v
+    return float(np.max(np.abs(n_matrix(z) - n_t)))
 
 
 def multiplicativity_residual(z) -> float:
@@ -182,59 +195,45 @@ def multiplicativity_residual(z) -> float:
                      for k in (0, 1)))
 
 
-def iterated_circle_residue(f) -> complex:
-    """(1/2pi i)^2 oint oint f du_in du_out by the trapezoid rule.
+def circle_residue(f, *circles):
+    """(1/2pi i)^k oint ... oint f du_1 ... du_k by the trapezoid rule.
 
-    f(u_out, u_in) gets the offsets on the outer and inner circles (radii
-    0.3 and 0.1) and returns the integrand on their (outer, inner) grid, or
-    anything that broadcasts to it.
+    Each circle is a (radius, nodes) pair, outermost first.  f gets the k
+    node arrays and returns values whose last k axes run over the circles
+    (or anything that broadcasts to them); leading axes are kept.  The
+    result is the mean of f u_1 (x) ... (x) u_k over the circle axes.
     """
-    u_out = circle_nodes(_OUTER_RADIUS, _ITERATED_NODES)
-    u_in = circle_nodes(_INNER_RADIUS, _ITERATED_NODES)
-    return complex(np.mean(f(u_out, u_in) * np.multiply.outer(u_out, u_in)))
+    us = [circle_nodes(radius, nodes) for radius, nodes in circles]
+    weight = reduce(np.multiply.outer, us)
+    return np.mean(f(*us) * weight, axis=tuple(range(-len(us), 0)))
 
 
 def transverse_residue(i: int, j: int, z):
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
-    Integrates m(sigma_ij, lam_i(z) + u xi_i) around a small u-circle, on
+    Integrates m(sigma_ij, lam_i(z) + u xi_i) around TRANSVERSE_CIRCLE, on
     m_on_grid's z (+) u grid; the normalization <xi_i, beta_check_i> = 1
     makes the value equal n_ij(z)/L(2) independently of the remaining gauge
     freedom.  A point z gives a complex, an array z an array of its shape.
     """
-    u = circle_nodes(_TRANSVERSE_RADIUS, _TRANSVERSE_NODES)
     zs = np.asarray(z, dtype=np.complex128)
-    m, = m_on_grid([sigma(i, j)], delta_weight(i), line_direction(i),
-                   zs.ravel(), transverse_direction(i), u)
-    # m has shape (1, u.size) when every root of sigma_ij depends on u alone
-    vals = np.broadcast_to(m * u, (zs.size, u.size)).mean(axis=1)
+    res = circle_residue(lambda u: next(m_on_grid(
+        [sigma(i, j)], delta_weight(i), line_direction(i), zs.ravel(),
+        transverse_direction(i), u)), TRANSVERSE_CIRCLE)
+    # res has shape (1,) when every root of sigma_ij depends on u alone
+    vals = np.broadcast_to(res, zs.size)
     return complex(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
 
-def _iterated_double_residue(w: WeylElement, inner_axis: int,
-                             inner_center: complex, outer_axis: int,
-                             outer_center: complex) -> complex:
-    """Iterated residue of m(w, .) in the chart (z1, z2) = coroot pairings."""
-    center = {inner_axis: inner_center, outer_axis: outer_center}
-    base = GL3.weight((center[1], center[2]))
-
-    def integrand(u_out, u_in):
-        m, = m_on_grid([w], base, GL3.fundamental_weight(outer_axis), u_out,
-                       GL3.fundamental_weight(inner_axis), u_in)
-        return m
-
-    return iterated_circle_residue(integrand)
-
-
-# Double-residue targets: (weyl element name, point, inner axis/center,
-# outer axis/center).  The inner residue is always taken across the
-# coordinate hyperplane z_k = 1 through the point.
+# Double-residue targets: (weyl element name, point, inner axis).  The inner
+# residue is taken across the hyperplane z_inner = 1 through the point, and
+# the outer circle is centred on the point's other coordinate.
 _DOUBLE_RESIDUE_PLAN = (
-    ("r1", (0.0, 1.0), 2, 1.0, 1, 0.0),
-    ("r2", (1.0, 0.0), 1, 1.0, 2, 0.0),
-    ("s3", (0.0, 1.0), 2, 1.0, 1, 0.0),
-    ("s3", (1.0, 0.0), 1, 1.0, 2, 0.0),
-    ("s3", (1.0, 1.0), 1, 1.0, 2, 1.0),
+    ("r1", (0.0, 1.0), 2),
+    ("r2", (1.0, 0.0), 1),
+    ("s3", (0.0, 1.0), 2),
+    ("s3", (1.0, 0.0), 1),
+    ("s3", (1.0, 1.0), 1),
 )
 
 
@@ -262,12 +261,13 @@ def double_residue_table() -> list[tuple[WeylElement, Weight, complex]]:
     Returns (weyl element, point, value) in the order
     (r1, w2), (r2, w1), (s3, w2), (s3, w1), (s3, rho).
     """
-    named = named_weyl()
     out = []
-    for name, point, in_ax, in_c, out_ax, out_c in _DOUBLE_RESIDUE_PLAN:
-        w = named[name]
-        val = _iterated_double_residue(w, in_ax, in_c, out_ax, out_c)
-        out.append((w, GL3.weight(point), val))
+    for name, point, inner in _DOUBLE_RESIDUE_PLAN:
+        w, base = named_weyl()[name], GL3.weight(point)
+        val = circle_residue(lambda u_out, u_in: next(m_on_grid(
+            [w], base, GL3.fundamental_weight(3 - inner), u_out,
+            GL3.fundamental_weight(inner), u_in)), *DOUBLE_CIRCLES)
+        out.append((w, base, complex(val)))
     return out
 
 

@@ -41,12 +41,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .gl3 import (GL3, delta_weight, iterated_circle_residue, lambda_line,
-                  line_direction, n_matrix, named_weyl, sigma,
+from .gl3 import (DOUBLE_CIRCLES, GL3, circle_residue, delta_weight,
+                  lambda_line, line_direction, n_matrix, named_weyl, sigma,
                   transverse_direction)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
-from .zeta import circle_nodes, completed_L
+from .zeta import completed_L
 
 __all__ = [
     "PaleyWienerGaussian",
@@ -73,9 +73,9 @@ MEASURE_KAPPA_C = 1.0
 
 GL2 = RootDatum(2)
 
-# The transverse circles of the kappa_B pickup in measure_constants.
-_PICKUP_RADIUS = 0.3
-_PICKUP_NODES = 64
+# The (radius, nodes) transverse circle of the kappa_B pickup in
+# measure_constants.
+_PICKUP_CIRCLE = (0.3, 64)
 
 
 @dataclass(frozen=True)
@@ -347,24 +347,22 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
             "singular lines (B is numerically zero)")
     window = _line_window(phi.beta)
     x = 1j * window.grid()
-    u = circle_nodes(_PICKUP_RADIUS, _PICKUP_NODES)
     pickup = 0.0 + 0.0j
     for i in (1, 2, 3):
-        row = sum((m * phi_vals * image * u).mean(axis=1)
-                  for m, phi_vals, image in _shifted_integrand(
-                      phi, [sigma(i, j) for j in (1, 2, 3)], delta_weight(i),
-                      line_direction(i), x, transverse_direction(i), u))
+        row = circle_residue(lambda u: sum(
+            m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
+                phi, [sigma(i, j) for j in (1, 2, 3)], delta_weight(i),
+                line_direction(i), x, transverse_direction(i), u)),
+            _PICKUP_CIRCLE)
         pickup += np.sum(row) * window.step / (2.0 * np.pi)
     kappa_b = (pickup / b_direct).real
 
-    def integrand(u_out, u_in):
-        # inner circle in z1 around 1, outer circle in z2 around 1
-        (m, phi_vals, image), = _shifted_integrand(
+    # inner circle in z1 around 1, outer circle in z2 around 1
+    rho_term = circle_residue(lambda u_out, u_in: sum(
+        m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
             phi, [named_weyl()["s3"]], GL3.rho(), GL3.fundamental_weight(2),
-            u_out, GL3.fundamental_weight(1), u_in)
-        return m * phi_vals * image
-
-    kappa_c = (iterated_circle_residue(integrand) / c).real
+            u_out, GL3.fundamental_weight(1), u_in)), *DOUBLE_CIRCLES)
+    kappa_c = (rho_term / c).real
     return float(kappa_b), float(kappa_c)
 
 

@@ -7,12 +7,13 @@ import sys
 
 import pytest
 
-from eisenspec import cli
+from eisenspec import cli, gl3
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
 from eisenspec.parseval import SpectralReport
 from eisenspec.truncation import maass_selberg_convergence_study
+from eisenspec.zeta import completed_L
 
 
 def test_run_combinatorics_suite(tmp_path):
@@ -32,6 +33,24 @@ def test_run_volume_suite():
     assert report.all_passed
     names = [r.name for r in report.records]
     assert "volume-gl4" in names
+
+
+def test_volume_closed_form_is_independent_of_zeta(monkeypatch):
+    # an error in L itself, in every module that calls it: only a closed
+    # form computed outside eisenspec can see it
+    for module in (gl3, cli):
+        monkeypatch.setattr(module, "completed_L",
+                            lambda s: completed_L(s) * (1.0 + 1e-9))
+    report = run(RunConfig(command="volume"))
+    failed = {r.name for r in report.records if not r.passed}
+    assert "volume-gl3" in failed
+
+
+def test_parseval_suite_checks_kappa_unity():
+    report = run(RunConfig(command="parseval"))
+    unity, = [r for r in report.records if r.name == "parseval-kappa-unity"]
+    assert unity.passed
+    assert unity.tolerance == cli.TOLERANCES["kappa-spread"]
 
 
 def _without_clock(blob: dict) -> dict:

@@ -8,8 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from eisenspec import gl3
 from eisenspec.errors import PoleProximity
-from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
+from eisenspec.gl3 import (GL3, circle_residue, delta_weight,
+                           double_residue_closed_forms,
                            double_residue_table, lambda_line, line_direction,
                            max_minor, multiplicativity_residual, n_entry,
                            n_matrix, rank_one_residual, sigma,
@@ -158,6 +160,26 @@ def test_nmatrix_lemmas_on_axis():
         assert multiplicativity_residual(z) <= 1e-9
 
 
+def test_symmetry_residual_catches_a_consistent_wrong_table(monkeypatch):
+    # N built at +-z +- 0.6 in place of +-z +- 1/2: every entry still
+    # equals its transpose at -z and the table is rank one, but it is not
+    # the residue matrix of the m-scalars
+    def shifted(z):
+        z = np.asarray(z, dtype=np.complex128)
+        r_mm, r_mp, r_pm, r_pp = ratio_L(
+            np.stack((-z - 0.6, -z + 0.6, z - 0.6, z + 0.6)))
+        one = np.ones_like(z)
+        return np.array([[one, r_mm * r_mp, r_mp], [r_pm * r_pp, one, r_pp],
+                         [r_pp, r_mp, r_pp * r_mp]])
+
+    zs = 1j * np.linspace(-3.0, 3.0, 7)
+    # transposing the table at -z passes the CLI gate of nmatrix-symmetry
+    assert np.max(np.abs(shifted(zs) - np.swapaxes(shifted(-zs), 0, 1))) <= 1e-12
+    assert max_minor(shifted(zs)) <= 1e-9
+    monkeypatch.setattr(gl3, "n_matrix", shifted)
+    assert symmetry_residual(zs) > 1
+
+
 def test_multiplicativity_k_choice_consistent():
     z = 1.4j
     m = n_matrix(z)
@@ -186,6 +208,22 @@ def test_array_calls_match_point_calls():
     assert max_minor(n_matrix(zs)) == rank_one_residual(zs)
     with pytest.raises(ValueError):
         multiplicativity_residual(np.append(points, 0.1 + 1j))
+
+
+def test_circle_residue_one_circle():
+    # (1/2pi i) oint e^u / u du = 1
+    assert abs(circle_residue(lambda u: np.exp(u) / u, (0.5, 32)) - 1) <= 1e-14
+
+
+def test_circle_residue_keeps_leading_axes():
+    # outer circle first; c / (u_out u_in) has double residue c
+    def f(u_out, u_in):
+        return np.array([1.0, 2.0])[:, None, None] / np.multiply.outer(u_out,
+                                                                         u_in)
+
+    got = circle_residue(f, (0.3, 8), (0.1, 16))
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, [1.0, 2.0], rtol=1e-14)
 
 
 def test_transverse_residue_matches_closed_form():

@@ -18,6 +18,9 @@ and no other module rebuilds it from the images of the fundamental weights.
 The shifted integrand m(w, lam) Phi(lam) Phi*(-w lam) is built in one
 function of parseval: no other function there forms the starred profile,
 and parseval reaches ratio_L only through m_on_grid.
+
+The trapezoid rule on residue circles lives in gl3.circle_residue: outside
+zeta, no other function takes circle nodes.
 """
 
 import ast
@@ -127,3 +130,13 @@ def test_shifted_integrand_is_built_once():
             if isinstance(node, (ast.Name, ast.alias))
             and getattr(node, "id", getattr(node, "name", None)) == "ratio_L"
             ] == []
+
+
+def test_circle_rule_lives_in_gl3():
+    callers = [f"{path.name}:{getattr(top, 'name', '<module>')}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "zeta.py"
+               for top in ast.parse(path.read_text(), filename=str(path)).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and _called_name(node) == "circle_nodes"]
+    assert callers == ["gl3.py:circle_residue"]
