@@ -321,7 +321,7 @@ def suite_su3(report: VerificationReport, cfg: RunConfig):
                want, got, abs(got - want), cfg.tolerances["su3"])
     limit = su3_local_factor(3, 60.0)
     report.add("su3-limit", "local factor tends to 1 for large sigma",
-               1.0, limit, abs(limit - 1.0), 1e-12)
+               1.0, limit, abs(limit - 1.0), cfg.tolerances["su3"])
     try:
         su3_local_factor(3, 0.0)
         report.add("su3-pole-rejected", "sigma = 0 is rejected", True, False,

@@ -24,6 +24,7 @@ independent route to every number.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -47,6 +48,7 @@ __all__ = [
     "symmetry_residual",
     "multiplicativity_residual",
     "named_weyl",
+    "trapezoid_circle",
     "TRANSVERSE_CIRCLE",
     "DOUBLE_CIRCLES",
     "circle_residue",
@@ -61,13 +63,36 @@ GL3 = RootDatum(3)
 
 _HALF = Fraction(1, 2)
 
+
+def trapezoid_circle(radius: float, clearance: float) -> tuple[float, int]:
+    """The (radius, nodes) circle of circle_residue that resolves a residue
+    to double precision.
+
+    clearance is the distance from the centre of the circle to the nearest
+    other singularity of the integrand.  The trapezoid rule on N nodes then
+    errs by (radius/clearance)^N relative to the integrand's scale
+    (Trefethen and Weideman, SIAM Rev. 56, 2014), and nodes is the fewest
+    even N with (radius/clearance)^N <= 2^-53.
+    """
+    if not 0.0 < radius < clearance:
+        raise ValueError(f"trapezoid_circle needs 0 < radius < clearance, "
+                         f"got {radius}, {clearance}")
+    n = math.ceil(53.0 * math.log(2.0) / math.log(clearance / radius))
+    return radius, n + n % 2
+
+
 # The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
-# u-circle of transverse_residue.  DOUBLE_CIRCLES, outer then inner, are the
-# iterated circles of the double residues; the inner radius is kept strictly
-# below the outer one so that the inner circle encloses only the hyperplane
-# through the centre, never a pole that moves with the outer variable.
+# u-circle of transverse_residue; it is not sized by trapezoid_circle yet,
+# because its residual sits at the error floor of zeta toward Re -1/2, not
+# at the trapezoid error.  DOUBLE_CIRCLES, outer then inner, are the
+# iterated circles of the double residues and of kappa_C.  After the inner
+# residue, the next pole of the outer variable lies on a plane at distance
+# 1.  The inner radius is kept strictly below the outer one so that the
+# inner circle encloses only the hyperplane through the centre, never a
+# pole that moves with the outer variable: on the w1 and w2 rows the plane
+# z1 + z2 = 1 passes at |u_in| = |u_out| = 0.3, the inner clearance.
 TRANSVERSE_CIRCLE = (0.3, 128)
-DOUBLE_CIRCLES = ((0.3, 96), (0.1, 96))
+DOUBLE_CIRCLES = (trapezoid_circle(0.3, 1.0), trapezoid_circle(0.1, 0.3))
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DomainError
 from .gl3 import (DOUBLE_CIRCLES, GL3, circle_residue, delta_weight,
                   lambda_line, line_direction, n_matrix, named_weyl, sigma,
-                  transverse_direction)
+                  transverse_direction, trapezoid_circle)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
 from .zeta import completed_L
@@ -74,8 +74,16 @@ MEASURE_KAPPA_C = 1.0
 GL2 = RootDatum(2)
 
 # The (radius, nodes) transverse circle of the kappa_B pickup in
-# measure_constants.
-_PICKUP_CIRCLE = (0.3, 64)
+# measure_constants, on lam = delta_i + it e_i + u delta_i.  The root beta_i
+# with <delta_i, beta_check_i> = 1 gives ratio_L(1 + u): the pole at u = 0
+# is the residue, and its next singularity is past |u| = 14.  The other
+# roots (at most two) have argument a0 (1 + u) + a_x it with a0 = +-1/2.
+# The pole of L at 1 puts theirs at |u| >= 1, and a zero 1/2 + i gamma of
+# L(1 + s) at |u| = 2 |t - gamma| (a0 = -1/2) or farther.  The first zero,
+# gamma_1 = 14.1347, keeps that >= 0.77 on the widest line window,
+# |t| <= 13.75 at beta = 0.35, the smallest beta PaleyWienerGaussian.random
+# draws.  So the clearance is 0.75.
+_PICKUP_CIRCLE = trapezoid_circle(0.1, 0.75)
 
 
 @dataclass(frozen=True)
@@ -336,10 +344,10 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     kernel-form B of contribution_B.  The pickup integrates along each
     line i the transverse residues sum_j (1/2pi i) oint m(sigma_ij, lam)
     Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) + u xi_i,
-    |u| = 0.3.  kappa_C: iterated double-circle residue of the
-    longest-element term at rho, divided by c, the closed-form C of
-    contribution_C.  Both are 1 up to quadrature error, independently of
-    the test profile.
+    |u| = 0.1 (_PICKUP_CIRCLE).  kappa_C: iterated double-circle residue of
+    the longest-element term at rho on gl3.DOUBLE_CIRCLES, divided by c,
+    the closed-form C of contribution_C.  Both are 1 up to quadrature
+    error, independently of the test profile.
     """
     if abs(b_direct) < 1e-12:
         raise DomainError(

@@ -303,12 +303,14 @@ def residue_at(f, s0, radius: float, nodes: int = 64,
     f must be analytic on the punctured disk with at most a simple pole at
     s0, and vectorized: it is called once per node count on the array of
     circle nodes, and any error it raises propagates.  Trapezoidal
-    quadrature on the circle is spectrally accurate; the node count is
-    doubled until two successive values agree to tol.
+    quadrature on the circle is spectrally accurate; the node count starts
+    at nodes and is doubled until two successive values agree to tol.
     """
+    if nodes < 1:
+        raise ValueError(f"residue_at needs nodes >= 1, got {nodes}")
     s0 = complex(s0)
     prev = None
-    n = max(64, nodes)
+    n = nodes
     while n <= max_nodes:
         u = circle_nodes(radius, n)
         est = complex(np.mean(np.asarray(f(s0 + u), dtype=np.complex128) * u))

@@ -16,8 +16,8 @@ from eisenspec.gl3 import (GL3, circle_residue, delta_weight,
                            max_minor, multiplicativity_residual, n_entry,
                            n_matrix, rank_one_residual, sigma,
                            symmetry_residual, transverse_direction,
-                           transverse_residue, volume_constant,
-                           volume_factors)
+                           transverse_residue, trapezoid_circle,
+                           volume_constant, volume_factors)
 from eisenspec.intertwine import m_scalar
 from eisenspec.roots import RHO_CHECK, RootDatum
 from eisenspec.zeta import circle_nodes, completed_L, ratio_L
@@ -275,6 +275,21 @@ def test_double_residue_at_rho_matches_pointwise_circles():
          * np.asarray(ratio_L(z2)))
     want = complex(np.mean(m * u_in * u_out))
     assert abs(double_residue_table()[4][2] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("radius, clearance, nodes", [(0.3, 1.0, 32),
+                                                       (0.1, 0.3, 34),
+                                                       (0.1, 0.75, 20)])
+def test_trapezoid_circle_takes_the_fewest_even_nodes(radius, clearance,
+                                                      nodes):
+    assert trapezoid_circle(radius, clearance) == (radius, nodes)
+    assert (radius / clearance) ** nodes <= 2.0 ** -53
+    assert (radius / clearance) ** (nodes - 2) > 2.0 ** -53
+
+
+def test_trapezoid_circle_rejects_a_circle_past_the_clearance():
+    with pytest.raises(ValueError):
+        trapezoid_circle(0.3, 0.3)
 
 
 def test_double_residue_cancellation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eisenspec import intertwine, parseval
+from eisenspec import gl3, intertwine, parseval
 from eisenspec.errors import DomainError
 from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
                                 contribution_A, contribution_B,
@@ -125,6 +125,24 @@ def test_measure_constants_are_unity():
                                contribution_C(phi))
     assert kb == pytest.approx(1.0, abs=1e-9)
     assert kc == pytest.approx(1.0, abs=1e-9)
+
+
+def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
+    assert gl3.DOUBLE_CIRCLES == ((0.3, 32), (0.1, 34))
+    assert parseval._PICKUP_CIRCLE == (0.1, 20)
+    phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(5))
+    b_direct, c = contribution_B(phi)[0], contribution_C(phi)
+    before = [*measure_constants(phi, b_direct, c),
+              *(v for _, _, v in gl3.double_residue_table())]
+    doubled = tuple((r, 2 * n) for r, n in gl3.DOUBLE_CIRCLES)
+    monkeypatch.setattr(gl3, "DOUBLE_CIRCLES", doubled)
+    monkeypatch.setattr(parseval, "DOUBLE_CIRCLES", doubled)
+    radius, nodes = parseval._PICKUP_CIRCLE
+    monkeypatch.setattr(parseval, "_PICKUP_CIRCLE", (radius, 2 * nodes))
+    after = [*measure_constants(phi, b_direct, c),
+             *(v for _, _, v in gl3.double_residue_table())]
+    for a, b in zip(before, after):
+        assert abs(a - b) <= 1e-13 * abs(b)
 
 
 def test_measure_constants_one_ratio_call_per_root(monkeypatch):

@@ -171,6 +171,17 @@ def test_residue_node_doubling_stable():
     assert abs(a - b) < 1e-10
 
 
+def test_residue_at_honours_a_small_node_count():
+    # 16 and then 32 nodes, nothing below or above
+    res = residue_at(lambda s: np.exp(s) / s, 0.0, 0.5, nodes=16,
+                     max_nodes=32)
+    assert abs(res - 1.0) <= 1e-14
+    # no node count to double from: an error, not an endless loop
+    for nodes in (0, -4):
+        with pytest.raises(ValueError):
+            residue_at(lambda s: np.exp(s) / s, 0.0, 0.5, nodes=nodes)
+
+
 def test_residue_nonconvergence_diagnostics():
     # a genuine branch cut defeats circle quadrature at any node count
     with pytest.raises(NonConvergence):
