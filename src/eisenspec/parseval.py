@@ -386,8 +386,8 @@ class SpectralReport:
     B_direct: complex
     B_factored: complex
     C: complex
-    kappa_B: float
-    kappa_C: float
+    kappa_B: float | None
+    kappa_C: float | None
     residual_abs: float
     residual_rel: float
     config: dict = field(default_factory=dict)
@@ -398,18 +398,17 @@ def parseval_check_gl3(phi: PaleyWienerGaussian,
                        lam0_alt: tuple[float, float] | None = (1.3, 1.8),
                        with_kappa: bool = True) -> SpectralReport:
     """Assemble shifted = A + B + C with the derived constants
-    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals; with_kappa
-    re-derives both constants numerically (measure_constants)."""
+    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals.  with_kappa
+    measures both constants numerically (measure_constants) into kappa_B and
+    kappa_C; without it they are None, since nothing was measured."""
     shifted = shifted_norm_gl3(phi, lam0)
     shifted_alt = (shifted_norm_gl3(phi, lam0_alt)
                    if lam0_alt is not None else None)
     a_direct, a_sym = contribution_A(phi)
     b_direct, b_fact = contribution_B(phi)
     c_val = contribution_C(phi)
-    if with_kappa:
-        kappa_b, kappa_c = measure_constants(phi, b_direct, c_val)
-    else:
-        kappa_b, kappa_c = MEASURE_KAPPA_B, MEASURE_KAPPA_C
+    kappa_b, kappa_c = (measure_constants(phi, b_direct, c_val)
+                        if with_kappa else (None, None))
     assembled = a_direct + MEASURE_KAPPA_B * b_direct + MEASURE_KAPPA_C * c_val
     residual = abs(shifted - assembled)
     return SpectralReport(

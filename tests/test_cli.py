@@ -105,7 +105,10 @@ def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
     ["--command", "nmatrix", "--z", "abc"],
     ["--command", "parseval", "--lambda0", "x"],
     ["--command", "parseval", "--lambda0", "1.5,1.5,9"],
-], ids=("z", "lambda0", "lambda0-three-values"))
+    ["--command", "zeta", "--seed", "-1"],
+    ["--command", "zeta", "--seed", "1.5"],
+], ids=("z", "lambda0", "lambda0-three-values", "seed-negative",
+        "seed-fraction"))
 def test_bad_flag_value_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -164,14 +167,16 @@ def test_emit_csv_empty_and_inconsistent(tmp_path):
         emit_csv({"a": [1.0], "b": []}, str(path))
 
 
-def test_parser_tolerance_flags():
+def test_parser_tolerance_flags(capsys):
     parser = build_parser()
-    args = parser.parse_args(["--command", "zeta",
-                              "--tol-functional-equation", "1e-9",
-                              "--lambda0", "1.4,1.6"])
+    args = parser.parse_args(["--command", "zeta", "--lambda0", "1.4,1.6"])
     cfg = config_from_args(args)
-    assert cfg.tolerances["functional-equation"] == 1e-9
     assert cfg.lambda0 == (1.4, 1.6)
+    # gates are pinned in cli.TOLERANCES: no option overrides one
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", "zeta", "--tol-functional-equation", "1e-9"])
+    assert exit_info.value.code == 2
+    assert "--tol-functional-equation" in capsys.readouterr().err
 
 
 def test_spectral_json_round_trip():
@@ -200,19 +205,19 @@ def test_cli_gln_parse():
     assert RunConfig(group="gln5").gln() == 5
 
 
-def test_failing_tolerance_reported():
-    cfg = RunConfig(command="volume")
-    cfg.tolerances["volume"] = -1.0  # unmeetable on purpose
-    report = run(cfg)
+def test_failing_tolerance_reported(monkeypatch):
+    monkeypatch.setitem(cli.TOLERANCES, "volume", -1.0)  # unmeetable
+    report = run(RunConfig(command="volume"))
     assert not report.all_passed
     blob = report.to_json_dict()
     assert blob["summary"]["failed"] > 0
 
 
 def test_cli_exit_code_nonzero_on_failure():
+    # z = 1.5 is a pole of N, so the nmatrix suite records nmatrix-error
     proc = subprocess.run(
-        [sys.executable, "-m", "eisenspec.cli", "--command", "volume",
-         "--tol-volume", "-1"],
+        [sys.executable, "-m", "eisenspec.cli", "--command", "nmatrix",
+         "--z", "1.5"],
         capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+    assert "FAIL" in proc.stdout and "nmatrix-error" in proc.stdout

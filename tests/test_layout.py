@@ -21,6 +21,10 @@ and parseval reaches ratio_L only through m_on_grid.
 
 The trapezoid rule on residue circles lives in gl3.circle_residue: outside
 zeta, no other function takes circle nodes.
+
+Every gate of a CLI check is named in cli.TOLERANCES: no report.add passes
+a nonzero numeric literal as its tolerance.  A 0.0 literal, for a check
+that must hold exactly, and a bound computed at the check are allowed.
 """
 
 import ast
@@ -140,3 +144,21 @@ def test_circle_rule_lives_in_gl3():
                if isinstance(node, ast.Call)
                and _called_name(node) == "circle_nodes"]
     assert callers == ["gl3.py:circle_residue"]
+
+
+def test_every_cli_gate_is_named():
+    path = SRC / "cli.py"
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.Call) and _called_name(node) == "add"
+                and getattr(node.func.value, "id", None) == "report"):
+            continue
+        gate = node.args[5] if len(node.args) > 5 else next(
+            (k.value for k in node.keywords if k.arg == "tolerance"), None)
+        try:
+            value = ast.literal_eval(gate)
+        except ValueError:
+            continue  # a TOLERANCES lookup, a name or a computed bound
+        if value != 0:
+            hits.append(f"cli.py:{node.lineno} gates at {value!r}")
+    assert hits == []
