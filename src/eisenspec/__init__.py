@@ -21,7 +21,7 @@ from .truncation import (QuadratureResult, QuadratureSpec, TruncationParam,
                          inner_product_fd, maass_selberg_convergence_study,
                          maass_selberg_record, omega_rank1,
                          truncated_eisenstein, truncated_eisenstein_direct)
-from .parseval import (ContourSpec, PaleyWienerGaussian, SpectralReport,
+from .parseval import (PaleyWienerGaussian, SpectralReport,
                        contribution_A, contribution_B, contribution_C,
                        decomposed_norm_gl2, measure_constants,
                        parseval_check_gl3, shifted_norm_gl2,

@@ -50,7 +50,6 @@ from .zeta import completed_L
 
 __all__ = [
     "PaleyWienerGaussian",
-    "ContourSpec",
     "SpectralReport",
     "MEASURE_KAPPA_B",
     "MEASURE_KAPPA_C",
@@ -154,36 +153,26 @@ class PaleyWienerGaussian:
         return cls(datum, beta, coeffs)
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Quadrature window on a vertical contour: the trapezoid nodes
-    t = k step, |t| <= half_width (rounded up to a whole step)."""
+# The two windows of the spectral integrals, each the trapezoid nodes
+# t = k step, |t| <= W (rounded up to a whole step), with the step.  At the
+# edge |t| = W the Gaussian factor of each integrand is at most
+# exp(-beta W^2 / 2).
 
-    half_width: float
-    step: float
-
-    def grid(self) -> np.ndarray:
-        return _grid(self.half_width, self.step)
-
-
-def _grid(width: float, step: float) -> np.ndarray:
+def _window(width: float, step: float) -> tuple[np.ndarray, float]:
     n = int(math.ceil(width / step))
-    return step * np.arange(-n, n + 1, dtype=np.float64)
+    return step * np.arange(-n, n + 1, dtype=np.float64), step
 
 
-# The two windows of the spectral integrals.  At the edge |t| = W the
-# Gaussian factor of each integrand is at most exp(-beta W^2 / 2).
-
-def _plane_window(beta: float) -> ContourSpec:
+def _plane_window(beta: float) -> tuple[np.ndarray, float]:
     """The GL(2) line and the GL(3) planes: W = sqrt(88/beta) puts the
     tail at exp(-44), below 1e-19 of scale."""
-    return ContourSpec(math.sqrt(88.0 / beta), 0.1)
+    return _window(math.sqrt(88.0 / beta), 0.1)
 
 
-def _line_window(beta: float) -> ContourSpec:
+def _line_window(beta: float) -> tuple[np.ndarray, float]:
     """The singular lines of B and kappa_B: W = sqrt(66/beta) puts the
     tail at exp(-33), below 5e-15 of scale."""
-    return ContourSpec(math.sqrt(66.0 / beta), 0.05)
+    return _window(math.sqrt(66.0 / beta), 0.05)
 
 
 # ------------------------------------------------------ shifted integrand --
@@ -219,26 +208,24 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
 # ----------------------------------------------------------------- GL(2) --
 
 
-def _gl2_line_sum(phi: PaleyWienerGaussian, base: float,
-                  spec: ContourSpec) -> complex:
-    """(step/2pi) sum over z = base + i t of the shifted integrand."""
+def _gl2_line_sum(phi: PaleyWienerGaussian, base: float) -> complex:
+    """(step/2pi) sum over z = base + i t of the shifted integrand, on the
+    plane window."""
+    t, step = _plane_window(phi.beta)
     total = sum(np.sum(m * phi_vals * image) for m, phi_vals, image in
                 _shifted_integrand(phi, GL2.weyl_group(), GL2.weight((base,)),
-                                   GL2.fundamental_weight(1), 1j * spec.grid(),
+                                   GL2.fundamental_weight(1), 1j * t,
                                    None, None))
-    return complex(total * spec.step / (2.0 * np.pi))
+    return complex(total * step / (2.0 * np.pi))
 
 
-def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float,
-                     spec: ContourSpec | None = None) -> complex:
-    """Shifted scalar-product integral on the line Re = sigma0 > 1, over the
-    plane window unless spec gives another."""
+def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float) -> complex:
+    """Shifted scalar-product integral on the line Re = sigma0 > 1."""
     if phi.datum.n != 2:
         raise DomainError("shifted_norm_gl2 needs a GL(2) profile")
     if sigma0 <= 1.0:
         raise DomainError("sigma0 must exceed 1 (convergence domain)")
-    spec = spec or _plane_window(phi.beta)
-    return _gl2_line_sum(phi, sigma0, spec)
+    return _gl2_line_sum(phi, sigma0)
 
 
 def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
@@ -249,7 +236,7 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """
     if phi.datum.n != 2:
         raise DomainError("decomposed_norm_gl2 needs a GL(2) profile")
-    axis = _gl2_line_sum(phi, 0.0, _plane_window(phi.beta))
+    axis = _gl2_line_sum(phi, 0.0)
     L2 = complex(completed_L(2.0))
     phi1 = phi.value(GL2.weight((1.0,)))
     residue = phi1 * phi1.conjugate() / L2
@@ -260,9 +247,10 @@ def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
 
 
 def _plane_integrand(phi: PaleyWienerGaussian, base: tuple[float, float],
-                     window: ContourSpec):
-    """The shifted integrand of each named Weyl element on base + i R^2."""
-    it = 1j * window.grid()
+                     t: np.ndarray):
+    """The shifted integrand of each named Weyl element on base + i R^2,
+    on the nodes t in each direction."""
+    it = 1j * t
     return _shifted_integrand(phi, named_weyl().values(), GL3.weight(base),
                               GL3.fundamental_weight(1), it,
                               GL3.fundamental_weight(2), it)
@@ -279,11 +267,11 @@ def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
     for plane, where in ((c1, "z1"), (c2, "z2"), (c1 + c2, "z1+z2")):
         if abs(plane - 1.0) < 0.05:
             raise DomainError(f"contour base too close to singular plane {where} = 1")
-    window = _plane_window(phi.beta)
-    scale = (window.step / (2.0 * np.pi)) ** 2
+    t, step = _plane_window(phi.beta)
+    scale = (step / (2.0 * np.pi)) ** 2
     return {name: complex(np.sum(m * phi_vals * image)) * scale
             for name, (m, phi_vals, image) in zip(
-                named_weyl(), _plane_integrand(phi, (c1, c2), window))}
+                named_weyl(), _plane_integrand(phi, (c1, c2), t))}
 
 
 def shifted_norm_gl3(phi: PaleyWienerGaussian,
@@ -294,14 +282,14 @@ def shifted_norm_gl3(phi: PaleyWienerGaussian,
 
 def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """Continuous contribution, both ways: (direct W-sum, (1/6) |F|^2 form)."""
-    window = _plane_window(phi.beta)
+    t, step = _plane_window(phi.beta)
     direct = 0.0 + 0.0j
     f_sum = 0.0
     # Phi(w lam) = conj Phi*(-w lam) on the imaginary plane
-    for m, phi_vals, image in _plane_integrand(phi, (0.0, 0.0), window):
+    for m, phi_vals, image in _plane_integrand(phi, (0.0, 0.0), t):
         direct += np.sum(m * phi_vals * image)
         f_sum += np.conj(image) / m
-    scale = (window.step / (2.0 * np.pi)) ** 2
+    scale = (step / (2.0 * np.pi)) ** 2
     symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
     return complex(direct) * scale, complex(symmetric) * scale
 
@@ -312,8 +300,7 @@ def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     direct   = (1/L(2)) sum_ij int n_ij(z) Phi_i conj(Phi_j) (1/2pi)|dz|
     factored = (1/L(2)) int |sum_i n_i1(z) Phi_i(z)|^2 (1/2pi)|dz|
     """
-    window = _line_window(phi.beta)
-    t = window.grid()
+    t, step = _line_window(phi.beta)
     n = n_matrix(1j * t)
     vals = np.array([phi.value_coords(*lambda_line(i, 1j * t).coeffs)
                      for i in (1, 2, 3)])
@@ -324,7 +311,7 @@ def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
             direct += np.sum(n[i, j] * vals[i] * np.conj(vals[j]))
     fac_sum = (n[:, 0, :] * vals).sum(axis=0)
     factored = np.sum(fac_sum * np.conj(fac_sum))
-    scale = window.step / (2.0 * np.pi * L2)
+    scale = step / (2.0 * np.pi * L2)
     return complex(direct) * scale, complex(factored) * scale
 
 
@@ -353,8 +340,8 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
         raise DomainError(
             "measure_constants needs a profile that does not vanish on the "
             "singular lines (B is numerically zero)")
-    window = _line_window(phi.beta)
-    x = 1j * window.grid()
+    t, step = _line_window(phi.beta)
+    x = 1j * t
     pickup = 0.0 + 0.0j
     for i in (1, 2, 3):
         row = circle_residue(lambda u: sum(
@@ -362,7 +349,7 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
                 phi, [sigma(i, j) for j in (1, 2, 3)], delta_weight(i),
                 line_direction(i), x, transverse_direction(i), u)),
             _PICKUP_CIRCLE)
-        pickup += np.sum(row) * window.step / (2.0 * np.pi)
+        pickup += np.sum(row) * step / (2.0 * np.pi)
     kappa_b = (pickup / b_direct).real
 
     # inner circle in z1 around 1, outer circle in z2 around 1
@@ -393,12 +380,12 @@ class SpectralReport:
     config: dict = field(default_factory=dict)
 
 
-def parseval_check_gl3(phi: PaleyWienerGaussian,
-                       lam0: tuple[float, float] = (1.5, 1.5),
-                       lam0_alt: tuple[float, float] | None = (1.3, 1.8),
+def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
+                       lam0_alt: tuple[float, float] | None,
                        with_kappa: bool = True) -> SpectralReport:
     """Assemble shifted = A + B + C with the derived constants
-    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals.  with_kappa
+    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals.  lam0_alt,
+    unless None, is a second base point of the shifted integral.  with_kappa
     measures both constants numerically (measure_constants) into kappa_B and
     kappa_C; without it they are None, since nothing was measured."""
     shifted = shifted_norm_gl3(phi, lam0)

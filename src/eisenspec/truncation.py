@@ -43,8 +43,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaincc, exp1
 
-from .errors import DomainError, NonConvergence, PoleProximity
-from .zeta import POLE_EXCLUSION_RADIUS, ratio_L, zeta
+from .errors import DomainError, NonConvergence
+from .zeta import ratio_L, zeta
 
 __all__ = [
     "TruncationParam",
@@ -202,12 +202,12 @@ def eisenstein_theta(x, y, s: float):
 
 
 def constant_term(y, s):
-    """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s)."""
+    """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s).
+
+    At s = 1, c(s) has a pole, and ratio_L raises PoleProximity.
+    """
     s = complex(s)
-    if abs(s - 1.0) < POLE_EXCLUSION_RADIUS:
-        raise PoleProximity("constant_term: c(s) has a pole at s = 1",
-                            point=s, pole=1.0)
-    c = complex(ratio_L(2.0 * s - 1.0))
+    c = _c_function(s)
     ya = np.asarray(y, dtype=np.float64)
     out = np.exp(s * np.log(ya)) + c * np.exp((1.0 - s) * np.log(ya))
     return complex(out[()]) if out.ndim == 0 else out
@@ -276,9 +276,6 @@ class QuadratureResult:
     panels: int
     evaluations: int = 0
 
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
 
 def _leg_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -311,7 +308,7 @@ class _Region:
 
 
 def inner_product_fd(f: Callable, g: Callable,
-                     quad: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+                     quad: QuadratureSpec) -> QuadratureResult:
     """Adaptive quadrature of integral over D of f * conj(g) dx dy / y^2.
 
     f and g must be vectorized callables of (x, y).  The domain, x in
@@ -370,7 +367,8 @@ def inner_product_fd(f: Callable, g: Callable,
                             panels=len(panels), evaluations=evals[0])
 
 
-def _c_function(s: float) -> complex:
+def _c_function(s) -> complex:
+    """c(s) = L(2s-1)/L(2s)."""
     return complex(ratio_L(2.0 * s - 1.0))
 
 
@@ -438,8 +436,8 @@ def maass_selberg_record(s1: float, s2: float, T: float,
 
 
 def maass_selberg_convergence_study(s1: float, s2: float, T: float,
-                                    bounds: tuple[int, ...] = (50, 100, 200),
-                                    quad_tol: float = 1e-3) -> list[dict]:
+                                    bounds: tuple[int, ...] = (50, 100, 200)
+                                    ) -> list[dict]:
     """Residual against the rank-one formula as the lattice bound grows.
 
     One row per direct-sum lattice bound (tail certified by integral
@@ -453,12 +451,12 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
     for bound in bounds:
         f1 = truncated_eisenstein_direct(s1, trunc, bound)
         f2 = truncated_eisenstein_direct(s2, trunc, bound)
-        spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0, base_order=8)
+        spec = QuadratureSpec(tol=1e-3, y_split=trunc.y0, base_order=8)
         tail = max(_tail_bound_raw(s, DECAY_CUTOFF, kappa_min, bound)
                    for s in (s1, s2))
         rows.append({"lattice_bound": bound, **_maass_selberg_row(
             s1, s2, T, inner_product_fd(f1, f2, spec), formula, tail)})
-    exact = maass_selberg_record(s1, s2, T, quad_tol=min(quad_tol, 1e-6))
+    exact = maass_selberg_record(s1, s2, T)
     exact["lattice_bound"] = 0
     rows.append(exact)
     return rows

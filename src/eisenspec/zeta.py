@@ -283,28 +283,23 @@ def ratio_L(z, plus=None):
         return (_completed_L_raw(z, plus)
                 / _completed_L_raw(1.0 + _as_complex_array(z), plus))
 
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    tiny = np.atleast_1d(tiny)
-    out = np.empty_like(arr)
-    if np.any(~tiny):
-        w = arr[~tiny]
-        out[~tiny] = _completed_L_raw(w) / _completed_L_raw(1.0 + w)
-    # ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1
-    a0 = _laurent_c0()
-    out[tiny] = -1.0 + 2.0 * a0 * arr[tiny]
-    return out[0] if scalar else out
+    # The quotient point by point; at the tiny points, where it is inf or
+    # nan, ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1.
+    w = arr.ravel()
+    with np.errstate(all="ignore"):
+        quotient = _completed_L_raw(w) / _completed_L_raw(1.0 + w)
+    out = np.where(tiny.ravel(), -1.0 + 2.0 * _laurent_c0() * w, quotient)
+    return out.reshape(arr.shape)[()]
 
 
-def residue_at(f, s0, radius: float, nodes: int = 64,
-               tol: float = 1e-10, max_nodes: int = 1024):
+def residue_at(f, s0, radius: float, nodes: int = 64, max_nodes: int = 1024):
     """Residue of f at s0: (1/2 pi i) oint f(s) ds on |s - s0| = radius.
 
     f must be analytic on the punctured disk with at most a simple pole at
     s0, and vectorized: it is called once per node count on the array of
     circle nodes, and any error it raises propagates.  Trapezoidal
     quadrature on the circle is spectrally accurate; the node count starts
-    at nodes and is doubled until two successive values agree to tol.
+    at nodes and is doubled until two successive values agree to 1e-10.
     """
     if nodes < 1:
         raise ValueError(f"residue_at needs nodes >= 1, got {nodes}")
@@ -314,7 +309,7 @@ def residue_at(f, s0, radius: float, nodes: int = 64,
     while n <= max_nodes:
         u = circle_nodes(radius, n)
         est = complex(np.mean(np.asarray(f(s0 + u), dtype=np.complex128) * u))
-        if prev is not None and abs(est - prev) < tol:
+        if prev is not None and abs(est - prev) < 1e-10:
             return est
         prev = est
         n *= 2

@@ -25,6 +25,9 @@ zeta, no other function takes circle nodes.
 Every gate of a CLI check is named in cli.TOLERANCES: no report.add passes
 a nonzero numeric literal as its tolerance.  A 0.0 literal, for a check
 that must hold exactly, and a bound computed at the check are allowed.
+
+Every default has a caller: a defaulted parameter that only tests set is a
+constant, not an argument.
 """
 
 import ast
@@ -162,3 +165,71 @@ def test_every_cli_gate_is_named():
         if value != 0:
             hits.append(f"cli.py:{node.lineno} gates at {value!r}")
     assert hits == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Defaults no call in the package or the benchmark passes, each kept for a
+# reason of its own.
+UNCALLED_DEFAULTS = {
+    "cli.main(argv)": "entry point: the console script passes no argv",
+    "cli.print_table(stream)": "entry point: the CLI prints to stdout",
+    "truncation.maass_selberg_record(quad_tol)":
+        "acceptance criterion 10 pins the quadrature at 1e-7",
+    "truncation.maass_selberg_convergence_study(bounds)":
+        "tests pass two small bounds: the default ones cost Tier-1 ~1.3 s",
+}
+
+
+def _defaulted(path: Path):
+    """(called name, position or None, parameter, label) for every
+    defaulted parameter of a function in path; a method's position does not
+    count self, and __init__ is called through its class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = {id(fn): cls for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = classes.get(id(fn))
+        pos = fn.args.posonlyargs + fn.args.args
+        first = 1 if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list) else 0
+        called = cls.name if fn.name == "__init__" else fn.name
+        skip = len(pos) - len(fn.args.defaults)
+        params = [(k - first, arg) for k, arg in enumerate(pos[skip:], skip)]
+        params += [(None, arg) for arg, value in zip(fn.args.kwonlyargs,
+                                                     fn.args.kw_defaults)
+                   if value is not None]
+        for position, arg in params:
+            yield (called, position, arg.arg,
+                   f"{path.stem}.{fn.name}({arg.arg})")
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call passes the parameter: by keyword, by enough
+    positional arguments, or through * or **."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_default_has_a_caller():
+    callers = sorted(SRC.glob("*.py")) + [
+        path for path in sorted(PERFBENCH.glob("*.py"))
+        if not path.name.startswith("test_")]
+    assert len(callers) >= 12
+    calls = [node for path in callers
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Call)]
+    defaults = [entry for path in sorted(SRC.glob("*.py"))
+                for entry in _defaulted(path)]
+    uncalled = {label for called, position, name, label in defaults
+                if not any(_called_name(call) == called
+                           and _passes(call, position, name)
+                           for call in calls)}
+    assert uncalled - set(UNCALLED_DEFAULTS) == set()
+    # every allowed entry still names a defaulted parameter
+    assert set(UNCALLED_DEFAULTS) <= {label for *_, label in defaults}

@@ -1,18 +1,15 @@
 """Contour-shift Parseval identities for GL(2) and GL(3)."""
 
-import math
-
 import numpy as np
 import pytest
 
 from eisenspec import gl3, intertwine, parseval
 from eisenspec.errors import DomainError
-from eisenspec.parseval import (ContourSpec, PaleyWienerGaussian,
-                                contribution_A, contribution_B,
-                                contribution_C, decomposed_norm_gl2,
-                                measure_constants, parseval_check_gl3,
-                                shifted_norm_gl2, shifted_norm_gl3,
-                                shifted_norm_gl3_terms)
+from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
+                                contribution_B, contribution_C,
+                                decomposed_norm_gl2, measure_constants,
+                                parseval_check_gl3, shifted_norm_gl2,
+                                shifted_norm_gl3, shifted_norm_gl3_terms)
 from eisenspec.roots import RootDatum
 from eisenspec.zeta import completed_L, ratio_L
 
@@ -172,7 +169,7 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
 
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
-    n = parseval._grid(math.sqrt(88.0 / phi.beta), 0.1).size
+    n = parseval._plane_window(phi.beta)[0].size
     for run in (lambda: shifted_norm_gl3_terms(phi, (1.5, 1.5)),
                 lambda: contribution_A(phi)):
         sizes.clear()
@@ -262,11 +259,14 @@ def test_weyl_antisymmetric_profile_sign_bookkeeping():
                                         rel=1e-12)
 
 
-def test_contour_spec_width_override():
+def test_contour_spec_width_override(monkeypatch):
+    # a narrower, finer window (W = 14, step 0.05) agrees with the plane
+    # window W = sqrt(88/beta), step 0.1
     phi = PaleyWienerGaussian(GL2, 0.5)
-    spec = ContourSpec(half_width=14.0, step=0.05)
-    a = shifted_norm_gl2(phi, 1.5, spec)
     b = shifted_norm_gl2(phi, 1.5)
+    monkeypatch.setattr(parseval, "_plane_window",
+                        lambda beta: (0.05 * np.arange(-280, 281), 0.05))
+    a = shifted_norm_gl2(phi, 1.5)
     assert abs(a - b) <= 1e-9
 
 

@@ -235,8 +235,7 @@ def test_direct_evaluator_approaches_exact():
 
 
 def test_convergence_study_rows():
-    rows = maass_selberg_convergence_study(1.4, 1.3, 1.0, bounds=(25, 50),
-                                           quad_tol=1e-3)
+    rows = maass_selberg_convergence_study(1.4, 1.3, 1.0, bounds=(25, 50))
     assert [r["lattice_bound"] for r in rows] == [25, 50, 0]
     rels = [r["rel_err"] for r in rows]
     assert rels[0] > rels[1] > rels[2]
