@@ -30,6 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .errors import DomainError
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight, WeylElement
 from .zeta import circle_nodes, completed_L, ratio_L
@@ -82,16 +83,21 @@ def trapezoid_circle(radius: float, clearance: float) -> tuple[float, int]:
 
 
 # The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
-# u-circle of transverse_residue; it is not sized by trapezoid_circle yet,
-# because its residual sits at the error floor of zeta toward Re -1/2, not
-# at the trapezoid error.  DOUBLE_CIRCLES, outer then inner, are the
+# u-circle of transverse_residue, at lam_i(z) + u delta_i with z = it on
+# the axis.  The root beta_i gives ratio_L(1 + u): the pole at u = 0 is the
+# residue, and its next singularity is past |u| = 14.  The other roots have
+# argument a0 (1 + u) +- it with a0 = +-1/2.  The pole of L at 1 puts theirs
+# at |u| = |1 -+ 2it| >= 1 (a0 = 1/2) or |3 +- 2it| >= 3, and a zero
+# 1/2 + i gamma of L(1 + s) at |u| >= 2 or at |u| = 2 |t -+ gamma|, which
+# the first zero, gamma_1 = 14.1347, keeps >= 1 for |t| <= 13.6.  So the
+# clearance is 1.  DOUBLE_CIRCLES, outer then inner, are the
 # iterated circles of the double residues and of kappa_C.  After the inner
 # residue, the next pole of the outer variable lies on a plane at distance
 # 1.  The inner radius is kept strictly below the outer one so that the
 # inner circle encloses only the hyperplane through the centre, never a
 # pole that moves with the outer variable: on the w1 and w2 rows the plane
 # z1 + z2 = 1 passes at |u_in| = |u_out| = 0.3, the inner clearance.
-TRANSVERSE_CIRCLE = (0.3, 128)
+TRANSVERSE_CIRCLE = trapezoid_circle(0.1, 1.0)
 DOUBLE_CIRCLES = (trapezoid_circle(0.3, 1.0), trapezoid_circle(0.1, 0.3))
 
 
@@ -323,5 +329,8 @@ def volume_constant(datum: RootDatum) -> float:
     value = 1.0
     for k in volume_factors(datum):
         value *= float(np.real(completed_L(float(k))))
+    if not math.isfinite(value):
+        raise DomainError(f"volume_constant: L(2)...L({datum.n}) is past "
+                          "double range")
     return value
 

@@ -19,7 +19,7 @@ from eisenspec.parseval import (PaleyWienerGaussian, decomposed_norm_gl2,
                                 parseval_check_gl3, shifted_norm_gl2)
 from eisenspec.roots import RootDatum, association_classes, truncation_terms
 from eisenspec.truncation import maass_selberg_record
-from eisenspec.zeta import completed_L, residue_at
+from eisenspec.zeta import completed_L, gamma_fn, residue_at, zeta
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -44,7 +44,12 @@ def test_criterion_01_functional_equation_grid():
         if abs(s) > 0.2 and abs(s - 1.0) > 0.2:
             pts.append(s)
     arr = np.array(pts)
-    resid = float(np.max(np.abs(completed_L(arr) - completed_L(1.0 - arr))))
+    # completed_L takes L(1 - s) left of Re 1/2, so hold it to the direct
+    # Euler-Maclaurin product at s and at 1 - s: one of the two is an
+    # independent route wherever Re s is in [-1, 2]
+    direct = [np.pi ** (-w / 2) * gamma_fn(w / 2) * zeta(w)
+              for w in (arr, 1.0 - arr)]
+    resid = float(max(np.max(np.abs(completed_L(arr) - d)) for d in direct))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
     _report(1, "functional equation L(s) = L(1-s)", resid, 1e-10,

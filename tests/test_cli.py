@@ -49,6 +49,22 @@ def test_volume_closed_form_is_independent_of_zeta(monkeypatch):
         ("volume-gl2", False), ("volume-gl3", False), ("volume-gl4", False)]
 
 
+@pytest.mark.parametrize("check, command, route", [
+    ("L-functional-equation-grid", "zeta", "completed_L"),
+    ("ratio-unimodular-axis", "zeta", "zeta"),
+    ("L-reflection-pair", "lfn", "completed_L"),
+])
+def test_reflection_checks_can_fail(monkeypatch, check, command, route):
+    # completed_L takes L(1 - s) left of Re 1/2, so L(s) = L(1 - s) holds by
+    # construction; each check holds one route to an independent value (the
+    # direct Euler-Maclaurin zeta or an mpmath value), and a relative error
+    # of 1e-7 in that route fails it
+    original = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda s: original(s) * (1.0 + 1e-7))
+    report = run(RunConfig(command=command))
+    assert check in [r.name for r in report.records if not r.passed]
+
+
 def test_parseval_suite_checks_kappa_unity():
     report = run(RunConfig(command="parseval"))
     unity, = [r for r in report.records if r.name == "parseval-kappa-unity"]

@@ -25,6 +25,19 @@ ZETA_3 = 1.2020569031595942854
 SQRT_PI = 1.7724538509055160273
 L_2 = 0.52359877559829887308      # pi/6
 L_3 = 0.19131329801644807620      # zeta(3)/(2 pi)
+L_03_2I = complex(-0.20717261339322476282, 0.043375669082548637421)
+
+
+def _direct_L(s):
+    """pi^(-s/2) Gamma(s/2) zeta(s) with the public zeta, which sums
+    Euler-Maclaurin directly on Re s >= -1: there a route independent of
+    completed_L, which takes L(1 - s) left of Re 1/2."""
+    return np.power(np.pi + 0j, -s / 2.0) * gamma_fn(s / 2.0) * zeta(s)
+
+
+def _mp_L(w):
+    """L at an mpmath complex w, by mpmath."""
+    return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
 
 
 def test_zeta_at_2():
@@ -84,21 +97,41 @@ def test_completed_L_values():
 
 
 def test_completed_L_functional_equation_pair():
-    a = complex(completed_L(0.3 + 2.0j))
-    b = complex(completed_L(0.7 - 2.0j))
-    assert abs(a - b) < 1e-12
+    # L(0.3 + 2i) is evaluated as L(0.7 - 2i), so both equal the same
+    # frozen value, not merely each other
+    for s in (0.3 + 2.0j, 0.7 - 2.0j):
+        assert abs(complex(completed_L(s)) - L_03_2I) < 1e-12
 
 
 def test_completed_L_functional_equation_grid():
+    # left of Re 1/2, L(1 - s) against the direct Euler-Maclaurin zeta
     rng = np.random.default_rng(3)
     pts = []
     while len(pts) < 200:
-        s = complex(rng.uniform(-2, 3), rng.uniform(-40, 40))
-        if abs(s) > 0.2 and abs(s - 1.0) > 0.2:
+        s = complex(rng.uniform(-1, 0.5), rng.uniform(-40, 40))
+        if abs(s) > 0.2:
             pts.append(s)
     arr = np.array(pts)
-    resid = np.max(np.abs(completed_L(arr) - completed_L(1.0 - arr)))
+    resid = np.max(np.abs(completed_L(arr) - _direct_L(arr)))
     assert resid <= 1e-10
+
+
+def test_completed_L_matches_mpmath_on_the_validated_rectangle():
+    rng = np.random.default_rng(29)
+    s = rng.uniform(-6, 6, 120) + 1j * rng.uniform(-150, 150, 120)
+    s = s[np.minimum(np.abs(s), np.abs(s - 1.0)) > 0.2]
+    want = np.array([complex(_mp_L(mp.mpc(x.real, x.imag))) for x in s])
+    # 2.8e-13 at worst here; Euler-Maclaurin run directly down to Re -1
+    # reads 8.0e-13
+    assert np.max(np.abs(completed_L(s) - want) / np.abs(want)) <= 5e-13
+
+
+def test_completed_L_raises_where_not_finite():
+    # Gamma(172.5) overflows a double
+    with pytest.raises(DomainError):
+        completed_L(345.0)
+    with pytest.raises(DomainError):
+        completed_L(np.array([2.0, 400.0]))
 
 
 def test_completed_L_conjugation():
@@ -154,9 +187,14 @@ def test_ratio_L_direct_quotient():
 
 
 def test_ratio_L_unimodular_on_axis():
+    # ratio_L(it) takes L(it) as L(1 - it), the conjugate of L(1 + it); the
+    # direct L(it) checks the modulus independently
     t = np.linspace(-40.0, 40.0, 161)
     vals = np.abs(np.asarray(ratio_L(1j * t)))
     assert np.max(np.abs(vals - 1.0)) <= 1e-9
+    it = 1j * t[t != 0.0]
+    direct = np.abs(_direct_L(it) / completed_L(1.0 + it))
+    assert np.max(np.abs(direct - 1.0)) <= 1e-9
 
 
 def test_ratio_L_pole_guard():
@@ -228,14 +266,20 @@ def test_laurent_constant_cached_per_config():
 
 def _ratio_oracle(z) -> complex:
     s = mp.mpc(z.real, z.imag)
-
-    def big_l(w):
-        return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
-
-    return complex(big_l(s) / big_l(1 + s))
+    return complex(_mp_L(s) / _mp_L(1 + s))
 
 
-@pytest.mark.parametrize("re", [-0.65, -0.5, 0.5, 1.0, 2.3])
+# The bound on the error of either route, by the real part of the line.
+# Neither route is systematically the better: over 48 line (+) circle grids
+# with Re from -0.95 to 2.5 the grid's worst error was the larger on 25, at
+# 0.70 to 1.86 times the pointwise one.  Next to a zero of L(1 + z) one
+# point can favour either by 3x (0.5 - 14.3i: 3.2e-13 against 1.0e-13), so
+# both routes are held to one bound per row, not to each other.
+_GRID_BOUND = {-0.65: 8e-13, -0.5: 5e-13, 0.5: 2.5e-14, 1.0: 2.5e-14,
+               2.3: 1e-14}
+
+
+@pytest.mark.parametrize("re", sorted(_GRID_BOUND))
 def test_ratio_L_grid_matches_pointwise_and_oracle(re):
     # the (line point) + (circle node) shapes of the measure-constant grids
     a = re + 1j * np.linspace(-14.0, 14.0, 9)
@@ -245,10 +289,8 @@ def test_ratio_L_grid_matches_pointwise_and_oracle(re):
     assert grid.shape == (9, 12)
     want = np.array([[_ratio_oracle(z) for z in row]
                      for row in np.add.outer(a, b)])
-    err_grid = np.max(np.abs(grid - want))
-    err_point = np.max(np.abs(pointwise - want))
-    assert err_grid <= 5e-12
-    assert err_grid <= 2.0 * err_point + 1e-14
+    assert np.max(np.abs(grid - want)) <= _GRID_BOUND[re]
+    assert np.max(np.abs(pointwise - want)) <= _GRID_BOUND[re]
 
 
 def test_ratio_L_grid_high_imaginary_part():
