@@ -79,10 +79,10 @@ GL2 = RootDatum(2)
 # roots (at most two) have argument a0 (1 + u) + a_x it with a0 = +-1/2.
 # The pole of L at 1 puts theirs at |u| >= 1, and a zero 1/2 + i gamma of
 # L(1 + s) at |u| = 2 |t - gamma| (a0 = -1/2) or farther.  The first zero,
-# gamma_1 = 14.1347, keeps that >= 0.77 on the widest line window,
-# |t| <= 13.75 at beta = 0.35, the smallest beta PaleyWienerGaussian.random
-# draws.  So the clearance is 0.75.
-_PICKUP_CIRCLE = trapezoid_circle(0.1, 0.75)
+# gamma_1 = 14.1347, keeps that >= 0.71 on the widest line window, whose
+# last node is t = 179 _LINE_STEP = 13.777 at beta = 0.35, the smallest beta
+# PaleyWienerGaussian.random draws.  So the clearance is 0.7.
+_PICKUP_CIRCLE = trapezoid_circle(0.1, 0.7)
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,65 @@ def _plane_window(beta: float) -> tuple[np.ndarray, float]:
     return _window(math.sqrt(88.0 / beta), 0.1)
 
 
+# The step of the singular lines comes from the distance d of the nearest
+# singularity of their integrands to the real t-axis: the trapezoid rule
+# errs by exp(-2 pi d / step) relative to the integrand's scale (Trefethen
+# and Weideman, SIAM Rev. 56, 2014), and _LINE_STEP is the largest step with
+# exp(-2 pi d / step) <= 2^-53.  ratio_L(s) = L(s)/L(1 + s) has its pole at
+# s = 1, and its other poles at the zeros 1/2 + i gamma of L(1 + s).  On
+# B's kernel n_ij(it) every argument is +-it +- 1/2 (n_matrix): the pole at
+# 1 sits at |Im t| >= 1/2, the zeros at |Im t| >= 1.  On the kappa_B pickup
+# the other roots take a0 (1 + u) + a_x it with a0 = +-1/2, a_x = +-1 and
+# |u| = 0.1 (_PICKUP_CIRCLE): the pole at 1 sits at |Im t| = Re(1 -+ (1 + u)/2)
+# >= 0.45, and a zero comes to |Im t| = |Re u|/2 only near |t| = gamma >=
+# gamma_1 = 14.1347, beyond the line window, where the Gaussian factor has
+# cut the integrand below exp(-33) of scale.  So d = 0.45, and the step is
+# 2 pi 0.45 / (53 ln 2) = 0.0770.
+_LINE_STEP = 2.0 * math.pi * 0.45 / (53.0 * math.log(2.0))
+
+
 def _line_window(beta: float) -> tuple[np.ndarray, float]:
     """The singular lines of B and kappa_B: W = sqrt(66/beta) puts the
     tail at exp(-33), below 5e-15 of scale."""
-    return _window(math.sqrt(66.0 / beta), 0.05)
+    return _window(math.sqrt(66.0 / beta), _LINE_STEP)
 
 
 # ------------------------------------------------------ shifted integrand --
+
+
+def _affine_poly(terms, lines, size: int) -> np.ndarray:
+    """The (size, size) matrix P with sum over the (e, coeff) terms of
+    coeff prod_k (a_k + b_k x + c_k y)^(e_k) = sum_pq P[p, q] x^p y^q, for
+    lines[k] = (a_k, b_k, c_k).  An exponent tuple e shorter than lines
+    leaves the remaining coordinates at power 0; size must exceed the total
+    degree."""
+    poly = np.zeros((size, size), dtype=np.complex128)
+    for expo, coeff in terms:
+        term = {(0, 0): complex(coeff)}
+        for (a, b, c), e in zip(lines, expo):
+            for _ in range(e):
+                product = {}
+                for (p, q), v in term.items():
+                    for key, f in (((p, q), a), ((p + 1, q), b),
+                                   ((p, q + 1), c)):
+                        if f:
+                            product[key] = product.get(key, 0.0) + v * f
+                term = product
+        for (p, q), v in term.items():
+            poly[p, q] += v
+    return poly
+
+
+def _lines(coords) -> list[tuple[complex, ...]]:
+    """lines[k] = (a_k, b_k, c_k) of lam_k = a_k + b_k x + c_k y, from the
+    coordinate tuples of base, x_dir and y_dir."""
+    return list(zip(*(map(complex, c) for c in coords)))
+
+
+def _on_grid(poly: np.ndarray, vx: np.ndarray, vy: np.ndarray | None):
+    """sum_pq poly[p, q] x^p y^q on the grid of the Vandermonde matrices
+    vx[k, p] = x_k^p and vy[l, q] = y_l^q; without vy, at y = 0."""
+    return vx @ poly[:, 0] if vy is None else vx @ poly @ vy.T
 
 
 def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
@@ -185,23 +237,40 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
     m_on_grid.
 
     The one evaluator of the shifted integrand: every contour integral of
-    this module sums m(w, lam) Phi(lam) conj(Phi(-w conj lam)) over it.  A
-    coordinate takes only the nonzero components of the directions, so a
-    fundamental-weight plane keeps its (x.size, 1) and (1, y.size) shapes.
-    Phi*(-w lam) is built before m_on_grid forms m(w, lam): built after,
-    its temporaries would sit next to m and raise the peak memory by one
-    grid-sized array.
+    this module sums m(w, lam) Phi(lam) conj(Phi(-w conj lam)) over it.
+    Both profiles are built at matmul cost.  lam and -w lam are affine in
+    (x, y), with coefficients the exact coordinates of base, x_dir, y_dir
+    and their images under -w, so Q(lam) and Q*(-w lam) are polynomials in
+    (x, y) of degree <= deg Q: their values are vx P vy^T (_affine_poly,
+    _on_grid).  The Gaussian exp(beta <lam, lam>), its exponent expanded
+    the same way, is formed once, since <-w lam, -w lam> = <lam, lam> for
+    every w.  Without y, y_dir is zero.  Phi*(-w lam) is built
+    before m_on_grid forms m(w, lam): built after, its temporaries would
+    sit next to m and raise the peak memory by one grid-sized array.
     """
-    grids = [(x_dir, x)] if y is None else [(x_dir, x[:, None]),
-                                            (y_dir, y[None, :])]
-    coords = [complex(base.coeffs[k])
-              + sum(complex(d.coeffs[k]) * g for d, g in grids if d.coeffs[k])
-              for k in range(phi.datum.rank)]
-    phi_vals = phi.value_coords(*coords)
+    r = phi.datum.rank
+    dirs = (base, x_dir,
+            phi.datum.weight((0,) * r) if y is None else y_dir)
     star = phi.star()
+    gram = [(tuple((k == i) + (k == j) for k in range(r)), float(g))
+            for i, row in enumerate(phi.datum.gram_fw)
+            for j, g in enumerate(row)]
+    size = max([2, *(sum(e) for e in phi.poly_coeffs)]) + 1
+    vx = np.vander(np.asarray(x, dtype=np.complex128), size, increasing=True)
+    vy = (None if y is None else
+          np.vander(np.asarray(y, dtype=np.complex128), size, increasing=True))
+    lines = _lines(d.coeffs for d in dirs)
+    gauss = np.exp(phi.beta
+                   * _on_grid(_affine_poly(gram, lines, size), vx, vy))
+    phi_vals = _on_grid(_affine_poly(phi.poly_coeffs.items(), lines, size),
+                        vx, vy)
+    phi_vals *= gauss
     ms = m_on_grid(ws, base, x_dir, x, y_dir, y)
     for w in ws:
-        image = star.value_coords(*w.act_coords(*(-c for c in coords)))
+        w_lines = _lines(w.act_coords(*(-c for c in d.coeffs)) for d in dirs)
+        image = _on_grid(_affine_poly(star.poly_coeffs.items(), w_lines,
+                                      size), vx, vy)
+        image *= gauss
         yield next(ms), phi_vals, image
 
 

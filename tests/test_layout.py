@@ -28,6 +28,9 @@ that must hold exactly, and a bound computed at the check are allowed.
 
 Every default has a caller: a defaulted parameter that only tests set is a
 constant, not an argument.
+
+No module reads the environment: a switch read from os.environ or
+os.getenv would be a knob that the knob count does not see.
 """
 
 import ast
@@ -73,6 +76,21 @@ def test_no_evaluator_takes_a_config():
                 hits += [f"{path.name}:{node.lineno} imports EvaluatorConfig"
                          for alias in node.names
                          if alias.name == "EvaluatorConfig"]
+    assert hits == []
+
+
+def test_no_module_reads_the_environment():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "environ", "environb", "getenv", "getenvb"):
+                hits.append(f"{path.name}:{node.lineno} reads os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hits += [f"{path.name}:{node.lineno} imports {alias.name}"
+                         for alias in node.names
+                         if alias.name in ("environ", "environb", "getenv",
+                                           "getenvb", "*")]
     assert hits == []
 
 

@@ -1,5 +1,7 @@
 """Contour-shift Parseval identities for GL(2) and GL(3)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 parseval_check_gl3, shifted_norm_gl2,
                                 shifted_norm_gl3, shifted_norm_gl3_terms)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import completed_L, ratio_L
+from eisenspec.zeta import circle_nodes, completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -140,6 +142,114 @@ def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
              *(v for _, _, v in gl3.double_residue_table())]
     for a, b in zip(before, after):
         assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_pickup_circle_clears_the_first_zero_on_the_widest_line_window():
+    # the kappa_B circle's clearance is 2 (gamma_1 - |t|) at the last node
+    # of the line window of the smallest beta random profiles draw; its
+    # comment claims 0.7, and the circle must resolve the residue there
+    gamma_1 = 14.134725141734693
+    t, step = parseval._line_window(0.35)
+    assert step == pytest.approx(2 * np.pi * 0.45 / (53 * np.log(2)),
+                                 rel=1e-15)
+    clearance = 2 * (gamma_1 - t.max())
+    assert clearance >= 0.7
+    assert parseval._PICKUP_CIRCLE == gl3.trapezoid_circle(0.1, clearance)
+
+
+def _random_quadratic(datum, beta, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = {e: complex(*rng.uniform(-1, 1, 2))
+              for e in np.ndindex(*(3,) * datum.rank) if sum(e) <= 2}
+    return PaleyWienerGaussian(datum, beta, coeffs)
+
+
+def _componentwise_scale(phi, coords):
+    """|exp(beta <lam, lam>)| times sum_e |c_e| prod_k |lam_k|^e_k, the
+    scale that rounding in the evaluation of Phi(lam) is relative to."""
+    gauss = np.abs(PaleyWienerGaussian(phi.datum, phi.beta).value_coords(
+        *coords))
+    poly = sum(abs(c) * np.prod([np.abs(coords[k]) ** e
+                                 for k, e in enumerate(expo)], axis=0)
+               for expo, c in phi.poly_coeffs.items())
+    return gauss * poly
+
+
+@pytest.mark.parametrize("grid", ["plane", "line-circle", "double-circle",
+                                  "gl2-line"])
+def test_grid_profiles_match_the_pointwise_oracle(grid):
+    # Phi(lam) and Phi*(-w lam) of the shifted integrand against
+    # value_coords at each grid point, on the widest windows
+    beta = 0.35
+    line = 1j * parseval._line_window(beta)[0]
+    plane = 1j * parseval._plane_window(beta)[0]
+    ws, base, x_dir, x, y_dir, y = {
+        "plane": (gl3.named_weyl().values(), GL3.weight((1.3, 1.8)),
+                  GL3.fundamental_weight(1), plane,
+                  GL3.fundamental_weight(2), plane),
+        "line-circle": ([gl3.sigma(2, j) for j in (1, 2, 3)],
+                        gl3.delta_weight(2), gl3.line_direction(2), line,
+                        gl3.transverse_direction(2), circle_nodes(0.1, 20)),
+        "double-circle": ([gl3.named_weyl()["s3"]], GL3.rho(),
+                          GL3.fundamental_weight(2), circle_nodes(0.3, 32),
+                          GL3.fundamental_weight(1), circle_nodes(0.1, 34)),
+        "gl2-line": (GL2.weyl_group(), GL2.weight((1.5,)),
+                     GL2.fundamental_weight(1), plane, None, None),
+    }[grid]
+    datum = base.datum
+    grids = [(x_dir, x)] if y is None else [(x_dir, x[:, None]),
+                                            (y_dir, y[None, :])]
+    coords = np.broadcast_arrays(*(
+        complex(base.coeffs[k]) + sum(complex(d.coeffs[k]) * g
+                                      for d, g in grids)
+        for k in range(datum.rank)))
+    # the default profile's exponent tuple () is shorter than the rank.  At
+    # the plane's corners |beta <lam, lam>| reaches 180, and rounding in
+    # value_coords' own exponent sets most of the error there (up to 8.5e-14
+    # against a 40-digit reference, where the grid's is up to 4e-14)
+    for phi in (PaleyWienerGaussian(datum, beta),
+                _random_quadratic(datum, beta, 11)):
+        star = phi.star()
+        pairs = [(phi, coords)]
+        pairs += [(star, w.act_coords(*(-c for c in coords))) for w in ws]
+        triples = list(parseval._shifted_integrand(phi, ws, base, x_dir, x,
+                                                   y_dir, y))
+        got = [triples[0][1]] + [image for _, _, image in triples]
+        for value, (profile, at) in zip(got, pairs):
+            want = profile.value_coords(*at)
+            err = np.abs(np.broadcast_to(value, want.shape) - want)
+            assert np.max(err / _componentwise_scale(profile, at)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.35, 0.8])
+def test_line_step_is_stable_under_halving(monkeypatch, beta):
+    phi = _random_quadratic(GL3, beta, 7)
+    c = contribution_C(phi)
+
+    def line_values():
+        b_direct, b_factored = contribution_B(phi)
+        kappa_b, _ = measure_constants(phi, b_direct, c)
+        return [b_direct, b_factored, kappa_b]
+
+    before = line_values()
+    monkeypatch.setattr(parseval, "_LINE_STEP", parseval._LINE_STEP / 2)
+    after = line_values()
+    for a, b in zip(before, after):
+        assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_shifted_norm_peak_memory():
+    # at most 8.5 complex arrays of the plane grid's size at once
+    phi = _random_quadratic(GL3, 0.35, 3)
+    n = parseval._plane_window(phi.beta)[0].size
+    shifted_norm_gl3(phi, (1.5, 1.5))  # warm the caches
+    tracemalloc.start()
+    try:
+        shifted_norm_gl3(phi, (1.5, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 16 * n * n
 
 
 def test_measure_constants_one_ratio_call_per_root(monkeypatch):
