@@ -305,8 +305,9 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
     lam2 = g2.weight((sigma,))
     w2 = g2.simple_reflection(1)
     got = m_scalar(w2, lam2)
-    want = complex(completed_L(sigma) / completed_L(1 + sigma))
-    report.add("gl2-m-closed-form", "m(s, sigma rho) = L(sigma)/L(1+sigma)",
+    want = complex(_direct_L(sigma) / completed_L(1 + sigma))
+    report.add("gl2-m-closed-form",
+               "m(s, sigma rho) = L(sigma)/L(1+sigma), L(sigma) direct",
                want, got, abs(got - want) / abs(want),
                TOLERANCES["m-closed-form"])
 

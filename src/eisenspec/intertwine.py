@@ -104,10 +104,16 @@ def m_scalar(w: WeylElement, lam: Weight) -> complex:
 
 def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight) -> float:
     """max |m(st, lam) - m(s, t lam) m(t, lam)| over lam, a weight or a
-    cloud (see m_on_grid); zero in exact arithmetic."""
-    m_st, m_t = m_on_grid([s * t, t], lam)
-    m_s, = m_on_grid([s], t.act(lam))
-    return float(np.max(np.abs(m_st - m_s * m_t)))
+    cloud (see m_on_grid); zero in exact arithmetic.  lam and t lam are
+    stacked into one cloud of leading axis 2, so one ratio_L call takes
+    all three factors."""
+    coeffs = np.broadcast_arrays(*lam.coeffs, *t.act(lam).coeffs)
+    rank = lam.datum.rank
+    pair = lam.datum.weight(tuple(np.stack((c, tc)) for c, tc
+                                  in zip(coeffs[:rank], coeffs[rank:])))
+    m_st, m_t, m_s = (np.broadcast_to(m, (2,) + coeffs[0].shape)
+                      for m in m_on_grid([s * t, t, s], pair))
+    return float(np.max(np.abs(m_st[0] - m_s[1] * m_t[0])))
 
 
 def unitarity_check(w: WeylElement, y) -> float:

@@ -27,9 +27,14 @@ Evaluation strategy:
   degenerate case without b, where the product is the row sum of n^(-w).
 * Gamma by a fixed Lanczos coefficient set (g = 607/128, 15 terms), with the
   reflection formula for Re(s) < 1/2.
-* ratio_L(z) = L(z)/L(1+z) is a first-class primitive: the removable
-  singularity at z = 0 (both L factors have simple poles there) is filled by
-  its Laurent expansion, so quadrature paths may run straight through 0.
+* ratio_L(z) = L(z)/L(1+z) is a first-class primitive, evaluated in one
+  kernel pass: z and 1 + z are stacked into one Euler-Maclaurin call (they
+  share its N, since Im(1 + z) = Im z) and one Gamma call, and the pi
+  factor is one power, pi^(-w1/2) / pi^(-w2/2) = pi^((w2 - w1)/2): sqrt(pi)
+  on Re z >= 1/2, pi^z on -1/2 <= Re z < 1/2 and 1/sqrt(pi) on
+  Re z < -1/2.  The removable singularity at z = 0 (both L factors have
+  simple poles there) is filled by its Laurent expansion, so quadrature
+  paths may run straight through 0.
 * Residues are extracted by trapezoidal quadrature on circles; closed forms
   are reserved for test oracles.
 
@@ -170,13 +175,27 @@ def _zeta_em_core(a, b, reflect):
     return w, acc + corr
 
 
-def _completed_L_raw(s, plus=None):
-    """L at s, or on the outer sum s (+) plus, from Euler-Maclaurin at
-    w = s or w = 1 - s, whichever has Re w >= 1/2 (L(s) = L(1 - s))."""
+def _completed_L_raw(s):
+    """L at s from Euler-Maclaurin at w = s or w = 1 - s, whichever has
+    Re w >= 1/2 (L(s) = L(1 - s))."""
     a = _as_complex_array(s)
-    b = None if plus is None else _as_complex_array(plus).ravel()
-    w, zeta_w = _zeta_em_core(a.ravel(), b, True)
+    w, zeta_w = _zeta_em_core(a.ravel(), None, True)
     out = np.power(np.pi + 0j, -w / 2.0) * _gamma_raw(w / 2.0) * zeta_w
+    return out.reshape(a.shape)[()]
+
+
+def _ratio_L_raw(z, plus):
+    """L(z)/L(1+z), or on the outer sum z (+) plus, in one kernel pass:
+    one Euler-Maclaurin call on z and 1 + z stacked (as points, or as the
+    rows of the grid), one Gamma call on w/2, and the one pi power
+    pi^((w2 - w1)/2) of the module docstring."""
+    a = _as_complex_array(z)
+    b = None if plus is None else _as_complex_array(plus).ravel()
+    n = a.size
+    w, zeta_w = _zeta_em_core(np.concatenate((a.ravel(), 1.0 + a.ravel())),
+                              b, True)
+    gz = _gamma_raw(w / 2.0) * zeta_w
+    out = np.power(np.pi + 0j, (w[n:] - w[:n]) / 2.0) * gz[:n] / gz[n:]
     return out.reshape(a.shape + np.shape(plus))[()]
 
 
@@ -273,20 +292,20 @@ def ratio_L(z, plus=None):
     factors have simple poles with opposite residues and the quotient
     extends analytically with value -1.  With plus given the quotient is
     evaluated on the outer sum z (+) plus, of shape z.shape + plus.shape,
-    through the separable kernel.
+    through the separable kernel.  Either way L(z) and L(1+z) come from
+    one kernel pass, with or without points to fill.
     """
     arr = _as_complex_array(z if plus is None else np.add.outer(z, plus))
     _check_pole(arr, (1.0,), POLE_EXCLUSION_RADIUS, "ratio_L")
     tiny = np.abs(arr) < POLE_EXCLUSION_RADIUS
     if not np.any(tiny):
-        return (_completed_L_raw(z, plus)
-                / _completed_L_raw(1.0 + _as_complex_array(z), plus))
+        return _ratio_L_raw(z, plus)
 
     # The quotient point by point; at the tiny points, where it is inf or
     # nan, ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1.
     w = arr.ravel()
     with np.errstate(all="ignore"):
-        quotient = _completed_L_raw(w) / _completed_L_raw(1.0 + w)
+        quotient = _ratio_L_raw(w, None)
     out = np.where(tiny.ravel(), -1.0 + 2.0 * _laurent_c0() * w, quotient)
     return out.reshape(arr.shape)[()]
 

@@ -53,12 +53,14 @@ def test_volume_closed_form_is_independent_of_zeta(monkeypatch):
     ("L-functional-equation-grid", "zeta", "completed_L"),
     ("ratio-unimodular-axis", "zeta", "zeta"),
     ("L-reflection-pair", "lfn", "completed_L"),
+    ("gl2-m-closed-form", "m-scalar", "zeta"),
 ])
 def test_reflection_checks_can_fail(monkeypatch, check, command, route):
     # completed_L takes L(1 - s) left of Re 1/2, so L(s) = L(1 - s) holds by
     # construction; each check holds one route to an independent value (the
     # direct Euler-Maclaurin zeta or an mpmath value), and a relative error
-    # of 1e-7 in that route fails it
+    # of 1e-7 in that route fails it; gl2-m-closed-form holds m, a ratio_L
+    # value, to the direct L(sigma) over L(1 + sigma) in the same way
     original = getattr(cli, route)
     monkeypatch.setattr(cli, route, lambda s: original(s) * (1.0 + 1e-7))
     report = run(RunConfig(command=command))

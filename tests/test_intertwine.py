@@ -173,7 +173,7 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
         for t in W:
             shapes.clear()
             cocycle_check(s, t, cloud)
-            assert len(shapes) <= 2
+            assert len(shapes) <= 1
 
 
 def test_su3_factor_value():

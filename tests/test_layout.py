@@ -22,6 +22,10 @@ and parseval reaches ratio_L only through m_on_grid.
 The trapezoid rule on residue circles lives in gl3.circle_residue: outside
 zeta, no other function takes circle nodes.
 
+Every quotient of L values goes through zeta.ratio_L, which takes both
+factors in one kernel pass: outside zeta, no module divides one
+completed_L (or _completed_L_raw) value by another.
+
 Every gate of a CLI check is named in cli.TOLERANCES: no report.add passes
 a nonzero numeric literal as its tolerance.  A 0.0 literal, for a check
 that must hold exactly, and a bound computed at the check are allowed.
@@ -165,6 +169,22 @@ def test_circle_rule_lives_in_gl3():
                if isinstance(node, ast.Call)
                and _called_name(node) == "circle_nodes"]
     assert callers == ["gl3.py:circle_residue"]
+
+
+def _holds_L_value(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Call)
+               and _called_name(sub) in ("completed_L", "_completed_L_raw")
+               for sub in ast.walk(node))
+
+
+def test_every_L_quotient_goes_through_ratio_L():
+    hits = [f"{path.name}:{node.lineno} divides one L value by another"
+            for path in sorted(SRC.glob("*.py")) if path.name != "zeta.py"
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path)))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _holds_L_value(node.left) and _holds_L_value(node.right)]
+    assert hits == []
 
 
 def test_every_cli_gate_is_named():

@@ -5,6 +5,7 @@ oracle) and frozen; the mpmath cross-checks are kept for the grid tests
 where a frozen list would obscure the property being verified.
 """
 
+import importlib
 import math
 import warnings
 
@@ -316,3 +317,62 @@ def test_ratio_L_grid_laurent_fill():
     assert grid[0, 0] == -1.0 + 2e-8 * _laurent_c0()
     pointwise = np.asarray(ratio_L(np.add.outer(a, b)))
     assert np.max(np.abs(grid - pointwise)) <= 1e-14
+
+
+# ------------------------------------------------------- one kernel pass --
+
+zeta_module = importlib.import_module("eisenspec.zeta")
+
+
+@pytest.mark.parametrize("z, plus", [
+    (np.array([1.5, 0.3 + 2j, -0.8 - 1j, -2.0 + 5j]), None),
+    (0.4 + 1j * np.linspace(-3.0, 3.0, 5), circle_nodes(0.3, 6)),
+    (np.array([0.0, 0.3 + 1j, 1e-8j, -0.4 - 2j]), None),
+], ids=["points", "grid", "laurent-fill"])
+def test_ratio_L_is_one_kernel_pass(monkeypatch, z, plus):
+    # L(z) and L(1 + z) come from one Euler-Maclaurin call and one Gamma
+    # call, on points, on a plus= grid and through the Laurent fill at 0
+    _laurent_c0()  # cached, so its own kernel calls are not counted here
+    calls = []
+    for name in ("_zeta_em_core", "_gamma_raw"):
+        def counting(*args, _name=name, _kernel=getattr(zeta_module, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(zeta_module, name, counting)
+    ratio_L(z, plus=plus)
+    assert sorted(calls) == ["_gamma_raw", "_zeta_em_core"]
+
+
+def test_ratio_L_and_L_do_not_depend_on_the_batch():
+    # a point alone gives bit for bit its value inside a 5,000-point array:
+    # every |Im| <= 40 keeps the Euler-Maclaurin length at 48 throughout,
+    # so only a batch-dependent reduction could move a value
+    rng = np.random.default_rng(17)
+    s = rng.uniform(-3.0, 4.0, 5000) + 1j * rng.uniform(-40.0, 40.0, 5000)
+    s = s[np.minimum(np.abs(s), np.abs(s - 1.0)) > 0.05]
+    ratios, values = ratio_L(s), completed_L(s)
+    for k in rng.choice(s.size, 40, replace=False):
+        assert ratio_L(s[k]) == ratios[k]
+        assert completed_L(s[k]) == values[k]
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.0, -0.5), (-0.5, 0.5), (0.5, 4.0)],
+                         ids=["both-reflected", "strip", "neither"])
+def test_ratio_L_matches_the_two_call_quotient(lo, hi):
+    # the one pass against L(z) and L(1 + z) evaluated apart, in each region
+    # of the pi factor: 1/sqrt(pi), pi^z and sqrt(pi); 7e-16 measured
+    rng = np.random.default_rng(23)
+    z = rng.uniform(lo, hi, 300) + 1j * rng.uniform(-40.0, 40.0, 300)
+    z = z[np.abs(z) > 0.05]
+    two = _completed_L_raw(z) / _completed_L_raw(1.0 + z)
+    assert np.max(np.abs(ratio_L(z) - two) / np.abs(two)) <= 1e-14
+
+
+def test_ratio_L_grid_matches_the_two_call_quotient():
+    # a plus= grid across both Re z = -1/2 and Re z = 1/2, below the first
+    # zeta zero; 5e-15 measured against L apart at each point of the sum
+    a = np.linspace(-0.9, 0.9, 7) + 1j * np.linspace(-10.0, 10.0, 7)
+    b = circle_nodes(0.3, 12)
+    s = np.add.outer(a, b)
+    two = _completed_L_raw(s) / _completed_L_raw(1.0 + s)
+    assert np.max(np.abs(ratio_L(a, plus=b) - two) / np.abs(two)) <= 1e-14
