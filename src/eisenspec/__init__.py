@@ -7,8 +7,8 @@ from .errors import DomainError, NonConvergence, PoleProximity
 from .roots import (RHO_CHECK, AssociationClass, RootDatum, StandardParabolic,
                     Weight, WeylElement, association_classes, tau_hat,
                     transporters, truncation_terms)
-from .zeta import (completed_L, gamma_fn, local_L, ratio_L, residue_at,
-                   zeta)
+from .contour import circle_residue, trapezoid_circle
+from .zeta import completed_L, gamma_fn, local_L, ratio_L, zeta
 from .intertwine import (cocycle_check, m_scalar, su3_local_factor,
                          unitarity_check)
 from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,

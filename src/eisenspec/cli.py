@@ -27,13 +27,13 @@ import scipy.special
 
 from . import gl3 as gl3mod
 from . import parseval as pv
+from .contour import circle_residue, trapezoid_circle
 from .errors import DomainError, NonConvergence, PoleProximity
 from .intertwine import cocycle_check, m_scalar, su3_local_factor, unitarity_check
 from .roots import (RHO_CHECK, RootDatum, association_classes, tau_hat,
                     transporters, truncation_terms)
 from .truncation import maass_selberg_convergence_study, maass_selberg_record
-from .zeta import (completed_L, gamma_fn, local_L, primes_upto, ratio_L,
-                   residue_at, zeta)
+from .zeta import completed_L, gamma_fn, local_L, primes_upto, ratio_L, zeta
 
 COMMANDS = ("zeta", "lfn", "m-scalar", "su3", "combinatorics", "nmatrix",
             "residues", "volume", "maass-selberg", "parseval", "all")
@@ -222,10 +222,12 @@ def suite_zeta(report: VerificationReport, cfg: RunConfig):
                "on 200 points, Re s in [-1, 1/2)",
                0.0, worst, worst, TOLERANCES["functional-equation"])
 
-    res1 = residue_at(completed_L, 1.0, 0.3)
+    # each pole of L is the other's clearance: 32 nodes at radius 0.3
+    radius, nodes = circle = trapezoid_circle(0.3, 1.0)
+    res1 = complex(circle_residue(lambda u: completed_L(1.0 + u), circle))
     report.add("L-residue-at-1", "simple pole of L at 1 has residue 1",
                1.0, res1, abs(res1 - 1.0), TOLERANCES["residue"])
-    res0 = residue_at(completed_L, 0.0, 0.3)
+    res0 = complex(circle_residue(completed_L, circle))
     report.add("L-residue-at-0", "simple pole of L at 0 has residue -1",
                -1.0, res0, abs(res0 + 1.0), TOLERANCES["residue"])
 
@@ -255,9 +257,8 @@ def suite_zeta(report: VerificationReport, cfg: RunConfig):
     report.add("ratio-unimodular-axis", "|L(it)/L(1+it)| = 1, L(it) direct",
                0.0, worst, worst, TOLERANCES["unitarity"])
 
-    a = residue_at(completed_L, 1.0, 0.3, nodes=64, max_nodes=64 * 2)
-    b = residue_at(completed_L, 1.0, 0.3, nodes=128, max_nodes=128 * 2)
-    diff = abs(a - b)
+    twin = circle_residue(lambda u: completed_L(1.0 + u), (radius, 2 * nodes))
+    diff = abs(res1 - complex(twin))
     report.add("residue-node-stability", "doubling contour nodes is stable",
                0.0, diff, diff, TOLERANCES["node-stability"])
 

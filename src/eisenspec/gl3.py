@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
+from .contour import circle_residue, trapezoid_circle
 from .errors import DomainError
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight, WeylElement
-from .zeta import circle_nodes, completed_L, ratio_L
+from .zeta import completed_L, ratio_L
 
 __all__ = [
     "GL3",
@@ -49,10 +50,8 @@ __all__ = [
     "symmetry_residual",
     "multiplicativity_residual",
     "named_weyl",
-    "trapezoid_circle",
     "TRANSVERSE_CIRCLE",
     "DOUBLE_CIRCLES",
-    "circle_residue",
     "transverse_residue",
     "double_residue_table",
     "double_residue_closed_forms",
@@ -63,23 +62,6 @@ __all__ = [
 GL3 = RootDatum(3)
 
 _HALF = Fraction(1, 2)
-
-
-def trapezoid_circle(radius: float, clearance: float) -> tuple[float, int]:
-    """The (radius, nodes) circle of circle_residue that resolves a residue
-    to double precision.
-
-    clearance is the distance from the centre of the circle to the nearest
-    other singularity of the integrand.  The trapezoid rule on N nodes then
-    errs by (radius/clearance)^N relative to the integrand's scale
-    (Trefethen and Weideman, SIAM Rev. 56, 2014), and nodes is the fewest
-    even N with (radius/clearance)^N <= 2^-53.
-    """
-    if not 0.0 < radius < clearance:
-        raise ValueError(f"trapezoid_circle needs 0 < radius < clearance, "
-                         f"got {radius}, {clearance}")
-    n = math.ceil(53.0 * math.log(2.0) / math.log(clearance / radius))
-    return radius, n + n % 2
 
 
 # The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
@@ -224,19 +206,6 @@ def multiplicativity_residual(z) -> float:
     m = n_matrix(z)
     return float(max(np.max(np.abs(m - m[:, None, k] * np.conj(m[None, :, k])))
                      for k in (0, 1)))
-
-
-def circle_residue(f, *circles):
-    """(1/2pi i)^k oint ... oint f du_1 ... du_k by the trapezoid rule.
-
-    Each circle is a (radius, nodes) pair, outermost first.  f gets the k
-    node arrays and returns values whose last k axes run over the circles
-    (or anything that broadcasts to them); leading axes are kept.  The
-    result is the mean of f u_1 (x) ... (x) u_k over the circle axes.
-    """
-    us = [circle_nodes(radius, nodes) for radius, nodes in circles]
-    weight = reduce(np.multiply.outer, us)
-    return np.mean(f(*us) * weight, axis=tuple(range(-len(us), 0)))
 
 
 def transverse_residue(i: int, j: int, z):

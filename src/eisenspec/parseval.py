@@ -40,10 +40,11 @@ from typing import Mapping
 
 import numpy as np
 
+from .contour import circle_residue, line_step, trapezoid_circle, window
 from .errors import DomainError
-from .gl3 import (DOUBLE_CIRCLES, GL3, circle_residue, delta_weight,
-                  lambda_line, line_direction, n_matrix, named_weyl, sigma,
-                  transverse_direction, trapezoid_circle)
+from .gl3 import (DOUBLE_CIRCLES, GL3, delta_weight, lambda_line,
+                  line_direction, n_matrix, named_weyl, sigma,
+                  transverse_direction)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
 from .zeta import completed_L
@@ -153,43 +154,41 @@ class PaleyWienerGaussian:
         return cls(datum, beta, coeffs)
 
 
-# The two windows of the spectral integrals, each the trapezoid nodes
-# t = k step, |t| <= W (rounded up to a whole step), with the step.  At the
-# edge |t| = W the Gaussian factor of each integrand is at most
-# exp(-beta W^2 / 2).
-
-def _window(width: float, step: float) -> tuple[np.ndarray, float]:
-    n = int(math.ceil(width / step))
-    return step * np.arange(-n, n + 1, dtype=np.float64), step
-
+# The two windows of the spectral integrals, each a contour.window of
+# half-width W.  At the edge |t| = W the Gaussian factor of each integrand
+# is at most exp(-beta W^2 / 2).
 
 def _plane_window(beta: float) -> tuple[np.ndarray, float]:
     """The GL(2) line and the GL(3) planes: W = sqrt(88/beta) puts the
-    tail at exp(-44), below 1e-19 of scale."""
-    return _window(math.sqrt(88.0 / beta), 0.1)
+    tail at exp(-44), below 1e-19 of scale.  The step 0.1 is not derived:
+    on lam0 + i R^2 the pole plane z_k = 1 is d = min_k z_k(lam0) - 1 off
+    the t-axis, so the step errs by exp(-2 pi d / 0.1), 2.3e-14 at lam0 =
+    (1.5, 1.5) and 6.5e-9 at lam0_alt = (1.3, 1.8) (the parseval-gl3
+    floor).  line_step(d) is 0.0855 and 0.0513 there: 1.37x and 3.8x the
+    plane nodes."""
+    return window(math.sqrt(88.0 / beta), 0.1)
 
 
 # The step of the singular lines comes from the distance d of the nearest
-# singularity of their integrands to the real t-axis: the trapezoid rule
-# errs by exp(-2 pi d / step) relative to the integrand's scale (Trefethen
-# and Weideman, SIAM Rev. 56, 2014), and _LINE_STEP is the largest step with
-# exp(-2 pi d / step) <= 2^-53.  ratio_L(s) = L(s)/L(1 + s) has its pole at
-# s = 1, and its other poles at the zeros 1/2 + i gamma of L(1 + s).  On
-# B's kernel n_ij(it) every argument is +-it +- 1/2 (n_matrix): the pole at
-# 1 sits at |Im t| >= 1/2, the zeros at |Im t| >= 1.  On the kappa_B pickup
-# the other roots take a0 (1 + u) + a_x it with a0 = +-1/2, a_x = +-1 and
-# |u| = 0.1 (_PICKUP_CIRCLE): the pole at 1 sits at |Im t| = Re(1 -+ (1 + u)/2)
+# singularity of their integrands to the real t-axis: _LINE_STEP is
+# contour.line_step(d), the largest step with exp(-2 pi d / step) <= 2^-53.
+# ratio_L(s) = L(s)/L(1 + s) has its pole at s = 1, and its other poles at
+# the zeros 1/2 + i gamma of L(1 + s).  On B's kernel n_ij(it) every
+# argument is +-it +- 1/2 (n_matrix): the pole at 1 sits at |Im t| >= 1/2,
+# the zeros at |Im t| >= 1.  On the kappa_B pickup the other roots take
+# a0 (1 + u) + a_x it with a0 = +-1/2, a_x = +-1 and |u| = 0.1
+# (_PICKUP_CIRCLE): the pole at 1 sits at |Im t| = Re(1 -+ (1 + u)/2)
 # >= 0.45, and a zero comes to |Im t| = |Re u|/2 only near |t| = gamma >=
 # gamma_1 = 14.1347, beyond the line window, where the Gaussian factor has
 # cut the integrand below exp(-33) of scale.  So d = 0.45, and the step is
-# 2 pi 0.45 / (53 ln 2) = 0.0770.
-_LINE_STEP = 2.0 * math.pi * 0.45 / (53.0 * math.log(2.0))
+# line_step(0.45) = 0.0770.
+_LINE_STEP = line_step(0.45)
 
 
 def _line_window(beta: float) -> tuple[np.ndarray, float]:
     """The singular lines of B and kappa_B: W = sqrt(66/beta) puts the
     tail at exp(-33), below 5e-15 of scale."""
-    return _window(math.sqrt(66.0 / beta), _LINE_STEP)
+    return window(math.sqrt(66.0 / beta), _LINE_STEP)
 
 
 # ------------------------------------------------------ shifted integrand --

@@ -35,8 +35,9 @@ Evaluation strategy:
   Re z < -1/2.  The removable singularity at z = 0 (both L factors have
   simple poles there) is filled by its Laurent expansion, so quadrature
   paths may run straight through 0.
-* Residues are extracted by trapezoidal quadrature on circles; closed forms
-  are reserved for test oracles.
+* Residues are trapezoid sums on circles sized by contour.trapezoid_circle;
+  closed forms are reserved for test oracles.  The Laurent constant c0 of L
+  at 1, which fills ratio_L at 0, is the residue of L(1 + u)/u.
 
 All evaluators accept scalars or numpy arrays and are conjugation
 equivariant: f(conj s) = conj(f(s)) to machine precision.  They take no
@@ -50,7 +51,8 @@ import functools
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleProximity
+from .contour import circle_residue, trapezoid_circle
+from .errors import DomainError, PoleProximity
 
 __all__ = [
     "POLE_EXCLUSION_RADIUS",
@@ -59,8 +61,6 @@ __all__ = [
     "completed_L",
     "local_L",
     "ratio_L",
-    "residue_at",
-    "circle_nodes",
     "primes_upto",
 ]
 
@@ -267,22 +267,16 @@ def local_L(p: int, s):
     return 1.0 / den
 
 
-def circle_nodes(radius: float, nodes: int) -> np.ndarray:
-    """The offsets u = radius * exp(2 pi i k / nodes) of a trapezoid circle."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return radius * np.exp(1j * theta)
-
-
 @functools.cache
 def _laurent_c0() -> complex:
     """Constant Laurent coefficient of L at s = 1 (L(s) = 1/(s-1) + c0 + ...).
 
-    c0 = (1/2pi i) oint L(s)/(s-1) ds on |s-1| = 1/2, which the trapezoid
-    rule turns into a plain mean of L(1+u) over the circle nodes.  Computed
-    once and cached.
+    c0 is the residue of L(1 + u)/u at u = 0, taken on the circle |u| = 1/2
+    with the pole of L at 0, u = -1, as its clearance.  Computed once and
+    cached.
     """
-    u = circle_nodes(0.5, 256)
-    return complex(np.mean(_completed_L_raw(1.0 + u)))
+    return complex(circle_residue(lambda u: _completed_L_raw(1.0 + u) / u,
+                                  trapezoid_circle(0.5, 1.0)))
 
 
 def ratio_L(z, plus=None):
@@ -308,32 +302,6 @@ def ratio_L(z, plus=None):
         quotient = _ratio_L_raw(w, None)
     out = np.where(tiny.ravel(), -1.0 + 2.0 * _laurent_c0() * w, quotient)
     return out.reshape(arr.shape)[()]
-
-
-def residue_at(f, s0, radius: float, nodes: int = 64, max_nodes: int = 1024):
-    """Residue of f at s0: (1/2 pi i) oint f(s) ds on |s - s0| = radius.
-
-    f must be analytic on the punctured disk with at most a simple pole at
-    s0, and vectorized: it is called once per node count on the array of
-    circle nodes, and any error it raises propagates.  Trapezoidal
-    quadrature on the circle is spectrally accurate; the node count starts
-    at nodes and is doubled until two successive values agree to 1e-10.
-    """
-    if nodes < 1:
-        raise ValueError(f"residue_at needs nodes >= 1, got {nodes}")
-    s0 = complex(s0)
-    prev = None
-    n = nodes
-    while n <= max_nodes:
-        u = circle_nodes(radius, n)
-        est = complex(np.mean(np.asarray(f(s0 + u), dtype=np.complex128) * u))
-        if prev is not None and abs(est - prev) < 1e-10:
-            return est
-        prev = est
-        n *= 2
-    raise NonConvergence(
-        "residue_at: node doubling did not stabilize",
-        diagnostics={"s0": s0, "radius": radius, "last": prev, "nodes": n // 2})
 
 
 def primes_upto(n: int) -> list[int]:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from eisenspec.contour import circle_residue, trapezoid_circle
 from eisenspec.gl3 import (double_residue_closed_forms, double_residue_table,
                            multiplicativity_residual, n_entry,
                            rank_one_residual, symmetry_residual,
@@ -19,7 +20,7 @@ from eisenspec.parseval import (PaleyWienerGaussian, decomposed_norm_gl2,
                                 parseval_check_gl3, shifted_norm_gl2)
 from eisenspec.roots import RootDatum, association_classes, truncation_terms
 from eisenspec.truncation import maass_selberg_record
-from eisenspec.zeta import completed_L, gamma_fn, residue_at, zeta
+from eisenspec.zeta import completed_L, gamma_fn, zeta
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -57,8 +58,10 @@ def test_criterion_01_functional_equation_grid():
 
 
 def test_criterion_02_residues_of_L():
-    r1 = residue_at(completed_L, 1.0, 0.3)
-    r0 = residue_at(completed_L, 0.0, 0.3)
+    # each pole of L is the other's clearance
+    circle = trapezoid_circle(0.3, 1.0)
+    r1 = circle_residue(lambda u: completed_L(1.0 + u), circle)
+    r0 = circle_residue(lambda u: completed_L(u), circle)
     resid = max(abs(r1 - 1.0), abs(r0 + 1.0))
     _report(2, "residues of L at 1 and 0 are +1 and -1", resid, 1e-8)
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eisenspec import cli, gl3
@@ -65,6 +66,17 @@ def test_reflection_checks_can_fail(monkeypatch, check, command, route):
     monkeypatch.setattr(cli, route, lambda s: original(s) * (1.0 + 1e-7))
     report = run(RunConfig(command=command))
     assert check in [r.name for r in report.records if not r.passed]
+
+
+def test_residue_node_stability_can_fail(monkeypatch):
+    # a branch cut at s = 1 defeats the trapezoid rule: the sized circle
+    # and its twin of twice the nodes disagree, here by 2.6e-3
+    monkeypatch.setattr(cli, "completed_L", lambda s: np.sqrt(s - 1.0 + 0j))
+    report = run(RunConfig(command="zeta"))
+    stability, = [r for r in report.records
+                  if r.name == "residue-node-stability"]
+    assert not stability.passed
+    assert stability.residual > 1e3 * cli.TOLERANCES["node-stability"]
 
 
 def test_parseval_suite_checks_kappa_unity():

@@ -1,0 +1,47 @@
+"""Trapezoid rules sized from their singularity distance."""
+
+import math
+
+import numpy as np
+import pytest
+
+from eisenspec.contour import circle_residue, line_step, window
+from eisenspec.errors import DomainError, PoleProximity
+
+
+@pytest.mark.parametrize("error", [PoleProximity, DomainError])
+def test_circle_residue_propagates_pole_and_domain_errors(error):
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        raise error("rejected")
+
+    with pytest.raises(error):
+        circle_residue(f, (0.1, 16))
+    assert len(calls) == 1
+
+
+def test_line_step_meets_its_bound():
+    # exp(-2 pi d / h) = 2^-53 at the step, to rounding
+    for d in (0.3, 0.45, 0.5):
+        h = line_step(d)
+        assert math.exp(-2.0 * math.pi * d / h) == pytest.approx(2.0 ** -53,
+                                                                 rel=1e-13)
+    assert line_step(0.45) == pytest.approx(0.0770, abs=5e-5)
+
+
+def test_line_step_resolves_a_strip_integrand():
+    # sech t has its poles at +-i pi/2 and integrates to pi; the rule errs
+    # by 4 pi exp(-2 pi d / h) = 1.4e-15 at d = pi/2, h = line_step(d)
+    t, h = window(40.0, line_step(math.pi / 2.0))
+    assert abs(h * np.sum(1.0 / np.cosh(t)) - math.pi) <= 2e-15
+    # at twice the step the same rule misses by 4 pi 2^-26.5
+    t, h = window(40.0, 2.0 * line_step(math.pi / 2.0))
+    assert abs(h * np.sum(1.0 / np.cosh(t)) - math.pi) > 1e-8
+
+
+def test_window_rounds_up_to_a_whole_step():
+    t, step = window(1.05, 0.5)
+    assert step == 0.5
+    assert t.tolist() == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]

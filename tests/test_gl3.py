@@ -10,17 +10,17 @@ import pytest
 
 from eisenspec import gl3
 from eisenspec.errors import DomainError, PoleProximity
-from eisenspec.gl3 import (GL3, circle_residue, delta_weight,
-                           double_residue_closed_forms,
+from eisenspec.contour import circle_nodes, circle_residue, trapezoid_circle
+from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
                            double_residue_table, lambda_line, line_direction,
                            max_minor, multiplicativity_residual, n_entry,
                            n_matrix, rank_one_residual, sigma,
                            symmetry_residual, transverse_direction,
-                           transverse_residue, trapezoid_circle,
-                           volume_constant, volume_factors)
+                           transverse_residue, volume_constant,
+                           volume_factors)
 from eisenspec.intertwine import m_scalar
 from eisenspec.roots import RHO_CHECK, RootDatum
-from eisenspec.zeta import circle_nodes, completed_L, ratio_L
+from eisenspec.zeta import completed_L, ratio_L
 
 # frozen oracle values (mpmath): 1/L(2)^2 and 1/(L(2) L(3))
 INV_L2_SQ = 3.6475626111241587
@@ -310,9 +310,7 @@ def test_transverse_residue_consistent_with_m_scalar():
     w = sigma(i, j)
     base = lambda_line(i, z)
     xi = transverse_direction(i)
-    nodes = 256
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    u = 0.25 * np.exp(1j * theta)
+    u = circle_nodes(0.25, 256)
     vals = []
     for uu in u:
         lam = GL3.weight(tuple(complex(a) + uu * complex(b)

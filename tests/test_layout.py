@@ -19,8 +19,9 @@ The shifted integrand m(w, lam) Phi(lam) Phi*(-w lam) is built in one
 function of parseval: no other function there forms the starred profile,
 and parseval reaches ratio_L only through m_on_grid.
 
-The trapezoid rule on residue circles lives in gl3.circle_residue: outside
-zeta, no other function takes circle nodes.
+Circle nodes and the 2^-53 sizing of trapezoid rules live in contour: no
+other module forms circle nodes or spells out 53 log 2, and contour imports
+nothing from eisenspec, so every layer, zeta included, can use it.
 
 Every quotient of L values goes through zeta.ratio_L, which takes both
 factors in one kernel pass: outside zeta, no module divides one
@@ -31,7 +32,8 @@ a nonzero numeric literal as its tolerance.  A 0.0 literal, for a check
 that must hold exactly, and a bound computed at the check are allowed.
 
 Every default has a caller: a defaulted parameter that only tests set is a
-constant, not an argument.
+constant, not an argument.  The knob count, defaulted def parameters plus
+@dataclass fields, is at most 68.
 
 No module reads the environment: a switch read from os.environ or
 os.getenv would be a knob that the knob count does not see.
@@ -161,14 +163,47 @@ def test_shifted_integrand_is_built_once():
             ] == []
 
 
-def test_circle_rule_lives_in_gl3():
-    callers = [f"{path.name}:{getattr(top, 'name', '<module>')}"
-               for path in sorted(SRC.glob("*.py")) if path.name != "zeta.py"
-               for top in ast.parse(path.read_text(), filename=str(path)).body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Call)
-               and _called_name(node) == "circle_nodes"]
-    assert callers == ["gl3.py:circle_residue"]
+def _spells_out_53_bits(tree: ast.AST) -> list[int]:
+    """Lines of tree that multiply or divide 53 by log(2), in either order."""
+    def is_53(node):
+        return isinstance(node, ast.Constant) and node.value == 53
+
+    def is_log2(node):
+        return (isinstance(node, ast.Call) and _called_name(node) == "log"
+                and len(node.args) == 1 and isinstance(node.args[0],
+                                                       ast.Constant)
+                and node.args[0].value == 2)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and ((is_53(node.left) and is_log2(node.right))
+                 or (is_log2(node.left) and is_53(node.right)))]
+
+
+def test_contour_rules_live_in_contour():
+    others = [path for path in sorted(SRC.glob("*.py"))
+              if path.name != "contour.py"]
+    node_callers = [f"{path.name}:{node.lineno}" for path in others
+                    for node in ast.walk(ast.parse(path.read_text(),
+                                                   filename=str(path)))
+                    if isinstance(node, ast.Call)
+                    and _called_name(node) == "circle_nodes"]
+    assert node_callers == []
+    sizings = [f"{path.name}:{line}" for path in others
+               for line in _spells_out_53_bits(ast.parse(path.read_text()))]
+    assert sizings == []
+    assert sorted(_spells_out_53_bits(ast.parse(
+        "x = 2.0 * math.pi * 0.45 / (53.0 * math.log(2.0))\n"
+        "y = np.log(2) * 53"))) == [1, 2]
+    # contour sizes every rule, and imports numpy and math only
+    path = SRC / "contour.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "math", "numpy"}
 
 
 def _holds_L_value(node: ast.AST) -> bool:
@@ -271,3 +306,22 @@ def test_every_default_has_a_caller():
     assert uncalled - set(UNCALLED_DEFAULTS) == set()
     # every allowed entry still names a defaulted parameter
     assert set(UNCALLED_DEFAULTS) <= {label for *_, label in defaults}
+
+
+def _dataclass_fields(tree: ast.AST) -> int:
+    return sum(isinstance(stmt, ast.AnnAssign)
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               and any(_called_name(dec) == "dataclass"
+                       if isinstance(dec, ast.Call)
+                       else getattr(dec, "id", None) == "dataclass"
+                       for dec in cls.decorator_list)
+               for stmt in cls.body)
+
+
+def test_knob_count():
+    # a resolution no caller varies is a constant: the count only falls
+    paths = sorted(SRC.glob("*.py"))
+    defaulted = sum(1 for path in paths for _ in _defaulted(path))
+    fields = sum(_dataclass_fields(ast.parse(path.read_text()))
+                 for path in paths)
+    assert defaulted + fields <= 68

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eisenspec import gl3, intertwine, parseval
+from eisenspec.contour import circle_nodes, trapezoid_circle
 from eisenspec.errors import DomainError
 from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 contribution_B, contribution_C,
@@ -13,7 +14,7 @@ from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 parseval_check_gl3, shifted_norm_gl2,
                                 shifted_norm_gl3, shifted_norm_gl3_terms)
 from eisenspec.roots import RootDatum
-from eisenspec.zeta import circle_nodes, completed_L, ratio_L
+from eisenspec.zeta import completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
@@ -154,7 +155,7 @@ def test_pickup_circle_clears_the_first_zero_on_the_widest_line_window():
                                  rel=1e-15)
     clearance = 2 * (gamma_1 - t.max())
     assert clearance >= 0.7
-    assert parseval._PICKUP_CIRCLE == gl3.trapezoid_circle(0.1, clearance)
+    assert parseval._PICKUP_CIRCLE == trapezoid_circle(0.1, clearance)
 
 
 def _random_quadratic(datum, beta, seed):
@@ -369,7 +370,7 @@ def test_weyl_antisymmetric_profile_sign_bookkeeping():
                                         rel=1e-12)
 
 
-def test_contour_spec_width_override(monkeypatch):
+def test_narrower_finer_plane_window_agrees(monkeypatch):
     # a narrower, finer window (W = 14, step 0.05) agrees with the plane
     # window W = sqrt(88/beta), step 0.1
     phi = PaleyWienerGaussian(GL2, 0.5)

@@ -13,10 +13,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eisenspec.errors import DomainError, NonConvergence, PoleProximity
-from eisenspec.zeta import (_completed_L_raw, _laurent_c0, circle_nodes,
-                            completed_L, gamma_fn, local_L, primes_upto,
-                            ratio_L, residue_at, zeta)
+from eisenspec.contour import circle_nodes, circle_residue, trapezoid_circle
+from eisenspec.errors import DomainError, PoleProximity
+from eisenspec.zeta import (_completed_L_raw, _laurent_c0, completed_L,
+                            gamma_fn, local_L, primes_upto, ratio_L, zeta)
 
 mp.mp.dps = 30
 
@@ -203,63 +203,36 @@ def test_ratio_L_pole_guard():
         ratio_L(1.0 + 1e-9j)
 
 
+# The circle of L's residues at 1 and 0: each pole is the other's clearance.
+L_POLE_CIRCLE = trapezoid_circle(0.3, 1.0)
+
+
 def test_residue_of_L_at_1_and_0():
-    res1 = residue_at(completed_L, 1.0, 0.3)
-    res0 = residue_at(completed_L, 0.0, 0.3)
+    res1 = circle_residue(lambda u: completed_L(1.0 + u), L_POLE_CIRCLE)
+    res0 = circle_residue(lambda u: completed_L(u), L_POLE_CIRCLE)
     assert abs(res1 - 1.0) <= 1e-10
     assert abs(res0 + 1.0) <= 1e-10
 
 
 def test_residue_of_analytic_function_is_zero():
-    res = residue_at(lambda s: ratio_L(s), 0.0, 0.1)
+    res = circle_residue(ratio_L, trapezoid_circle(0.1, 1.0))
     assert abs(res) <= 1e-12
 
 
 def test_residue_node_doubling_stable():
-    a = residue_at(completed_L, 1.0, 0.3, nodes=64, max_nodes=128)
-    b = residue_at(completed_L, 1.0, 0.3, nodes=128, max_nodes=256)
+    # the sized circle against its twin of twice the nodes
+    radius, nodes = L_POLE_CIRCLE
+    a = circle_residue(lambda u: completed_L(1.0 + u), L_POLE_CIRCLE)
+    b = circle_residue(lambda u: completed_L(1.0 + u), (radius, 2 * nodes))
+    assert L_POLE_CIRCLE == (0.3, 32)
     assert abs(a - b) < 1e-10
 
 
-def test_residue_at_honours_a_small_node_count():
-    # 16 and then 32 nodes, nothing below or above
-    res = residue_at(lambda s: np.exp(s) / s, 0.0, 0.5, nodes=16,
-                     max_nodes=32)
-    assert abs(res - 1.0) <= 1e-14
-    # no node count to double from: an error, not an endless loop
-    for nodes in (0, -4):
-        with pytest.raises(ValueError):
-            residue_at(lambda s: np.exp(s) / s, 0.0, 0.5, nodes=nodes)
-
-
-def test_residue_nonconvergence_diagnostics():
-    # a genuine branch cut defeats circle quadrature at any node count
-    with pytest.raises(NonConvergence):
-        residue_at(lambda s: np.sqrt(s) if np.ndim(s) else math.sqrt(s),
-                   0.0, 0.5, max_nodes=256)
-
-
-@pytest.mark.parametrize("error", [PoleProximity, DomainError])
-def test_residue_at_does_not_retry_pole_or_domain_errors(error):
-    calls = []
-
-    def f(s):
-        calls.append(s)
-        raise error("rejected")
-
-    with pytest.raises(error):
-        residue_at(f, 0.0, 0.1)
-    assert len(calls) == 1
-
-
-def test_laurent_constant_cached_per_config():
-    u = circle_nodes(0.5, 256)
-    c_default = _laurent_c0()
-    assert c_default == complex(np.mean(_completed_L_raw(1.0 + u)))
+def test_laurent_constant_matches_its_closed_form():
     # L(s) = 1/(s-1) + (gamma - log 4pi)/2 + O(s-1)
-    assert c_default == pytest.approx(
-        (np.euler_gamma - math.log(4.0 * math.pi)) / 2.0, abs=1e-13)
-    assert complex(ratio_L(1e-8)) == -1.0 + 2e-8 * c_default
+    c0 = _laurent_c0()
+    assert abs(c0 - (np.euler_gamma - math.log(4.0 * math.pi)) / 2.0) <= 1e-15
+    assert complex(ratio_L(1e-8)) == -1.0 + 2e-8 * c0
 
 
 # ----------------------------------------------------- separable grids --
