@@ -26,16 +26,23 @@ Two evaluators are provided, both vectorized over arrays x, y:
         + (1/2) sum_{(m,n) != 0} [ (pi Q)^(-s) Gamma(s, pi Q)
                                  + (pi Q)^(s-1) Gamma(1-s, pi Q) ],
 
-  every term decaying like exp(-pi Q).
+  every term decaying like exp(-pi Q).  It is summed in one sweep over a
+  batch: the (pair, point) terms within the cutoff pi Q <= 38 take one
+  incomplete-gamma call at s and one at 1 - s, and np.bincount adds each
+  point's terms in pair order.  A point's value is the same bit for bit
+  alone or in any batch, since the batch's pairs contain its own and the
+  others lie beyond its cutoff.
 
-Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y).  The truncated
-inner product over D with the hyperbolic measure dx dy / y^2 is computed by
-adaptive tensor Gauss-Legendre panels and compared against the closed
-rank-one formula omega_rank1, which is the Maass-Selberg check.
+Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y); c(s) is computed
+once per evaluator.  The truncated inner product over D with the hyperbolic
+measure dx dy / y^2 is computed by adaptive tensor Gauss-Legendre panels,
+each sampled once on the nodes of both its orders, and compared against the
+closed rank-one formula omega_rank1, which is the Maass-Selberg check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -171,8 +178,16 @@ def _lattice_pairs(x_min: float, x_max: float, y_min: float, y_max: float,
 def eisenstein_theta(x, y, s: float):
     """E(z, s) for real s > 1 via the incomplete-gamma representation.
 
-    Vectorized over arrays x, y; every lattice term decays like exp(-pi Q),
-    so the cutoff pi Q <= 38 leaves an error below 1e-16 of scale.
+    Vectorized over arrays x, y of points of H (y > 0, else DomainError);
+    every lattice term decays like exp(-pi Q), so the cutoff pi Q <= 38
+    leaves an error below 1e-16 of scale.
+
+    One sweep over the batch: Q of every (pair, point) is one (P, N) array,
+    the terms with Q within the cutoff take one incomplete-gamma call at s
+    and one at 1 - s, and np.bincount sums each point's terms.  A point's
+    value does not depend on its batch: the batch's pair set contains the
+    point's own, the pairs beyond it are masked out and add nothing, and
+    bincount adds a point's terms in pair order starting from 0.
     """
     s = float(s)
     if s <= 1.0:
@@ -181,24 +196,29 @@ def eisenstein_theta(x, y, s: float):
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     xa, ya = np.broadcast_arrays(xa, ya)
     scalar = np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0
+    if xa.size == 0:
+        return np.zeros(xa.shape)
+    if not np.all(ya > 0.0):
+        raise DomainError("eisenstein_theta needs points of H (y > 0)")
 
     q_cut = 38.0 / math.pi
-    total = np.zeros(xa.shape, dtype=np.float64)
-    r2 = xa * xa + ya * ya
-    for m, n in _lattice_pairs(float(xa.min()), float(xa.max()),
-                               float(ya.min()), float(ya.max()), q_cut):
-        q = (m * m * r2 + 2.0 * m * n * xa + n * n) / ya
-        mask = q <= q_cut
-        if not np.any(mask):
-            continue
-        a = math.pi * q[mask]
-        total[mask] += (a ** (-s) * _upper_gamma(s, a)
-                        + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
+    xs, ys = xa.ravel(), ya.ravel()
+    pairs = np.array(_lattice_pairs(float(xs.min()), float(xs.max()),
+                                    float(ys.min()), float(ys.max()), q_cut),
+                     dtype=np.int64)
+    m, n = pairs[:, :1], pairs[:, 1:]
+    q = (m * m * (xs * xs + ys * ys) + 2.0 * m * n * xs + n * n) / ys
+    mask = q <= q_cut
+    col = np.nonzero(mask)[1]
+    a = math.pi * q[mask]
+    terms = (a ** (-s) * _upper_gamma(s, a)
+             + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
+    total = np.bincount(col, weights=terms, minlength=xs.size)
 
     star = 0.5 / (s - 1.0) - 0.5 / s + total
     zeta2s = float(np.real(zeta(2.0 * s)))
     value = star * math.pi ** s / (math.gamma(s) * zeta2s)
-    return float(value.reshape(-1)[0]) if scalar else value
+    return float(value[0]) if scalar else value.reshape(xa.shape)
 
 
 def constant_term(y, s):
@@ -207,10 +227,13 @@ def constant_term(y, s):
     At s = 1, c(s) has a pole, and ratio_L raises PoleProximity.
     """
     s = complex(s)
-    c = _c_function(s)
-    ya = np.asarray(y, dtype=np.float64)
-    out = np.exp(s * np.log(ya)) + c * np.exp((1.0 - s) * np.log(ya))
+    out = _constant_term(np.asarray(y, dtype=np.float64), s, _c_function(s))
     return complex(out[()]) if out.ndim == 0 else out
+
+
+def _constant_term(y: np.ndarray, s: complex, c: complex) -> np.ndarray:
+    """y^s + c y^(1-s) at float64 heights y, given c = c(s)."""
+    return np.exp(s * np.log(y)) + c * np.exp((1.0 - s) * np.log(y))
 
 
 def _truncated_factory(s: float, trunc: TruncationParam,
@@ -219,7 +242,8 @@ def _truncated_factory(s: float, trunc: TruncationParam,
     if y0 >= DECAY_CUTOFF:
         raise DomainError(
             f"truncation height {y0} above the decay cutoff {DECAY_CUTOFF}")
-    ct = lambda y: np.real(np.asarray(constant_term(y, float(s))))
+    s = complex(float(s))
+    c = _c_function(s)
 
     def evaluate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -230,7 +254,8 @@ def _truncated_factory(s: float, trunc: TruncationParam,
             xb, yb = np.broadcast_arrays(x, y)
             vals = evaluator(xb[live], yb[live])
             high = yb[live] > y0
-            vals = np.where(high, vals - ct(yb[live]), vals)
+            vals = np.where(
+                high, vals - np.real(_constant_term(yb[live], s, c)), vals)
             out[live] = vals
         return out
 
@@ -277,9 +302,13 @@ class QuadratureResult:
     evaluations: int = 0
 
 
+@functools.cache
 def _leg_nodes(order: int):
+    """Gauss-Legendre nodes on [0, 1] and the tensor weights on [0, 1]^2."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+    nodes, wmat = 0.5 * (x + 1.0), np.multiply.outer(0.5 * w, 0.5 * w)
+    nodes.flags.writeable = wmat.flags.writeable = False
+    return nodes, wmat
 
 
 class _Region:
@@ -291,47 +320,54 @@ class _Region:
         self.y_top = y_top
         self.top = top  # top regions use u = 1/y, du = dy / y^2
 
-    def sample(self, integrand, x0, x1, t0, t1, nodes, weights):
-        xs = x0 + (x1 - x0) * nodes
-        ts = t0 + (t1 - t0) * nodes
-        X, Tt = np.meshgrid(xs, ts, indexing="ij")
+    def sample(self, integrand, x0, x1, t0, t1, rules):
+        """The panel's integral by each Gauss-Legendre rule, from one call
+        of the integrand on the nodes of every rule."""
+        grids = [np.meshgrid(x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes,
+                             indexing="ij") for nodes, _ in rules]
+        X = np.concatenate([g[0].ravel() for g in grids])
+        Tt = np.concatenate([g[1].ravel() for g in grids])
         if self.top:
-            U = Tt  # t is already u = 1/y on (0, 1/y_split]
-            Y = 1.0 / U
+            Y = 1.0 / Tt  # t is already u = 1/y on (0, 1/y_split]
             vals = integrand(X, Y)  # measure dy/y^2 = du
         else:
             lo = np.sqrt(np.maximum(1.0 - X * X, 0.0))
             Y = lo + (self.y_top - lo) * Tt
             vals = integrand(X, Y) * (self.y_top - lo) / (Y * Y)
-        wmat = np.multiply.outer(weights, weights)
-        return complex(np.sum(vals * wmat)) * (x1 - x0) * (t1 - t0)
+        sums, start = [], 0
+        for _, wmat in rules:
+            block = vals[start:start + wmat.size].reshape(wmat.shape)
+            start += wmat.size
+            sums.append(complex(np.sum(block * wmat)) * (x1 - x0) * (t1 - t0))
+        return sums
 
 
 def inner_product_fd(f: Callable, g: Callable,
                      quad: QuadratureSpec) -> QuadratureResult:
     """Adaptive quadrature of integral over D of f * conj(g) dx dy / y^2.
 
-    f and g must be vectorized callables of (x, y).  The domain, x in
-    [-1/2, 1/2], is covered by the arc-floor region up to y_split and a top
-    region mapped by u = 1/y covering [y_split, infinity).  Panels are
-    refined worst-first until the summed two-order error estimate meets the
-    tolerance.
+    f and g must be vectorized callables of (x, y); when g is f, f is
+    evaluated once per panel.  The domain, x in [-1/2, 1/2], is covered by
+    the arc-floor region up to y_split and a top region mapped by u = 1/y
+    covering [y_split, infinity).  Each panel is sampled once on the nodes
+    of both its Gauss-Legendre orders, and panels are refined worst-first
+    until the summed two-order error estimate meets the tolerance.
     """
     x0, x1 = -0.5, 0.5
     y_top = float(quad.y_split)
     regions = (_Region(y_top), _Region(y_top, top=True))
 
     def integrand(X, Y):
+        if g is f:
+            v = f(X, Y)
+            return v * np.conj(v)
         return f(X, Y) * np.conj(g(X, Y))
 
-    lo_nodes, lo_w = _leg_nodes(quad.base_order)
-    hi_nodes, hi_w = _leg_nodes(2 * quad.base_order)
+    rules = (_leg_nodes(quad.base_order), _leg_nodes(2 * quad.base_order))
     evals = [0]
 
     def eval_panel(region: _Region, rect):
-        a, b, c, d = rect
-        coarse = region.sample(integrand, a, b, c, d, lo_nodes, lo_w)
-        fine = region.sample(integrand, a, b, c, d, hi_nodes, hi_w)
+        coarse, fine = region.sample(integrand, *rect, rules)
         evals[0] += quad.base_order ** 2 + 4 * quad.base_order ** 2
         return fine, abs(fine - coarse)
 

@@ -6,17 +6,20 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
+from eisenspec import truncation
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.truncation import (QuadratureSpec, TruncationParam,
-                                  _c_derivative, constant_term,
+                                  _c_derivative, _lattice_pairs,
+                                  _upper_gamma, constant_term,
                                   eisenstein_direct, eisenstein_tail_bound,
                                   eisenstein_theta, inner_product_fd,
                                   maass_selberg_convergence_study,
                                   maass_selberg_record, omega_rank1,
                                   truncated_eisenstein,
                                   truncated_eisenstein_direct)
-from eisenspec.zeta import ratio_L
+from eisenspec.zeta import ratio_L, zeta
 
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
 
@@ -80,6 +83,53 @@ def test_theta_evaluator_modular_invariance():
 def test_theta_evaluator_domain():
     with pytest.raises(DomainError):
         eisenstein_theta(0.0, 1.0, 1.0)
+    for y in (-1.0, 0.0, np.array([1.0, 0.0]), np.nan):
+        with pytest.raises(DomainError):
+            eisenstein_theta(0.0, y, 1.5)
+    empty = eisenstein_theta(np.array([]), np.array([]), 1.5)
+    assert empty.shape == (0,)
+
+
+def _theta_by_pair_loop(x, y, s):
+    # the per-pair loop the one-sweep sum replaced, kept as its reference
+    q_cut, total, r2 = 38.0 / math.pi, np.zeros(x.shape), x * x + y * y
+    for m, n in _lattice_pairs(x.min(), x.max(), y.min(), y.max(), q_cut):
+        q = (m * m * r2 + 2.0 * m * n * x + n * n) / y
+        mask = q <= q_cut
+        if np.any(mask):
+            a = math.pi * q[mask]
+            total[mask] += (a ** (-s) * _upper_gamma(s, a)
+                            + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
+    star = 0.5 / (s - 1.0) - 0.5 / s + total
+    return star * math.pi ** s / (math.gamma(s) * float(np.real(zeta(2.0 * s))))
+
+
+@pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.7])
+def test_theta_sweep_matches_the_pair_loop_and_not_the_batch(s):
+    # bit for bit: the same Q expression, the same terms, each point's
+    # terms added in pair order from 0; a point alone sees fewer pairs,
+    # but the extra ones lie beyond its cutoff and add nothing
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 0.5, 300)
+    y = rng.uniform(0.87, 11.9, 300)
+    values = eisenstein_theta(x, y, s)
+    assert np.array_equal(values, _theta_by_pair_loop(x, y, s))
+    for k in rng.choice(x.size, 25, replace=False):
+        assert eisenstein_theta(x[k], y[k], s) == values[k]
+    grid = eisenstein_theta(x[:200].reshape(10, 20), y[:200].reshape(10, 20), s)
+    assert np.array_equal(grid.ravel(), values[:200])
+
+
+def test_theta_is_two_incomplete_gamma_calls(monkeypatch):
+    # one call at s and one at 2 - s (reached by the recurrence from 1 - s),
+    # however many lattice pairs the batch needs
+    calls = []
+    monkeypatch.setattr(truncation, "gammaincc",
+                        lambda a, x: calls.append(a) or gammaincc(a, x))
+    for y in (1.5, np.linspace(0.87, 11.9, 50)):
+        calls.clear()
+        eisenstein_theta(0.25, y, 1.5)
+        assert calls == [1.5, 0.5]
 
 
 def test_constant_term_is_x_average():
@@ -220,6 +270,37 @@ def test_truncated_self_product_positive():
     val = complex(res.value)
     assert abs(val.imag) <= 1e-9
     assert val.real > 0
+
+
+def _counted(fn, calls, key):
+    def wrapper(x, y):
+        calls[key] += 1
+        return fn(x, y)
+    return wrapper
+
+
+def test_inner_product_evaluates_each_panel_once(monkeypatch):
+    # one call of each function per panel evaluated, on the nodes of both
+    # orders; g is f is one call, to the bit of two equal evaluators; and
+    # c(s) is computed once per evaluator, not once per panel
+    ratios = []
+    monkeypatch.setattr(truncation, "ratio_L",
+                        lambda z: ratios.append(z) or ratio_L(z))
+    trunc = TruncationParam(1.0)
+    f = truncated_eisenstein(1.25, trunc)
+    f_copy = truncated_eisenstein(1.25, trunc)
+    assert len(ratios) == 2
+    spec = QuadratureSpec(tol=1e-9, y_split=trunc.y0)  # refines a panel
+    calls = {"f": 0, "f_copy": 0}
+    f = _counted(f, calls, "f")
+    same = inner_product_fd(f, f, spec)
+    evaluated = same.evaluations / (5 * spec.base_order ** 2)
+    assert calls["f"] == evaluated > 4
+    calls["f"] = 0
+    apart = inner_product_fd(f, _counted(f_copy, calls, "f_copy"), spec)
+    assert calls["f"] == calls["f_copy"] == evaluated
+    assert apart == same
+    assert len(ratios) == 2
 
 
 def test_direct_evaluator_approaches_exact():
