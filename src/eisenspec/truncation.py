@@ -187,7 +187,9 @@ def eisenstein_theta(x, y, s: float):
     and one at 1 - s, and np.bincount sums each point's terms.  A point's
     value does not depend on its batch: the batch's pair set contains the
     point's own, the pairs beyond it are masked out and add nothing, and
-    bincount adds a point's terms in pair order starting from 0.
+    bincount adds a point's terms in pair order starting from 0.  Memory
+    is (pairs) x (points) per temporary, and the pair count grows like
+    1 / y_min as the batch's lowest point nears the real axis.
     """
     s = float(s)
     if s <= 1.0:
@@ -464,7 +466,8 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     """Quadrature inner product vs closed formula for one (s1, s2, T)."""
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc)
-    f2 = truncated_eisenstein(s2, trunc)
+    # on the diagonal one evaluator serves both sides of the product
+    f2 = f1 if s2 == s1 else truncated_eisenstein(s2, trunc)
     spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0)
     # tail_bound: the exp(-38) lattice cutoff of the theta form.
     return _maass_selberg_row(s1, s2, T, inner_product_fd(f1, f2, spec),
@@ -486,7 +489,7 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
     rows = []
     for bound in bounds:
         f1 = truncated_eisenstein_direct(s1, trunc, bound)
-        f2 = truncated_eisenstein_direct(s2, trunc, bound)
+        f2 = f1 if s2 == s1 else truncated_eisenstein_direct(s2, trunc, bound)
         spec = QuadratureSpec(tol=1e-3, y_split=trunc.y0, base_order=8)
         tail = max(_tail_bound_raw(s, DECAY_CUTOFF, kappa_min, bound)
                    for s in (s1, s2))

@@ -303,6 +303,23 @@ def test_inner_product_evaluates_each_panel_once(monkeypatch):
     assert len(ratios) == 2
 
 
+def test_maass_selberg_diagonal_builds_one_evaluator(monkeypatch):
+    # s1 = s2 shares one evaluator, to the bit of two separate ones
+    built = []
+    monkeypatch.setattr(truncation, "truncated_eisenstein",
+                        lambda s, trunc: built.append(s)
+                        or truncated_eisenstein(s, trunc))
+    rec = truncation.maass_selberg_record(1.25, 1.25, 1.0)
+    assert built == [1.25]
+    trunc = TruncationParam(1.0)
+    spec = QuadratureSpec(tol=1e-6, y_split=trunc.y0)
+    apart = inner_product_fd(truncated_eisenstein(1.25, trunc),
+                             truncated_eisenstein(1.25, trunc), spec)
+    assert rec["quadrature_value"] == apart.value
+    truncation.maass_selberg_record(1.25, 1.3, 1.0)
+    assert built == [1.25, 1.25, 1.3]
+
+
 def test_direct_evaluator_approaches_exact():
     trunc = TruncationParam(1.0)
     xs = np.array([0.0, 0.25, -0.4])
