@@ -102,8 +102,8 @@ class PaleyWienerGaussian:
         default_factory=lambda: {(): 1.0})
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise DomainError("PaleyWienerGaussian needs beta > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError("PaleyWienerGaussian needs 0 < beta < inf")
 
     def _poly(self, coords: tuple) -> np.ndarray | complex:
         value = 0.0 + 0.0j

@@ -37,7 +37,10 @@ Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y); c(s) is computed
 once per evaluator.  The truncated inner product over D with the hyperbolic
 measure dx dy / y^2 is computed by adaptive tensor Gauss-Legendre panels,
 each sampled once on the nodes of both its orders, and compared against the
-closed rank-one formula omega_rank1, which is the Maass-Selberg check.
+closed rank-one formula omega_rank1, which is the Maass-Selberg check.  That
+is one expression f(s2), holomorphic out to the pole of c at 1.  It cancels
+at its removable point s2 = s1, so within r/2 of s1 it is the mean of f on
+the circle of radius r, half that clearance, whose nodes stay r/2 from s1.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaincc, exp1
 
+from .contour import circle_residue, trapezoid_circle
 from .errors import DomainError, NonConvergence
 from .zeta import ratio_L, zeta
 
@@ -84,8 +88,8 @@ class TruncationParam:
     T: float
 
     def __post_init__(self):
-        if self.y0 <= 1.0:
-            raise DomainError("truncation line must lie inside D (need T > 0)")
+        if not self.y0 > 1.0:
+            raise DomainError(f"truncation needs T > 0 (y0 > 1), got {self.T}")
 
     @property
     def y0(self) -> float:
@@ -410,44 +414,38 @@ def _c_function(s) -> complex:
     return complex(ratio_L(2.0 * s - 1.0))
 
 
-def _c_derivative(s: float) -> float:
-    """c'(s) by the complex step Im c(s + ih) / h, h = 1e-30.
-
-    c is real on the real axis, so no difference cancels and the result is
-    exact to round-off (Squire & Trapp, SIAM Rev. 40, 1998).
-    """
-    h = 1e-30
-    return complex(ratio_L(2.0 * complex(s, h) - 1.0)).imag / h
-
-
 def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
     """Closed form for the truncated-series inner product (rank one).
 
-    For real s1, s2 in the convergence range (1, 3/2]:
+    For real s1, s2 in the convergence range (1, 3/2] it is f(s2), with
 
-        y0^(s1+s2-1)/(s1+s2-1) + c(s2) y0^(s1-s2)/(s1-s2)
-          + c(s1) y0^(s2-s1)/(s2-s1) + c(s1) c(s2) y0^(1-s1-s2)/(1-s1-s2),
+        f(w) = y0^(s1+w-1)/(s1+w-1) + c(w) y0^(s1-w)/(s1-w)
+                 + c(s1) y0^(w-s1)/(w-s1) + c(s1) c(w) y0^(1-s1-w)/(1-s1-w).
 
-    with the removable s1 = s2 diagonal filled by its limit
-    2 T c(s) - c'(s).
+    The middle pair's poles at w = s1 cancel, so f is holomorphic on
+    |w - s2| < s2 - 1: its clearance is the pole of c at w = 1, as L(2w)
+    has no zero there and 1 - s1 < 0.  The pair's values cancel too, losing
+    digits like 1/|w - s1|.  So within r/2 of s1, r = (s2 - 1)/2, f(s2) is
+    its mean on the circle |w - s2| = r (54 nodes, clearance 2r), each
+    node at least r/2 from s1, the least distance the direct branch meets.
     """
     for s in (s1, s2):
         if not (1.0 < s <= 1.5):
             raise DomainError(f"omega_rank1 needs s in (1, 3/2], got {s}")
-    if abs(s1 + s2 - 1.0) < 1e-12:
-        raise DomainError("omega_rank1: s1 + s2 = 1 is outside the domain")
     y0 = trunc.y0
     c1 = _c_function(s1)
-    c2 = _c_function(s2)
-    value = y0 ** (s1 + s2 - 1.0) / (s1 + s2 - 1.0) \
-        + c1 * c2 * y0 ** (1.0 - s1 - s2) / (1.0 - s1 - s2)
-    if abs(s1 - s2) < 1e-7:
-        s = 0.5 * (s1 + s2)
-        value += 2.0 * trunc.T * _c_function(s) - _c_derivative(s)
-    else:
-        value += c2 * y0 ** (s1 - s2) / (s1 - s2) \
-            + c1 * y0 ** (s2 - s1) / (s2 - s1)
-    return complex(value)
+
+    def f(w):
+        c2 = ratio_L(2.0 * w - 1.0)
+        return sum(c * y0 ** e / e for c, e in (
+            (1.0, s1 + w - 1.0), (c2, s1 - w), (c1, w - s1),
+            (c1 * c2, 1.0 - s1 - w)))
+
+    r = 0.5 * (s2 - 1.0)
+    if abs(s1 - s2) >= 0.5 * r:
+        return complex(f(s2))
+    return complex(circle_residue(lambda u: f(s2 + u) / u,
+                                  trapezoid_circle(r, s2 - 1.0)))
 
 
 def _maass_selberg_row(s1: float, s2: float, T: float, quad: QuadratureResult,

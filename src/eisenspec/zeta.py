@@ -40,9 +40,10 @@ Evaluation strategy:
   at 1, which fills ratio_L at 0, is the residue of L(1 + u)/u.
 
 All evaluators accept scalars or numpy arrays and are conjugation
-equivariant: f(conj s) = conj(f(s)) to machine precision.  They take no
-configuration: the Euler-Maclaurin length, the Bernoulli order and the pole
-exclusion radius are module constants.
+equivariant: f(conj s) = conj(f(s)) to machine precision.  zeta, gamma_fn,
+completed_L and ratio_L raise DomainError on a non-finite argument.  They
+take no configuration: the Euler-Maclaurin length, the Bernoulli order and
+the pole exclusion radius are module constants.
 """
 
 from __future__ import annotations
@@ -199,15 +200,21 @@ def _ratio_L_raw(z, plus):
     return out.reshape(a.shape + np.shape(plus))[()]
 
 
-def _check_pole(s, poles, radius, what: str):
+def _check_pole(s, poles, what: str) -> np.ndarray:
+    """s as a 1-D complex array: DomainError where it is not finite, and
+    PoleProximity within POLE_EXCLUSION_RADIUS of one of the poles."""
     z = np.atleast_1d(_as_complex_array(s))
+    finite = np.isfinite(z)
+    if not np.all(finite):
+        raise DomainError(f"{what}: argument {z[~finite][0]} is not finite")
     for p in poles:
         d = np.abs(z - p)
-        if np.any(d < radius):
-            bad = z[d < radius][0]
-            raise PoleProximity(
-                f"{what}: argument {bad} within {radius} of pole at {p}",
-                point=bad, pole=p)
+        if np.any(d < POLE_EXCLUSION_RADIUS):
+            bad = z[d < POLE_EXCLUSION_RADIUS][0]
+            raise PoleProximity(f"{what}: argument {bad} within "
+                                f"{POLE_EXCLUSION_RADIUS} of pole at {p}",
+                                point=bad, pole=p)
+    return z
 
 
 def zeta(s):
@@ -216,8 +223,7 @@ def zeta(s):
     Euler-Maclaurin directly on Re s >= -1, a route independent of L's; to
     the left of it zeta(s) = L(1 - s) / (pi^(-s/2) Gamma(s/2)).
     """
-    _check_pole(s, (1.0,), POLE_EXCLUSION_RADIUS, "zeta")
-    z = np.atleast_1d(_as_complex_array(s))
+    z = _check_pole(s, (1.0,), "zeta")
     direct = z.real >= -1.0
     out = np.empty_like(z)
     out[direct] = _zeta_em_core(z[direct], None, False)[1]
@@ -230,31 +236,26 @@ def zeta(s):
 
 def gamma_fn(s):
     """Gamma function; raises PoleProximity at non-positive integers."""
-    radius = POLE_EXCLUSION_RADIUS
-    z = np.atleast_1d(_as_complex_array(s))
-    near = z[np.abs(z.imag) < radius]
-    if near.size:
-        k = np.round(near.real)
-        d = np.abs(near - k)
-        bad = (k <= 0) & (d < radius)
-        if np.any(bad):
-            b = near[bad][0]
-            raise PoleProximity(
-                f"gamma_fn: argument {b} within exclusion radius of a pole",
-                point=b, pole=np.round(b.real))
+    z = _check_pole(s, (), "gamma_fn")
+    k = np.round(z.real)
+    bad = (k <= 0) & (np.abs(z - k) < POLE_EXCLUSION_RADIUS)
+    if np.any(bad):
+        b = z[bad][0]
+        raise PoleProximity(
+            f"gamma_fn: argument {b} within exclusion radius of a pole",
+            point=b, pole=np.round(b.real))
     return _gamma_raw(s)
 
 
 def completed_L(s):
     """Completed zeta L(s) = pi^(-s/2) Gamma(s/2) zeta(s); poles at 0 and 1.
     DomainError where a value is not finite (Gamma overflows for s >= 344)."""
-    _check_pole(s, (0.0, 1.0), POLE_EXCLUSION_RADIUS, "completed_L")
+    z = _check_pole(s, (0.0, 1.0), "completed_L")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _completed_L_raw(s)
     bad = ~np.isfinite(np.atleast_1d(out))
     if np.any(bad):
-        raise DomainError(f"completed_L: not finite at s = "
-                          f"{np.atleast_1d(_as_complex_array(s))[bad][0]}")
+        raise DomainError(f"completed_L: not finite at s = {z[bad][0]}")
     return out
 
 
@@ -290,7 +291,7 @@ def ratio_L(z, plus=None):
     one kernel pass, with or without points to fill.
     """
     arr = _as_complex_array(z if plus is None else np.add.outer(z, plus))
-    _check_pole(arr, (1.0,), POLE_EXCLUSION_RADIUS, "ratio_L")
+    _check_pole(arr, (1.0,), "ratio_L")
     tiny = np.abs(arr) < POLE_EXCLUSION_RADIUS
     if not np.any(tiny):
         return _ratio_L_raw(z, plus)

@@ -116,6 +116,10 @@ def test_every_check_is_timed():
     assert all(r.wall_ms > 0 for r in report.records)
 
 
+def _no_constant(name):
+    raise AssertionError(f"the report holds the non-JSON token {name}")
+
+
 @pytest.mark.parametrize("argv, suite, error", [
     (["--command", "nmatrix", "--z", "1.5"], "nmatrix", "PoleProximity"),
     (["--command", "parseval", "--lambda0", "1.02,1.5"], "parseval",
@@ -124,7 +128,15 @@ def test_every_check_is_timed():
     # GL(400) math.gamma itself overflows
     (["--command", "volume", "--group", "gl61"], "volume", "DomainError"),
     (["--command", "volume", "--group", "gl400"], "volume", "DomainError"),
-], ids=("nmatrix", "parseval", "volume-gl61", "volume-gl400"))
+    # non-finite values parse as floats and are refused by the library
+    (["--command", "maass-selberg", "--s1", "nan"], "maass-selberg",
+     "DomainError"),
+    (["--command", "maass-selberg", "--T", "nan"], "maass-selberg",
+     "DomainError"),
+    (["--command", "parseval", "--beta", "inf"], "parseval", "DomainError"),
+    (["--command", "nmatrix", "--z", "nan"], "nmatrix", "DomainError"),
+], ids=("nmatrix", "parseval", "volume-gl61", "volume-gl400", "s1-nan",
+        "T-nan", "beta-inf", "z-nan"))
 def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
     report = run(config_from_args(build_parser().parse_args(argv)))
     record = report.records[-1]
@@ -133,7 +145,7 @@ def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
     assert not record.passed and record.residual == 1.0
     path = tmp_path / "report.json"
     assert main(argv + ["--json", str(path)]) == 1
-    blob = json.loads(path.read_text())
+    blob = json.loads(path.read_text(), parse_constant=_no_constant)
     assert blob["checks"][-1]["name"] == f"{suite}-error"
     assert blob["summary"]["failed"] == 1
 

@@ -1,6 +1,7 @@
 """Eisenstein series, truncation, fundamental-domain quadrature, rank-one
 inner-product formula."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -11,8 +12,7 @@ from scipy.special import gammaincc
 from eisenspec import truncation
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.truncation import (QuadratureSpec, TruncationParam,
-                                  _c_derivative, _lattice_pairs,
-                                  _upper_gamma, constant_term,
+                                  _lattice_pairs, _upper_gamma, constant_term,
                                   eisenstein_direct, eisenstein_tail_bound,
                                   eisenstein_theta, inner_product_fd,
                                   maass_selberg_convergence_study,
@@ -30,8 +30,9 @@ def test_params_validation():
             check(0.0, 1.0, 0.9, 400)
         with pytest.raises(DomainError):
             check(0.0, 1.0, 1.5, 2)
-    with pytest.raises(DomainError):
-        TruncationParam(-0.5)
+    for T in (-0.5, math.nan):
+        with pytest.raises(DomainError):
+            TruncationParam(T)
 
 
 def test_direct_sum_matches_theta_within_tail():
@@ -237,16 +238,48 @@ def test_omega_domain():
         omega_rank1(1.2, 1.7, trunc)
 
 
-@pytest.mark.parametrize("s", [1.05, 1.25, 1.5])
-def test_c_derivative_matches_mpmath(s):
+@functools.cache
+def _mp_c(s: float, n: int = 0):
+    """c = L(2s-1)/L(2s) at s, or its n-th derivative, by 40-digit mpmath."""
     def c(t):
         def big_l(w):
             return mp.pi ** (-w / 2) * mp.gamma(w / 2) * mp.zeta(w)
         return big_l(2 * t - 1) / big_l(2 * t)
 
-    with mp.workdps(30):
-        want = float(mp.diff(c, mp.mpf(s)))
-    assert abs(_c_derivative(s) - want) <= 1e-13 * abs(want)
+    with mp.workdps(40):
+        return mp.diff(c, mp.mpf(s), n)
+
+
+def _mp_omega(s1: float, s2: float, T: float) -> float:
+    """omega_rank1 by mpmath at 40 digits: the four terms off the diagonal,
+    their limit 2 T c(s) - c'(s) plus the outer two on it."""
+    c1, c2 = _mp_c(s1), _mp_c(s2)
+    with mp.workdps(40):
+        a, b, T = mp.mpf(s1), mp.mpf(s2), mp.mpf(T)
+        y0 = mp.exp(T)
+        value = y0 ** (a + b - 1) / (a + b - 1) \
+            + c1 * c2 * y0 ** (1 - a - b) / (1 - a - b)
+        if s1 == s2:
+            value += 2 * T * c1 - _mp_c(s1, 1)
+        else:
+            value += c2 * y0 ** (a - b) / (a - b) \
+                + c1 * y0 ** (b - a) / (b - a)
+        return float(value)
+
+
+def test_omega_matches_mpmath_across_the_diagonal():
+    # |s1 - s2| from 0 through the circle's r/2 switch to 0.1, with s2 on
+    # the side of s1 that stays in (1, 3/2]; the s1 = s2 rows hold c'
+    worst = 0.0
+    for s in (1.05, 1.06, 1.2, 1.45, 1.5):
+        for d in (0.0, 1e-10, 5e-8, 1e-7, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3,
+                  5e-3, 1e-2, 2e-2, 0.1):
+            s2 = s + d if s + d <= 1.5 else s - d
+            for T in (0.5, 1.0, 1.5):
+                want = _mp_omega(s, s2, T)
+                got = omega_rank1(s, s2, TruncationParam(T))
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 2e-14
 
 
 def test_omega_diagonal_limit_continuous():
@@ -260,6 +293,12 @@ def test_maass_selberg_offdiagonal():
     rec = maass_selberg_record(1.2, 1.3, 1.0, quad_tol=1e-7)
     assert rec["rel_err"] <= 1e-3
     assert complex(rec["quadrature_value"]).real > 0
+
+
+def test_maass_selberg_next_to_the_diagonal():
+    # 1e-7 apart, where the middle pair cancels to 1e-7 of its size: the
+    # circle mean keeps the formula as good as the quadrature
+    assert maass_selberg_record(1.3, 1.3000001, 1.0)["rel_err"] <= 1e-14
 
 
 def test_truncated_self_product_positive():

@@ -135,6 +135,16 @@ def test_completed_L_raises_where_not_finite():
         completed_L(np.array([2.0, 400.0]))
 
 
+@pytest.mark.parametrize("f", [zeta, gamma_fn, completed_L, ratio_L])
+@pytest.mark.parametrize("s", [math.nan, math.inf, complex(1.5, math.inf)],
+                         ids=("nan", "inf", "1.5+inf-j"))
+def test_non_finite_argument_is_a_domain_error(f, s):
+    # alone or in a batch with a good point
+    for arg in (s, np.array([2.0, s])):
+        with pytest.raises(DomainError, match="not finite"):
+            f(arg)
+
+
 def test_completed_L_conjugation():
     rng = np.random.default_rng(5)
     for _ in range(40):
