@@ -267,6 +267,21 @@ def _mp_omega(s1: float, s2: float, T: float) -> float:
         return float(value)
 
 
+@pytest.mark.parametrize("s", [1.05, 1.25, 1.5])
+def test_c_derivative_matches_mpmath(s):
+    # c'(s) as omega_rank1 carries it on its diagonal: the outer two terms
+    # plus 2 T c(s), less omega(s, s)
+    T = 1.0
+    c = _mp_c(s)
+    with mp.workdps(40):
+        a, y0 = mp.mpf(s), mp.e
+        rest = float(y0 ** (2 * a - 1) / (2 * a - 1)
+                     + c * c * y0 ** (1 - 2 * a) / (1 - 2 * a) + 2 * T * c)
+    got = rest - omega_rank1(s, s, TruncationParam(T))
+    want = float(_mp_c(s, 1))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_omega_matches_mpmath_across_the_diagonal():
     # |s1 - s2| from 0 through the circle's r/2 switch to 0.1, with s2 on
     # the side of s1 that stays in (1, 3/2]; the s1 = s2 rows hold c'
