@@ -52,47 +52,61 @@ def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, q.size)
 
 
-def m_on_grid(ws, base: Weight, x_dir: Weight | None = None, x=None,
-              y_dir: Weight | None = None, y=None):
+def m_on_grid(ws, base: Weight | list[Weight],
+              x_dir: Weight | list[Weight] | None = None, x=None,
+              y_dir: Weight | list[Weight] | None = None, y=None):
     """Yield m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
 
-    The one evaluator of the intertwining scalars.  Each root argument
-    <lam, root_check> = a0 + ax x_k + ay y_l is an outer sum, so ratio_L is
-    called once per root in the union of the inversion sets: on the 1-D
-    nodes when the argument depends on x or y alone, and on the outer sum
-    otherwise (see _sum_ratio).  Without x, base may be a cloud of weights
-    (coordinate arrays of one broadcast shape), and one stacked ratio_L call
-    takes every root at every point; Euler-Maclaurin then takes its term
-    count for all of them from the largest |Im| in the cloud.  The products
-    are formed as they are consumed; each broadcasts to (x.size, y.size),
-    to x.shape without y, and to the cloud's shape without x.
+    The one evaluator of the intertwining scalars.  On a grid, base, x_dir
+    and y_dir may each be a list with one weight per element of ws: the
+    frame of that element's grid.  Each root argument <lam, root_check> =
+    a0 + ax x_k + ay y_l is an outer sum, and ratio_L is called once per
+    distinct triple (a0, ax, ay) over every frame and inversion set: on the
+    1-D nodes when the argument depends on x or y alone, and on the outer
+    sum otherwise (see _sum_ratio).  When x[::-1] == -x exactly, a triple
+    whose mirror (a0, -ax, ay) is already evaluated is read as that array
+    reversed along x, a view of bit-identical values.  Without x, base may
+    be a cloud of weights (coordinate arrays of one broadcast shape), and
+    one stacked ratio_L call takes every root at every point;
+    Euler-Maclaurin then takes its term count for all of them from the
+    largest |Im| in the cloud.  The products are formed as they are
+    consumed; each broadcasts to (x.size, y.size), to x.shape without y,
+    and to the cloud's shape without x.
     """
     inversions = [sorted(w.inversions()) for w in ws]
-    roots = sorted(set().union(*inversions))
     ratios = {}
     if x is None:
+        keys = inversions
+        roots = sorted(set().union(*inversions))
         if roots:
             args = np.broadcast_arrays(*(
                 np.asarray(base.pair_root(root), dtype=np.complex128)
                 for root in roots))
             ratios = dict(zip(roots, ratio_L(np.stack(args))))
     else:
-        for root in roots:
-            a0 = complex(base.pair_root(root))
-            ax = complex(x_dir.pair_root(root))
-            ay = complex(y_dir.pair_root(root)) if y is not None else 0.0
-            if ay == 0:
+        x = np.asarray(x)
+        frames = zip(*(d if isinstance(d, list) else [d] * len(inversions)
+                       for d in (base, x_dir, y_dir)))
+        keys = [[(complex(b.pair_root(root)), complex(dx.pair_root(root)),
+                  complex(dy.pair_root(root)) if y is not None else 0j)
+                 for root in inverted]
+                for (b, dx, dy), inverted in zip(frames, inversions)]
+        mirror = np.array_equal(x[::-1], -x)
+        for a0, ax, ay in dict.fromkeys(k for row in keys for k in row):
+            if mirror and (a0, -ax, ay) in ratios:
+                vals = ratios[a0, -ax, ay][::-1]
+            elif ay == 0:
                 vals = np.asarray(ratio_L(a0 + ax * x))
-                ratios[root] = vals if y is None else vals[:, None]
+                vals = vals if y is None else vals[:, None]
             elif ax == 0:
-                ratios[root] = np.asarray(ratio_L(a0 + ay * y))[None, :]
+                vals = np.asarray(ratio_L(a0 + ay * y))[None, :]
             else:
-                ratios[root] = _sum_ratio(a0, ax * np.asarray(x),
-                                          ay * np.asarray(y))
-    for inverted in inversions:
+                vals = _sum_ratio(a0, ax * x, ay * np.asarray(y))
+            ratios[a0, ax, ay] = vals
+    for row in keys:
         m = 1.0 + 0.0j
-        for root in inverted:
-            m = m * ratios[root]
+        for key in row:
+            m = m * ratios[key]
         yield m
 
 

@@ -80,9 +80,10 @@ GL2 = RootDatum(2)
 # roots (at most two) have argument a0 (1 + u) + a_x it with a0 = +-1/2.
 # The pole of L at 1 puts theirs at |u| >= 1, and a zero 1/2 + i gamma of
 # L(1 + s) at |u| = 2 |t - gamma| (a0 = -1/2) or farther.  The first zero,
-# gamma_1 = 14.1347, keeps that >= 0.71 on the widest line window, whose
-# last node is t = 179 _LINE_STEP = 13.777 at beta = 0.35, the smallest beta
-# PaleyWienerGaussian.random draws.  So the clearance is 0.7.
+# gamma_1 = 14.1347, keeps that >= 0.79 on the widest line window, whose
+# last pickup node is the half step t = 178.5 _LINE_STEP = 13.74 at beta =
+# 0.35, the smallest beta PaleyWienerGaussian.random draws (>= 0.71 at the
+# window's last node 179 _LINE_STEP).  So the clearance is 0.7.
 _PICKUP_CIRCLE = trapezoid_circle(0.1, 0.7)
 
 
@@ -186,8 +187,8 @@ _LINE_STEP = line_step(0.45)
 
 
 def _line_window(beta: float) -> tuple[np.ndarray, float]:
-    """The singular lines of B and kappa_B: W = sqrt(66/beta) puts the
-    tail at exp(-33), below 5e-15 of scale."""
+    """The singular lines of B, and of kappa_B on its half steps: W =
+    sqrt(66/beta) puts the tail at exp(-33), below 5e-15 of scale."""
     return window(math.sqrt(66.0 / beta), _LINE_STEP)
 
 
@@ -229,11 +230,14 @@ def _on_grid(poly: np.ndarray, vx: np.ndarray, vy: np.ndarray | None):
     return vx @ poly[:, 0] if vy is None else vx @ poly @ vy.T
 
 
-def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
-                       x_dir: Weight, x, y_dir: Weight | None, y):
+def _shifted_integrand(phi: PaleyWienerGaussian, ws,
+                       base: Weight | list[Weight],
+                       x_dir: Weight | list[Weight], x,
+                       y_dir: Weight | list[Weight] | None, y):
     """Yield (m(w, lam), Phi(lam), Phi*(-w lam)) for each w in ws, on the
     grid lam = base + x_k x_dir (+ y_l y_dir, unless y is None) of
-    m_on_grid.
+    m_on_grid; base, x_dir and y_dir may be lists of one frame per w, as
+    there.
 
     The one evaluator of the shifted integrand: every contour integral of
     this module sums m(w, lam) Phi(lam) conj(Phi(-w conj lam)) over it.
@@ -242,14 +246,17 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
     and their images under -w, so Q(lam) and Q*(-w lam) are polynomials in
     (x, y) of degree <= deg Q: their values are vx P vy^T (_affine_poly,
     _on_grid).  The Gaussian exp(beta <lam, lam>), its exponent expanded
-    the same way, is formed once, since <-w lam, -w lam> = <lam, lam> for
-    every w.  Without y, y_dir is zero.  Phi*(-w lam) is built
-    before m_on_grid forms m(w, lam): built after, its temporaries would
-    sit next to m and raise the peak memory by one grid-sized array.
+    the same way, is formed once per distinct frame, since <-w lam, -w lam>
+    = <lam, lam> for every w, and so is Phi(lam).  Without y, y_dir is
+    zero.  Phi*(-w lam) is built before m_on_grid forms m(w, lam): built
+    after, its temporaries would sit next to m and raise the peak memory by
+    one grid-sized array.
     """
     r = phi.datum.rank
-    dirs = (base, x_dir,
-            phi.datum.weight((0,) * r) if y is None else y_dir)
+    frames = list(zip(*(
+        d if isinstance(d, list) else [d] * len(ws)
+        for d in (base, x_dir,
+                  phi.datum.weight((0,) * r) if y is None else y_dir))))
     star = phi.star()
     gram = [(tuple((k == i) + (k == j) for k in range(r)), float(g))
             for i, row in enumerate(phi.datum.gram_fw)
@@ -258,15 +265,20 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws, base: Weight,
     vx = np.vander(np.asarray(x, dtype=np.complex128), size, increasing=True)
     vy = (None if y is None else
           np.vander(np.asarray(y, dtype=np.complex128), size, increasing=True))
-    lines = _lines(d.coeffs for d in dirs)
-    gauss = np.exp(phi.beta
-                   * _on_grid(_affine_poly(gram, lines, size), vx, vy))
-    phi_vals = _on_grid(_affine_poly(phi.poly_coeffs.items(), lines, size),
-                        vx, vy)
-    phi_vals *= gauss
+    profiles = {}
+    for frame in frames:
+        if frame not in profiles:
+            lines = _lines(d.coeffs for d in frame)
+            gauss = np.exp(phi.beta
+                           * _on_grid(_affine_poly(gram, lines, size), vx, vy))
+            phi_vals = _on_grid(_affine_poly(phi.poly_coeffs.items(), lines,
+                                             size), vx, vy)
+            phi_vals *= gauss
+            profiles[frame] = gauss, phi_vals
     ms = m_on_grid(ws, base, x_dir, x, y_dir, y)
-    for w in ws:
-        w_lines = _lines(w.act_coords(*(-c for c in d.coeffs)) for d in dirs)
+    for w, frame in zip(ws, frames):
+        gauss, phi_vals = profiles[frame]
+        w_lines = _lines(w.act_coords(*(-c for c in d.coeffs)) for d in frame)
         image = _on_grid(_affine_poly(star.poly_coeffs.items(), w_lines,
                                       size), vx, vy)
         image *= gauss
@@ -399,25 +411,29 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     kernel-form B of contribution_B.  The pickup integrates along each
     line i the transverse residues sum_j (1/2pi i) oint m(sigma_ij, lam)
     Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) + u xi_i,
-    |u| = 0.1 (_PICKUP_CIRCLE).  kappa_C: iterated double-circle residue of
-    the longest-element term at rho on gl3.DOUBLE_CIRCLES, divided by c,
-    the closed-form C of contribution_C.  Both are 1 up to quadrature
-    error, independently of the test profile.
+    |u| = 0.1 (_PICKUP_CIRCLE), as one circle residue over the nine
+    (sigma_ij, line i) terms.  Its line nodes are the half steps t = h (k +
+    1/2) of B's window, so that the trapezoid errors of the two do not
+    cancel in the ratio: kappa_B sees the line step.  kappa_C: iterated
+    double-circle residue of the longest-element term at rho on
+    gl3.DOUBLE_CIRCLES, divided by c, the closed-form C of contribution_C.
+    Both are 1 up to quadrature error, independently of the test profile.
     """
     if abs(b_direct) < 1e-12:
         raise DomainError(
             "measure_constants needs a profile that does not vanish on the "
             "singular lines (B is numerically zero)")
     t, step = _line_window(phi.beta)
-    x = 1j * t
-    pickup = 0.0 + 0.0j
-    for i in (1, 2, 3):
-        row = circle_residue(lambda u: sum(
-            m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
-                phi, [sigma(i, j) for j in (1, 2, 3)], delta_weight(i),
-                line_direction(i), x, transverse_direction(i), u)),
-            _PICKUP_CIRCLE)
-        pickup += np.sum(row) * step / (2.0 * np.pi)
+    n = t.size // 2
+    x = 1j * (step * (np.arange(-n, n) + 0.5))  # x[::-1] == -x exactly
+    lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
+    ws = [sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    row = circle_residue(lambda u: sum(
+        m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
+            phi, ws, [delta_weight(i) for i in lines],
+            [line_direction(i) for i in lines], x,
+            [transverse_direction(i) for i in lines], u)), _PICKUP_CIRCLE)
+    pickup = np.sum(row) * step / (2.0 * np.pi)
     kappa_b = (pickup / b_direct).real
 
     # inner circle in z1 around 1, outer circle in z2 around 1

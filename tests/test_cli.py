@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from eisenspec import cli, gl3
+from eisenspec import cli, gl3, parseval
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
@@ -84,6 +84,16 @@ def test_parseval_suite_checks_kappa_unity():
     unity, = [r for r in report.records if r.name == "parseval-kappa-unity"]
     assert unity.passed
     assert unity.tolerance == cli.TOLERANCES["kappa-spread"]
+
+
+def test_parseval_kappa_unity_sees_the_line_step(monkeypatch):
+    # kappa_B's pickup sums on the half steps of B's line nodes, so a
+    # coarse line step moves B and the pickup apart: at 0.5 |kappa_B - 1|
+    # reads 4.4e-7 at seed 42, far outside the kappa-spread gate
+    monkeypatch.setattr(parseval, "_LINE_STEP", 0.5)
+    report = run(RunConfig(command="parseval"))
+    failed = [r.name for r in report.records if not r.passed]
+    assert "parseval-kappa-unity" in failed
 
 
 def _without_clock(blob: dict) -> dict:

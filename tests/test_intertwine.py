@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from eisenspec import intertwine
+from eisenspec import gl3, intertwine
+from eisenspec.contour import circle_nodes
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.gl3 import named_weyl
 from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
@@ -119,6 +120,92 @@ def test_m_on_grid_plane_is_conjugation_symmetric():
                        GL3.weight((1, 0)), x, GL3.weight((0, 1)), x):
         m = np.broadcast_to(m, (x.size, x.size))
         assert np.array_equal(m[::-1, ::-1], np.conj(m))
+
+
+def _counting_ratio(monkeypatch):
+    """Count intertwine's ratio_L calls: True for a separable grid."""
+    calls = []
+
+    def counting(z, plus=None):
+        calls.append(plus is not None)
+        return ratio_L(z, plus)
+
+    monkeypatch.setattr(intertwine, "ratio_L", counting)
+    return calls
+
+
+# half steps of 0.3, as the kappa_B pickup takes them: x[::-1] == -x exactly
+_SYMMETRIC = 1j * (0.3 * (np.arange(-40, 40) + 0.5))
+_CIRCLE = circle_nodes(0.1, 20)
+
+
+def _mirror_pair(x):
+    """m(s1, .) and m(s2, .) on base (0.3, 0.3) + x (1, -1) + u (1, 1): the
+    arguments 0.3 + x + u and 0.3 - x + u, one the other's mirror in x."""
+    return list(m_on_grid([GL3.simple_reflection(1),
+                           GL3.simple_reflection(2)], GL3.weight((0.3, 0.3)),
+                          GL3.weight((1, -1)), x, GL3.weight((1, 1)),
+                          _CIRCLE))
+
+
+def _direct_pair(x):
+    """The same two arguments, each in its own ratio_L call."""
+    return [ratio_L(complex(0.3) + complex(ax) * x, plus=complex(1) * _CIRCLE)
+            for ax in (1, -1)]
+
+
+def test_mirrored_grid_is_the_direct_evaluation(monkeypatch):
+    want = _direct_pair(_SYMMETRIC)
+    calls = _counting_ratio(monkeypatch)
+    got = _mirror_pair(_SYMMETRIC)
+    assert calls == [True]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_asymmetric_nodes_take_no_mirror(monkeypatch):
+    x = 1j * (0.3 * np.arange(-40, 40))
+    want = _direct_pair(x)
+    calls = _counting_ratio(monkeypatch)
+    got = _mirror_pair(x)
+    assert calls == [True, True]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _pickup_frames():
+    """The nine (sigma_ij, line i) terms of the kappa_B pickup: the Weyl
+    elements and, per line, the frame (delta_i, e_i, xi_i)."""
+    lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
+    return ([gl3.sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
+            [gl3.delta_weight(i) for i in lines],
+            [gl3.line_direction(i) for i in lines],
+            [gl3.transverse_direction(i) for i in lines])
+
+
+def test_multi_frame_call_matches_per_frame_calls(monkeypatch):
+    ws, bases, x_dirs, y_dirs = _pickup_frames()
+    calls = _counting_ratio(monkeypatch)
+    got = list(m_on_grid(ws, bases, x_dirs, _SYMMETRIC, y_dirs, _CIRCLE))
+    # ratio_L(1 + u) on the circle, shared by the three lines, and the two
+    # grids +-(1 + u)/2 + x, each read reversed for its mirror
+    assert calls == [False, True, True]
+    for k in (0, 3, 6):
+        want = m_on_grid(ws[k:k + 3], bases[k], x_dirs[k], _SYMMETRIC,
+                         y_dirs[k], _CIRCLE)
+        for g, w in zip(got[k:k + 3], want):
+            assert np.array_equal(g, w)
+
+
+def test_m_on_grid_keeps_no_state(monkeypatch):
+    ws, bases, x_dirs, y_dirs = _pickup_frames()
+    calls = _counting_ratio(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        list(m_on_grid(ws, bases, x_dirs, _SYMMETRIC, y_dirs, _CIRCLE))
+        counts.append(len(calls))
+    assert counts == [3, 3]
 
 
 def _cloud(rng, size):

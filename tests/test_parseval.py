@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eisenspec import gl3, intertwine, parseval
+from eisenspec import cli, gl3, intertwine, parseval
 from eisenspec.contour import circle_nodes, trapezoid_circle
 from eisenspec.errors import DomainError
 from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
@@ -146,9 +146,10 @@ def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
 
 
 def test_pickup_circle_clears_the_first_zero_on_the_widest_line_window():
-    # the kappa_B circle's clearance is 2 (gamma_1 - |t|) at the last node
-    # of the line window of the smallest beta random profiles draw; its
-    # comment claims 0.7, and the circle must resolve the residue there
+    # the kappa_B circle's clearance is 2 (gamma_1 - |t|) at its last node,
+    # at the smallest beta random profiles draw.  That node is the half
+    # step 178.5 h = 13.74, inside the line window's last node 179 h, so the
+    # 0.7 of the circle's comment is a bound with room to spare
     gamma_1 = 14.134725141734693
     t, step = parseval._line_window(0.35)
     assert step == pytest.approx(2 * np.pi * 0.45 / (53 * np.log(2)),
@@ -239,6 +240,38 @@ def test_line_step_is_stable_under_halving(monkeypatch, beta):
         assert abs(a - b) <= 1e-13 * abs(b)
 
 
+@pytest.mark.parametrize("beta", [0.35, 0.8])
+def test_kappa_b_sees_the_line_step(monkeypatch, beta):
+    # the pickup sums on the half steps of B's nodes, so their trapezoid
+    # errors do not cancel in kappa_B: at step 0.5 |kappa_B - 1| leaves the
+    # gate that the default step keeps it far inside
+    phi = _random_quadratic(GL3, beta, 7)
+    c = contribution_C(phi)
+    monkeypatch.setattr(parseval, "_LINE_STEP", 0.5)
+    kappa_b, _ = measure_constants(phi, contribution_B(phi)[0], c)
+    assert abs(kappa_b - 1.0) > cli.TOLERANCES["kappa-spread"]
+
+
+def test_pickup_terms_in_one_call_match_per_line_calls():
+    # Phi(lam) and the Gaussian, formed once per frame, and m(w, lam) on
+    # the nine (sigma_ij, line i) terms, against three one-line calls
+    phi = _random_quadratic(GL3, 0.5, 4)
+    x = 1j * (parseval._LINE_STEP * (np.arange(-30, 30) + 0.5))
+    u = circle_nodes(*parseval._PICKUP_CIRCLE)
+    lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
+    ws = [gl3.sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    got = list(parseval._shifted_integrand(
+        phi, ws, [gl3.delta_weight(i) for i in lines],
+        [gl3.line_direction(i) for i in lines], x,
+        [gl3.transverse_direction(i) for i in lines], u))
+    for k, i in zip((0, 3, 6), (1, 2, 3)):
+        want = parseval._shifted_integrand(
+            phi, ws[k:k + 3], gl3.delta_weight(i), gl3.line_direction(i), x,
+            gl3.transverse_direction(i), u)
+        for g, w in zip(got[k:k + 3], want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
 def test_shifted_norm_peak_memory():
     # at most 8.5 complex arrays of the plane grid's size at once
     phi = _random_quadratic(GL3, 0.35, 3)
@@ -253,7 +286,7 @@ def test_shifted_norm_peak_memory():
     assert peak <= 8.5 * 16 * n * n
 
 
-def test_measure_constants_one_ratio_call_per_root(monkeypatch):
+def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
     calls = []
 
     def counting(z, plus=None):
@@ -264,11 +297,12 @@ def test_measure_constants_one_ratio_call_per_root(monkeypatch):
     b_direct, c = contribution_B(phi)[0], contribution_C(phi)
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
-    # three roots on each of the three lines, three at rho
-    assert len(calls) == 12
-    # on each line one root argument lies on the circle alone, and at rho
-    # z1 and z2 do; the rest are separable grids
-    assert sum(calls) == 7
+    # the pickup: ratio_L(1 + u) on the circle alone, shared by the three
+    # lines, and the two grids +-(1 + u)/2 + it, each read reversed in t
+    # for its mirror; at rho z1 and z2 lie on one circle each, and z1 + z2
+    # is a separable grid
+    assert len(calls) == 6
+    assert sum(calls) == 3
 
 
 def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
