@@ -65,6 +65,7 @@ TOLERANCES = {
     "parseval-gl3": 1e-4,
     "kappa-spread": 1e-8,
     "a-form": 1e-6,
+    "b-form": 1e-6,
 }
 
 
@@ -513,7 +514,7 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
 
     kappas = []
     worst_resid = 0.0
-    worst_aform = 0.0
+    worst_aform = worst_bform = 0.0
     for _ in range(3):
         phi = pv.PaleyWienerGaussian.random(g3, rng)
         rep = pv.parseval_check_gl3(phi, cfg.lambda0, (1.3, 1.8))
@@ -524,6 +525,9 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
         worst_aform = max(worst_aform,
                           abs(rep.A_direct - rep.A_symmetric)
                           / max(abs(rep.A_direct), 1e-300))
+        worst_bform = max(worst_bform,
+                          abs(rep.B_direct - rep.B_factored)
+                          / max(abs(rep.B_direct), 1e-300))
     report.add("parseval-gl3", "shifted = A + B + C, 3 profiles",
                0.0, worst_resid, worst_resid, TOLERANCES["parseval-gl3"])
     spread = max(max(k) - min(k) for k in
@@ -535,6 +539,9 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
                0.0, unity, unity, TOLERANCES["kappa-spread"])
     report.add("a-form-equivalence", "W-sum A equals (1/6) integral |F|^2",
                0.0, worst_aform, worst_aform, TOLERANCES["a-form"])
+    report.add("b-form-equivalence",
+               "nine-term B equals its rank-one factored form",
+               0.0, worst_bform, worst_bform, TOLERANCES["b-form"])
 
     if cfg.json_path:
         with open(cfg.json_path + ".spectral", "w") as fh:

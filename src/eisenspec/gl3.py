@@ -42,7 +42,6 @@ __all__ = [
     "delta_weight",
     "line_direction",
     "lambda_line",
-    "transverse_direction",
     "n_entry",
     "n_matrix",
     "rank_one_residual",
@@ -65,15 +64,17 @@ _HALF = Fraction(1, 2)
 
 
 # The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
-# u-circle of transverse_residue, at lam_i(z) + u delta_i with z = it on
-# the axis.  The root beta_i gives ratio_L(1 + u): the pole at u = 0 is the
-# residue, and its next singularity is past |u| = 14.  The other roots have
-# argument a0 (1 + u) +- it with a0 = +-1/2.  The pole of L at 1 puts theirs
-# at |u| = |1 -+ 2it| >= 1 (a0 = 1/2) or |3 +- 2it| >= 3, and a zero
-# 1/2 + i gamma of L(1 + s) at |u| >= 2 or at |u| = 2 |t -+ gamma|, which
-# the first zero, gamma_1 = 14.1347, keeps >= 1 for |t| <= 13.6.  So the
-# clearance is 1.  DOUBLE_CIRCLES, outer then inner, are the
-# iterated circles of the double residues and of kappa_C.  After the inner
+# u-circle of transverse_residue, at lam_i(z) + u delta_i.  The root beta_i
+# gives ratio_L(1 + u): the pole at u = 0 is the residue, and its next
+# singularity is past |u| = 14.  The other roots have argument
+# a0 (1 + u) +- z with a0 = +-1/2.  The pole of L at 1 and the removable
+# point 0 put theirs at |u| = |2z -+ 1| or |2z -+ 3|, and a zero
+# 1/2 + i gamma of L(1 + s) at |u| >= 2 (|gamma| - |Im z|), which the
+# first zero, gamma_1 = 14.1347, keeps >= 1 for |Im z| <= 13.6.  So the
+# clearance is 1 on the domain |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6,
+# which transverse_residue enforces; the imaginary axis up to |Im z| = 13.6
+# lies inside it.  DOUBLE_CIRCLES, outer then inner, are the iterated
+# circles of the double residues and of kappa_C.  After the inner
 # residue, the next pole of the outer variable lies on a plane at distance
 # 1.  The inner radius is kept strictly below the outer one so that the
 # inner circle encloses only the hyperplane through the centre, never a
@@ -115,15 +116,6 @@ def lambda_line(i: int, z) -> Weight:
     z = np.asarray(z, dtype=np.complex128)
     return GL3.weight(tuple(complex(a) + z * complex(b)
                             for a, b in zip(d.coeffs, e.coeffs)))
-
-
-def transverse_direction(i: int) -> Weight:
-    """Direction xi_i used for transverse residues.
-
-    Normalized by <xi_i, beta_check_i> = 1 with zero component along e_i;
-    both conditions are met by delta_i itself.
-    """
-    return delta_weight(i)
 
 
 def n_matrix(z) -> np.ndarray:
@@ -211,15 +203,24 @@ def multiplicativity_residual(z) -> float:
 def transverse_residue(i: int, j: int, z):
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
-    Integrates m(sigma_ij, lam_i(z) + u xi_i) around TRANSVERSE_CIRCLE, on
-    m_on_grid's z (+) u grid; the normalization <xi_i, beta_check_i> = 1
-    makes the value equal n_ij(z)/L(2) independently of the remaining gauge
-    freedom.  A point z gives a complex, an array z an array of its shape.
+    Integrates m(sigma_ij, lam_i(z) + u delta_i) around TRANSVERSE_CIRCLE,
+    on m_on_grid's z (+) u grid; the normalization <delta_i, beta_check_i>
+    = 1, with delta_i orthogonal to e_i, makes the value equal n_ij(z)/L(2)
+    independently of the remaining gauge freedom.  A point z gives a
+    complex, an array z an array of its shape.  Raises DomainError outside
+    the domain |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6 on which the
+    circle's clearance is 1.
     """
     zs = np.asarray(z, dtype=np.complex128)
+    flat = zs.ravel()
+    outside = (np.min(np.abs(2.0 * flat[:, None] - (-3.0, -1.0, 1.0, 3.0)),
+                      axis=1) < 1.0) | (np.abs(flat.imag) > 13.6)
+    if np.any(outside):
+        raise DomainError(f"transverse_residue: z = {flat[outside][0]} is "
+                          "outside |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6")
     res = circle_residue(lambda u: next(m_on_grid(
-        [sigma(i, j)], delta_weight(i), line_direction(i), zs.ravel(),
-        transverse_direction(i), u)), TRANSVERSE_CIRCLE)
+        [sigma(i, j)], delta_weight(i), line_direction(i), flat,
+        delta_weight(i), u)), TRANSVERSE_CIRCLE)
     # res has shape (1,) when every root of sigma_ij depends on u alone
     vals = np.broadcast_to(res, zs.size)
     return complex(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)

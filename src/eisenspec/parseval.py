@@ -10,12 +10,15 @@ scalar-product integral
 is independent of the base point lam0 in the convergence cone, and moving
 lam0 to 0 converts it into spectral contributions:
 
-* GL(2): shifted = axis term + (1/L(2)) |Phi(rho)|^2  (one pole crossed).
-* GL(3): shifted = A + B + C, where A is the six-term integral over the
-  imaginary plane (equivalently (1/6) integral of |F|^2 with
-  F = sum_s m(s,.)^(-1) Phi(s .)), B collects the three singular-line
-  integrals with the rank-one kernel n_ij / L(2), and C is the point mass
-  (1/(L(2) L(3))) |Phi(rho)|^2 at the residue of the trivial representation.
+* GL(2): shifted = A + C (one pole crossed).
+* GL(3): shifted = A + B + C, where B collects the three singular-line
+  integrals with the rank-one kernel n_ij / L(2).
+
+On both, A is the |W|-term integral over the imaginary axis or plane
+(equivalently (1/|W|) integral of |F|^2 with F = sum_s m(s,.)^(-1)
+Phi(s .)), and C = |Phi(rho)|^2 / vol is the point mass at the residue of
+the trivial representation, vol = L(2) on GL(2) and L(2) L(3) on GL(3).
+The shifted integral and A are one rank-generic evaluator.
 
 Working in the coordinates z_k = <lam, alpha_check_k> with measure
 (1/2pi) dt per real dimension, the iterated one-variable residue theorem
@@ -44,7 +47,7 @@ from .contour import circle_residue, line_step, trapezoid_circle, window
 from .errors import DomainError
 from .gl3 import (DOUBLE_CIRCLES, GL3, delta_weight, lambda_line,
                   line_direction, n_matrix, named_weyl, sigma,
-                  transverse_direction)
+                  volume_constant)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
 from .zeta import completed_L
@@ -57,7 +60,6 @@ __all__ = [
     "shifted_norm_gl2",
     "decomposed_norm_gl2",
     "shifted_norm_gl3",
-    "shifted_norm_gl3_terms",
     "contribution_A",
     "contribution_B",
     "contribution_C",
@@ -70,8 +72,6 @@ __all__ = [
 # docstring.  measure_constants() re-derives them numerically per run.
 MEASURE_KAPPA_B = 1.0
 MEASURE_KAPPA_C = 1.0
-
-GL2 = RootDatum(2)
 
 # The (radius, nodes) transverse circle of the kappa_B pickup in
 # measure_constants, on lam = delta_i + it e_i + u delta_i.  The root beta_i
@@ -285,92 +285,72 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
         yield next(ms), phi_vals, image
 
 
-# ----------------------------------------------------------------- GL(2) --
+# ------------------------------------------- shifted integral, A and C --
 
 
-def _gl2_line_sum(phi: PaleyWienerGaussian, base: float) -> complex:
-    """(step/2pi) sum over z = base + i t of the shifted integrand, on the
-    plane window."""
+def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple):
+    """(weight, terms): terms yields the shifted integrand (m(w, lam),
+    Phi(lam), Phi*(-w lam)) of each w in phi.datum.weyl_group() on lam =
+    lam0 + i R^r, r the rank (1 or 2), on the plane window in each
+    coordinate; its sum times weight = (step/2pi)^r is the term of w."""
+    datum = phi.datum
+    if datum.rank > 2:
+        raise DomainError("the shifted integral needs GL(2) or GL(3)")
     t, step = _plane_window(phi.beta)
-    total = sum(np.sum(m * phi_vals * image) for m, phi_vals, image in
-                _shifted_integrand(phi, GL2.weyl_group(), GL2.weight((base,)),
-                                   GL2.fundamental_weight(1), 1j * t,
-                                   None, None))
-    return complex(total * step / (2.0 * np.pi))
+    it = 1j * t
+    y_dir, y = (datum.fundamental_weight(2), it) if datum.rank == 2 else (
+        None, None)
+    return (step / (2.0 * np.pi)) ** datum.rank, _shifted_integrand(
+        phi, datum.weyl_group(), datum.weight(lam0),
+        datum.fundamental_weight(1), it, y_dir, y)
+
+
+def _shifted_norm(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
+    """The shifted integral over lam0 + i R^r.  Every coordinate of lam0
+    must be >= 1.05: beyond rho, and at least 0.05 from its pole plane
+    z_k = 1 (on GL(3) the plane z_1 + z_2 = 1 is then farther still)."""
+    if not all(1.05 <= c < math.inf for c in lam0):
+        raise DomainError(f"contour base {lam0} needs every coordinate >= "
+                          "1.05: beyond rho, 0.05 from its pole plane")
+    scale, terms = _plane_terms(phi, lam0)
+    return sum(complex(np.sum(m * phi_vals * image)) * scale
+               for m, phi_vals, image in terms)
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float) -> complex:
-    """Shifted scalar-product integral on the line Re = sigma0 > 1."""
+    """Shifted scalar-product integral on the line Re = sigma0 >= 1.05."""
     if phi.datum.n != 2:
         raise DomainError("shifted_norm_gl2 needs a GL(2) profile")
-    if sigma0 <= 1.0:
-        raise DomainError("sigma0 must exceed 1 (convergence domain)")
-    return _gl2_line_sum(phi, sigma0)
+    return _shifted_norm(phi, (float(sigma0),))
 
 
 def decomposed_norm_gl2(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
-    """(axis term, residue term) of the GL(2) decomposition.
-
-    axis = integral over i R of |Phi|^2 + m(s,.) Phi (conj Phi after s);
-    residue = (1/L(2)) Phi(rho) conj(Phi(rho)), rho at coordinate 1.
-    """
+    """(A, C) of the GL(2) decomposition shifted = A + C: the axis term
+    and the residue term |Phi(rho)|^2 / L(2)."""
     if phi.datum.n != 2:
         raise DomainError("decomposed_norm_gl2 needs a GL(2) profile")
-    axis = _gl2_line_sum(phi, 0.0)
-    L2 = complex(completed_L(2.0))
-    phi1 = phi.value(GL2.weight((1.0,)))
-    residue = phi1 * phi1.conjugate() / L2
-    return axis, residue
-
-
-# ----------------------------------------------------------------- GL(3) --
-
-
-def _plane_integrand(phi: PaleyWienerGaussian, base: tuple[float, float],
-                     t: np.ndarray):
-    """The shifted integrand of each named Weyl element on base + i R^2,
-    on the nodes t in each direction."""
-    it = 1j * t
-    return _shifted_integrand(phi, named_weyl().values(), GL3.weight(base),
-                              GL3.fundamental_weight(1), it,
-                              GL3.fundamental_weight(2), it)
-
-
-def shifted_norm_gl3_terms(phi: PaleyWienerGaussian,
-                           lam0: tuple[float, float]) -> dict[str, complex]:
-    """Per-Weyl-element terms of the shifted integral, keyed by element name."""
-    if phi.datum.n != 3:
-        raise DomainError("shifted_norm_gl3 needs a GL(3) profile")
-    c1, c2 = float(lam0[0]), float(lam0[1])
-    if c1 <= 1.0 or c2 <= 1.0:
-        raise DomainError("lam0 must lie beyond rho: both coordinates > 1")
-    for plane, where in ((c1, "z1"), (c2, "z2"), (c1 + c2, "z1+z2")):
-        if abs(plane - 1.0) < 0.05:
-            raise DomainError(f"contour base too close to singular plane {where} = 1")
-    t, step = _plane_window(phi.beta)
-    scale = (step / (2.0 * np.pi)) ** 2
-    return {name: complex(np.sum(m * phi_vals * image)) * scale
-            for name, (m, phi_vals, image) in zip(
-                named_weyl(), _plane_integrand(phi, (c1, c2), t))}
+    return contribution_A(phi)[0], contribution_C(phi)
 
 
 def shifted_norm_gl3(phi: PaleyWienerGaussian,
                      lam0: tuple[float, float]) -> complex:
     """Six-term shifted integral over lam0 + i R^2 in coroot coordinates."""
-    return sum(shifted_norm_gl3_terms(phi, lam0).values())
+    if phi.datum.n != 3:
+        raise DomainError("shifted_norm_gl3 needs a GL(3) profile")
+    return _shifted_norm(phi, tuple(float(c) for c in lam0))
 
 
 def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
-    """Continuous contribution, both ways: (direct W-sum, (1/6) |F|^2 form)."""
-    t, step = _plane_window(phi.beta)
+    """Continuous contribution on i R^r, both ways: (direct W-sum,
+    (1/|W|) |F|^2 form)."""
+    scale, terms = _plane_terms(phi, (0.0,) * phi.datum.rank)
     direct = 0.0 + 0.0j
     f_sum = 0.0
     # Phi(w lam) = conj Phi*(-w lam) on the imaginary plane
-    for m, phi_vals, image in _plane_integrand(phi, (0.0, 0.0), t):
+    for m, phi_vals, image in terms:
         direct += np.sum(m * phi_vals * image)
         f_sum += np.conj(image) / m
-    scale = (step / (2.0 * np.pi)) ** 2
-    symmetric = np.sum(f_sum * np.conj(f_sum)) / 6.0
+    symmetric = np.sum(f_sum * np.conj(f_sum)) / len(phi.datum.weyl_group())
     return complex(direct) * scale, complex(symmetric) * scale
 
 
@@ -396,11 +376,10 @@ def contribution_B(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
 
 
 def contribution_C(phi: PaleyWienerGaussian) -> complex:
-    """Point contribution (1/(L(2) L(3))) |Phi(rho)|^2."""
-    L2 = complex(completed_L(2.0))
-    L3 = complex(completed_L(3.0))
-    v = phi.value(GL3.rho())
-    return v * v.conjugate() / (L2 * L3)
+    """Point contribution |Phi(rho)|^2 / vol: over L(2) on GL(2), over
+    L(2) L(3) on GL(3)."""
+    v = phi.value(phi.datum.rho())
+    return v * v.conjugate() / volume_constant(phi.datum)
 
 
 def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
@@ -410,10 +389,10 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     kappa_B: ratio of the contour-quadrature line pickup to b_direct, the
     kernel-form B of contribution_B.  The pickup integrates along each
     line i the transverse residues sum_j (1/2pi i) oint m(sigma_ij, lam)
-    Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) + u xi_i,
-    |u| = 0.1 (_PICKUP_CIRCLE), as one circle residue over the nine
-    (sigma_ij, line i) terms.  Its line nodes are the half steps t = h (k +
-    1/2) of B's window, so that the trapezoid errors of the two do not
+    Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) +
+    u delta_i, |u| = 0.1 (_PICKUP_CIRCLE), as one circle residue over the
+    nine (sigma_ij, line i) terms.  Its line nodes are the half steps t =
+    h (k + 1/2) of B's window, so that the trapezoid errors of the two do not
     cancel in the ratio: kappa_B sees the line step.  kappa_C: iterated
     double-circle residue of the longest-element term at rho on
     gl3.DOUBLE_CIRCLES, divided by c, the closed-form C of contribution_C.
@@ -432,7 +411,7 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
         m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
             phi, ws, [delta_weight(i) for i in lines],
             [line_direction(i) for i in lines], x,
-            [transverse_direction(i) for i in lines], u)), _PICKUP_CIRCLE)
+            [delta_weight(i) for i in lines], u)), _PICKUP_CIRCLE)
     pickup = np.sum(row) * step / (2.0 * np.pi)
     kappa_b = (pickup / b_direct).real
 

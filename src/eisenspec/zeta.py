@@ -296,13 +296,12 @@ def ratio_L(z, plus=None):
     if not np.any(tiny):
         return _ratio_L_raw(z, plus)
 
-    # The quotient point by point; at the tiny points, where it is inf or
+    # The same kernel pass; at the tiny points, where the quotient is inf or
     # nan, ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1.
-    w = arr.ravel()
-    with np.errstate(all="ignore"):
-        quotient = _ratio_L_raw(w, None)
-    out = np.where(tiny.ravel(), -1.0 + 2.0 * _laurent_c0() * w, quotient)
-    return out.reshape(arr.shape)[()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(_ratio_L_raw(z, plus))
+    out[tiny] = -1.0 + 2.0 * _laurent_c0() * arr[tiny]
+    return out[()]
 
 
 def primes_upto(n: int) -> list[int]:

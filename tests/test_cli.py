@@ -86,6 +86,21 @@ def test_parseval_suite_checks_kappa_unity():
     assert unity.tolerance == cli.TOLERANCES["kappa-spread"]
 
 
+def test_b_form_equivalence_sees_an_off_column_entry(monkeypatch):
+    # B's factored form reads only the first column of N(z): an entry off
+    # it, scaled by 1 + 1e-3, moves the nine-term form alone
+    def skewed(z):
+        n = gl3.n_matrix(z)
+        n[0, 1] *= 1.0 + 1e-3
+        return n
+
+    monkeypatch.setattr(parseval, "n_matrix", skewed)
+    report = run(RunConfig(command="parseval"))
+    bform, = [r for r in report.records if r.name == "b-form-equivalence"]
+    assert bform.tolerance == cli.TOLERANCES["b-form"]
+    assert not bform.passed
+
+
 def test_parseval_kappa_unity_sees_the_line_step(monkeypatch):
     # kappa_B's pickup sums on the half steps of B's line nodes, so a
     # coarse line step moves B and the pickup apart: at 0.5 |kappa_B - 1|

@@ -15,9 +15,8 @@ from eisenspec.gl3 import (GL3, delta_weight, double_residue_closed_forms,
                            double_residue_table, lambda_line, line_direction,
                            max_minor, multiplicativity_residual, n_entry,
                            n_matrix, rank_one_residual, sigma,
-                           symmetry_residual, transverse_direction,
-                           transverse_residue, volume_constant,
-                           volume_factors)
+                           symmetry_residual, transverse_residue,
+                           volume_constant, volume_factors)
 from eisenspec.intertwine import m_scalar
 from eisenspec.roots import RHO_CHECK, RootDatum
 from eisenspec.zeta import completed_L, ratio_L
@@ -235,11 +234,36 @@ def test_transverse_residue_diagonal_value():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("z", [0.0, 1.0, 1.0 + 0.5j, -1.0 + 0.5j, 2.5 + 3j,
+                               13.6j, 2.0 - 13.6j])
+def test_transverse_residue_inside_its_domain(z):
+    # on the edges |2z -+ 1| = 1, |2z -+ 3| = 1 and |Im z| = 13.6 the
+    # circle's clearance is still 1
+    L2 = complex(completed_L(2.0))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            want = n_entry(i, j, z) / L2
+            assert abs(transverse_residue(i, j, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.49, 0.5 + 0.01j, 0.52, -1.5 + 0.3j, 14j,
+                               14.1347j])
+def test_transverse_residue_refuses_z_outside_its_domain(z):
+    # there the circle comes within 1 of a pole, or holds one: the value
+    # would be off by up to 2 in relative terms
+    with pytest.raises(DomainError):
+        transverse_residue(1, 2, z)
+    with pytest.raises(DomainError):
+        transverse_residue(1, 2, np.array([0.4j, z]))
+
+
 def test_transverse_direction_normalization():
+    # transverse_residue's u-direction is delta_i: <delta_i, beta_check_i>
+    # = 1, with no component along the line direction e_i
     idx = {1: 1, 2: 2, 3: RHO_CHECK}
     for i in (1, 2, 3):
-        assert transverse_direction(i).pairing(idx[i]) == 1
-        assert transverse_direction(i).inner(line_direction(i)) == 0
+        assert delta_weight(i).pairing(idx[i]) == 1
+        assert delta_weight(i).inner(line_direction(i)) == 0
 
 
 def test_double_residue_table_values():
@@ -309,7 +333,7 @@ def test_transverse_residue_consistent_with_m_scalar():
     i, j, z = 2, 3, 0.9j
     w = sigma(i, j)
     base = lambda_line(i, z)
-    xi = transverse_direction(i)
+    xi = delta_weight(i)
     u = circle_nodes(0.25, 256)
     vals = []
     for uu in u:

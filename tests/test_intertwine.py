@@ -180,7 +180,7 @@ def _pickup_frames():
     return ([gl3.sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
             [gl3.delta_weight(i) for i in lines],
             [gl3.line_direction(i) for i in lines],
-            [gl3.transverse_direction(i) for i in lines])
+            [gl3.delta_weight(i) for i in lines])
 
 
 def test_multi_frame_call_matches_per_frame_calls(monkeypatch):

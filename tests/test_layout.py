@@ -17,7 +17,9 @@ and no other module rebuilds it from the images of the fundamental weights.
 
 The shifted integrand m(w, lam) Phi(lam) Phi*(-w lam) is built in one
 function of parseval: no other function there forms the starred profile,
-and parseval reaches ratio_L only through m_on_grid.
+and parseval reaches ratio_L only through m_on_grid.  Two functions read
+it: the rank-generic plane terms, one path for GL(2) and GL(3), and the
+kappa pickups of measure_constants.
 
 Circle nodes and the 2^-53 sizing of trapezoid rules live in contour: no
 other module forms circle nodes or spells out 53 log 2, and contour imports
@@ -161,6 +163,20 @@ def test_shifted_integrand_is_built_once():
             if isinstance(node, (ast.Name, ast.alias))
             and getattr(node, "id", getattr(node, "name", None)) == "ratio_L"
             ] == []
+
+
+def test_shifted_integrand_has_two_readers():
+    # the rank-generic plane terms of the shifted integral and of A, one
+    # path for GL(2) and GL(3), and the kappa pickups: a per-rank copy of
+    # the shifted integral would be a third
+    path = SRC / "parseval.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = sorted(fn.name for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef)
+                     and any(isinstance(call, ast.Call)
+                             and _called_name(call) == "_shifted_integrand"
+                             for call in ast.walk(fn)))
+    assert callers == ["_plane_terms", "measure_constants"]
 
 
 def _spells_out_53_bits(tree: ast.AST) -> list[int]:

@@ -12,7 +12,7 @@ from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 contribution_B, contribution_C,
                                 decomposed_norm_gl2, measure_constants,
                                 parseval_check_gl3, shifted_norm_gl2,
-                                shifted_norm_gl3, shifted_norm_gl3_terms)
+                                shifted_norm_gl3)
 from eisenspec.roots import RootDatum
 from eisenspec.zeta import completed_L, ratio_L
 
@@ -60,6 +60,47 @@ def test_gl2_seeded_profiles():
         shifted = shifted_norm_gl2(phi, 1.5)
         axis, residue = decomposed_norm_gl2(phi)
         assert abs(shifted - axis - residue) / abs(shifted) <= 1e-6
+
+
+def test_shifted_norms_share_one_base_point_rule():
+    # every coordinate >= 1.05 on both ranks.  On GL(2) the step-0.1 line
+    # rule errs by 106% at sigma0 = 1.01 (against sigma0 = 1.5)
+    phi2, phi3 = PaleyWienerGaussian(GL2, 0.5), PaleyWienerGaussian(GL3, 0.5)
+    for sigma0 in (1.01, 1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            shifted_norm_gl2(phi2, sigma0)
+    for lam0 in ((1.04, 1.5), (1.5, 1.0), (0.5, 2.0), (float("nan"), 1.5)):
+        with pytest.raises(DomainError):
+            shifted_norm_gl3(phi3, lam0)
+    assert np.isfinite(shifted_norm_gl2(phi2, 1.05))
+    assert np.isfinite(shifted_norm_gl3(phi3, (1.05, 1.05)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gl2_contribution_A_two_forms_agree(seed):
+    # the W-sum on the axis and (1/2) integral |F|^2
+    phi = PaleyWienerGaussian.random(GL2, np.random.default_rng(seed))
+    direct, symmetric = contribution_A(phi)
+    assert abs(direct - symmetric) <= 1e-13 * abs(direct)
+
+
+def test_gl2_decomposition_is_A_and_C():
+    phi = PaleyWienerGaussian.random(GL2, np.random.default_rng(3))
+    assert decomposed_norm_gl2(phi) == (contribution_A(phi)[0],
+                                        contribution_C(phi))
+
+
+def test_gl2_contribution_C_closed_form():
+    # |Phi(rho)|^2 / vol, with vol = L(2) on GL(2)
+    phi = _random_quadratic(GL2, 0.5, 6)
+    L2 = complex(completed_L(2.0)).real
+    want = abs(phi.value(GL2.weight((1.0,)))) ** 2 / L2
+    assert complex(contribution_C(phi)).real == pytest.approx(want, rel=1e-14)
+
+
+def test_shifted_integral_refuses_rank_three():
+    with pytest.raises(DomainError):
+        contribution_A(PaleyWienerGaussian(RootDatum(4), 0.5))
 
 
 def test_gl3_contour_independence():
@@ -191,7 +232,7 @@ def test_grid_profiles_match_the_pointwise_oracle(grid):
                   GL3.fundamental_weight(2), plane),
         "line-circle": ([gl3.sigma(2, j) for j in (1, 2, 3)],
                         gl3.delta_weight(2), gl3.line_direction(2), line,
-                        gl3.transverse_direction(2), circle_nodes(0.1, 20)),
+                        gl3.delta_weight(2), circle_nodes(0.1, 20)),
         "double-circle": ([gl3.named_weyl()["s3"]], GL3.rho(),
                           GL3.fundamental_weight(2), circle_nodes(0.3, 32),
                           GL3.fundamental_weight(1), circle_nodes(0.1, 34)),
@@ -263,11 +304,11 @@ def test_pickup_terms_in_one_call_match_per_line_calls():
     got = list(parseval._shifted_integrand(
         phi, ws, [gl3.delta_weight(i) for i in lines],
         [gl3.line_direction(i) for i in lines], x,
-        [gl3.transverse_direction(i) for i in lines], u))
+        [gl3.delta_weight(i) for i in lines], u))
     for k, i in zip((0, 3, 6), (1, 2, 3)):
         want = parseval._shifted_integrand(
             phi, ws[k:k + 3], gl3.delta_weight(i), gl3.line_direction(i), x,
-            gl3.transverse_direction(i), u)
+            gl3.delta_weight(i), u)
         for g, w in zip(got[k:k + 3], want):
             assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
@@ -315,7 +356,7 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size
-    for run in (lambda: shifted_norm_gl3_terms(phi, (1.5, 1.5)),
+    for run in (lambda: shifted_norm_gl3(phi, (1.5, 1.5)),
                 lambda: contribution_A(phi)):
         sizes.clear()
         run()
@@ -371,7 +412,11 @@ def test_identity_term_isolation():
     # integral of Phi(lam) Phi*(-lam), quadratured independently here
     phi = PaleyWienerGaussian(GL3, 0.5, {(0, 0): 0.7, (1, 1): 0.3j})
     lam0 = (1.5, 1.5)
-    terms = shifted_norm_gl3_terms(phi, lam0)
+    assert GL3.weyl_group()[0] == GL3.identity()
+    scale, terms = parseval._plane_terms(phi, lam0)
+    m, phi_vals, image = next(terms)
+    assert np.all(m == 1.0)
+    term = complex(np.sum(m * phi_vals * image)) * scale
     star = phi.star()
     step, width = 0.1, np.sqrt(88.0 / phi.beta)
     n = int(np.ceil(width / step))
@@ -380,7 +425,7 @@ def test_identity_term_isolation():
     z2 = (lam0[1] + 1j * t)[None, :]
     direct = np.sum(phi.value_coords(z1, z2)
                     * star.value_coords(-z1, -z2)) * (step / (2 * np.pi)) ** 2
-    assert terms["e"] == pytest.approx(complex(direct), rel=1e-12)
+    assert term == pytest.approx(complex(direct), rel=1e-12)
 
 
 def test_weyl_antisymmetric_profile_sign_bookkeeping():

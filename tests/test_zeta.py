@@ -302,6 +302,16 @@ def test_ratio_L_grid_laurent_fill():
     assert np.max(np.abs(grid - pointwise)) <= 1e-14
 
 
+def test_ratio_L_grid_rows_do_not_depend_on_a_laurent_fill():
+    # a point within the exclusion radius of 0 is filled alone: the rows
+    # without one are bit for bit those of the same grid without it
+    a = np.array([0.0, 0.3 + 0.2j, -0.7 + 3j, 0.55 - 1j])
+    b = np.array([1e-8, 0.1, -0.2j, 0.05 + 0.4j])
+    grid = np.asarray(ratio_L(a, plus=b))
+    clear = np.asarray(ratio_L(np.concatenate(([0.5], a[1:])), plus=b))
+    assert np.array_equal(grid[1:], clear[1:])
+
+
 # ------------------------------------------------------- one kernel pass --
 
 zeta_module = importlib.import_module("eisenspec.zeta")
