@@ -17,8 +17,9 @@ from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,
                   transverse_residue, volume_constant, volume_factors)
 from .truncation import (QuadratureResult, QuadratureSpec, TruncationParam,
                          constant_term, eisenstein_direct,
-                         eisenstein_tail_bound, eisenstein_theta,
-                         inner_product_fd, maass_selberg_convergence_study,
+                         eisenstein_fourier, eisenstein_tail_bound,
+                         eisenstein_theta, inner_product_fd,
+                         maass_selberg_convergence_study,
                          maass_selberg_record, omega_rank1,
                          truncated_eisenstein, truncated_eisenstein_direct)
 from .parseval import (PaleyWienerGaussian, SpectralReport,

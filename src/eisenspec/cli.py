@@ -32,7 +32,8 @@ from .errors import DomainError, NonConvergence, PoleProximity
 from .intertwine import cocycle_check, m_scalar, su3_local_factor, unitarity_check
 from .roots import (RHO_CHECK, RootDatum, association_classes, tau_hat,
                     transporters, truncation_terms)
-from .truncation import maass_selberg_convergence_study, maass_selberg_record
+from .truncation import (DECAY_CUTOFF, eisenstein_fourier, eisenstein_theta,
+                         maass_selberg_convergence_study, maass_selberg_record)
 from .zeta import completed_L, gamma_fn, local_L, primes_upto, ratio_L, zeta
 
 COMMANDS = ("zeta", "lfn", "m-scalar", "su3", "combinatorics", "nmatrix",
@@ -61,6 +62,7 @@ TOLERANCES = {
     "cancellation": 1e-8,
     "volume": 1e-12,
     "maass-selberg": 1e-3,
+    "fourier-theta": 1e-11,
     "parseval-gl2": 1e-6,
     "parseval-gl3": 1e-4,
     "kappa-spread": 1e-8,
@@ -479,6 +481,19 @@ def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
                    "truncated inner product matches the rank-one formula",
                    rec["formula_value"], rec["quadrature_value"],
                    rec["rel_err"], TOLERANCES["maass-selberg"])
+    # the two pointwise routes of E on a cloud of D below the decay cutoff,
+    # uniform in the hyperbolic area that the inner product integrates over
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(-0.5, 0.5, 200)
+    y = 1.0 / rng.uniform(1.0 / DECAY_CUTOFF, 1.0 / np.sqrt(1.0 - x * x))
+    worst = 0.0
+    for s in (1.05, 1.25, 1.5):
+        theta = eisenstein_theta(x, y, s)
+        worst = max(worst, float(np.max(
+            np.abs(eisenstein_fourier(x, y, s) - theta) / np.abs(theta))))
+    report.add("eisenstein-fourier-vs-theta",
+               "Fourier-Whittaker E matches the theta-series E on D",
+               0.0, worst, worst, TOLERANCES["fourier-theta"])
     if cfg.csv_path:
         # One column per field of the first row; complex values give their
         # real part.  --csv only writes files: the study's monotone decrease

@@ -55,8 +55,6 @@ from .zeta import completed_L
 __all__ = [
     "PaleyWienerGaussian",
     "SpectralReport",
-    "MEASURE_KAPPA_B",
-    "MEASURE_KAPPA_C",
     "shifted_norm_gl2",
     "decomposed_norm_gl2",
     "shifted_norm_gl3",
@@ -66,12 +64,6 @@ __all__ = [
     "measure_constants",
     "parseval_check_gl3",
 ]
-
-# Measure constants in the (z_1, z_2) chart with (1/2pi) dt per dimension,
-# fixed once by the iterated residue derivation sketched in the module
-# docstring.  measure_constants() re-derives them numerically per run.
-MEASURE_KAPPA_B = 1.0
-MEASURE_KAPPA_C = 1.0
 
 # The (radius, nodes) transverse circle of the kappa_B pickup in
 # measure_constants, on lam = delta_i + it e_i + u delta_i.  The root beta_i
@@ -446,8 +438,8 @@ class SpectralReport:
 def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
                        lam0_alt: tuple[float, float] | None,
                        with_kappa: bool = True) -> SpectralReport:
-    """Assemble shifted = A + B + C with the derived constants
-    MEASURE_KAPPA_B = MEASURE_KAPPA_C = 1, and report residuals.  lam0_alt,
+    """Assemble shifted = A + B + C, with the measure constants kappa_B =
+    kappa_C = 1 of the module docstring, and report residuals.  lam0_alt,
     unless None, is a second base point of the shifted integral.  with_kappa
     measures both constants numerically (measure_constants) into kappa_B and
     kappa_C; without it they are None, since nothing was measured."""
@@ -459,7 +451,7 @@ def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
     c_val = contribution_C(phi)
     kappa_b, kappa_c = (measure_constants(phi, b_direct, c_val)
                         if with_kappa else (None, None))
-    assembled = a_direct + MEASURE_KAPPA_B * b_direct + MEASURE_KAPPA_C * c_val
+    assembled = a_direct + b_direct + c_val
     residual = abs(shifted - assembled)
     return SpectralReport(
         group="gl3",

@@ -11,16 +11,23 @@ rapidly decreasing function on the fundamental domain
 
     D = { |Re z| <= 1/2, |z| >= 1 }.
 
-Two evaluators are provided, both vectorized over arrays x, y:
+Three evaluators of E are provided, all vectorized over arrays x, y:
 
-* eisenstein_direct, the direct coprime-pair sum, with the certified
-  integral-comparison bound eisenstein_tail_bound on what it drops (the
-  literal definition; its tail decays only like B^(2-2s), so it is the
-  cross-check oracle, not the production path near s = 1);
-* eisenstein_theta, an exponentially convergent incomplete-gamma
-  representation for real s, obtained from the theta integral of the
-  associated unimodular lattice sum: with Q(m,n) = |m z + n|^2 / y
-  (determinant one),
+* eisenstein_fourier, the production route for real s > 1: the
+  Fourier-Whittaker expansion
+
+      E(z, s) = y^s + c(s) y^(1-s) + (4 sqrt(y) / L(2s))
+                sum_{n >= 1} n^(s-1/2) sigma_{1-2s}(n) K_{s-1/2}(2 pi n y)
+                cos(2 pi n x)
+
+  (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), with scipy's kv.
+  Each point keeps its own N(y) terms, sized by contour.line_step so that
+  the first one dropped is below 2^-53 of scale: at most eight on D, where
+  y >= sqrt(3)/2.
+* eisenstein_theta, the independent pointwise oracle for real s: an
+  exponentially convergent incomplete-gamma representation obtained from
+  the theta integral of the associated unimodular lattice sum: with
+  Q(m,n) = |m z + n|^2 / y (determinant one),
 
       pi^(-s) Gamma(s) zeta(2s) E(z,s) = 1/(2(s-1)) - 1/(2s)
         + (1/2) sum_{(m,n) != 0} [ (pi Q)^(-s) Gamma(s, pi Q)
@@ -29,12 +36,20 @@ Two evaluators are provided, both vectorized over arrays x, y:
   every term decaying like exp(-pi Q).  It is summed in one sweep over a
   batch: the (pair, point) terms within the cutoff pi Q <= 38 take one
   incomplete-gamma call at s and one at 1 - s, and np.bincount adds each
-  point's terms in pair order.  A point's value is the same bit for bit
-  alone or in any batch, since the batch's pairs contain its own and the
-  others lie beyond its cutoff.
+  point's terms in pair order.  It uses neither c(s) nor K, so the CLI
+  holds the two routes to each other.
+* eisenstein_direct, the direct coprime-pair sum, with the certified
+  integral-comparison bound eisenstein_tail_bound on what it drops (the
+  literal definition; its tail decays only like B^(2-2s), so it is the
+  test oracle that uses no special function, not a route near s = 1).
 
-Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y); c(s) is computed
-once per evaluator.  The truncated inner product over D with the hyperbolic
+The Fourier and theta routes give a point the same value bit for bit alone
+or in any batch: each adds only its own terms, in a fixed order, from 0.
+
+Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y): the Bessel sum
+alone above y0, where the constant term is removed, and the whole Fourier
+route below it; c(s), L(2s) and the coefficient table are computed once per
+evaluator.  The truncated inner product over D with the hyperbolic
 measure dx dy / y^2 is computed by adaptive tensor Gauss-Legendre panels,
 each sampled once on the nodes of both its orders, and compared against the
 closed rank-one formula omega_rank1, which is the Maass-Selberg check.  That
@@ -51,11 +66,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc, exp1
+from scipy.special import exp1, gammaincc, kv
 
-from .contour import circle_residue, trapezoid_circle
+from .contour import circle_residue, line_step, trapezoid_circle
 from .errors import DomainError, NonConvergence
-from .zeta import ratio_L, zeta
+from .zeta import completed_L, ratio_L, zeta
 
 __all__ = [
     "TruncationParam",
@@ -64,6 +79,7 @@ __all__ = [
     "eisenstein_direct",
     "eisenstein_tail_bound",
     "eisenstein_theta",
+    "eisenstein_fourier",
     "constant_term",
     "truncated_eisenstein",
     "truncated_eisenstein_direct",
@@ -76,6 +92,9 @@ __all__ = [
 # Height above which a truncated series (for the s ranges used here) is
 # below 1e-30 of scale; evaluators return exactly 0 beyond it.
 DECAY_CUTOFF = 12.0
+
+# D's lowest point, at x = +-1/2 on the arc |z| = 1.
+_Y_MIN = math.sqrt(3.0) / 2.0
 
 # Panel budget of inner_product_fd, past which it raises NonConvergence.
 _MAX_PANELS = 3000
@@ -227,6 +246,97 @@ def eisenstein_theta(x, y, s: float):
     return float(value[0]) if scalar else value.reshape(xa.shape)
 
 
+def _bessel_terms(y):
+    """N(y), the Bessel terms kept at heights y.  n = ceil(1 / line_step(y))
+    is the first with exp(-2 pi n y) <= 2^-53; keeping one term more leaves
+    the first dropped term a further exp(-4 pi y) <= 1.9e-5 on D, which
+    covers its prefactor 2 n^s sigma_{1-2s}(n) / L(2s)."""
+    return np.ceil(1.0 / line_step(y)).astype(np.int64) + 1
+
+
+def _bessel_series(s: float) -> Callable:
+    """The Bessel sum of E(., s), as a function of flat arrays x, y:
+
+        sum_{n <= N(y)} a_n sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x),
+        a_n = 4 n^(s-1/2) sigma_{1-2s}(n) / L(2s).
+
+    L(2s) and the a_n table for D are computed once; a batch below D's
+    floor gets a longer table of its own.  Only each point's own N(y) terms
+    are formed, and np.bincount adds them in n order from 0, so a point's
+    value is the same bit for bit alone or in any batch.
+    """
+    if not (s > 1.0 and math.isfinite(s)):
+        raise DomainError(f"the Fourier expansion needs real s > 1, got {s}")
+    scale = 4.0 / float(np.real(completed_L(2.0 * s)))
+
+    def coefficients(n_max: int) -> np.ndarray:
+        sigma = np.zeros(n_max + 1)
+        for d in range(1, n_max + 1):
+            sigma[d::d] += d ** (1.0 - 2.0 * s)
+        return scale * np.arange(1.0, n_max + 1.0) ** (s - 0.5) * sigma[1:]
+
+    table = coefficients(int(_bessel_terms(_Y_MIN)))
+
+    def series(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if not np.all(y > 0.0):
+            raise DomainError("the Fourier expansion needs points of H (y > 0)")
+        terms = _bessel_terms(y)
+        top = int(terms.max())
+        a = table if top <= table.size else coefficients(top)
+        k, col = np.nonzero(np.arange(1, top + 1)[:, None] <= terms)
+        n = k + 1.0
+        vals = (a[k] * kv(s - 0.5, 2.0 * math.pi * n * y[col])
+                * np.cos(2.0 * math.pi * n * x[col]))
+        return np.sqrt(y) * np.bincount(col, weights=vals, minlength=x.size)
+
+    return series
+
+
+def _bessel_tail_bound(s: float, y: float) -> float:
+    """Bound on the Bessel terms past N(y) that E(., s) drops at height y.
+
+    With |cos| <= 1, sigma_{1-2s}(n) <= n, 1 / L(2s) <= pi^s / Gamma(s)
+    (zeta(2s) >= 1), and K_nu(x) <= sqrt(pi / 2x) e^(-x) (1 - (nu - 1/2) /
+    2x)^(-(nu + 1/2)) for nu = s - 1/2 >= 1/2 (DLMF 10.32.8 with
+    1 + u/2x <= e^(u/2x)), term n is at most k (2 pi^s / Gamma(s)) n^s q^n,
+    q = exp(-2 pi y), and k taken at the first dropped n bounds every later
+    one.  The terms' ratio falls with n, so the tail is at most the first
+    term over one less its ratio.
+    """
+    first = int(_bessel_terms(y)) + 1
+    nu, x = s - 0.5, 2.0 * math.pi * first * y
+    k = (1.0 - (nu - 0.5) / (2.0 * x)) ** (-(nu + 0.5))
+    q = math.exp(-2.0 * math.pi * y)
+    ratio = ((first + 1.0) / first) ** s * q
+    lead = 2.0 * k * math.pi ** s / math.gamma(s) * first ** s * q ** first
+    return lead / (1.0 - ratio)
+
+
+def eisenstein_fourier(x, y, s: float):
+    """E(z, s) for real s > 1 from its Fourier-Whittaker expansion
+
+        E = y^s + c(s) y^(1-s)
+            + (4 sqrt(y) / L(2s)) sum_{n >= 1} n^(s-1/2) sigma_{1-2s}(n)
+              K_{s-1/2}(2 pi n y) cos(2 pi n x)
+
+    (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), each point
+    summed to its own N(y) terms, at most eight on D.  Vectorized over x, y
+    of one broadcast shape; y <= 0 and s <= 1 raise DomainError.  A
+    point's value is the same bit for bit alone or in any batch.
+    """
+    s = float(s)
+    series = _bessel_series(s)
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    if xa.size == 0:
+        return np.zeros(xa.shape)
+    xs, ys = xa.ravel(), ya.ravel()
+    bessel = series(xs, ys)  # refuses y <= 0 before any power of y
+    c = _c_function(s).real
+    value = ys ** s + c * ys ** (1.0 - s) + bessel
+    return float(value[0]) if xa.ndim == 0 else value.reshape(xa.shape)
+
+
 def constant_term(y, s):
     """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s).
 
@@ -242,51 +352,68 @@ def _constant_term(y: np.ndarray, s: complex, c: complex) -> np.ndarray:
     return np.exp(s * np.log(y)) + c * np.exp((1.0 - s) * np.log(y))
 
 
-def _truncated_factory(s: float, trunc: TruncationParam,
-                       evaluator: Callable) -> Callable:
-    y0 = trunc.y0
-    if y0 >= DECAY_CUTOFF:
-        raise DomainError(
-            f"truncation height {y0} above the decay cutoff {DECAY_CUTOFF}")
-    s = complex(float(s))
-    c = _c_function(s)
+def _cut_height(trunc: TruncationParam) -> float:
+    """y0, refused at or above DECAY_CUTOFF, where the evaluators return 0."""
+    if trunc.y0 >= DECAY_CUTOFF:
+        raise DomainError(f"truncation height {trunc.y0} above the decay "
+                          f"cutoff {DECAY_CUTOFF}")
+    return trunc.y0
 
-    def evaluate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
-        live = y <= DECAY_CUTOFF
-        if np.any(live):
-            xb, yb = np.broadcast_arrays(x, y)
-            vals = evaluator(xb[live], yb[live])
-            high = yb[live] > y0
-            vals = np.where(
-                high, vals - np.real(_constant_term(yb[live], s, c)), vals)
-            out[live] = vals
-        return out
 
-    return evaluate
+def _below_cutoff(x, y, values: Callable) -> np.ndarray:
+    """values(x, y) on the flat points at or below DECAY_CUTOFF and exactly 0
+    above it, in the broadcast shape of x, y."""
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    out = np.zeros(xb.shape)
+    live = yb <= DECAY_CUTOFF
+    if np.any(live):
+        out[live] = values(xb[live], yb[live])
+    return out
 
 
 def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
-    """Vectorized truncated-series evaluator on D for the quadrature engine.
+    """Vectorized Lambda^T E(., s) on D for the quadrature engine.
 
+    The Bessel sum of eisenstein_fourier, plus the constant term where
+    y <= y0: above y0 nothing is subtracted, so no cancellation is left.
+    c(s), L(2s) and the coefficient table are computed once per evaluator.
     Returns exactly 0 above DECAY_CUTOFF, where the remaining Fourier tail
     is below 1e-30 of scale; this keeps the top panels cheap and noise-free.
     """
-    return _truncated_factory(
-        s, trunc, lambda x, y: eisenstein_theta(x, y, float(s)))
+    y0 = _cut_height(trunc)
+    s = float(s)
+    series = _bessel_series(s)
+    c = _c_function(s).real
+
+    def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = series(x, y)
+        low = y <= y0
+        out[low] += y[low] ** s + c * y[low] ** (1.0 - s)
+        return out
+
+    return lambda x, y: _below_cutoff(x, y, values)
 
 
 def truncated_eisenstein_direct(s: float, trunc: TruncationParam,
                                 bound: int) -> Callable:
-    """Truncated-series evaluator backed by the direct lattice sum.
+    """Truncated-series evaluator backed by the direct lattice sum, less the
+    constant term above y0.
 
     Only useful for convergence studies: the direct tail decays like
     bound^(2-2s), far too slowly for tight work near s = 1.
     """
-    return _truncated_factory(
-        s, trunc, lambda x, y: eisenstein_direct(x, y, float(s), bound))
+    y0 = _cut_height(trunc)
+    s = complex(float(s))
+    c = _c_function(s)
+
+    def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = eisenstein_direct(x, y, s.real, bound)
+        high = y > y0
+        out[high] -= np.real(_constant_term(y[high], s, c))
+        return out
+
+    return lambda x, y: _below_cutoff(x, y, values)
 
 
 @dataclass(frozen=True)
@@ -467,9 +594,10 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     # on the diagonal one evaluator serves both sides of the product
     f2 = f1 if s2 == s1 else truncated_eisenstein(s2, trunc)
     spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0)
-    # tail_bound: the exp(-38) lattice cutoff of the theta form.
+    # tail_bound: the Bessel terms E drops at D's lowest point
+    tail = max(_bessel_tail_bound(s, _Y_MIN) for s in (s1, s2))
     return _maass_selberg_row(s1, s2, T, inner_product_fd(f1, f2, spec),
-                              omega_rank1(s1, s2, trunc), 1e-15)
+                              omega_rank1(s1, s2, trunc), tail)
 
 
 def maass_selberg_convergence_study(s1: float, s2: float, T: float,
@@ -483,7 +611,7 @@ def maass_selberg_convergence_study(s1: float, s2: float, T: float,
     """
     trunc = TruncationParam(T)
     formula = omega_rank1(s1, s2, trunc)
-    kappa_min = _kappa(0.5, math.sqrt(3.0) / 2.0)
+    kappa_min = _kappa(0.5, _Y_MIN)
     rows = []
     for bound in bounds:
         f1 = truncated_eisenstein_direct(s1, trunc, bound)

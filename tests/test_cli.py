@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from eisenspec import cli, gl3, parseval
+from scipy.special import kv
+
+from eisenspec import cli, gl3, parseval, truncation
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
@@ -139,6 +141,20 @@ def test_every_check_is_timed():
     report = run(RunConfig(command="su3"))
     assert len(report.records) == 3
     assert all(r.wall_ms > 0 for r in report.records)
+
+
+def test_fourier_check_sees_a_bessel_error(monkeypatch):
+    # the two pointwise routes of E hold each other: K off by 1e-6 moves the
+    # Fourier route by ~1e-9 on D, above the gate set from seeds 0-31
+    def by_name(report):
+        return {r.name: r for r in report.records}
+
+    assert by_name(run(RunConfig(command="maass-selberg")))[
+        "eisenstein-fourier-vs-theta"].passed
+    monkeypatch.setattr(truncation, "kv",
+                        lambda nu, x: kv(nu, x) * (1.0 + 1e-6))
+    assert not by_name(run(RunConfig(command="maass-selberg")))[
+        "eisenstein-fourier-vs-theta"].passed
 
 
 def _no_constant(name):

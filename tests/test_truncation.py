@@ -7,19 +7,22 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kv
 
-from eisenspec import truncation
+from eisenspec import cli, truncation
+from eisenspec.contour import line_step
 from eisenspec.errors import DomainError, PoleProximity
-from eisenspec.truncation import (QuadratureSpec, TruncationParam,
-                                  _lattice_pairs, _upper_gamma, constant_term,
-                                  eisenstein_direct, eisenstein_tail_bound,
-                                  eisenstein_theta, inner_product_fd,
+from eisenspec.truncation import (DECAY_CUTOFF, QuadratureSpec,
+                                  TruncationParam, _lattice_pairs,
+                                  _upper_gamma, constant_term,
+                                  eisenstein_direct, eisenstein_fourier,
+                                  eisenstein_tail_bound, eisenstein_theta,
+                                  inner_product_fd,
                                   maass_selberg_convergence_study,
                                   maass_selberg_record, omega_rank1,
                                   truncated_eisenstein,
                                   truncated_eisenstein_direct)
-from eisenspec.zeta import ratio_L, zeta
+from eisenspec.zeta import completed_L, ratio_L, zeta
 
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
 
@@ -131,6 +134,95 @@ def test_theta_is_two_incomplete_gamma_calls(monkeypatch):
         calls.clear()
         eisenstein_theta(0.25, y, 1.5)
         assert calls == [1.5, 0.5]
+
+
+def _cloud(seed, n, y_top):
+    """n seeded points of D below y_top, uniform in hyperbolic area."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, n)
+    return x, 1.0 / rng.uniform(1.0 / y_top, 1.0 / np.sqrt(1.0 - x * x))
+
+
+@pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 2.7])
+def test_fourier_does_not_depend_on_the_batch(s):
+    # bit for bit: each point forms only its own N(y) terms and adds them
+    # in n order from 0; the batch reaches below D, where the table grows
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 0.5, 300)
+    y = rng.uniform(0.3, 11.9, 300)
+    values = eisenstein_fourier(x, y, s)
+    for k in rng.choice(x.size, 25, replace=False):
+        assert eisenstein_fourier(x[k], y[k], s) == values[k]
+    grid = eisenstein_fourier(x[:200].reshape(10, 20),
+                              y[:200].reshape(10, 20), s)
+    assert np.array_equal(grid.ravel(), values[:200])
+    assert np.array_equal(eisenstein_fourier(x[y > 0.9], y[y > 0.9], s),
+                          values[y > 0.9])
+
+
+def test_fourier_within_the_direct_tail_bound():
+    # the direct sum uses neither c(s) nor K
+    x, y = _cloud(7, 20, 2.0)
+    for s in (1.3, 2.0):
+        gap = np.abs(eisenstein_direct(x, y, s, 400)
+                     - eisenstein_fourier(x, y, s))
+        assert np.all(gap <= eisenstein_tail_bound(x, y, s, 400))
+
+
+def test_fourier_matches_theta_to_the_cli_gate():
+    x, y = _cloud(3, 300, DECAY_CUTOFF)
+    for s in (1.05, 1.2, 1.5, 1.75, 2.0):
+        theta = eisenstein_theta(x, y, s)
+        gap = np.abs(eisenstein_fourier(x, y, s) - theta) / np.abs(theta)
+        assert np.max(gap) <= cli.TOLERANCES["fourier-theta"]
+
+
+def test_fourier_domain():
+    for s in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eisenstein_fourier(0.0, 1.0, s)
+    for y in (-1.0, 0.0, np.array([1.0, 0.0]), np.nan):
+        with pytest.raises(DomainError):
+            eisenstein_fourier(0.0, y, 1.5)
+    empty = eisenstein_fourier(np.array([]), np.array([]), 1.5)
+    assert empty.shape == (0,) and isinstance(
+        eisenstein_fourier(0.1, 1.2, 1.5), float)
+
+
+def test_truncation_adds_the_constant_term_only_below_the_line():
+    # above y0 Lambda^T E is the Bessel sum itself, nothing subtracted;
+    # below it, E by the Fourier route, both to the bit
+    trunc = TruncationParam(0.5)
+    x, y = _cloud(5, 400, DECAY_CUTOFF)
+    for s in (1.1, 1.4):
+        got = truncated_eisenstein(s, trunc)(x, y)
+        high = y > trunc.y0
+        assert 0 < high.sum() < y.size
+        assert np.array_equal(got[high],
+                              truncation._bessel_series(s)(x[high], y[high]))
+        assert np.array_equal(got[~high], eisenstein_fourier(x[~high],
+                                                             y[~high], s))
+
+
+def test_record_reports_the_tail_at_the_floor_of_D():
+    # D's lowest point y = sqrt(3)/2 keeps N = ceil(1 / line_step(y)) + 1
+    # = 8 terms; the terms past N, summed with |cos| = 1, lie below the
+    # reported bound, and those past N - 1 above it
+    y = math.sqrt(3.0) / 2.0
+    n = math.ceil(1.0 / line_step(y)) + 1
+    assert n == 8 == truncation._bessel_terms(y)
+
+    def dropped(s, kept):
+        total = 0.0
+        for m in range(kept + 1, kept + 40):
+            sigma = sum(d ** (1.0 - 2.0 * s) for d in range(1, m + 1)
+                        if m % d == 0)
+            total += m ** (s - 0.5) * sigma * kv(s - 0.5, 2 * math.pi * m * y)
+        return 4.0 * math.sqrt(y) * total / float(np.real(completed_L(2 * s)))
+
+    rec = maass_selberg_record(1.2, 1.3, 1.0)
+    assert max(dropped(s, n) for s in (1.2, 1.3)) <= rec["tail_bound"] \
+        < min(dropped(s, n - 1) for s in (1.2, 1.3))
 
 
 def test_constant_term_is_x_average():
@@ -316,6 +408,21 @@ def test_maass_selberg_next_to_the_diagonal():
     assert maass_selberg_record(1.3, 1.3000001, 1.0)["rel_err"] <= 1e-14
 
 
+def test_maass_selberg_sees_a_c_error(monkeypatch):
+    # c(s) enters E below y0 and omega: off by 1e-7, each CLI triple reads
+    # at least 1e-9, where unmutated each reads at most 1e-13
+    def residuals():
+        report = cli.run(cli.RunConfig(command="maass-selberg"))
+        return [r.residual for r in report.records
+                if r.name.startswith("maass-selberg-")]
+
+    assert len(residuals()) == 3 and max(residuals()) <= 1e-13
+    c_function = truncation._c_function
+    monkeypatch.setattr(truncation, "_c_function",
+                        lambda s: c_function(s) * (1.0 + 1e-7))
+    assert min(residuals()) >= 1e-9
+
+
 def test_truncated_self_product_positive():
     trunc = TruncationParam(1.0)
     f = truncated_eisenstein(1.25, trunc)
@@ -336,14 +443,16 @@ def _counted(fn, calls, key):
 def test_inner_product_evaluates_each_panel_once(monkeypatch):
     # one call of each function per panel evaluated, on the nodes of both
     # orders; g is f is one call, to the bit of two equal evaluators; and
-    # c(s) is computed once per evaluator, not once per panel
-    ratios = []
+    # c(s) and L(2s) are computed once per evaluator, not once per panel
+    ratios, values = [], []
     monkeypatch.setattr(truncation, "ratio_L",
                         lambda z: ratios.append(z) or ratio_L(z))
+    monkeypatch.setattr(truncation, "completed_L",
+                        lambda z: values.append(z) or completed_L(z))
     trunc = TruncationParam(1.0)
     f = truncated_eisenstein(1.25, trunc)
     f_copy = truncated_eisenstein(1.25, trunc)
-    assert len(ratios) == 2
+    assert len(ratios) == len(values) == 2
     spec = QuadratureSpec(tol=1e-9, y_split=trunc.y0)  # refines a panel
     calls = {"f": 0, "f_copy": 0}
     f = _counted(f, calls, "f")
@@ -354,7 +463,7 @@ def test_inner_product_evaluates_each_panel_once(monkeypatch):
     apart = inner_product_fd(f, _counted(f_copy, calls, "f_copy"), spec)
     assert calls["f"] == calls["f_copy"] == evaluated
     assert apart == same
-    assert len(ratios) == 2
+    assert len(ratios) == len(values) == 2
 
 
 def test_maass_selberg_diagonal_builds_one_evaluator(monkeypatch):
