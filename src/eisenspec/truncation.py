@@ -261,9 +261,11 @@ def _bessel_series(s: float) -> Callable:
         a_n = 4 n^(s-1/2) sigma_{1-2s}(n) / L(2s).
 
     L(2s) and the a_n table for D are computed once; a batch below D's
-    floor gets a longer table of its own.  Only each point's own N(y) terms
-    are formed, and np.bincount adds them in n order from 0, so a point's
-    value is the same bit for bit alone or in any batch.
+    floor gets a longer table of its own.  K is taken once per distinct
+    (y, n) of the batch, on the argument a point alone would give it.  Only
+    each point's own N(y) terms are formed, and np.bincount adds them in n
+    order from 0, so a point's value is the same bit for bit alone or in
+    any batch.
     """
     if not (s > 1.0 and math.isfinite(s)):
         raise DomainError(f"the Fourier expansion needs real s > 1, got {s}")
@@ -280,13 +282,19 @@ def _bessel_series(s: float) -> Callable:
     def series(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if not np.all(y > 0.0):
             raise DomainError("the Fourier expansion needs points of H (y > 0)")
-        terms = _bessel_terms(y)
+        # K_{s-1/2}(2 pi n y) once per distinct (y, n): the x-nodes of a
+        # top panel's row share one height
+        heights, at = np.unique(y, return_inverse=True)
+        terms = _bessel_terms(heights)
         top = int(terms.max())
         a = table if top <= table.size else coefficients(top)
-        k, col = np.nonzero(np.arange(1, top + 1)[:, None] <= terms)
-        n = k + 1.0
-        vals = (a[k] * kv(s - 0.5, 2.0 * math.pi * n * y[col])
-                * np.cos(2.0 * math.pi * n * x[col]))
+        n = np.arange(1, top + 1)[:, None]
+        k, row = np.nonzero(n <= terms)
+        bessel = np.zeros((top, heights.size))
+        bessel[k, row] = kv(s - 0.5, 2.0 * math.pi * (k + 1.0) * heights[row])
+        k, col = np.nonzero(n <= terms[at])
+        vals = (a[k] * bessel[k, at[col]]
+                * np.cos(2.0 * math.pi * (k + 1.0) * x[col]))
         return np.sqrt(y) * np.bincount(col, weights=vals, minlength=x.size)
 
     return series

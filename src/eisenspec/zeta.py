@@ -14,6 +14,13 @@ Evaluation strategy:
   Re w >= 1/2, where the partial sum does not cancel against N^(1-w)/(w-1).
   The public zeta sums directly on Re s >= -1, a route independent of L's,
   and is L(1 - s) / (pi^(-s/2) Gamma(s/2)) to the left of it.
+* The Bernoulli tail of order 14 is N^(-w) (w/N) (b_1 + g_1 (b_2 + ...)),
+  b_k = B_{2k}/(2k)!, g_k = (w + 2k - 1)(w + 2k)/N^2, evaluated by Estrin's
+  scheme on one 16-row table of the g_k: four pairwise levels of whole-
+  table numpy calls.  With Gamma's Lanczos table (below), a kernel pass is
+  a fixed number of numpy calls whatever its size, which on a few points
+  is the whole cost of a call.  Every step is elementwise, so a point's
+  value does not depend on its batch.
 * Separable grids.  The evaluators take an optional second argument and
   then work on the outer sum s_ij = a_i + b_j.  The Euler-Maclaurin partial
   sum factors there, sum_{n<N} n^(-a_i - b_j) = (E_a @ E_b^T)_ij with
@@ -26,7 +33,9 @@ Evaluation strategy:
   max |Im s_ij| over the whole grid.  A pointwise call is the
   degenerate case without b, where the product is the row sum of n^(-w).
 * Gamma by a fixed Lanczos coefficient set (g = 607/128, 15 terms), with the
-  reflection formula for Re(s) < 1/2.
+  reflection formula for Re(s) < 1/2.  The terms c_k / (z + k - 1) are one
+  14-row table whose rows are added in order, the order of the term-by-term
+  sum.
 * ratio_L(z) = L(z)/L(1+z) is a first-class primitive, evaluated in one
   kernel pass: z and 1 + z are stacked into one Euler-Maclaurin call (they
   share its N, since Im(1 + z) = Im z) and one Gamma call, and the pi
@@ -49,6 +58,7 @@ the pole exclusion radius are module constants.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -77,6 +87,7 @@ POLE_EXCLUSION_RADIUS = 1e-6
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LANCZOS_COEF = np.array([
     0.99999999999999709182,
     57.156235665862923517,
@@ -106,31 +117,86 @@ _B2K_OVER_FACT = np.array([
 ])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The Lanczos terms c_k / (z + k - 1), k = 1..14, are the rows of one table.
+_LANCZOS_ROWS = _read_only(_LANCZOS_COEF[1:, None].copy())
+_LANCZOS_SHIFT = _read_only(np.arange(len(_LANCZOS_ROWS), dtype=np.float64))
+
+# The Bernoulli tail's b_k = B_{2k}/(2k)!, k = 1.._BERNOULLI_ORDER, padded
+# with zeros to 16, and the shifts 2k - 1/2 of its factors g_k, k = 1..16,
+# both in the bit-reversed order of k - 1 (4 bits).  The pairs (k, k + 1)
+# that each level of Estrin's scheme folds are then the two contiguous
+# halves of a table, and the folded table is again in bit-reversed order.
+_TAIL_ROWS = [int(format(k, "04b")[::-1], 2) for k in range(16)]
+_TAIL_B = _read_only(np.concatenate((_B2K_OVER_FACT[:_BERNOULLI_ORDER],
+                                     np.zeros(16 - _BERNOULLI_ORDER)))
+                     [_TAIL_ROWS, None])
+_TAIL_SHIFT = _read_only(2.0 * np.arange(1.0, 17.0)[_TAIL_ROWS] - 0.5)
+
+
+@functools.cache
+def _log_table(n_terms: int) -> np.ndarray:
+    """log n for n = 1..n_terms - 1, read-only, once per Euler-Maclaurin
+    length."""
+    return _read_only(np.log(np.arange(1, n_terms, dtype=np.float64)))
+
+
 def _as_complex_array(s):
     return np.asarray(s, dtype=np.complex128)
+
+
+def _lanczos_sum(zz):
+    """c_0 + sum_k c_k / (zz + k - 1) for 1-D zz: the terms as one table,
+    its rows added in order, so each point sums in the same order in any
+    batch."""
+    terms = np.add.outer(_LANCZOS_SHIFT, zz)
+    np.divide(_LANCZOS_ROWS, terms, out=terms)
+    acc = _LANCZOS_COEF[0] + terms[0]
+    for row in terms[1:]:
+        acc += row
+    return acc
 
 
 def _gamma_raw(s):
     """Lanczos Gamma for complex arrays, no pole guard (poles give inf/nan)."""
     z = _as_complex_array(s)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
+    shape = z.shape
+    z = z.ravel()
     reflect = z.real < 0.5
     zz = np.where(reflect, 1.0 - z, z)
-
-    acc = np.full_like(zz, _LANCZOS_COEF[0])
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc = acc + _LANCZOS_COEF[k] / (zz + (k - 1))
     t = zz + _LANCZOS_G - 0.5
-    base = np.sqrt(2.0 * np.pi) * np.exp((zz - 0.5) * np.log(t) - t) * acc
+    out = _SQRT_2PI * np.exp((zz - 0.5) * np.log(t) - t) * _lanczos_sum(zz)
+    if reflect.any():
+        out[reflect] = np.pi / (np.sin(np.pi * z[reflect]) * out[reflect])
+    return out.reshape(shape)[()]
 
-    out[~reflect] = base[~reflect]
-    if np.any(reflect):
-        zr = z[reflect]
-        out[reflect] = np.pi / (np.sin(np.pi * zr) * base[reflect])
-    return out[0] if scalar else out
+
+def _bernoulli_tail(w, N: float, n_w):
+    """sum_k B_{2k}/(2k)! w(w+1)...(w+2k-2) N^(1-w-2k), k = 1 up to the
+    Bernoulli order, given n_w = N^(-w).
+
+    It is N^(-w) (w/N) (b_1 + g_1 (b_2 + g_2 (...))), b_k = B_{2k}/(2k)!,
+    g_k = (w + 2k - 1)(w + 2k)/N^2 = ((w + 2k - 1/2)^2 - 1/4)/N^2, and the
+    nest is evaluated by Estrin's scheme on one table of the g_k: each level
+    folds adjacent pairs, (q, p), (q', p') -> (q + p q', p p'), from
+    (b_k, g_k).  Every step is elementwise, so a point's value does not
+    depend on the batch.
+    """
+    g = np.add.outer(_TAIL_SHIFT, w.ravel())
+    g *= g
+    g -= 0.25
+    g /= N * N
+    q, p = _TAIL_B, g
+    while len(q) > 1:
+        half = len(q) // 2
+        q = q[:half] + p[:half] * q[half:]
+        p, second = p[:half], p[half:]
+        p *= second
+    return n_w * (w * q[0].reshape(w.shape)) / N
 
 
 def _zeta_em_core(a, b, reflect):
@@ -143,13 +209,13 @@ def _zeta_em_core(a, b, reflect):
     s = a if b is None else np.add.outer(a, b)
     left = reflect & (s.real < 0.5)
     w = np.where(left, 1.0 - s, s)
-    tmax = float(np.max(np.abs(s.imag))) if s.size else 0.0
+    tmax = float(np.abs(s.imag).max()) if s.size else 0.0
     n_terms = max(_EM_TERMS, int(0.6 * tmax) + 24)
 
-    logn = np.log(np.arange(1, n_terms, dtype=np.float64))
+    logn = _log_table(n_terms)
 
     def powers(x):  # n^(-x_k) = exp(-x_k log n), one row per point
-        return np.exp(-np.multiply.outer(x, logn))
+        return np.exp(np.multiply.outer(-x, logn))
 
     if b is None:
         acc = powers(w).sum(axis=-1)
@@ -158,22 +224,14 @@ def _zeta_em_core(a, b, reflect):
         # (x, y) = (a, b) where w = s and (1 - a, -b) where w = 1 - s
         acc = 0.0
         for side, x, y in ((~left, a, b), (left, 1.0 - a, -b)):
-            if np.any(side):
+            if side.any():
                 acc = np.where(side, powers(x) @ powers(y).T, acc)
 
     N = float(n_terms)
-    logN = np.log(N)
-    acc = acc + np.exp((1.0 - w) * logN) / (w - 1.0) + 0.5 * np.exp(-w * logN)
-
-    # Bernoulli tail: sum_k B_{2k}/(2k)! * w(w+1)...(w+2k-2) * N^(1-w-2k)
-    poch = w.copy()  # rising factorial of length 2k-1, k = 1 gives w
-    npow = np.exp(-(w + 1.0) * logN)
-    corr = np.zeros_like(w)
-    for k in range(1, _BERNOULLI_ORDER + 1):
-        corr = corr + _B2K_OVER_FACT[k - 1] * poch * npow
-        poch = poch * (w + (2 * k - 1)) * (w + (2 * k))
-        npow = npow / (N * N)
-    return w, acc + corr
+    logN = math.log(N)
+    n_w = np.exp(-w * logN)  # N^(-w)
+    acc = acc + np.exp((1.0 - w) * logN) / (w - 1.0) + 0.5 * n_w
+    return w, acc + _bernoulli_tail(w, N, n_w)
 
 
 def _completed_L_raw(s):
@@ -205,11 +263,11 @@ def _check_pole(s, poles, what: str) -> np.ndarray:
     PoleProximity within POLE_EXCLUSION_RADIUS of one of the poles."""
     z = np.atleast_1d(_as_complex_array(s))
     finite = np.isfinite(z)
-    if not np.all(finite):
+    if not finite.all():
         raise DomainError(f"{what}: argument {z[~finite][0]} is not finite")
     for p in poles:
         d = np.abs(z - p)
-        if np.any(d < POLE_EXCLUSION_RADIUS):
+        if (d < POLE_EXCLUSION_RADIUS).any():
             bad = z[d < POLE_EXCLUSION_RADIUS][0]
             raise PoleProximity(f"{what}: argument {bad} within "
                                 f"{POLE_EXCLUSION_RADIUS} of pole at {p}",
@@ -293,7 +351,7 @@ def ratio_L(z, plus=None):
     arr = _as_complex_array(z if plus is None else np.add.outer(z, plus))
     _check_pole(arr, (1.0,), "ratio_L")
     tiny = np.abs(arr) < POLE_EXCLUSION_RADIUS
-    if not np.any(tiny):
+    if not tiny.any():
         return _ratio_L_raw(z, plus)
 
     # The same kernel pass; at the tiny points, where the quotient is inf or

@@ -160,6 +160,27 @@ def test_fourier_does_not_depend_on_the_batch(s):
                           values[y > 0.9])
 
 
+def test_bessel_series_takes_kv_once_per_distinct_height(monkeypatch):
+    # the x-nodes of a top panel's row share one height: K_{s-1/2} is taken
+    # once per distinct (y, n), and every point is still its one-point
+    # value bit for bit
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-0.5, 0.5, 240)
+    y = np.repeat(rng.uniform(0.3, 11.9, 12), 20)
+    series = truncation._bessel_series(1.3)
+    sizes = []
+
+    def counting_kv(nu, arg, _kv=truncation.kv):
+        sizes.append(np.size(arg))
+        return _kv(nu, arg)
+
+    monkeypatch.setattr(truncation, "kv", counting_kv)
+    values = series(x, y)
+    assert sizes == [int(truncation._bessel_terms(np.unique(y)).sum())]
+    for k in range(x.size):
+        assert series(x[k:k + 1], y[k:k + 1])[0] == values[k]
+
+
 def test_fourier_within_the_direct_tail_bound():
     # the direct sum uses neither c(s) nor K
     x, y = _cloud(7, 20, 2.0)
