@@ -1,7 +1,9 @@
 """Trapezoid rules on circles and lines, each sized from the distance of its
 nearest singularity so that its error bound is at most 2^-53 (Trefethen and
-Weideman, SIAM Rev. 56, 2014).  The one module that forms circle nodes or
-spells out that sizing; it imports numpy and math only."""
+Weideman, SIAM Rev. 56, 2014), and the half-widths of line windows from the
+Gaussian decay of their integrand, so that the tail they cut off is as
+small.  The one module that forms circle nodes or spells out that sizing;
+it imports numpy and math only."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = ["circle_nodes", "trapezoid_circle", "circle_residue", "line_step",
-           "window"]
+           "gaussian_width", "window"]
 
 _DIGITS = 53.0 * math.log(2.0)  # each rule errs by <= exp(-_DIGITS) = 2^-53
 
@@ -52,6 +54,16 @@ def line_step(distance: float) -> float:
     bound of the trapezoid rule on an integrand analytic in the strip
     |Im t| < distance."""
     return 2.0 * math.pi * distance / _DIGITS
+
+
+def gaussian_width(rate: float) -> float:
+    """The half-width W = sqrt(44/rate) of a window on an integrand whose
+    Gaussian factor is exp(-rate t^2): that factor is exp(-44) at the edge,
+    and 44 is _DIGITS = 36.7 plus 7.3 for a polynomial factor of degree
+    <= 4 and for the length of the edge."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"gaussian_width needs 0 < rate < inf, got {rate}")
+    return math.sqrt(44.0 / rate)
 
 
 def window(width: float, step: float) -> tuple[np.ndarray, float]:

@@ -43,7 +43,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .contour import circle_residue, line_step, trapezoid_circle, window
+from .contour import (circle_residue, gaussian_width, line_step,
+                      trapezoid_circle, window)
 from .errors import DomainError
 from .gl3 import (DOUBLE_CIRCLES, GL3, delta_weight, lambda_line,
                   line_direction, n_matrix, named_weyl, sigma,
@@ -72,10 +73,13 @@ __all__ = [
 # roots (at most two) have argument a0 (1 + u) + a_x it with a0 = +-1/2.
 # The pole of L at 1 puts theirs at |u| >= 1, and a zero 1/2 + i gamma of
 # L(1 + s) at |u| = 2 |t - gamma| (a0 = -1/2) or farther.  The first zero,
-# gamma_1 = 14.1347, keeps that >= 0.79 on the widest line window, whose
-# last pickup node is the half step t = 178.5 _LINE_STEP = 13.74 at beta =
-# 0.35, the smallest beta PaleyWienerGaussian.random draws (>= 0.71 at the
-# window's last node 179 _LINE_STEP).  So the clearance is 0.7.
+# gamma_1 = 14.1347, keeps that >= 8.7 on the widest line window (beta =
+# 0.35, the smallest beta PaleyWienerGaussian.random draws), whose last
+# node is 127 _LINE_STEP = 9.77.  So the nearest singularity is the pole at
+# |u| = 1.  The clearance is 0.7 all the same: the bound (radius /
+# clearance)^N is in units of the integrand on |u| = clearance, which grows
+# as that circle nears the pole, and at trapezoid_circle(0.1, 1.0) = (0.1,
+# 16) |kappa_B - 1| reads up to 1.7e-14, where 20 nodes hold it below 1e-15.
 _PICKUP_CIRCLE = trapezoid_circle(0.1, 0.7)
 
 
@@ -148,18 +152,23 @@ class PaleyWienerGaussian:
 
 
 # The two windows of the spectral integrals, each a contour.window of
-# half-width W.  At the edge |t| = W the Gaussian factor of each integrand
-# is at most exp(-beta W^2 / 2).
+# half-width W = gaussian_width(rate).  Phi(lam) and Phi*(-w lam) each carry
+# the Gaussian |exp(beta <lam, lam>)| = exp(beta (<lam0, lam0> - <t, t>))
+# on lam = lam0 + it, since <w lam, w lam> = <lam, lam>, so the integrand
+# m(w, lam) Phi(lam) Phi*(-w lam) decays as exp(-2 beta <t, t>), and rate
+# is the least 2 beta <t, t> / W^2 on the window's edge.
 
 def _plane_window(beta: float) -> tuple[np.ndarray, float]:
-    """The GL(2) line and the GL(3) planes: W = sqrt(88/beta) puts the
-    tail at exp(-44), below 1e-19 of scale.  The step 0.1 is not derived:
+    """The GL(2) line and the GL(3) planes.  On GL(2) <t, t> = t^2/2; on
+    GL(3) the least <t, t> = (t_1^2 + t_1 t_2 + t_2^2) 2/3 on the edge of
+    the square max |t_k| = W is W^2/2, at t = (W, -W/2).  So the rate is
+    beta on both.  The step 0.1 is not derived:
     on lam0 + i R^2 the pole plane z_k = 1 is d = min_k z_k(lam0) - 1 off
     the t-axis, so the step errs by exp(-2 pi d / 0.1), 2.3e-14 at lam0 =
     (1.5, 1.5) and 6.5e-9 at lam0_alt = (1.3, 1.8) (the parseval-gl3
     floor).  line_step(d) is 0.0855 and 0.0513 there: 1.37x and 3.8x the
     plane nodes."""
-    return window(math.sqrt(88.0 / beta), 0.1)
+    return window(gaussian_width(beta), 0.1)
 
 
 # The step of the singular lines comes from the distance d of the nearest
@@ -173,15 +182,15 @@ def _plane_window(beta: float) -> tuple[np.ndarray, float]:
 # (_PICKUP_CIRCLE): the pole at 1 sits at |Im t| = Re(1 -+ (1 + u)/2)
 # >= 0.45, and a zero comes to |Im t| = |Re u|/2 only near |t| = gamma >=
 # gamma_1 = 14.1347, beyond the line window, where the Gaussian factor has
-# cut the integrand below exp(-33) of scale.  So d = 0.45, and the step is
+# cut the integrand below exp(-44) of scale.  So d = 0.45, and the step is
 # line_step(0.45) = 0.0770.
 _LINE_STEP = line_step(0.45)
 
 
 def _line_window(beta: float) -> tuple[np.ndarray, float]:
-    """The singular lines of B, and of kappa_B on its half steps: W =
-    sqrt(66/beta) puts the tail at exp(-33), below 5e-15 of scale."""
-    return window(math.sqrt(66.0 / beta), _LINE_STEP)
+    """The singular lines of B, and of kappa_B on its half steps.  On lam =
+    delta_i + it e_i, <t e_i, t e_i> = 2 t^2 / 3, so the rate is 4 beta / 3."""
+    return window(gaussian_width(4.0 * beta / 3.0), _LINE_STEP)
 
 
 # ------------------------------------------------------ shifted integrand --

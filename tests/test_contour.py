@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from eisenspec.contour import circle_residue, line_step, window
+from eisenspec.contour import (circle_residue, gaussian_width, line_step,
+                               window)
 from eisenspec.errors import DomainError, PoleProximity
 
 
@@ -45,3 +46,19 @@ def test_window_rounds_up_to_a_whole_step():
     t, step = window(1.05, 0.5)
     assert step == 0.5
     assert t.tolist() == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+
+
+def test_gaussian_width_puts_the_edge_at_exp_minus_44():
+    # the plane rate beta and the line rate 4 beta / 3 at both ends of the
+    # beta range random profiles draw
+    for rate in (0.35, 0.8, 4 * 0.35 / 3, 4 * 0.8 / 3):
+        width = gaussian_width(rate)
+        assert rate * width ** 2 == pytest.approx(44.0, rel=1e-15)
+        t, step = window(width, 0.1)
+        assert width <= t[-1] < width + step
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.5, math.inf, math.nan])
+def test_gaussian_width_refuses_a_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError):
+        gaussian_width(rate)

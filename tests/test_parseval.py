@@ -187,17 +187,49 @@ def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
 
 
 def test_pickup_circle_clears_the_first_zero_on_the_widest_line_window():
-    # the kappa_B circle's clearance is 2 (gamma_1 - |t|) at its last node,
-    # at the smallest beta random profiles draw.  That node is the half
-    # step 178.5 h = 13.74, inside the line window's last node 179 h, so the
-    # 0.7 of the circle's comment is a bound with room to spare
+    # a zero of L(1 + s) comes within 2 (gamma_1 - |t|) of the kappa_B
+    # circle's centre, at the smallest beta random profiles draw; on the
+    # widest line window that is 8.7, past the pole of L at 1 (|u| >= 1).
+    # The clearance 0.7 of the circle's comment stays: the circle of
+    # clearance 1, (0.1, 16), lets |kappa_B - 1| reach 1.7e-14
     gamma_1 = 14.134725141734693
     t, step = parseval._line_window(0.35)
     assert step == pytest.approx(2 * np.pi * 0.45 / (53 * np.log(2)),
                                  rel=1e-15)
-    clearance = 2 * (gamma_1 - t.max())
-    assert clearance >= 0.7
-    assert parseval._PICKUP_CIRCLE == trapezoid_circle(0.1, clearance)
+    assert 2 * (gamma_1 - t.max()) >= 0.7
+    assert parseval._PICKUP_CIRCLE == trapezoid_circle(0.1, 0.7)
+
+
+def _window_integrals(beta):
+    """The shifted norms, A, B and kappa_B of degree-2 profiles at beta, on
+    the windows that parseval.gaussian_width derives."""
+    gl2_phi, gl3_phi = (_random_quadratic(d, beta, 3) for d in (GL2, GL3))
+    b_direct = contribution_B(gl3_phi)[0]
+    return [shifted_norm_gl2(gl2_phi, 1.5), *contribution_A(gl2_phi),
+            shifted_norm_gl3(gl3_phi, (1.5, 1.5)),
+            shifted_norm_gl3(gl3_phi, (1.3, 1.8)),
+            *contribution_A(gl3_phi), *contribution_B(gl3_phi),
+            measure_constants(gl3_phi, b_direct,
+                              contribution_C(gl3_phi))[0]]
+
+
+@pytest.mark.parametrize("beta", [0.35, 0.8])
+def test_derived_windows_agree_with_windows_of_twice_the_exponent(
+        beta, monkeypatch):
+    # the windows put the integrand's Gaussian at exp(-44) on their edge;
+    # at exp(-88) every integral agrees to 1e-13 relative (3.2e-15 measured)
+    derived = _window_integrals(beta)
+    monkeypatch.setattr(parseval, "gaussian_width",
+                        lambda rate: np.sqrt(88.0 / rate))
+    wide = _window_integrals(beta)
+    for a, b in zip(derived, wide):
+        assert abs(a - b) <= 1e-13 * abs(b)
+    # at exp(-30) the GL(3) A is cut visibly (1.4e-11 and 8.7e-12 measured)
+    a_wide = wide[5]  # contribution_A(gl3_phi)[0] of _window_integrals
+    monkeypatch.setattr(parseval, "gaussian_width",
+                        lambda rate: np.sqrt(30.0 / rate))
+    a_cut = contribution_A(_random_quadratic(GL3, beta, 3))[0]
+    assert abs(a_cut - a_wide) > 1e-12 * abs(a_wide)
 
 
 def _random_quadratic(datum, beta, seed):
@@ -450,12 +482,12 @@ def test_weyl_antisymmetric_profile_sign_bookkeeping():
 
 
 def test_narrower_finer_plane_window_agrees(monkeypatch):
-    # a narrower, finer window (W = 14, step 0.05) agrees with the plane
-    # window W = sqrt(88/beta), step 0.1
+    # a narrower, finer window (W = 8, step 0.05) agrees with the plane
+    # window W = gaussian_width(beta) = sqrt(44/beta) = 9.4, step 0.1
     phi = PaleyWienerGaussian(GL2, 0.5)
     b = shifted_norm_gl2(phi, 1.5)
     monkeypatch.setattr(parseval, "_plane_window",
-                        lambda beta: (0.05 * np.arange(-280, 281), 0.05))
+                        lambda beta: (0.05 * np.arange(-160, 161), 0.05))
     a = shifted_norm_gl2(phi, 1.5)
     assert abs(a - b) <= 1e-9
 
