@@ -8,9 +8,8 @@ from .roots import (RHO_CHECK, AssociationClass, RootDatum, StandardParabolic,
                     Weight, WeylElement, association_classes, tau_hat,
                     transporters, truncation_terms)
 from .contour import circle_residue, trapezoid_circle
-from .zeta import completed_L, gamma_fn, local_L, ratio_L, zeta
-from .intertwine import (cocycle_check, m_scalar, su3_local_factor,
-                         unitarity_check)
+from .zeta import completed_L, gamma_fn, ratio_L, zeta
+from .intertwine import cocycle_check, m_scalar, unitarity_check
 from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,
                   line_direction, multiplicativity_residual, n_entry,
                   n_matrix, rank_one_residual, sigma, symmetry_residual,
@@ -19,9 +18,8 @@ from .truncation import (QuadratureResult, QuadratureSpec, TruncationParam,
                          constant_term, eisenstein_direct,
                          eisenstein_fourier, eisenstein_tail_bound,
                          eisenstein_theta, inner_product_fd,
-                         maass_selberg_convergence_study,
                          maass_selberg_record, omega_rank1,
-                         truncated_eisenstein, truncated_eisenstein_direct)
+                         truncated_eisenstein)
 from .parseval import (PaleyWienerGaussian, SpectralReport,
                        contribution_A, contribution_B, contribution_C,
                        decomposed_norm_gl2, measure_constants,

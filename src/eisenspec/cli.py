@@ -29,15 +29,12 @@ from . import gl3 as gl3mod
 from . import parseval as pv
 from .contour import circle_residue, trapezoid_circle
 from .errors import DomainError, NonConvergence, PoleProximity
-from .intertwine import cocycle_check, m_scalar, su3_local_factor, unitarity_check
+from .intertwine import cocycle_check, m_scalar, unitarity_check
 from .roots import (RHO_CHECK, RootDatum, association_classes, tau_hat,
                     transporters, truncation_terms)
 from .truncation import (DECAY_CUTOFF, eisenstein_fourier, eisenstein_theta,
-                         maass_selberg_convergence_study, maass_selberg_record)
-from .zeta import completed_L, gamma_fn, local_L, primes_upto, ratio_L, zeta
-
-COMMANDS = ("zeta", "lfn", "m-scalar", "su3", "combinatorics", "nmatrix",
-            "residues", "volume", "maass-selberg", "parseval", "all")
+                         maass_selberg_record)
+from .zeta import completed_L, gamma_fn, ratio_L, zeta
 
 # L(0.3 + 2i), by mpmath at 30 digits
 L_03_2I = complex(-0.20717261339322476282, 0.043375669082548637421)
@@ -52,7 +49,6 @@ TOLERANCES = {
     "unitarity": 1e-9,
     "cocycle": 1e-9,
     "m-closed-form": 1e-12,
-    "su3": 1e-12,
     "combinatorics": 0.0,
     "nmatrix-rank": 1e-9,
     "nmatrix-symmetry": 1e-12,
@@ -243,16 +239,6 @@ def suite_zeta(report: VerificationReport, cfg: RunConfig):
     report.add("conjugation-equivariance", "f(conj s) = conj f(s)",
                0.0, worst, worst, TOLERANCES["conjugation"])
 
-    for n in (100, 400):
-        prod = 1.0 + 0.0j
-        for p in primes_upto(n):
-            prod *= local_L(p, 2.0)
-        err = abs(complex(prod) - complex(zeta(2.0)))
-        # the one gate not in TOLERANCES: the bound 2/N depends on N
-        report.add(f"euler-product-N{n}",
-                   "prod_p 1/(1-p^-2) approaches zeta(2) within 2/N",
-                   0.0, err, err, 2.0 / n)
-
     t = np.linspace(-40, 40, 161)
     it = 1j * t[t != 0.0]  # L(it) has its pole at t = 0
     vals = np.abs(_direct_L(it) / completed_L(1.0 + it))
@@ -267,22 +253,21 @@ def suite_zeta(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_lfn(report: VerificationReport, cfg: RunConfig):
-    tol = TOLERANCES["lfn"]
     checks = [
         ("zeta(2)", complex(zeta(2.0)), np.pi ** 2 / 6.0),
         ("zeta(0)", complex(zeta(0.0)), -0.5),
         ("L(2)", complex(completed_L(2.0)), np.pi / 6.0),
         ("gamma(1/2)", complex(gamma_fn(0.5)), math.sqrt(np.pi)),
         ("ratio_L(0)", complex(ratio_L(0.0)), -1.0),
-        ("local_L(2,1)", complex(local_L(2, 1.0)), 2.0),
     ]
     for name, got, want in checks:
         err = abs(got - want)
-        report.add(name, f"{name} equals its closed form", want, got, err, tol)
+        report.add(name, f"{name} equals its closed form", want, got, err,
+                   TOLERANCES["lfn"])
     got = complex(completed_L(0.3 + 2j))
     report.add("L-reflection-pair",
                "L(0.3+2i), reached as L(0.7-2i), equals its mpmath value",
-               L_03_2I, got, abs(got - L_03_2I), tol)
+               L_03_2I, got, abs(got - L_03_2I), TOLERANCES["lfn"])
 
 
 def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
@@ -331,23 +316,6 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
         ys = np.linspace(0.0, 40.0, 201)
         mods = [abs(m_scalar(s3, datum.weight((1j * y, 1j * y)))) for y in ys]
         emit_csv({"y": list(ys), "abs_m_s3": mods}, cfg.csv_path)
-
-
-def suite_su3(report: VerificationReport, cfg: RunConfig):
-    got = su3_local_factor(3, 1.0)
-    want = (1 - 3.0 ** -4) * (1 + 3.0 ** -3) / ((1 - 3.0 ** -2) * (1 + 3.0 ** -2))
-    report.add("su3-p3-sigma1", "local factor at p=3, sigma=1 (= 28/27)",
-               want, got, abs(got - want), TOLERANCES["su3"])
-    limit = su3_local_factor(3, 60.0)
-    report.add("su3-limit", "local factor tends to 1 for large sigma",
-               1.0, limit, abs(limit - 1.0), TOLERANCES["su3"])
-    try:
-        su3_local_factor(3, 0.0)
-        report.add("su3-pole-rejected", "sigma = 0 is rejected", True, False,
-                   1.0, 0.0)
-    except ZeroDivisionError:
-        report.add("su3-pole-rejected", "sigma = 0 is rejected", True, True,
-                   0.0, 0.0)
 
 
 def suite_combinatorics(report: VerificationReport, cfg: RunConfig):
@@ -495,14 +463,10 @@ def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
                "Fourier-Whittaker E matches the theta-series E on D",
                0.0, worst, worst, TOLERANCES["fourier-theta"])
     if cfg.csv_path:
-        # One column per field of the first row; complex values give their
-        # real part.  --csv only writes files: the study's monotone decrease
-        # is held by the truncation tests, not by a check of this report.
-        study = maass_selberg_convergence_study(cfg.s1, cfg.s2, cfg.T)
-        for rows, path in ((records, cfg.csv_path),
-                           (study, cfg.csv_path + ".study.csv")):
-            emit_csv({c: [complex(r[c]).real for r in rows] for c in rows[0]},
-                     path)
+        # one column per field of a record; complex values give their real
+        # part
+        emit_csv({c: [complex(r[c]).real for r in records]
+                  for c in records[0]}, cfg.csv_path)
 
 
 def suite_parseval(report: VerificationReport, cfg: RunConfig):
@@ -567,7 +531,6 @@ SUITES = {
     "zeta": suite_zeta,
     "lfn": suite_lfn,
     "m-scalar": suite_m_scalar,
-    "su3": suite_su3,
     "combinatorics": suite_combinatorics,
     "nmatrix": suite_nmatrix,
     "residues": suite_residues,
@@ -576,9 +539,15 @@ SUITES = {
     "parseval": suite_parseval,
 }
 
+COMMANDS = (*SUITES, "all")
+
 
 def run(config: RunConfig) -> VerificationReport:
-    """Execute the selected suite(s) and collect a verification report."""
+    """Execute the selected suite(s) and collect a verification report; a
+    command that names no suite and is not "all" raises DomainError."""
+    if config.command not in COMMANDS:
+        raise DomainError(f"unknown command {config.command!r}; expected one "
+                          f"of {', '.join(COMMANDS)}")
     report = VerificationReport(config)
     names = list(SUITES) if config.command == "all" else [config.command]
     for name in names:

@@ -10,16 +10,12 @@ a product of completed-zeta ratios over the inversion set of w.  The two
 structural properties verified numerically downstream are the cocycle
 identity m(st, lam) = m(s, t lam) m(t, lam) and unimodularity on the
 purely imaginary axis.
-
-The quasi-split SU(3) local factor from the unramified rank-one computation
-is included for p != 2 (the p = 2 case is not specified and is rejected).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .roots import Weight, WeylElement
 from .zeta import ratio_L
 
@@ -28,7 +24,6 @@ __all__ = [
     "m_scalar",
     "cocycle_check",
     "unitarity_check",
-    "su3_local_factor",
 ]
 
 
@@ -137,21 +132,3 @@ def unitarity_check(w: WeylElement, y) -> float:
     m, = m_on_grid([w], w.datum.weight(tuple(1j * y.T)))
     return float(np.max(np.abs(np.abs(m) - 1.0)))
 
-
-def su3_local_factor(p: int, sigma) -> complex:
-    """Local intertwining factor of quasi-split unramified SU(3), p != 2.
-
-    (1 - p^(-2(sigma+1))) (1 + p^(-2 sigma - 1))
-    --------------------------------------------
-       (1 - p^(-2 sigma)) (1 + p^(-2 sigma))
-    """
-    if p == 2:
-        raise DomainError("su3_local_factor is specified only for p != 2")
-    s = complex(sigma)
-    x2 = np.exp(-2.0 * s * np.log(float(p)))  # p^(-2 sigma)
-    num = (1.0 - x2 / p ** 2) * (1.0 + x2 / p)
-    den = (1.0 - x2) * (1.0 + x2)
-    if abs(den) < 1e-15:
-        raise ZeroDivisionError(
-            f"su3_local_factor: denominator vanishes at sigma = {sigma}")
-    return complex(num / den)

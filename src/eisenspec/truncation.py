@@ -82,11 +82,9 @@ __all__ = [
     "eisenstein_fourier",
     "constant_term",
     "truncated_eisenstein",
-    "truncated_eisenstein_direct",
     "inner_product_fd",
     "omega_rank1",
     "maass_selberg_record",
-    "maass_selberg_convergence_study",
 ]
 
 # Height above which a truncated series (for the s ranges used here) is
@@ -113,20 +111,6 @@ class TruncationParam:
     @property
     def y0(self) -> float:
         return math.exp(self.T)
-
-
-def _kappa(x, y):
-    """Smallest eigenvalue of the form (c,d) -> |c z + d|^2 (for tail bounds)."""
-    r2 = x * x + y * y
-    return 0.5 * ((r2 + 1.0) - np.sqrt((r2 - 1.0) ** 2 + 4.0 * x * x))
-
-
-def _tail_bound_raw(sigma: float, y, kappa, bound: int):
-    """Integral-comparison bound on the dropped coprime-pair terms."""
-    b = bound - math.sqrt(2.0)
-    geom = 2.0 * math.pi * (1.0 + math.sqrt(2.0) / (2.0 * b))
-    return (y ** sigma) * kappa ** (-sigma) * geom * b ** (2.0 - 2.0 * sigma) \
-        / (2.0 * sigma - 2.0)
 
 
 def _direct_points(x, y, s, bound: int):
@@ -160,14 +144,21 @@ def eisenstein_direct(x, y, s, bound: int):
 
 
 def eisenstein_tail_bound(x, y, s, bound: int):
-    """Certified bound on what eisenstein_direct drops at the points (x, y).
+    """Certified bound on what eisenstein_direct drops at the points (x, y),
+    by integral comparison, with kappa the smallest eigenvalue of the form
+    (c, d) -> |c z + d|^2.
 
     The points are flattened first, so numpy takes its array power for one
     point as for many, and a point's bound does not depend on its batch.
     """
     shape, xs, ys = _direct_points(x, y, s, bound)
-    return _tail_bound_raw(complex(s).real, ys, _kappa(xs, ys),
-                           bound).reshape(shape)
+    sigma = complex(s).real
+    r2 = xs * xs + ys * ys
+    kappa = 0.5 * ((r2 + 1.0) - np.sqrt((r2 - 1.0) ** 2 + 4.0 * xs * xs))
+    b = bound - math.sqrt(2.0)
+    geom = 2.0 * math.pi * (1.0 + math.sqrt(2.0) / (2.0 * b))
+    return ((ys ** sigma) * kappa ** (-sigma) * geom * b ** (2.0 - 2.0 * sigma)
+            / (2.0 * sigma - 2.0)).reshape(shape)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -351,33 +342,9 @@ def constant_term(y, s):
     At s = 1, c(s) has a pole, and ratio_L raises PoleProximity.
     """
     s = complex(s)
-    out = _constant_term(np.asarray(y, dtype=np.float64), s, _c_function(s))
+    log_y = np.log(np.asarray(y, dtype=np.float64))
+    out = np.exp(s * log_y) + _c_function(s) * np.exp((1.0 - s) * log_y)
     return complex(out[()]) if out.ndim == 0 else out
-
-
-def _constant_term(y: np.ndarray, s: complex, c: complex) -> np.ndarray:
-    """y^s + c y^(1-s) at float64 heights y, given c = c(s)."""
-    return np.exp(s * np.log(y)) + c * np.exp((1.0 - s) * np.log(y))
-
-
-def _cut_height(trunc: TruncationParam) -> float:
-    """y0, refused at or above DECAY_CUTOFF, where the evaluators return 0."""
-    if trunc.y0 >= DECAY_CUTOFF:
-        raise DomainError(f"truncation height {trunc.y0} above the decay "
-                          f"cutoff {DECAY_CUTOFF}")
-    return trunc.y0
-
-
-def _below_cutoff(x, y, values: Callable) -> np.ndarray:
-    """values(x, y) on the flat points at or below DECAY_CUTOFF and exactly 0
-    above it, in the broadcast shape of x, y."""
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                 np.asarray(y, dtype=np.float64))
-    out = np.zeros(xb.shape)
-    live = yb <= DECAY_CUTOFF
-    if np.any(live):
-        out[live] = values(xb[live], yb[live])
-    return out
 
 
 def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
@@ -388,40 +355,30 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
     c(s), L(2s) and the coefficient table are computed once per evaluator.
     Returns exactly 0 above DECAY_CUTOFF, where the remaining Fourier tail
     is below 1e-30 of scale; this keeps the top panels cheap and noise-free.
+    A cut line y0 at or above DECAY_CUTOFF raises DomainError.
     """
-    y0 = _cut_height(trunc)
+    y0 = trunc.y0
+    if y0 >= DECAY_CUTOFF:
+        raise DomainError(f"truncation height {y0} above the decay "
+                          f"cutoff {DECAY_CUTOFF}")
     s = float(s)
     series = _bessel_series(s)
     c = _c_function(s).real
 
-    def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = series(x, y)
-        low = y <= y0
-        out[low] += y[low] ** s + c * y[low] ** (1.0 - s)
+    def truncated(x, y) -> np.ndarray:
+        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                     np.asarray(y, dtype=np.float64))
+        out = np.zeros(xb.shape)
+        live = yb <= DECAY_CUTOFF
+        if np.any(live):
+            xl, yl = xb[live], yb[live]
+            vals = series(xl, yl)
+            low = yl <= y0
+            vals[low] += yl[low] ** s + c * yl[low] ** (1.0 - s)
+            out[live] = vals
         return out
 
-    return lambda x, y: _below_cutoff(x, y, values)
-
-
-def truncated_eisenstein_direct(s: float, trunc: TruncationParam,
-                                bound: int) -> Callable:
-    """Truncated-series evaluator backed by the direct lattice sum, less the
-    constant term above y0.
-
-    Only useful for convergence studies: the direct tail decays like
-    bound^(2-2s), far too slowly for tight work near s = 1.
-    """
-    y0 = _cut_height(trunc)
-    s = complex(float(s))
-    c = _c_function(s)
-
-    def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = eisenstein_direct(x, y, s.real, bound)
-        high = y > y0
-        out[high] -= np.real(_constant_term(y[high], s, c))
-        return out
-
-    return lambda x, y: _below_cutoff(x, y, values)
+    return truncated
 
 
 @dataclass(frozen=True)
@@ -583,17 +540,6 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
                                   trapezoid_circle(r, s2 - 1.0)))
 
 
-def _maass_selberg_row(s1: float, s2: float, T: float, quad: QuadratureResult,
-                       formula: complex, tail_bound: float) -> dict:
-    """One comparison of a quadrature inner product with the formula."""
-    abs_err = abs(complex(quad.value) - formula)
-    return {"s1": s1, "s2": s2, "T": T,
-            "quadrature_value": complex(quad.value), "formula_value": formula,
-            "abs_err": abs_err, "rel_err": abs_err / abs(formula),
-            "tail_bound": tail_bound,
-            "quad_error_estimate": quad.error_estimate}
-
-
 def maass_selberg_record(s1: float, s2: float, T: float,
                          quad_tol: float = 1e-6) -> dict:
     """Quadrature inner product vs closed formula for one (s1, s2, T)."""
@@ -601,36 +547,13 @@ def maass_selberg_record(s1: float, s2: float, T: float,
     f1 = truncated_eisenstein(s1, trunc)
     # on the diagonal one evaluator serves both sides of the product
     f2 = f1 if s2 == s1 else truncated_eisenstein(s2, trunc)
-    spec = QuadratureSpec(tol=quad_tol, y_split=trunc.y0)
-    # tail_bound: the Bessel terms E drops at D's lowest point
-    tail = max(_bessel_tail_bound(s, _Y_MIN) for s in (s1, s2))
-    return _maass_selberg_row(s1, s2, T, inner_product_fd(f1, f2, spec),
-                              omega_rank1(s1, s2, trunc), tail)
-
-
-def maass_selberg_convergence_study(s1: float, s2: float, T: float,
-                                    bounds: tuple[int, ...] = (50, 100, 200)
-                                    ) -> list[dict]:
-    """Residual against the rank-one formula as the lattice bound grows.
-
-    One row per direct-sum lattice bound (tail certified by integral
-    comparison), plus a closing row for the exponentially convergent
-    evaluator, reported with lattice_bound = 0.
-    """
-    trunc = TruncationParam(T)
+    quad = inner_product_fd(f1, f2,
+                            QuadratureSpec(tol=quad_tol, y_split=trunc.y0))
     formula = omega_rank1(s1, s2, trunc)
-    kappa_min = _kappa(0.5, _Y_MIN)
-    rows = []
-    for bound in bounds:
-        f1 = truncated_eisenstein_direct(s1, trunc, bound)
-        f2 = f1 if s2 == s1 else truncated_eisenstein_direct(s2, trunc, bound)
-        spec = QuadratureSpec(tol=1e-3, y_split=trunc.y0, base_order=8)
-        tail = max(_tail_bound_raw(s, DECAY_CUTOFF, kappa_min, bound)
-                   for s in (s1, s2))
-        rows.append({"lattice_bound": bound, **_maass_selberg_row(
-            s1, s2, T, inner_product_fd(f1, f2, spec), formula, tail)})
-    exact = maass_selberg_record(s1, s2, T)
-    exact["lattice_bound"] = 0
-    rows.append(exact)
-    return rows
-
+    abs_err = abs(complex(quad.value) - formula)
+    return {"s1": s1, "s2": s2, "T": T,
+            "quadrature_value": complex(quad.value), "formula_value": formula,
+            "abs_err": abs_err, "rel_err": abs_err / abs(formula),
+            # the Bessel terms E drops at D's lowest point
+            "tail_bound": max(_bessel_tail_bound(s, _Y_MIN) for s in (s1, s2)),
+            "quad_error_estimate": quad.error_estimate}

@@ -70,9 +70,7 @@ __all__ = [
     "zeta",
     "gamma_fn",
     "completed_L",
-    "local_L",
     "ratio_L",
-    "primes_upto",
 ]
 
 
@@ -317,15 +315,6 @@ def completed_L(s):
     return out
 
 
-def local_L(p: int, s):
-    """Local Euler factor 1/(1 - p^(-s))."""
-    z = _as_complex_array(s)
-    den = 1.0 - np.power(complex(p), -z)
-    if np.any(np.abs(np.atleast_1d(den)) < 1e-15):
-        raise ZeroDivisionError(f"local_L: 1 - {p}^(-s) vanishes at s = {s}")
-    return 1.0 / den
-
-
 @functools.cache
 def _laurent_c0() -> complex:
     """Constant Laurent coefficient of L at s = 1 (L(s) = 1/(s-1) + c0 + ...).
@@ -361,15 +350,3 @@ def ratio_L(z, plus=None):
     out[tiny] = -1.0 + 2.0 * _laurent_c0() * arr[tiny]
     return out[()]
 
-
-def primes_upto(n: int) -> list[int]:
-    """Simple sieve up to n inclusive."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]

@@ -1,14 +1,14 @@
-"""Intertwining scalars: closed forms, cocycle, unitarity, SU(3) factor."""
+"""Intertwining scalars: closed forms, cocycle, unitarity."""
 
 import numpy as np
 import pytest
 
 from eisenspec import gl3, intertwine
 from eisenspec.contour import circle_nodes
-from eisenspec.errors import DomainError, PoleProximity
+from eisenspec.errors import PoleProximity
 from eisenspec.gl3 import named_weyl
 from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
-                                  su3_local_factor, unitarity_check)
+                                  unitarity_check)
 from eisenspec.roots import RootDatum
 from eisenspec.zeta import completed_L, ratio_L
 
@@ -262,20 +262,3 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
             cocycle_check(s, t, cloud)
             assert len(shapes) <= 1
 
-
-def test_su3_factor_value():
-    # direct arithmetic from the displayed rational expression: 28/27
-    got = su3_local_factor(3, 1.0)
-    assert got == pytest.approx(28.0 / 27.0, rel=1e-14)
-
-
-def test_su3_factor_limit():
-    assert su3_local_factor(3, 80.0) == pytest.approx(1.0, abs=1e-15)
-    assert su3_local_factor(5, 40.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_su3_factor_pole_and_precondition():
-    with pytest.raises(ZeroDivisionError):
-        su3_local_factor(3, 0.0)
-    with pytest.raises(DomainError):
-        su3_local_factor(2, 1.0)

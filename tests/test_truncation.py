@@ -17,11 +17,8 @@ from eisenspec.truncation import (DECAY_CUTOFF, QuadratureSpec,
                                   _upper_gamma, constant_term,
                                   eisenstein_direct, eisenstein_fourier,
                                   eisenstein_tail_bound, eisenstein_theta,
-                                  inner_product_fd,
-                                  maass_selberg_convergence_study,
-                                  maass_selberg_record, omega_rank1,
-                                  truncated_eisenstein,
-                                  truncated_eisenstein_direct)
+                                  inner_product_fd, maass_selberg_record,
+                                  omega_rank1, truncated_eisenstein)
 from eisenspec.zeta import completed_L, ratio_L, zeta
 
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
@@ -36,6 +33,9 @@ def test_params_validation():
     for T in (-0.5, math.nan):
         with pytest.raises(DomainError):
             TruncationParam(T)
+    # a cut line at the decay cutoff, above which the evaluator returns 0
+    with pytest.raises(DomainError):
+        truncated_eisenstein(1.5, TruncationParam(math.log(DECAY_CUTOFF)))
 
 
 def test_direct_sum_matches_theta_within_tail():
@@ -503,22 +503,3 @@ def test_maass_selberg_diagonal_builds_one_evaluator(monkeypatch):
     truncation.maass_selberg_record(1.25, 1.3, 1.0)
     assert built == [1.25, 1.25, 1.3]
 
-
-def test_direct_evaluator_approaches_exact():
-    trunc = TruncationParam(1.0)
-    xs = np.array([0.0, 0.25, -0.4])
-    ys = np.array([1.1, 1.6, 2.2])
-    exact = truncated_eisenstein(1.4, trunc)(xs, ys)
-    errs = []
-    for bound in (25, 50, 100):
-        approx = truncated_eisenstein_direct(1.4, trunc, bound)(xs, ys)
-        errs.append(float(np.max(np.abs(approx - exact))))
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_convergence_study_rows():
-    rows = maass_selberg_convergence_study(1.4, 1.3, 1.0, bounds=(25, 50))
-    assert [r["lattice_bound"] for r in rows] == [25, 50, 0]
-    rels = [r["rel_err"] for r in rows]
-    assert rels[0] > rels[1] > rels[2]
-    assert rows[0]["tail_bound"] > rows[1]["tail_bound"]

@@ -16,7 +16,7 @@ import pytest
 from eisenspec.contour import circle_nodes, circle_residue, trapezoid_circle
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.zeta import (_completed_L_raw, _laurent_c0, completed_L,
-                            gamma_fn, local_L, primes_upto, ratio_L, zeta)
+                            gamma_fn, ratio_L, zeta)
 
 mp.mp.dps = 30
 
@@ -153,26 +153,6 @@ def test_completed_L_conjugation():
             continue
         assert abs(complex(completed_L(np.conj(s)))
                    - complex(completed_L(s)).conjugate()) < 1e-12
-
-
-def test_local_L_value_and_error():
-    assert complex(local_L(2, 1.0)) == pytest.approx(2.0, rel=1e-15)
-    assert complex(local_L(5, 60.0)) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        local_L(2, 0.0)
-
-
-def test_euler_product_converges_monotonically():
-    target = complex(zeta(2.0)).real
-    prev_err = math.inf
-    for n in (100, 200, 400, 800):
-        prod = 1.0
-        for p in primes_upto(n):
-            prod *= complex(local_L(p, 2.0)).real
-        err = abs(prod - target)
-        assert err <= 2.0 / n
-        assert err < prev_err
-        prev_err = err
 
 
 def test_ratio_L_removable_origin():
