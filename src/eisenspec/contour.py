@@ -1,9 +1,10 @@
 """Trapezoid rules on circles and lines, each sized from the distance of its
 nearest singularity so that its error bound is at most 2^-53 (Trefethen and
-Weideman, SIAM Rev. 56, 2014), and the half-widths of line windows from the
-Gaussian decay of their integrand, so that the tail they cut off is as
-small.  The one module that forms circle nodes or spells out that sizing;
-it imports numpy and math only."""
+Weideman, SIAM Rev. 56, 2014), the exact error that a simple pole off a
+line adds to its trapezoid sum, and the half-widths of line windows from
+the Gaussian decay of their integrand, so that the tail they cut off is as
+small.  The one module that forms circle nodes or spells out that sizing
+or that pole factor; it imports numpy and math only."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 __all__ = ["circle_nodes", "trapezoid_circle", "circle_residue", "line_step",
-           "gaussian_width", "window"]
+           "pole_factor", "gaussian_width", "window"]
 
 _DIGITS = 53.0 * math.log(2.0)  # each rule errs by <= exp(-_DIGITS) = 2^-53
 
@@ -54,6 +55,18 @@ def line_step(distance: float) -> float:
     bound of the trapezoid rule on an integrand analytic in the strip
     |Im t| < distance."""
     return 2.0 * math.pi * distance / _DIGITS
+
+
+def pole_factor(distance: float, step: float) -> float:
+    """1/(exp(2 pi distance / step) - 1): on the line z = z0 + it, a simple
+    pole of z-residue R at Re z = Re z0 - distance, distance > 0, makes the
+    trapezoid sum of step h exceed the integral by R times this, both in
+    the (1/2pi) dt measure (the pole's term of the sum's error, Trefethen
+    and Weideman, SIAM Rev. 56, 2014)."""
+    if not 0.0 < distance < math.inf:
+        raise ValueError(f"pole_factor needs 0 < distance < inf, got "
+                         f"{distance}")
+    return 1.0 / math.expm1(2.0 * math.pi * distance / step)
 
 
 def gaussian_width(rate: float) -> float:

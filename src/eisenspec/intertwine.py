@@ -47,12 +47,25 @@ def _sum_ratio(a0: complex, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, q.size)
 
 
+def _kept_roots(w: WeylElement, dropped: tuple) -> frozenset:
+    """The inversion set of w without the roots in dropped, which it must
+    hold."""
+    inversions = w.inversions()
+    if not inversions.issuperset(dropped):
+        raise ValueError(f"roots {dropped} are not all inversions of {w}")
+    return inversions.difference(dropped)
+
+
 def m_on_grid(ws, base: Weight | list[Weight],
               x_dir: Weight | list[Weight] | None = None, x=None,
               y_dir: Weight | list[Weight] | None = None, y=None):
     """Yield m(w, lam) for each w in ws, at lam = base + x_k x_dir (+ y_l y_dir).
 
-    The one evaluator of the intertwining scalars.  On a grid, base, x_dir
+    The one evaluator of the intertwining scalars.  An element of ws may
+    also be a pair (w, dropped), dropped a tuple of roots of w's inversion
+    set: its product leaves out their factors, so that on the planes
+    <lam, root_check> = 1 it is the residue of m(w, .) across them over
+    Res_{s=1} ratio_L per root.  On a grid, base, x_dir
     and y_dir may each be a list with one weight per element of ws: the
     frame of that element's grid.  Each root argument <lam, root_check> =
     a0 + ax x_k + ay y_l is an outer sum, and ratio_L is called once per
@@ -60,7 +73,9 @@ def m_on_grid(ws, base: Weight | list[Weight],
     1-D nodes when the argument depends on x or y alone, and on the outer
     sum otherwise (see _sum_ratio).  When x[::-1] == -x exactly, a triple
     whose mirror (a0, -ax, ay) is already evaluated is read as that array
-    reversed along x, a view of bit-identical values.  Without x, base may
+    reversed along x, and when y equals x, a triple (a0, c, 0) or (a0, 0, c)
+    whose transpose is already evaluated is read as that array transposed:
+    views of bit-identical values.  Without x, base may
     be a cloud of weights (coordinate arrays of one broadcast shape), and
     one stacked ratio_L call takes every root at every point;
     Euler-Maclaurin then takes its term count for all of them from the
@@ -68,7 +83,8 @@ def m_on_grid(ws, base: Weight | list[Weight],
     consumed; each broadcasts to (x.size, y.size), to x.shape without y,
     and to the cloud's shape without x.
     """
-    inversions = [sorted(w.inversions()) for w in ws]
+    inversions = [sorted(w.inversions()) if not isinstance(w, tuple)
+                  else sorted(_kept_roots(*w)) for w in ws]
     ratios = {}
     if x is None:
         keys = inversions
@@ -87,9 +103,12 @@ def m_on_grid(ws, base: Weight | list[Weight],
                  for root in inverted]
                 for (b, dx, dy), inverted in zip(frames, inversions)]
         mirror = np.array_equal(x[::-1], -x)
+        square = y is not None and np.array_equal(x, y)
         for a0, ax, ay in dict.fromkeys(k for row in keys for k in row):
             if mirror and (a0, -ax, ay) in ratios:
                 vals = ratios[a0, -ax, ay][::-1]
+            elif square and 0 in (ax, ay) and (a0, ay, ax) in ratios:
+                vals = ratios[a0, ay, ax].T
             elif ay == 0:
                 vals = np.asarray(ratio_L(a0 + ax * x))
                 vals = vals if y is None else vals[:, None]

@@ -20,15 +20,29 @@ Phi(s .)), and C = |Phi(rho)|^2 / vol is the point mass at the residue of
 the trivial representation, vol = L(2) on GL(2) and L(2) L(3) on GL(3).
 The shifted integral and A are one rank-generic evaluator.
 
+The same residues give the exact error of the plane's trapezoid rule of
+step h: a simple pole d off the line adds R/(e^(2 pi d/h) - 1) to its sum
+(contour.pole_factor).  So with e_k = pole_factor(lam0_k - 1, h),
+
+    shifted = raw - e_1 Line_1 - e_2 Line_2 + e_1 e_2 RR   (GL(3)),
+    shifted = raw - e_1 C                                  (GL(2)),
+
+Line_k the residue across the pole plane z_k = 1 summed on the plane's
+nodes of the other coordinate, RR the double residue at rho.  The corner
+enters with a + sign: the summed Line_2 holds e_1 RR once too many.
+Corrected, the plane's nearest singularity is 1 off, and its step is the
+derived line_step(1.0).
+
 Working in the coordinates z_k = <lam, alpha_check_k> with measure
 (1/2pi) dt per real dimension, the iterated one-variable residue theorem
 gives measure constants kappa_B = kappa_C = 1: shifting z_1 then z_2
 deposits each line at its self-dual position Re(lam) = delta_i with a
 (1/2pi)|dz| line measure, the four double residues at the fundamental
 weights cancel in pairs, and only the rho point survives.  The suite also
-re-derives both constants per run by contour quadrature of the full
-integrands (transverse circles along the lines, iterated circles at rho),
-so their test-function independence is checked rather than presumed.
+re-derives both constants per run, kappa_B from the residue lines along
+the singular lines (R1 = Res_{s=1} ratio_L from a circle of its own) and
+kappa_C by iterated circles of the full integrand at rho, so their
+test-function independence is checked rather than presumed.
 
 conj(Phi(-s conj(lam))) is evaluated as Phi*(-s lam) with Phi* the
 coefficient-conjugated profile, which is entire in lam; this is what makes
@@ -44,7 +58,7 @@ from typing import Mapping
 import numpy as np
 
 from .contour import (circle_residue, gaussian_width, line_step,
-                      trapezoid_circle, window)
+                      pole_factor, trapezoid_circle, window)
 from .errors import DomainError
 from .gl3 import (DOUBLE_CIRCLES, GL3, delta_weight, lambda_line,
                   line_direction, n_matrix, named_weyl, sigma,
@@ -66,21 +80,15 @@ __all__ = [
     "parseval_check_gl3",
 ]
 
-# The (radius, nodes) transverse circle of the kappa_B pickup in
-# measure_constants, on lam = delta_i + it e_i + u delta_i.  The root beta_i
-# with <delta_i, beta_check_i> = 1 gives ratio_L(1 + u): the pole at u = 0
-# is the residue, and its next singularity is past |u| = 14.  The other
-# roots (at most two) have argument a0 (1 + u) + a_x it with a0 = +-1/2.
-# The pole of L at 1 puts theirs at |u| >= 1, and a zero 1/2 + i gamma of
-# L(1 + s) at |u| = 2 |t - gamma| (a0 = -1/2) or farther.  The first zero,
-# gamma_1 = 14.1347, keeps that >= 8.7 on the widest line window (beta =
-# 0.35, the smallest beta PaleyWienerGaussian.random draws), whose last
-# node is 127 _LINE_STEP = 9.77.  So the nearest singularity is the pole at
-# |u| = 1.  The clearance is 0.7 all the same: the bound (radius /
-# clearance)^N is in units of the integrand on |u| = clearance, which grows
-# as that circle nears the pole, and at trapezoid_circle(0.1, 1.0) = (0.1,
-# 16) |kappa_B - 1| reads up to 1.7e-14, where 20 nodes hold it below 1e-15.
-_PICKUP_CIRCLE = trapezoid_circle(0.1, 0.7)
+# The (radius, nodes) circle of R1 = Res_{s=1} ratio_L, the factor of every
+# residue line (_residue_line), as the mean of u ratio_L(1 + u).  Past the
+# pole at u = 0 the next singularity of ratio_L(1 + u) is a zero 1/2 +
+# i gamma of L(2 + u), at |u| > 14 (u = -1 is removable).  The clearance is
+# 1 all the same: the bound (radius / clearance)^N is in units of |u
+# ratio_L(1 + u)| on |u| = clearance, 2.7 at 1 and 20 at 13, against the
+# residue 1.9.  R1 comes from this circle and not from 1/L(2), so that a
+# fault in completed_L, which B divides by, cannot cancel in kappa_B.
+_RESIDUE_CIRCLE = trapezoid_circle(0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,33 +166,43 @@ class PaleyWienerGaussian:
 # m(w, lam) Phi(lam) Phi*(-w lam) decays as exp(-2 beta <t, t>), and rate
 # is the least 2 beta <t, t> / W^2 on the window's edge.
 
+# The step of the plane rule.  On lam0 + i R^r each pole plane z_k = 1 lies
+# d_k = lam0_k - 1 >= 0.05 off the t-plane, and its simple pole adds the
+# exact term pole_factor(d_k, step) Line_k to the trapezoid sum, which
+# _pole_correction subtracts.  Past those planes the nearest singularity
+# of the shifted integrand is the plane z_1 + z_2 = 1, lam0_1 + lam0_2 - 1
+# >= 1.1 off (that of ratio_L(z_1 + z_2), on GL(3) alone); on A's
+# imaginary plane the poles z_k = 1 and z_1 + z_2 = 1 lie at distance 1.
+# The zeros 1/2 + i gamma of L(1 + s) give ratio_L(z) poles at z = -1/2 +
+# i gamma, 1/2 off the imaginary plane, but only where the Gaussian has cut
+# the integrand below exp(-69) of scale: |t_k| or |t_1 + t_2| >= gamma_1 =
+# 14.13 gives 2 beta <t, t> >= beta gamma_1^2 = 69.9 at the smallest beta,
+# 0.35.  So d = 1 on both, and the step is line_step(1.0) = 0.171.
+_PLANE_STEP = line_step(1.0)
+
+
 def _plane_window(beta: float) -> tuple[np.ndarray, float]:
     """The GL(2) line and the GL(3) planes.  On GL(2) <t, t> = t^2/2; on
     GL(3) the least <t, t> = (t_1^2 + t_1 t_2 + t_2^2) 2/3 on the edge of
     the square max |t_k| = W is W^2/2, at t = (W, -W/2).  So the rate is
-    beta on both.  The step 0.1 is not derived:
-    on lam0 + i R^2 the pole plane z_k = 1 is d = min_k z_k(lam0) - 1 off
-    the t-axis, so the step errs by exp(-2 pi d / 0.1), 2.3e-14 at lam0 =
-    (1.5, 1.5) and 6.5e-9 at lam0_alt = (1.3, 1.8) (the parseval-gl3
-    floor).  line_step(d) is 0.0855 and 0.0513 there: 1.37x and 3.8x the
-    plane nodes."""
-    return window(gaussian_width(beta), 0.1)
+    beta on both.  The step is _PLANE_STEP: the plane rule is corrected
+    for the pole planes z_k = 1, and A has no pole nearer than 1."""
+    return window(gaussian_width(beta), _PLANE_STEP)
 
 
 # The step of the singular lines comes from the distance d of the nearest
 # singularity of their integrands to the real t-axis: _LINE_STEP is
 # contour.line_step(d), the largest step with exp(-2 pi d / step) <= 2^-53.
 # ratio_L(s) = L(s)/L(1 + s) has its pole at s = 1, and its other poles at
-# the zeros 1/2 + i gamma of L(1 + s).  On B's kernel n_ij(it) every
-# argument is +-it +- 1/2 (n_matrix): the pole at 1 sits at |Im t| >= 1/2,
-# the zeros at |Im t| >= 1.  On the kappa_B pickup the other roots take
-# a0 (1 + u) + a_x it with a0 = +-1/2, a_x = +-1 and |u| = 0.1
-# (_PICKUP_CIRCLE): the pole at 1 sits at |Im t| = Re(1 -+ (1 + u)/2)
-# >= 0.45, and a zero comes to |Im t| = |Re u|/2 only near |t| = gamma >=
-# gamma_1 = 14.1347, beyond the line window, where the Gaussian factor has
-# cut the integrand below exp(-44) of scale.  So d = 0.45, and the step is
-# line_step(0.45) = 0.0770.
-_LINE_STEP = line_step(0.45)
+# the zeros 1/2 + i gamma of L(1 + s).  On B's kernel n_ij(it), and on the
+# kappa_B pickup's residue lines, every argument is +-it +- 1/2 (n_matrix;
+# on the pickup, the roots other than beta_i at lam = delta_i + it e_i):
+# the pole at 1 sits at |Im t| >= 1/2.  A zero of L(1 + s) comes to the
+# t-axis only at |t| = gamma >= gamma_1 = 14.1347, beyond the widest line
+# window (9.7, at beta = 0.35), where the Gaussian factor has cut the
+# integrand below exp(-90) of scale.  So d = 0.5, and the step is
+# line_step(0.5) = 0.0856.
+_LINE_STEP = line_step(0.5)
 
 
 def _line_window(beta: float) -> tuple[np.ndarray, float]:
@@ -237,7 +255,8 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
                        y_dir: Weight | list[Weight] | None, y):
     """Yield (m(w, lam), Phi(lam), Phi*(-w lam)) for each w in ws, on the
     grid lam = base + x_k x_dir (+ y_l y_dir, unless y is None) of
-    m_on_grid; base, x_dir and y_dir may be lists of one frame per w, as
+    m_on_grid; base, x_dir and y_dir may be lists of one frame per w, and
+    w a pair (w, dropped) whose m leaves out the factors of dropped, as
     there.
 
     The one evaluator of the shifted integrand: every contour integral of
@@ -259,6 +278,7 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
         for d in (base, x_dir,
                   phi.datum.weight((0,) * r) if y is None else y_dir))))
     star = phi.star()
+    elements = [w[0] if isinstance(w, tuple) else w for w in ws]
     gram = [(tuple((k == i) + (k == j) for k in range(r)), float(g))
             for i, row in enumerate(phi.datum.gram_fw)
             for j, g in enumerate(row)]
@@ -277,7 +297,7 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
             phi_vals *= gauss
             profiles[frame] = gauss, phi_vals
     ms = m_on_grid(ws, base, x_dir, x, y_dir, y)
-    for w, frame in zip(ws, frames):
+    for w, frame in zip(elements, frames):
         gauss, phi_vals = profiles[frame]
         w_lines = _lines(w.act_coords(*(-c for c in d.coeffs)) for d in frame)
         image = _on_grid(_affine_poly(star.poly_coeffs.items(), w_lines,
@@ -306,16 +326,95 @@ def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple):
         datum.fundamental_weight(1), it, y_dir, y)
 
 
+def _ratio_residue(datum: RootDatum) -> complex:
+    """R1 = Res_{s=1} ratio_L, on _RESIDUE_CIRCLE: m(s_1, lam) = ratio_L(z_1)
+    on lam = (1 + u) w_1."""
+    s1, w1 = datum.simple_reflection(1), datum.fundamental_weight(1)
+    return complex(circle_residue(lambda u: next(m_on_grid([s1], w1, w1, u)),
+                                  _RESIDUE_CIRCLE))
+
+
+def _residue_line(phi: PaleyWienerGaussian, r1: complex, terms, base,
+                  x_dir, x, y_dir, y) -> np.ndarray:
+    """r1^len(dropped) m(w, lam) Phi(lam) Phi*(-w lam), stacked over the
+    (w, dropped) of terms, with the ratio_L factors of the roots in dropped
+    left out of m, on the grid of _shifted_integrand (base, x_dir and
+    y_dir may be lists of one frame per term); r1 is R1 = Res_{s=1}
+    ratio_L (_ratio_residue) wherever a root is dropped.
+
+    The one evaluator of residues of the shifted integrand.  The pole of
+    m(w, .) across <lam, root_check> = 1 is that of its one factor
+    ratio_L(<lam, root_check>), so on that plane a term with dropped =
+    (root,) is the residue of its integrand across it, and with two roots
+    the double residue where both planes meet.  Its readers are the plane
+    correction (_pole_correction), the kappa_B pickup and, with nothing
+    dropped, the kappa_C circle, which takes the residue at rho by
+    quadrature instead.
+    """
+    return np.stack([
+        r1 ** len(dropped) * m * phi_vals * image
+        for (_, dropped), (m, phi_vals, image) in zip(
+            terms, _shifted_integrand(phi, terms, base, x_dir, x, y_dir, y))])
+
+
+def _pole_correction(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
+    """What the pole planes z_k = 1 add to the plane rule of _plane_terms
+    on lam0 + i R^r: on GL(3),
+
+        e_1 Line_1 + e_2 Line_2 - e_1 e_2 RR,
+        e_k = pole_factor(lam0_k - 1, step),
+
+    with Line_k the residue across z_k = 1, summed on the plane's nodes of
+    the other coordinate, and RR the double residue at rho, which only the
+    longest element carries; on GL(2) the line is the point rho, and the
+    correction is C e_1.  The t_1 rule adds e_1 Line_1 to the t_2 rule of
+    the t_1 integral, and that t_2 rule adds e_2 times the integral of
+    line 2, which is the summed Line_2 less e_1 RR: so the corner enters
+    with the opposite sign.  A term enters when its factor exceeds
+    2^-53."""
+    datum, rank = phi.datum, phi.datum.rank
+    t, step = _plane_window(phi.beta)
+    factors = [pole_factor(c - 1.0, step) for c in lam0]
+    simple = [(k, k + 1) for k in range(1, rank + 1)]
+    r1 = _ratio_residue(datum)
+    correction = 0.0 + 0.0j
+    if math.prod(factors) > 2.0 ** -53:
+        # every pole plane meets at rho: the GL(2) point, the GL(3) corner
+        terms = [(w, tuple(simple)) for w in datum.weyl_group()
+                 if w.inversions().issuperset(simple)]
+        point = np.sum(_residue_line(phi, r1, terms, datum.rho(),
+                                     datum.fundamental_weight(1),
+                                     np.zeros(1), None, None))
+        correction += (-1) ** (rank + 1) * math.prod(factors) * point
+    lines = ([k for k, e in enumerate(factors) if e > 2.0 ** -53]
+             if rank == 2 else [])
+    if lines:
+        rows = [(k, w) for k in lines for w in datum.weyl_group()
+                if simple[k] in w.inversions()]
+        vals = _residue_line(
+            phi, r1, [(w, (simple[k],)) for k, w in rows],
+            [datum.weight(tuple(1.0 if j == k else c
+                                for j, c in enumerate(lam0)))
+             for k, _ in rows],
+            [datum.fundamental_weight(2 - k) for k, _ in rows], 1j * t,
+            None, None)
+        weights = np.array([factors[k] for k, _ in rows])
+        correction += np.sum(weights @ vals) * step / (2.0 * np.pi)
+    return complex(correction)
+
+
 def _shifted_norm(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
-    """The shifted integral over lam0 + i R^r.  Every coordinate of lam0
-    must be >= 1.05: beyond rho, and at least 0.05 from its pole plane
-    z_k = 1 (on GL(3) the plane z_1 + z_2 = 1 is then farther still)."""
+    """The shifted integral over lam0 + i R^r: the plane rule less its pole
+    correction.  Every coordinate of lam0 must be >= 1.05: beyond rho, and
+    at least 0.05 from its pole plane z_k = 1 (on GL(3) the plane z_1 + z_2
+    = 1 is then farther still)."""
     if not all(1.05 <= c < math.inf for c in lam0):
         raise DomainError(f"contour base {lam0} needs every coordinate >= "
                           "1.05: beyond rho, 0.05 from its pole plane")
     scale, terms = _plane_terms(phi, lam0)
-    return sum(complex(np.sum(m * phi_vals * image)) * scale
-               for m, phi_vals, image in terms)
+    raw = sum(complex(np.sum(m * phi_vals * image)) * scale
+              for m, phi_vals, image in terms)
+    return raw - _pole_correction(phi, lam0)
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float) -> complex:
@@ -383,21 +482,29 @@ def contribution_C(phi: PaleyWienerGaussian) -> complex:
     return v * v.conjugate() / volume_constant(phi.datum)
 
 
+def _line_root(i: int) -> tuple[int, int]:
+    """beta_i, the positive root with <delta_i, beta_check_i> = 1: its
+    factor ratio_L carries the pole of Line_i."""
+    return next(root for root in GL3.positive_roots()
+                if delta_weight(i).pair_root(root) == 1)
+
+
 def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
                       c: complex) -> tuple[float, float]:
     """Per-run numerical derivation of (kappa_B, kappa_C).
 
-    kappa_B: ratio of the contour-quadrature line pickup to b_direct, the
-    kernel-form B of contribution_B.  The pickup integrates along each
-    line i the transverse residues sum_j (1/2pi i) oint m(sigma_ij, lam)
-    Phi(lam) Phi*(-sigma_ij lam) du on the circles lam = lam_i(z) +
-    u delta_i, |u| = 0.1 (_PICKUP_CIRCLE), as one circle residue over the
-    nine (sigma_ij, line i) terms.  Its line nodes are the half steps t =
-    h (k + 1/2) of B's window, so that the trapezoid errors of the two do not
-    cancel in the ratio: kappa_B sees the line step.  kappa_C: iterated
-    double-circle residue of the longest-element term at rho on
-    gl3.DOUBLE_CIRCLES, divided by c, the closed-form C of contribution_C.
-    Both are 1 up to quadrature error, independently of the test profile.
+    kappa_B: ratio of the line pickup to b_direct, the kernel-form B of
+    contribution_B.  The pickup integrates along each line i the residues
+    sum_j of m(sigma_ij, lam) Phi(lam) Phi*(-sigma_ij lam) across it, from
+    the nine (sigma_ij, line i) residue lines of _residue_line: the root
+    beta_i with <delta_i, beta_check_i> = 1 dropped, on lam = delta_i +
+    it e_i, times R1 = Res_{s=1} ratio_L from its own circle.  Its line
+    nodes are the half steps t = h (k + 1/2) of B's window, so that the
+    trapezoid errors of the two do not cancel in the ratio: kappa_B sees
+    the line step.  kappa_C: iterated double-circle residue of the
+    longest-element term at rho on gl3.DOUBLE_CIRCLES, divided by c, the
+    closed-form C of contribution_C.  Both are 1 up to quadrature error,
+    independently of the test profile.
     """
     if abs(b_direct) < 1e-12:
         raise DomainError(
@@ -407,21 +514,20 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     n = t.size // 2
     x = 1j * (step * (np.arange(-n, n) + 0.5))  # x[::-1] == -x exactly
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
-    ws = [sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    row = circle_residue(lambda u: sum(
-        m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
-            phi, ws, [delta_weight(i) for i in lines],
-            [line_direction(i) for i in lines], x,
-            [delta_weight(i) for i in lines], u)), _PICKUP_CIRCLE)
-    pickup = np.sum(row) * step / (2.0 * np.pi)
-    kappa_b = (pickup / b_direct).real
+    terms = [(sigma(i, j), (_line_root(i),)) for i in (1, 2, 3)
+             for j in (1, 2, 3)]
+    pickup = np.sum(_residue_line(
+        phi, _ratio_residue(GL3), terms, [delta_weight(i) for i in lines],
+        [line_direction(i) for i in lines], x, None, None))
+    kappa_b = (pickup * step / (2.0 * np.pi) / b_direct).real
 
-    # inner circle in z1 around 1, outer circle in z2 around 1
-    rho_term = circle_residue(lambda u_out, u_in: sum(
-        m * phi_vals * image for m, phi_vals, image in _shifted_integrand(
-            phi, [named_weyl()["s3"]], GL3.rho(), GL3.fundamental_weight(2),
-            u_out, GL3.fundamental_weight(1), u_in)), *DOUBLE_CIRCLES)
-    kappa_c = (rho_term / c).real
+    # inner circle in z1 around 1, outer circle in z2 around 1; nothing is
+    # dropped, so R1 does not enter
+    rho_term = circle_residue(lambda u_out, u_in: _residue_line(
+        phi, 1.0, [(named_weyl()["s3"], ())], GL3.rho(),
+        GL3.fundamental_weight(2), u_out, GL3.fundamental_weight(1), u_in),
+        *DOUBLE_CIRCLES)
+    kappa_c = (complex(rho_term[0]) / c).real
     return float(kappa_b), float(kappa_c)
 
 

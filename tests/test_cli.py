@@ -14,6 +14,7 @@ from eisenspec import cli, gl3, parseval, truncation
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
+from eisenspec.contour import line_step
 from eisenspec.errors import DomainError
 from eisenspec.parseval import SpectralReport
 from eisenspec.zeta import completed_L
@@ -111,6 +112,32 @@ def test_parseval_kappa_unity_sees_the_line_step(monkeypatch):
     report = run(RunConfig(command="parseval"))
     failed = [r.name for r in report.records if not r.passed]
     assert "parseval-kappa-unity" in failed
+
+
+@pytest.mark.parametrize("name", ["volume_constant", "completed_L",
+                                  "n_matrix"])
+def test_parseval_kappa_unity_sees_a_relative_fault(monkeypatch, name):
+    # C's volume, B's L(2) or B's kernel, scaled by 1 + 1e-7, moves kappa_C
+    # or kappa_B by 1e-7.  R1 comes from a circle of ratio_L, not from
+    # 1/L(2), so a fault in completed_L does not cancel in kappa_B
+    scaled = getattr(parseval, name)
+    monkeypatch.setattr(parseval, name,
+                        lambda *args: scaled(*args) * (1.0 + 1e-7))
+    report = run(RunConfig(command="parseval"))
+    failed = [r.name for r in report.records if not r.passed]
+    assert "parseval-kappa-unity" in failed
+
+
+def test_parseval_gl3_sees_a_coarse_plane_step(monkeypatch):
+    # at 1.8 line_step(1.0) the corrected plane rule reads 5.5e-10 at seed
+    # 42, 18x the gate.  At 1.3x it reads 2.1e-13: below any gate of at
+    # least 100x the worst residual of seeds 0-31 (2.6e-13)
+    report = run(RunConfig(command="parseval"))
+    assert all(r.passed for r in report.records)
+    monkeypatch.setattr(parseval, "_PLANE_STEP", 1.8 * line_step(1.0))
+    report = run(RunConfig(command="parseval"))
+    failed = [r.name for r in report.records if not r.passed]
+    assert "parseval-gl3" in failed
 
 
 def _without_clock(blob: dict) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eisenspec.contour import (circle_residue, gaussian_width, line_step,
-                               window)
+                               pole_factor, window)
 from eisenspec.errors import DomainError, PoleProximity
 
 
@@ -62,3 +62,28 @@ def test_gaussian_width_puts_the_edge_at_exp_minus_44():
 def test_gaussian_width_refuses_a_rate_that_is_not_positive_and_finite(rate):
     with pytest.raises(ValueError):
         gaussian_width(rate)
+
+
+def test_pole_factor_is_the_exact_error_of_a_pole():
+    # f(z) = exp(z^2) / (z - p) on z = 1/2 + it, p = 1/5 at distance 0.3:
+    # the (1/2pi) dt rule of step h exceeds the integral (0.636, by the
+    # rule at a step 25x finer, whose pole term is exp(-188)) by exp(p^2)
+    # times the factor, 5.5e-4 and 2.0e-3, to rounding; the Gaussian's own
+    # error is below exp(-pi^2 / h^2)
+    p = 0.2
+
+    def rule(step):
+        t, h = window(12.0, step)
+        z = 0.5 + 1j * t
+        return complex(np.sum(np.exp(z * z) / (z - p))) * h / (2.0 * math.pi)
+
+    for h in (0.25, 0.3):
+        want = math.exp(p * p) * pole_factor(0.3, h)
+        assert abs(rule(h) - rule(h / 25.0) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("distance", [0.0, -0.5, math.inf, math.nan])
+def test_pole_factor_refuses_a_distance_that_is_not_positive_and_finite(
+        distance):
+    with pytest.raises(ValueError):
+        pole_factor(distance, 0.1)

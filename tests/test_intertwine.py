@@ -122,6 +122,36 @@ def test_m_on_grid_plane_is_conjugation_symmetric():
         assert np.array_equal(m[::-1, ::-1], np.conj(m))
 
 
+def test_square_grid_reads_each_transpose(monkeypatch):
+    # on a t (+) t plane with equal base coordinates z1 and z2 take the same
+    # values, so z2 is z1's array transposed: one call for both, bit for bit
+    # the values of one-element calls
+    x = 1j * 0.1 * np.arange(-30, 31)
+    frame = (GL3.weight((1.5, 1.5)), GL3.weight((1, 0)), x,
+             GL3.weight((0, 1)), x)
+    want = [next(m_on_grid([w], *frame)) for w in named_weyl().values()]
+    calls = _counting_ratio(monkeypatch)
+    got = list(m_on_grid(named_weyl().values(), *frame))
+    assert len(calls) == 2  # z1 (and z2), and the z1 + z2 lattice
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_dropped_roots_leave_their_factors_out():
+    # (w, dropped) is m(w, lam) without the ratio_L factors of dropped: at
+    # rho the longest element less alpha_1 and alpha_2 is ratio_L(2)
+    s3 = named_weyl()["s3"]
+    lam = GL3.weight((1.3 + 0.2j, 0.4 - 0.7j))
+    full = m_scalar(s3, lam)
+    m, = m_on_grid([(s3, ((1, 2),))], lam)
+    assert complex(m) == pytest.approx(full / complex(ratio_L(1.3 + 0.2j)),
+                                       rel=1e-14)
+    m, = m_on_grid([(s3, ((1, 2), (2, 3)))], GL3.rho())
+    assert complex(m) == complex(ratio_L(2.0))
+    with pytest.raises(ValueError):
+        list(m_on_grid([(GL3.simple_reflection(1), ((2, 3),))], lam))
+
+
 def _counting_ratio(monkeypatch):
     """Count intertwine's ratio_L calls: True for a separable grid."""
     calls = []
@@ -174,8 +204,9 @@ def test_asymmetric_nodes_take_no_mirror(monkeypatch):
 
 
 def _pickup_frames():
-    """The nine (sigma_ij, line i) terms of the kappa_B pickup: the Weyl
-    elements and, per line, the frame (delta_i, e_i, xi_i)."""
+    """The nine (sigma_ij, line i) terms of the kappa_B pickup in its
+    transverse-circle form: the Weyl elements and, per line, the frame
+    (delta_i, e_i, xi_i)."""
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
     return ([gl3.sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
             [gl3.delta_weight(i) for i in lines],

@@ -19,11 +19,14 @@ The shifted integrand m(w, lam) Phi(lam) Phi*(-w lam) is built in one
 function of parseval: no other function there forms the starred profile,
 and parseval reaches ratio_L only through m_on_grid.  Two functions read
 it: the rank-generic plane terms, one path for GL(2) and GL(3), and the
-kappa pickups of measure_constants.
+residue lines, which serve the plane's pole correction and both kappa
+pickups of measure_constants.
 
-Circle nodes and the 2^-53 sizing of trapezoid rules live in contour: no
-other module forms circle nodes or spells out 53 log 2, and contour imports
-nothing from eisenspec, so every layer, zeta included, can use it.
+Circle nodes, the 2^-53 sizing of trapezoid rules and the pole factor
+1/expm1(2 pi d / h) of a trapezoid sum live in contour: no other module
+forms circle nodes, spells out 53 log 2 or calls expm1 on a multiple of
+pi, and contour imports nothing from eisenspec, so every layer, zeta
+included, can use it.
 
 Every quotient of L values goes through zeta.ratio_L, which takes both
 factors in one kernel pass: outside zeta, no module divides one
@@ -168,8 +171,9 @@ def test_shifted_integrand_is_built_once():
 
 def test_shifted_integrand_has_two_readers():
     # the rank-generic plane terms of the shifted integral and of A, one
-    # path for GL(2) and GL(3), and the kappa pickups: a per-rank copy of
-    # the shifted integral would be a third
+    # path for GL(2) and GL(3), and the residue lines of the plane's pole
+    # correction and of the kappa pickups: a per-rank copy of the shifted
+    # integral, or a residue route of its own, would be a third
     path = SRC / "parseval.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = sorted(fn.name for fn in tree.body
@@ -177,7 +181,7 @@ def test_shifted_integrand_has_two_readers():
                      and any(isinstance(call, ast.Call)
                              and _called_name(call) == "_shifted_integrand"
                              for call in ast.walk(fn)))
-    assert callers == ["_plane_terms", "measure_constants"]
+    assert callers == ["_plane_terms", "_residue_line"]
 
 
 def _spells_out_53_bits(tree: ast.AST) -> list[int]:
@@ -197,6 +201,14 @@ def _spells_out_53_bits(tree: ast.AST) -> list[int]:
                  or (is_log2(node.left) and is_53(node.right)))]
 
 
+def _spells_out_pole_factor(tree: ast.AST) -> list[int]:
+    """Lines of tree that call expm1 on an expression holding pi."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "expm1"
+            and any(getattr(sub, "id", getattr(sub, "attr", None)) == "pi"
+                    for arg in node.args for sub in ast.walk(arg))]
+
+
 def test_contour_rules_live_in_contour():
     others = [path for path in sorted(SRC.glob("*.py"))
               if path.name != "contour.py"]
@@ -212,6 +224,16 @@ def test_contour_rules_live_in_contour():
     assert sorted(_spells_out_53_bits(ast.parse(
         "x = 2.0 * math.pi * 0.45 / (53.0 * math.log(2.0))\n"
         "y = np.log(2) * 53"))) == [1, 2]
+    factors = [f"{path.name}:{line}" for path in others
+               for line in _spells_out_pole_factor(
+                   ast.parse(path.read_text()))]
+    assert factors == []
+    assert _spells_out_pole_factor(ast.parse(
+        (SRC / "contour.py").read_text())) != []
+    assert sorted(_spells_out_pole_factor(ast.parse(
+        "e = 1.0 / math.expm1(2.0 * math.pi * d / h)\n"
+        "f = np.expm1(2 * np.pi * 0.3 / 0.1)\n"
+        "g = math.expm1(x)"))) == [1, 2]
     # contour sizes every rule, and imports numpy and math only
     path = SRC / "contour.py"
     imported = set()

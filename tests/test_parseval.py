@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eisenspec import cli, gl3, intertwine, parseval
-from eisenspec.contour import circle_nodes, trapezoid_circle
+from eisenspec.contour import (circle_nodes, circle_residue, pole_factor,
+                               trapezoid_circle)
 from eisenspec.errors import DomainError
 from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 contribution_B, contribution_C,
@@ -63,8 +64,10 @@ def test_gl2_seeded_profiles():
 
 
 def test_shifted_norms_share_one_base_point_rule():
-    # every coordinate >= 1.05 on both ranks.  On GL(2) the step-0.1 line
-    # rule errs by 106% at sigma0 = 1.01 (against sigma0 = 1.5)
+    # every coordinate >= 1.05 on both ranks.  Below it the pole
+    # correction still holds the plane rule to rounding (1.0e-15 at sigma0
+    # = 1.01 on GL(2), against sigma0 = 1.5), but it cancels a growing
+    # multiple of the result: 2.1 there, 0.17 at 1.05
     phi2, phi3 = PaleyWienerGaussian(GL2, 0.5), PaleyWienerGaussian(GL3, 0.5)
     for sigma0 in (1.01, 1.0, 0.5, float("nan"), float("inf")):
         with pytest.raises(DomainError):
@@ -101,6 +104,28 @@ def test_gl2_contribution_C_closed_form():
 def test_shifted_integral_refuses_rank_three():
     with pytest.raises(DomainError):
         contribution_A(PaleyWienerGaussian(RootDatum(4), 0.5))
+
+
+@pytest.mark.parametrize("sigma0", [1.05, 1.3, 1.5])
+def test_gl2_pole_correction_is_C_times_the_pole_factor(sigma0):
+    # on GL(2) the pole line z = 1 is the point rho, whose residue is C
+    phi = _random_quadratic(GL2, 0.5, 6)
+    step = parseval._plane_window(phi.beta)[1]
+    want = contribution_C(phi) * pole_factor(sigma0 - 1.0, step)
+    got = parseval._pole_correction(phi, (sigma0,))
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("beta", [0.35, 0.5, 0.8])
+def test_corrected_shifted_norms_agree_down_to_the_base_point_rule(beta):
+    # at 0.05 from a pole plane the uncorrected plane rule erred by 4%;
+    # corrected, every base agrees with the base 1.5 (2.3e-14 measured)
+    phi2, phi3 = (_random_quadratic(d, beta, 4) for d in (GL2, GL3))
+    ref2 = shifted_norm_gl2(phi2, 1.5)
+    assert abs(shifted_norm_gl2(phi2, 1.05) - ref2) <= 1e-13 * abs(ref2)
+    ref3 = shifted_norm_gl3(phi3, (1.5, 1.5))
+    for lam0 in ((1.051, 1.8), (1.05, 1.05)):
+        assert abs(shifted_norm_gl3(phi3, lam0) - ref3) <= 1e-13 * abs(ref3)
 
 
 def test_gl3_contour_independence():
@@ -169,35 +194,41 @@ def test_measure_constants_are_unity():
 
 
 def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
+    # the circles of kappa_C and the double residues, and the R1 circle of
+    # every residue line: kappa_B and the pole correction at (1.05, 1.05),
+    # where its factors are 0.19
     assert gl3.DOUBLE_CIRCLES == ((0.3, 32), (0.1, 34))
-    assert parseval._PICKUP_CIRCLE == (0.1, 20)
+    assert parseval._RESIDUE_CIRCLE == (0.1, 16)
     phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(5))
     b_direct, c = contribution_B(phi)[0], contribution_C(phi)
-    before = [*measure_constants(phi, b_direct, c),
-              *(v for _, _, v in gl3.double_residue_table())]
+
+    def values():
+        return [*measure_constants(phi, b_direct, c),
+                *(v for _, _, v in gl3.double_residue_table()),
+                parseval._pole_correction(phi, (1.05, 1.05))]
+
+    before = values()
     doubled = tuple((r, 2 * n) for r, n in gl3.DOUBLE_CIRCLES)
     monkeypatch.setattr(gl3, "DOUBLE_CIRCLES", doubled)
     monkeypatch.setattr(parseval, "DOUBLE_CIRCLES", doubled)
-    radius, nodes = parseval._PICKUP_CIRCLE
-    monkeypatch.setattr(parseval, "_PICKUP_CIRCLE", (radius, 2 * nodes))
-    after = [*measure_constants(phi, b_direct, c),
-             *(v for _, _, v in gl3.double_residue_table())]
-    for a, b in zip(before, after):
+    radius, nodes = parseval._RESIDUE_CIRCLE
+    monkeypatch.setattr(parseval, "_RESIDUE_CIRCLE", (radius, 2 * nodes))
+    for a, b in zip(before, values()):
         assert abs(a - b) <= 1e-13 * abs(b)
 
 
-def test_pickup_circle_clears_the_first_zero_on_the_widest_line_window():
-    # a zero of L(1 + s) comes within 2 (gamma_1 - |t|) of the kappa_B
-    # circle's centre, at the smallest beta random profiles draw; on the
-    # widest line window that is 8.7, past the pole of L at 1 (|u| >= 1).
-    # The clearance 0.7 of the circle's comment stays: the circle of
-    # clearance 1, (0.1, 16), lets |kappa_B - 1| reach 1.7e-14
+def test_line_window_ends_short_of_the_first_zero():
+    # on B's kernel and on the kappa_B residue lines a zero 1/2 + i gamma
+    # of L(1 + s) reaches the t-axis at |t| = gamma; the widest line window,
+    # at the smallest beta random profiles draw, ends short of gamma_1,
+    # where the Gaussian exp(-(4 beta / 3) t^2) is below exp(-90).  The
+    # pole of L at 1 is 1/2 off the axis, which sets the step
     gamma_1 = 14.134725141734693
     t, step = parseval._line_window(0.35)
-    assert step == pytest.approx(2 * np.pi * 0.45 / (53 * np.log(2)),
+    assert step == pytest.approx(2 * np.pi * 0.5 / (53 * np.log(2)),
                                  rel=1e-15)
-    assert 2 * (gamma_1 - t.max()) >= 0.7
-    assert parseval._PICKUP_CIRCLE == trapezoid_circle(0.1, 0.7)
+    assert t.max() < gamma_1 - 4.0
+    assert 4.0 * 0.35 / 3.0 * gamma_1 ** 2 > 90.0
 
 
 def _window_integrals(beta):
@@ -250,7 +281,7 @@ def _componentwise_scale(phi, coords):
     return gauss * poly
 
 
-@pytest.mark.parametrize("grid", ["plane", "line-circle", "double-circle",
+@pytest.mark.parametrize("grid", ["plane", "residue-line", "double-circle",
                                   "gl2-line"])
 def test_grid_profiles_match_the_pointwise_oracle(grid):
     # Phi(lam) and Phi*(-w lam) of the shifted integrand against
@@ -262,9 +293,9 @@ def test_grid_profiles_match_the_pointwise_oracle(grid):
         "plane": (gl3.named_weyl().values(), GL3.weight((1.3, 1.8)),
                   GL3.fundamental_weight(1), plane,
                   GL3.fundamental_weight(2), plane),
-        "line-circle": ([gl3.sigma(2, j) for j in (1, 2, 3)],
-                        gl3.delta_weight(2), gl3.line_direction(2), line,
-                        gl3.delta_weight(2), circle_nodes(0.1, 20)),
+        "residue-line": ([(gl3.sigma(2, j), (parseval._line_root(2),))
+                          for j in (1, 2, 3)], gl3.delta_weight(2),
+                         gl3.line_direction(2), line, None, None),
         "double-circle": ([gl3.named_weyl()["s3"]], GL3.rho(),
                           GL3.fundamental_weight(2), circle_nodes(0.3, 32),
                           GL3.fundamental_weight(1), circle_nodes(0.1, 34)),
@@ -286,7 +317,8 @@ def test_grid_profiles_match_the_pointwise_oracle(grid):
                 _random_quadratic(datum, beta, 11)):
         star = phi.star()
         pairs = [(phi, coords)]
-        pairs += [(star, w.act_coords(*(-c for c in coords))) for w in ws]
+        pairs += [(star, w.act_coords(*(-c for c in coords)))
+                  for w in (w[0] if isinstance(w, tuple) else w for w in ws)]
         triples = list(parseval._shifted_integrand(phi, ws, base, x_dir, x,
                                                    y_dir, y))
         got = [triples[0][1]] + [image for _, _, image in triples]
@@ -327,22 +359,49 @@ def test_kappa_b_sees_the_line_step(monkeypatch, beta):
 
 def test_pickup_terms_in_one_call_match_per_line_calls():
     # Phi(lam) and the Gaussian, formed once per frame, and m(w, lam) on
-    # the nine (sigma_ij, line i) terms, against three one-line calls
+    # the nine (sigma_ij, line i) residue lines, against three one-line
+    # calls
     phi = _random_quadratic(GL3, 0.5, 4)
     x = 1j * (parseval._LINE_STEP * (np.arange(-30, 30) + 0.5))
-    u = circle_nodes(*parseval._PICKUP_CIRCLE)
+    r1 = parseval._ratio_residue(GL3)
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
-    ws = [gl3.sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-    got = list(parseval._shifted_integrand(
-        phi, ws, [gl3.delta_weight(i) for i in lines],
-        [gl3.line_direction(i) for i in lines], x,
-        [gl3.delta_weight(i) for i in lines], u))
+    terms = [(gl3.sigma(i, j), (parseval._line_root(i),))
+             for i in (1, 2, 3) for j in (1, 2, 3)]
+    got = parseval._residue_line(
+        phi, r1, terms, [gl3.delta_weight(i) for i in lines],
+        [gl3.line_direction(i) for i in lines], x, None, None)
     for k, i in zip((0, 3, 6), (1, 2, 3)):
-        want = parseval._shifted_integrand(
-            phi, ws[k:k + 3], gl3.delta_weight(i), gl3.line_direction(i), x,
-            gl3.delta_weight(i), u)
-        for g, w in zip(got[k:k + 3], want):
-            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        want = parseval._residue_line(
+            phi, r1, terms[k:k + 3], gl3.delta_weight(i),
+            gl3.line_direction(i), x, None, None)
+        assert np.array_equal(got[k:k + 3], want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residue_line_matches_the_circle_form(seed):
+    # the factored residue, R1 times the integrand with the pole root's
+    # factor left out, against a transverse circle of the full integrand:
+    # this holds that the pole is simple with residue R1 on the correction
+    # lines z_k = 1 at (1.3, 1.8) and on the kappa_B lines (3.7e-15
+    # measured)
+    phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(seed))
+    r1 = parseval._ratio_residue(GL3)
+    x = 1j * parseval._LINE_STEP * np.arange(-40, 41)
+    w1, w2 = GL3.fundamental_weight(1), GL3.fundamental_weight(2)
+    frames = [(GL3.weight((1.0, 1.8)), w2, w1, (1, 2)),
+              (GL3.weight((1.3, 1.0)), w1, w2, (2, 3))]
+    frames += [(gl3.delta_weight(i), gl3.line_direction(i),
+                gl3.delta_weight(i), parseval._line_root(i))
+               for i in (1, 2, 3)]
+    for base, x_dir, u_dir, root in frames:
+        ws = [w for w in GL3.weyl_group() if root in w.inversions()]
+        got = parseval._residue_line(phi, r1, [(w, (root,)) for w in ws],
+                                     base, x_dir, x, None, None)
+        want = circle_residue(lambda u: np.stack([
+            m * phi_vals * image for m, phi_vals, image in
+            parseval._shifted_integrand(phi, ws, base, x_dir, x, u_dir, u)]),
+            trapezoid_circle(0.1, 0.7))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_shifted_norm_peak_memory():
@@ -370,12 +429,11 @@ def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
     b_direct, c = contribution_B(phi)[0], contribution_C(phi)
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
-    # the pickup: ratio_L(1 + u) on the circle alone, shared by the three
-    # lines, and the two grids +-(1 + u)/2 + it, each read reversed in t
-    # for its mirror; at rho z1 and z2 lie on one circle each, and z1 + z2
-    # is a separable grid
+    # R1's circle, and the pickup's two lines +-1/2 + it, each read reversed
+    # in t for its mirror; at rho z1 and z2 lie on one circle each, and
+    # z1 + z2 is a separable grid
     assert len(calls) == 6
-    assert sum(calls) == 3
+    assert sum(calls) == 1
 
 
 def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
@@ -388,12 +446,17 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size
-    for run in (lambda: shifted_norm_gl3(phi, (1.5, 1.5)),
-                lambda: contribution_A(phi)):
+    # z1, z2 and the z1 + z2 lattice, never the n x n grid.  On A's
+    # diagonal base z2 is z1 transposed.  The shifted norm's pole correction
+    # adds R1's circle and the lines' z and 1 + z: at (1.3, 1.8) the corner's
+    # factor is below 2^-53, and at (1.5, 1.5) it adds one point while the
+    # two lines share their arrays
+    for run, count in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 8),
+                       (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 6),
+                       (lambda: contribution_A(phi), 2)):
         sizes.clear()
         run()
-        # z1, z2 and the z1 + z2 lattice, never the n x n grid
-        assert len(sizes) == 3
+        assert len(sizes) == count
         assert max(sizes) <= 2 * n - 1
 
 
@@ -441,7 +504,8 @@ def test_parseval_gl3_full_report():
 
 def test_identity_term_isolation():
     # the identity term of the shifted sum is the plain pairing
-    # integral of Phi(lam) Phi*(-lam), quadratured independently here
+    # integral of Phi(lam) Phi*(-lam), quadratured independently here, on
+    # half the plane step and the window of twice the exponent
     phi = PaleyWienerGaussian(GL3, 0.5, {(0, 0): 0.7, (1, 1): 0.3j})
     lam0 = (1.5, 1.5)
     assert GL3.weyl_group()[0] == GL3.identity()
@@ -450,14 +514,14 @@ def test_identity_term_isolation():
     assert np.all(m == 1.0)
     term = complex(np.sum(m * phi_vals * image)) * scale
     star = phi.star()
-    step, width = 0.1, np.sqrt(88.0 / phi.beta)
+    step, width = parseval._PLANE_STEP / 2.0, np.sqrt(88.0 / phi.beta)
     n = int(np.ceil(width / step))
     t = step * np.arange(-n, n + 1)
     z1 = (lam0[0] + 1j * t)[:, None]
     z2 = (lam0[1] + 1j * t)[None, :]
     direct = np.sum(phi.value_coords(z1, z2)
                     * star.value_coords(-z1, -z2)) * (step / (2 * np.pi)) ** 2
-    assert term == pytest.approx(complex(direct), rel=1e-12)
+    assert term == pytest.approx(complex(direct), rel=1e-13)
 
 
 def test_weyl_antisymmetric_profile_sign_bookkeeping():
@@ -483,13 +547,16 @@ def test_weyl_antisymmetric_profile_sign_bookkeeping():
 
 def test_narrower_finer_plane_window_agrees(monkeypatch):
     # a narrower, finer window (W = 8, step 0.05) agrees with the plane
-    # window W = gaussian_width(beta) = sqrt(44/beta) = 9.4, step 0.1
+    # window W = gaussian_width(beta) = sqrt(44/beta) = 9.4, step
+    # line_step(1.0) = 0.171, each with its own pole correction (up to
+    # 7.8e-16 apart measured)
     phi = PaleyWienerGaussian(GL2, 0.5)
-    b = shifted_norm_gl2(phi, 1.5)
+    bases = (1.5, 1.05)
+    derived = [shifted_norm_gl2(phi, sigma0) for sigma0 in bases]
     monkeypatch.setattr(parseval, "_plane_window",
                         lambda beta: (0.05 * np.arange(-160, 161), 0.05))
-    a = shifted_norm_gl2(phi, 1.5)
-    assert abs(a - b) <= 1e-9
+    for sigma0, b in zip(bases, derived):
+        assert abs(shifted_norm_gl2(phi, sigma0) - b) <= 1e-13 * abs(b)
 
 
 def test_paley_wiener_star_is_conjugate_on_real_points():
