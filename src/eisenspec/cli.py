@@ -234,8 +234,11 @@ def suite_zeta(report: VerificationReport, cfg: RunConfig):
     draws = [complex(rng.uniform(-2, 3), rng.uniform(0.2, 40))
              for _ in range(60)]
     arr = np.array([s for s in draws if min(abs(s), abs(s - 1)) >= 0.25])
+    # ratio_L too: it evaluates a conjugation-symmetric line on its upper
+    # half and mirrors the rest, which is bit-exact only because ratio_L is
+    # exactly conjugation equivariant
     worst = max(float(np.max(np.abs(f(np.conj(arr)) - np.conj(f(arr)))))
-                for f in (zeta, completed_L))
+                for f in (zeta, completed_L, ratio_L))
     report.add("conjugation-equivariance", "f(conj s) = conj f(s)",
                0.0, worst, worst, TOLERANCES["conjugation"])
 

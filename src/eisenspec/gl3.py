@@ -126,12 +126,19 @@ def n_matrix(z) -> np.ndarray:
     r(z + 1/2), n_12 = r(-z - 1/2) r(-z + 1/2), n_21 = r(z - 1/2) r(z + 1/2)
     and n_33 = n_31 n_32; the diagonal entries n_11 = n_22 = 1 are exact.
     The off-diagonal entries collapse this far because 1 + <lam_i, a_check>
-    and <lam_i, rho_check> coincide along the first two lines.  Raises
+    and <lam_i, rho_check> coincide along the first two lines.  When
+    z[::-1] == -z exactly, the rows at -z -+ 1/2 are those at z -+ 1/2
+    reversed (m_on_grid's mirror rule), so the call takes the two rows at
+    z -+ 1/2 alone, and the values are bit for bit the four rows'.  Raises
     PoleProximity at the poles z = +-1/2, +-3/2.
     """
     z = np.asarray(z, dtype=np.complex128)
-    r_mm, r_mp, r_pm, r_pp = ratio_L(
-        np.stack((-z - 0.5, -z + 0.5, z - 0.5, z + 0.5)))
+    if z.ndim and np.array_equal(z[::-1], -z):
+        r_pm, r_pp = ratio_L(np.stack((z - 0.5, z + 0.5)))
+        r_mm, r_mp = r_pm[::-1], r_pp[::-1]
+    else:
+        r_mm, r_mp, r_pm, r_pp = ratio_L(
+            np.stack((-z - 0.5, -z + 0.5, z - 0.5, z + 0.5)))
     n = np.empty((3, 3) + z.shape, dtype=np.complex128)
     n[0, 0] = n[1, 1] = 1.0
     n[0, 2] = n[2, 1] = r_mp

@@ -44,6 +44,16 @@ Evaluation strategy:
   Re z < -1/2.  The removable singularity at z = 0 (both L factors have
   simple poles there) is filled by its Laurent expansion, so quadrature
   paths may run straight through 0.
+* Conjugate halves are evaluated once.  ratio_L is exactly conjugation
+  equivariant, ratio_L(conj z) == conj ratio_L(z) bit for bit (every step
+  of a pass, the Laurent fill with its real constant included, treats the
+  real and imaginary parts symmetrically).  So a pointwise argument whose
+  last axis is conjugation symmetric, z[..., ::-1].conj() == z exactly, as
+  on a line a + it or a plane of such lines with a real base and a window
+  symmetric in t, takes its upper half through the kernel and reads the
+  lower half as the conjugate mirror of it.  The pole check runs on the
+  whole argument first, and the largest |Im|, hence the Euler-Maclaurin
+  length, is the same on the half, so every value is the unfolded one.
 * Residues are trapezoid sums on circles sized by contour.trapezoid_circle;
   closed forms are reserved for test oracles.  The Laurent constant c0 of L
   at 1, which fills ratio_L at 0, is the residue of L(1 + u)/u.
@@ -316,15 +326,35 @@ def completed_L(s):
 
 
 @functools.cache
-def _laurent_c0() -> complex:
+def _laurent_c0() -> float:
     """Constant Laurent coefficient of L at s = 1 (L(s) = 1/(s-1) + c0 + ...).
 
     c0 is the residue of L(1 + u)/u at u = 0, taken on the circle |u| = 1/2
-    with the pole of L at 0, u = -1, as its clearance.  Computed once and
-    cached.
+    with the pole of L at 0, u = -1, as its clearance.  L is real on the
+    real axis, so c0 is real: the circle's imaginary part, a rounding of
+    about 4e-17, is dropped, which keeps the fill at 0 exactly conjugation
+    equivariant.  Computed once and cached.
     """
     return complex(circle_residue(lambda u: _completed_L_raw(1.0 + u) / u,
-                                  trapezoid_circle(0.5, 1.0)))
+                                  trapezoid_circle(0.5, 1.0))).real
+
+
+def _ratio_L_pass(z, plus):
+    """_ratio_L_raw(z, plus), and without plus, on the upper half alone of
+    a last axis of z that is conjugation symmetric, z[..., ::-1].conj() ==
+    z: the lower half is the conjugate mirror of the upper, exactly, since
+    ratio_L is exactly conjugation equivariant.  The upper half holds the
+    centre of an odd axis (a real point) and the same largest |Im| as the
+    whole, so Euler-Maclaurin takes the same length and every value is bit
+    for bit the unfolded one."""
+    a = _as_complex_array(z)
+    n = a.shape[-1] if a.ndim else 0
+    if plus is not None or n < 2 or not np.array_equal(a[..., ::-1].conj(),
+                                                       a):
+        return _ratio_L_raw(z, plus)
+    upper = _ratio_L_raw(a[..., n // 2:], None)
+    return np.concatenate((upper[..., ::-1][..., :n // 2].conj(), upper),
+                          axis=-1)
 
 
 def ratio_L(z, plus=None):
@@ -335,18 +365,20 @@ def ratio_L(z, plus=None):
     extends analytically with value -1.  With plus given the quotient is
     evaluated on the outer sum z (+) plus, of shape z.shape + plus.shape,
     through the separable kernel.  Either way L(z) and L(1+z) come from
-    one kernel pass, with or without points to fill.
+    one kernel pass, with or without points to fill.  Without plus, a last
+    axis that is conjugation symmetric is evaluated on its upper half
+    (_ratio_L_pass).
     """
     arr = _as_complex_array(z if plus is None else np.add.outer(z, plus))
     _check_pole(arr, (1.0,), "ratio_L")
     tiny = np.abs(arr) < POLE_EXCLUSION_RADIUS
     if not tiny.any():
-        return _ratio_L_raw(z, plus)
+        return _ratio_L_pass(z, plus)
 
     # The same kernel pass; at the tiny points, where the quotient is inf or
     # nan, ratio(z) = -1 + 2 a0 z + O(z^2), a0 the Laurent constant of L at 1.
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(_ratio_L_raw(z, plus))
+        out = np.asarray(_ratio_L_pass(z, plus))
     out[tiny] = -1.0 + 2.0 * _laurent_c0() * arr[tiny]
     return out[()]
 

@@ -1,6 +1,7 @@
 """CLI harness: suites run, reports serialize, seeds reproduce."""
 
 import csv
+import importlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,24 @@ def test_residue_node_stability_can_fail(monkeypatch):
                   if r.name == "residue-node-stability"]
     assert not stability.passed
     assert stability.residual > 1e3 * cli.TOLERANCES["node-stability"]
+
+
+@pytest.mark.parametrize("kernel", ["_gamma_raw", "_ratio_L_raw"])
+def test_conjugation_equivariance_can_fail(monkeypatch, kernel):
+    # the check reads exactly 0 on every seed; Gamma off by a factor of
+    # 1 + 1e-9 i breaks the symmetry in L and fails it, and so does the
+    # quotient of ratio_L alone, which the check covers with zeta and L
+    zeta_module = importlib.import_module("eisenspec.zeta")
+    original = getattr(zeta_module, kernel)
+    monkeypatch.setattr(zeta_module, kernel,
+                        lambda *args: original(*args) * (1.0 + 1e-9j))
+    report = run(RunConfig(command="zeta"))
+    assert "conjugation-equivariance" in [r.name for r in report.records
+                                          if not r.passed]
+    monkeypatch.undo()
+    clean, = [r for r in run(RunConfig(command="zeta")).records
+              if r.name == "conjugation-equivariance"]
+    assert clean.passed and clean.residual == 0.0
 
 
 def test_parseval_suite_checks_kappa_unity():

@@ -112,6 +112,32 @@ def test_n_matrix_on_an_array_equals_scalar_calls():
         np.testing.assert_allclose(n[..., k], n_matrix(z), rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("z", [
+    1j * 0.21 * np.arange(-60, 61),
+    1j * 0.21 * (np.arange(-60, 60) + 0.5),
+    (0.3 + 0.8j) * 0.21 * np.arange(-20, 21),
+], ids=["axis-odd", "axis-even", "off-axis"])
+def test_n_matrix_mirror_matches_point_calls(monkeypatch, z):
+    # z[::-1] == -z: the rows at -z -+ 1/2 are read reversed, bit for bit
+    # the ratio_L values of each point alone (|Im| <= 40 keeps the
+    # Euler-Maclaurin length at 48 for both), and one call on the two rows
+    # at z -+ 1/2 reaches ratio_L, which folds them again to their upper
+    # halves on the imaginary axis
+    assert np.array_equal(z[::-1], -z)
+    calls = []
+    monkeypatch.setattr(gl3, "ratio_L",
+                        lambda arg: calls.append(arg.shape) or ratio_L(arg))
+    n = n_matrix(z)
+    assert calls == [(2, z.size)]
+    r_mm, r_mp, r_pm, r_pp = (np.array([complex(ratio_L(p)) for p in row])
+                              for row in (-z - 0.5, -z + 0.5, z - 0.5,
+                                          z + 0.5))
+    for (i, j), want in (((0, 2), r_mp), ((2, 1), r_mp), ((1, 2), r_pp),
+                         ((2, 0), r_pp), ((0, 1), r_mm * r_mp),
+                         ((1, 0), r_pm * r_pp), ((2, 2), r_pp * r_mp)):
+        assert np.array_equal(n[i, j], want)
+
+
 # Off the axis n_12 (n_21) needs L at Re -0.8, which L reaches through
 # L(s) = L(1 - s), not by Euler-Maclaurin summation there.
 @pytest.mark.parametrize("re", [0.0, 0.3, -0.3])

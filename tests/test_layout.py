@@ -30,7 +30,9 @@ included, can use it.
 
 Every quotient of L values goes through zeta.ratio_L, which takes both
 factors in one kernel pass: outside zeta, no module divides one
-completed_L (or _completed_L_raw) value by another.
+completed_L (or _completed_L_raw) value by another.  The fold of conjugate
+halves lives there too: outside zeta, no module reverses an array and
+conjugates it, so a second fold of ratio_L values cannot grow elsewhere.
 
 Every gate of a CLI check is named in cli.TOLERANCES: each report.add
 passes as its tolerance either a TOLERANCES[...] lookup or the literal 0,
@@ -259,6 +261,47 @@ def test_every_L_quotient_goes_through_ratio_L():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
             and _holds_L_value(node.left) and _holds_L_value(node.right)]
     assert hits == []
+
+
+def _is_reversal(node: ast.AST) -> bool:
+    """x[..., ::-1] (a slice of step -1 on any axis) or np.flip(x)."""
+    if isinstance(node, ast.Call):
+        return _called_name(node) == "flip"
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return any(isinstance(part, ast.Slice) and part.step is not None
+               and ast.unparse(part.step) == "-1" for part in parts)
+
+
+def _reverses_and_conjugates(tree: ast.AST) -> list[int]:
+    """Lines of tree that conjugate a reversed array or reverse a
+    conjugated one, in either spelling of each."""
+    def is_conj(node):
+        return (isinstance(node, ast.Call)
+                and _called_name(node) in ("conj", "conjugate"))
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (is_conj(node) and any(_is_reversal(sub) for sub in
+                                             ast.walk(node)))
+                   or (_is_reversal(node) and any(is_conj(sub) for sub in
+                                                  ast.walk(node)))})
+
+
+def test_only_zeta_folds_conjugate_halves():
+    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "zeta.py"
+            for line in _reverses_and_conjugates(ast.parse(path.read_text()))]
+    assert hits == []
+    assert _reverses_and_conjugates(ast.parse(
+        (SRC / "zeta.py").read_text())) != []
+    assert _reverses_and_conjugates(ast.parse(
+        "a = vals[::-1].conj()\n"
+        "b = np.conj(np.flip(vals, axis=-1))\n"
+        "c = np.conjugate(vals)[..., ::-1]\n"
+        "d = vals[::-1] * np.conj(vals)\n"
+        "e = vals[::2].conj()")) == [1, 2, 3]
 
 
 def test_every_cli_gate_is_named():

@@ -357,6 +357,22 @@ def test_kappa_b_sees_the_line_step(monkeypatch, beta):
     assert abs(kappa_b - 1.0) > cli.TOLERANCES["kappa-spread"]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_contribution_A_sees_a_coarse_plane_step(monkeypatch, seed):
+    # A's imaginary plane has its nearest poles at distance 1, so the plane
+    # step line_step(1.0) agrees with its half to rounding (<= 5.1e-15
+    # measured), while 1.3 times it errs by 1.2e-11 to 1.8e-11: a check
+    # whose floor does not grow with the base, as parseval-gl3's does
+    phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(seed))
+    step = parseval._PLANE_STEP
+    a = {}
+    for factor in (1.0, 0.5, 1.3):
+        monkeypatch.setattr(parseval, "_PLANE_STEP", factor * step)
+        a[factor] = contribution_A(phi)[0]
+    assert abs(a[0.5] - a[1.0]) <= 1e-12 * abs(a[1.0])
+    assert abs(a[1.3] - a[1.0]) > 1e-12 * abs(a[1.0])
+
+
 def test_pickup_terms_in_one_call_match_per_line_calls():
     # Phi(lam) and the Gaussian, formed once per frame, and m(w, lam) on
     # the nine (sigma_ij, line i) residue lines, against three one-line

@@ -429,3 +429,72 @@ def test_two_dimensional_input_is_evaluated_point_by_point():
     for i, j in zip(rng.integers(0, 30, 40), rng.integers(0, 40, 40)):
         assert gamma_fn(s[i, j]) == gammas[i, j]
         assert completed_L(s[i, j]) == values[i, j]
+
+
+# ------------------------------------------------------ conjugate halves --
+
+
+def test_ratio_L_is_exactly_conjugation_equivariant():
+    # ratio_L(conj z) == conj ratio_L(z) bit for bit, the property the fold
+    # of conjugate halves rests on: on points of each pi-factor region
+    # (1/sqrt(pi), pi^z, sqrt(pi)), on plus= grids, and through the Laurent
+    # fill at 0, whose constant is real
+    rng = np.random.default_rng(41)
+    for lo, hi in ((-3.0, -0.5), (-0.5, 0.5), (0.5, 4.0)):
+        z = rng.uniform(lo, hi, 400) + 1j * rng.uniform(-40.0, 40.0, 400)
+        z = z[np.abs(z - 1.0) > 0.05]
+        assert np.array_equal(ratio_L(np.conj(z)), np.conj(ratio_L(z)))
+        b = circle_nodes(0.3, 12) * np.exp(1j * rng.uniform(0.0, 1.0))
+        a = z[:20]
+        assert np.array_equal(ratio_L(np.conj(a), plus=np.conj(b)),
+                              np.conj(ratio_L(a, plus=b)))
+    tiny = (rng.uniform(-7e-7, 7e-7, 50) + 1j * rng.uniform(-7e-7, 7e-7, 50))
+    tiny = np.append(tiny, [3e-7 + 2e-7j, 1e-8j])
+    assert np.array_equal(ratio_L(np.conj(tiny)), np.conj(ratio_L(tiny)))
+    assert isinstance(_laurent_c0(), float)
+
+
+def _symmetric_lines():
+    """Conjugation-symmetric last axes: odd and even lines, stacked rows,
+    and a line through the removable point 0."""
+    t_odd = 0.37 * np.arange(-40, 41)
+    t_even = 0.37 * (np.arange(-40, 40) + 0.5)
+    return {
+        "odd": 0.5 + 1j * t_odd,
+        "even": -0.8 + 1j * t_even,
+        "stacked": np.stack([a + 1j * t_even for a in (-1.5, 0.0, 0.3, 2.5)]),
+        "through-0": 1j * t_odd,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_symmetric_lines()))
+def test_folded_halves_match_pointwise_values(name):
+    # every |Im| <= 40 keeps the Euler-Maclaurin length at 48, so a point
+    # alone is bit for bit its value inside any batch
+    z = _symmetric_lines()[name]
+    assert np.array_equal(z[..., ::-1].conj(), z)
+    got = ratio_L(z)
+    assert got.shape == z.shape
+    want = np.array([complex(ratio_L(p)) for p in z.ravel()])
+    assert np.array_equal(got.ravel(), want)
+
+
+@pytest.mark.parametrize("name", sorted(_symmetric_lines()))
+def test_folded_halves_take_half_the_kernel_points(monkeypatch, name):
+    # z and 1 + z of the upper half, the centre of an odd axis with it: one
+    # pass on about half the 2 z.size points of the unfolded call
+    _laurent_c0()  # cached, so its own kernel calls are not counted here
+    points = []
+    kernel = zeta_module._zeta_em_core
+
+    def counting(a, b, reflect):
+        points.append(a.size)
+        return kernel(a, b, reflect)
+    monkeypatch.setattr(zeta_module, "_zeta_em_core", counting)
+    z = _symmetric_lines()[name]
+    ratio_L(z)
+    n = z.shape[-1]
+    assert points == [2 * (z.size // n) * (n - n // 2)]
+    points.clear()
+    ratio_L(z + 0.01j)  # not symmetric: the whole axis
+    assert points == [2 * z.size]
