@@ -47,12 +47,27 @@ test-function independence is checked rather than presumed.
 conj(Phi(-s conj(lam))) is evaluated as Phi*(-s lam) with Phi* the
 coefficient-conjugated profile, which is entire in lam; this is what makes
 the contour shift legitimate.
+
+What does not depend on the profile is computed once per process and
+cached on exact keys; no value of ratio_L on a grid is.  Per frame (base,
+x_dir, y_dir) of weights: the lines of lam and of -w lam for every Weyl
+element (from WeylElement.act_coords) and their monomial tables, so that
+Q(lam), Q*(-w lam) and <lam, lam> are sums of tables weighted by the
+profile's coefficients, six 3 x 3 tables at degree <= 2 on GL(3)
+(_frame_tables).  Per root datum: the Gram matrix in floats, the
+inversion sets, and R1 on its circle, keyed by the circle too.  The
+correction lines of the pole-corrected plane ride the plane's own
+evaluation of the integrand (_plane_terms), so each reads the ratio_L
+array of its free coordinate from the plane's.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -122,12 +137,12 @@ class PaleyWienerGaussian:
 
     def _gram_form(self, coords: tuple):
         """Bilinear <lam, lam> as a function of the coordinates."""
-        gram = self.datum.gram_fw
+        gram = _gram(self.datum)
         total = 0.0
         r = self.datum.rank
         for i in range(r):
             for j in range(r):
-                total = total + float(gram[i][j]) * coords[i] * coords[j]
+                total = total + gram[i][j] * coords[i] * coords[j]
         return total
 
     def value_coords(self, *coords):
@@ -169,7 +184,7 @@ class PaleyWienerGaussian:
 # The step of the plane rule.  On lam0 + i R^r each pole plane z_k = 1 lies
 # d_k = lam0_k - 1 >= 0.05 off the t-plane, and its simple pole adds the
 # exact term pole_factor(d_k, step) Line_k to the trapezoid sum, which
-# _pole_correction subtracts.  Past those planes the nearest singularity
+# _plane_rule subtracts.  Past those planes the nearest singularity
 # of the shifted integrand is the plane z_1 + z_2 = 1, lam0_1 + lam0_2 - 1
 # >= 1.1 off (that of ratio_L(z_1 + z_2), on GL(3) alone); on A's
 # imaginary plane the poles z_k = 1 and z_1 + z_2 = 1 lie at distance 1.
@@ -214,33 +229,101 @@ def _line_window(beta: float) -> tuple[np.ndarray, float]:
 # ------------------------------------------------------ shifted integrand --
 
 
-def _affine_poly(terms, lines, size: int) -> np.ndarray:
-    """The (size, size) matrix P with sum over the (e, coeff) terms of
-    coeff prod_k (a_k + b_k x + c_k y)^(e_k) = sum_pq P[p, q] x^p y^q, for
-    lines[k] = (a_k, b_k, c_k).  An exponent tuple e shorter than lines
-    leaves the remaining coordinates at power 0; size must exceed the total
-    degree."""
-    poly = np.zeros((size, size), dtype=np.complex128)
-    for expo, coeff in terms:
-        term = {(0, 0): complex(coeff)}
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _monomials(rank: int, size: int) -> Mapping[tuple[int, ...], int]:
+    """The exponent tuples of total degree < size in rank coordinates, each
+    with its row in the tables of _tables."""
+    return MappingProxyType({e: k for k, e in enumerate(
+        e for e in itertools.product(range(size), repeat=rank)
+        if sum(e) < size)})
+
+
+@functools.cache
+def _gram(datum: RootDatum) -> tuple[tuple[float, ...], ...]:
+    """<w_i, w_j> in floats, once per root datum (gram_fw rebuilds it in
+    exact arithmetic on every access)."""
+    return tuple(tuple(float(g) for g in row) for row in datum.gram_fw)
+
+
+@functools.cache
+def _gram_coefficients(datum: RootDatum, size: int) -> np.ndarray:
+    """<lam, lam> = sum_ij <w_i, w_j> lam_i lam_j as coefficients on the
+    monomials of _monomials(rank, size)."""
+    index = _monomials(datum.rank, size)
+    coeffs = np.zeros(len(index), dtype=np.complex128)
+    for i, row in enumerate(_gram(datum)):
+        for j, g in enumerate(row):
+            coeffs[index[tuple((k == i) + (k == j)
+                               for k in range(datum.rank))]] += g
+    return _read_only(coeffs)
+
+
+def _coefficients(poly_coeffs: Mapping, index: Mapping) -> np.ndarray:
+    """A profile's coefficients on the monomials of index; an exponent
+    tuple shorter than the rank leaves the remaining coordinates at power
+    0."""
+    rank = len(next(iter(index)))
+    coeffs = np.zeros(len(index), dtype=np.complex128)
+    for expo, c in poly_coeffs.items():
+        coeffs[index[tuple(expo) + (0,) * (rank - len(expo))]] += c
+    return coeffs
+
+
+def _tables(lines: tuple, size: int) -> np.ndarray:
+    """The (monomials, size * size) table T with prod_k (a_k + b_k x + c_k
+    y)^(e_k) = sum_pq T[e, size p + q] x^p y^q for each monomial e of
+    _monomials(len(lines), size), lines[k] = (a_k, b_k, c_k)."""
+    index = _monomials(len(lines), size)
+    tables = np.zeros((len(index), size, size), dtype=np.complex128)
+    for expo, row in index.items():
+        poly = tables[row]
+        poly[0, 0] = 1.0
         for (a, b, c), e in zip(lines, expo):
             for _ in range(e):
-                product = {}
-                for (p, q), v in term.items():
-                    for key, f in (((p, q), a), ((p + 1, q), b),
-                                   ((p, q + 1), c)):
-                        if f:
-                            product[key] = product.get(key, 0.0) + v * f
-                term = product
-        for (p, q), v in term.items():
-            poly[p, q] += v
-    return poly
+                product = a * poly
+                product[1:, :] += b * poly[:-1, :]
+                product[:, 1:] += c * poly[:, :-1]
+                poly[...] = product
+    return _read_only(tables.reshape(len(index), size * size))
 
 
-def _lines(coords) -> list[tuple[complex, ...]]:
-    """lines[k] = (a_k, b_k, c_k) of lam_k = a_k + b_k x + c_k y, from the
-    coordinate tuples of base, x_dir and y_dir."""
-    return list(zip(*(map(complex, c) for c in coords)))
+def _frame_lines(frame: tuple, w) -> tuple[tuple[complex, ...], ...]:
+    """lines[k] = (a_k, b_k, c_k) of mu_k = a_k + b_k x + c_k y, for mu =
+    lam (w None) or mu = -w lam on lam = base + x x_dir + y y_dir, frame
+    = (base, x_dir, y_dir): the exact coordinates of the frame's weights,
+    or their images under w.act_coords."""
+    coords = [d.coeffs for d in frame]
+    if w is not None:
+        coords = [w.act_coords(*(-c for c in cs)) for cs in coords]
+    return tuple(zip(*(map(complex, c) for c in coords)))
+
+
+# Keyed by exact values, the frame's weights; bounded only for a long run
+# over many drawn base points, since one spectral op uses about a dozen
+# frames.
+@functools.lru_cache(maxsize=1024)
+def _frame_tables(frame: tuple, size: int) -> Mapping:
+    """The profile-free algebra of a frame: (lines, tables) of lam under
+    the key None and of -w lam under w.perm, for every w of the Weyl
+    group (_frame_lines, _tables)."""
+    weyl = frame[0].datum.weyl_group()
+    return MappingProxyType({
+        None if w is None else w.perm: (lines, _tables(lines, size))
+        for w in (None, *weyl) for lines in [_frame_lines(frame, w)]})
+
+
+def _affine_poly(coeffs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The (size, size) matrix P with sum_pq P[p, q] x^p y^q the polynomial
+    of monomial coefficients coeffs on the lines of tables (_tables): a
+    sum of at most |coeffs| tables.  coeffs may stack several polynomials
+    along a leading axis."""
+    size = math.isqrt(tables.shape[-1])
+    return (coeffs @ tables).reshape(*np.shape(coeffs)[:-1], size, size)
 
 
 def _on_grid(poly: np.ndarray, vx: np.ndarray, vy: np.ndarray | None):
@@ -263,45 +346,51 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
     this module sums m(w, lam) Phi(lam) conj(Phi(-w conj lam)) over it.
     Both profiles are built at matmul cost.  lam and -w lam are affine in
     (x, y), with coefficients the exact coordinates of base, x_dir, y_dir
-    and their images under -w, so Q(lam) and Q*(-w lam) are polynomials in
-    (x, y) of degree <= deg Q: their values are vx P vy^T (_affine_poly,
-    _on_grid).  The Gaussian exp(beta <lam, lam>), its exponent expanded
-    the same way, is formed once per distinct frame, since <-w lam, -w lam>
-    = <lam, lam> for every w, and so is Phi(lam).  Without y, y_dir is
-    zero.  Phi*(-w lam) is built before m_on_grid forms m(w, lam): built
-    after, its temporaries would sit next to m and raise the peak memory by
-    one grid-sized array.
+    and their images under -w (_frame_lines), so Q(lam), Q*(-w lam) and
+    <lam, lam> are polynomials in (x, y) of degree <= max(deg Q, 2): their
+    values are vx P vy^T, P a sum of the monomial tables of their lines
+    weighted by the coefficients (_tables, _affine_poly, _on_grid).  Lines
+    and tables are cached, so a frame seen before costs no Weyl action and
+    no expansion.  The Gaussian exp(beta <lam, lam>) is formed once per
+    distinct frame, since <-w lam, -w lam> = <lam, lam> for every w, and
+    so is Phi(lam).  Without y, y_dir is zero.  With y, a frame whose x_dir
+    (or y_dir) is zero takes the one-row Vandermonde matrix of the node 0
+    in x (or y), so that its profiles are (1, y.size) (or (x.size, 1)), as
+    m_on_grid's m is there.  Phi*(-w lam) is built before m_on_grid forms
+    m(w, lam): built after, its temporaries would sit next to m and raise
+    the peak memory by one grid-sized array.
     """
     r = phi.datum.rank
     frames = list(zip(*(
         d if isinstance(d, list) else [d] * len(ws)
         for d in (base, x_dir,
                   phi.datum.weight((0,) * r) if y is None else y_dir))))
-    star = phi.star()
     elements = [w[0] if isinstance(w, tuple) else w for w in ws]
-    gram = [(tuple((k == i) + (k == j) for k in range(r)), float(g))
-            for i, row in enumerate(phi.datum.gram_fw)
-            for j, g in enumerate(row)]
     size = max([2, *(sum(e) for e in phi.poly_coeffs)]) + 1
+    index = _monomials(r, size)
+    coeffs = np.stack((_gram_coefficients(phi.datum, size),
+                       _coefficients(phi.poly_coeffs, index)))
+    q_star = _coefficients(phi.star().poly_coeffs, index)
     vx = np.vander(np.asarray(x, dtype=np.complex128), size, increasing=True)
     vy = (None if y is None else
           np.vander(np.asarray(y, dtype=np.complex128), size, increasing=True))
-    profiles = {}
-    for frame in frames:
-        if frame not in profiles:
-            lines = _lines(d.coeffs for d in frame)
-            gauss = np.exp(phi.beta
-                           * _on_grid(_affine_poly(gram, lines, size), vx, vy))
-            phi_vals = _on_grid(_affine_poly(phi.poly_coeffs.items(), lines,
-                                             size), vx, vy)
-            phi_vals *= gauss
-            profiles[frame] = gauss, phi_vals
+    node_0 = np.eye(1, size)
+    slots = {}
+    order = [slots.setdefault(frame, len(slots)) for frame in frames]
+    profiles = []
+    for frame in slots:
+        tables = _frame_tables(frame, size)
+        grid = (vx if any(frame[1].coeffs) else node_0,
+                vy if vy is None or any(frame[2].coeffs) else node_0)
+        gram, poly = _affine_poly(coeffs, tables[None][1])
+        gauss = np.exp(phi.beta * _on_grid(gram, *grid))
+        phi_vals = _on_grid(poly, *grid)
+        phi_vals *= gauss
+        profiles.append((tables, grid, gauss, phi_vals))
     ms = m_on_grid(ws, base, x_dir, x, y_dir, y)
-    for w, frame in zip(elements, frames):
-        gauss, phi_vals = profiles[frame]
-        w_lines = _lines(w.act_coords(*(-c for c in d.coeffs)) for d in frame)
-        image = _on_grid(_affine_poly(star.poly_coeffs.items(), w_lines,
-                                      size), vx, vy)
+    for w, slot in zip(elements, order):
+        tables, grid, gauss, phi_vals = profiles[slot]
+        image = _on_grid(_affine_poly(q_star, tables[w.perm][1]), *grid)
         image *= gauss
         yield next(ms), phi_vals, image
 
@@ -309,29 +398,58 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
 # ------------------------------------------- shifted integral, A and C --
 
 
-def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple):
+def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple, lines: list):
     """(weight, terms): terms yields the shifted integrand (m(w, lam),
     Phi(lam), Phi*(-w lam)) of each w in phi.datum.weyl_group() on lam =
     lam0 + i R^r, r the rank (1 or 2), on the plane window in each
-    coordinate; its sum times weight = (step/2pi)^r is the term of w."""
+    coordinate; its sum times weight = (step/2pi)^r is the term of w.
+
+    After them, on GL(3), terms yields the same triple for each (w, root)
+    of lines, with the factor of root, a simple root (k, k + 1), left out
+    of m, on the line of the plane's nodes where z_k = 1: lam = lam0 with
+    coordinate k set to 1, plus i t along the other fundamental weight.
+    The lines ride the plane's one _shifted_integrand call, their frames
+    with a zero direction along z_k: m_on_grid then reads the line's
+    ratio_L array of the other coordinate from the plane's, and its arrays
+    are one row or one column of the plane's shape."""
     datum = phi.datum
     if datum.rank > 2:
         raise DomainError("the shifted integral needs GL(2) or GL(3)")
     t, step = _plane_window(phi.beta)
     it = 1j * t
-    y_dir, y = (datum.fundamental_weight(2), it) if datum.rank == 2 else (
-        None, None)
-    return (step / (2.0 * np.pi)) ** datum.rank, _shifted_integrand(
-        phi, datum.weyl_group(), datum.weight(lam0),
-        datum.fundamental_weight(1), it, y_dir, y)
+    scale = (step / (2.0 * np.pi)) ** datum.rank
+    weyl = datum.weyl_group()
+    if datum.rank == 1:
+        return scale, _shifted_integrand(
+            phi, weyl, datum.weight(lam0), datum.fundamental_weight(1), it,
+            None, None)
+    dirs = (datum.fundamental_weight(1), datum.fundamental_weight(2))
+    zero = datum.weight((0, 0))
+    fixed = [root[0] - 1 for _, root in lines]
+    frames = [(datum.weight(lam0), *dirs)] * len(weyl) + [
+        (datum.weight(tuple(1.0 if j == k else c for j, c in enumerate(lam0))),
+         *(zero if j == k else d for j, d in enumerate(dirs)))
+        for k in fixed]
+    base, x_dir, y_dir = (list(d) for d in zip(*frames))
+    ws = [*weyl, *((w, (root,)) for w, root in lines)]
+    return scale, _shifted_integrand(phi, ws, base, x_dir, it, y_dir, it)
 
 
-def _ratio_residue(datum: RootDatum) -> complex:
-    """R1 = Res_{s=1} ratio_L, on _RESIDUE_CIRCLE: m(s_1, lam) = ratio_L(z_1)
-    on lam = (1 + u) w_1."""
+@functools.cache
+def _ratio_residue(datum: RootDatum, circle: tuple[float, int]) -> complex:
+    """R1 = Res_{s=1} ratio_L on the (radius, nodes) circle: m(s_1, lam) =
+    ratio_L(z_1) on lam = (1 + u) w_1.  Computed once per root datum and
+    circle."""
     s1, w1 = datum.simple_reflection(1), datum.fundamental_weight(1)
     return complex(circle_residue(lambda u: next(m_on_grid([s1], w1, w1, u)),
-                                  _RESIDUE_CIRCLE))
+                                  circle))
+
+
+def _residues(r1: complex, terms, triples):
+    """r1^len(dropped) m(w, lam) Phi(lam) Phi*(-w lam) for each (w, dropped)
+    of terms, from the triples of _shifted_integrand (see _residue_line)."""
+    for (_, dropped), (m, phi_vals, image) in zip(terms, triples):
+        yield r1 ** len(dropped) * m * phi_vals * image
 
 
 def _residue_line(phi: PaleyWienerGaussian, r1: complex, terms, base,
@@ -342,24 +460,32 @@ def _residue_line(phi: PaleyWienerGaussian, r1: complex, terms, base,
     y_dir may be lists of one frame per term); r1 is R1 = Res_{s=1}
     ratio_L (_ratio_residue) wherever a root is dropped.
 
-    The one evaluator of residues of the shifted integrand.  The pole of
-    m(w, .) across <lam, root_check> = 1 is that of its one factor
-    ratio_L(<lam, root_check>), so on that plane a term with dropped =
-    (root,) is the residue of its integrand across it, and with two roots
-    the double residue where both planes meet.  Its readers are the plane
-    correction (_pole_correction), the kappa_B pickup and, with nothing
-    dropped, the kappa_C circle, which takes the residue at rho by
+    The one evaluator of residues of the shifted integrand, with _residues
+    its factor r1^len(dropped).  The pole of m(w, .) across <lam,
+    root_check> = 1 is that of its one factor ratio_L(<lam, root_check>),
+    so on that plane a term with dropped = (root,) is the residue of its
+    integrand across it, and with two roots the double residue where both
+    planes meet.  Its readers are the corner of the plane's pole correction
+    (_plane_rule, whose lines ride the plane's call through _plane_terms
+    and take their factor from _residues), the kappa_B pickup and, with
+    nothing dropped, the kappa_C circle, which takes the residue at rho by
     quadrature instead.
     """
-    return np.stack([
-        r1 ** len(dropped) * m * phi_vals * image
-        for (_, dropped), (m, phi_vals, image) in zip(
-            terms, _shifted_integrand(phi, terms, base, x_dir, x, y_dir, y))])
+    return np.stack(list(_residues(r1, terms, _shifted_integrand(
+        phi, terms, base, x_dir, x, y_dir, y))))
 
 
-def _pole_correction(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
-    """What the pole planes z_k = 1 add to the plane rule of _plane_terms
-    on lam0 + i R^r: on GL(3),
+@functools.cache
+def _inversion_sets(datum: RootDatum) -> tuple:
+    """(w, w.inversions()) for each w of the Weyl group, once per root
+    datum."""
+    return tuple((w, w.inversions()) for w in datum.weyl_group())
+
+
+def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
+                                                                complex]:
+    """(raw, correction): the plane rule of _plane_terms on lam0 + i R^r,
+    and what the pole planes z_k = 1 add to it: on GL(3),
 
         e_1 Line_1 + e_2 Line_2 - e_1 e_2 RR,
         e_k = pole_factor(lam0_k - 1, step),
@@ -370,51 +496,48 @@ def _pole_correction(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
     correction is C e_1.  The t_1 rule adds e_1 Line_1 to the t_2 rule of
     the t_1 integral, and that t_2 rule adds e_2 times the integral of
     line 2, which is the summed Line_2 less e_1 RR: so the corner enters
-    with the opposite sign.  A term enters when its factor exceeds
-    2^-53."""
+    with the opposite sign.  A term enters when its factor exceeds 2^-53.
+    The lines come from the plane's own pass (_plane_terms)."""
     datum, rank = phi.datum, phi.datum.rank
-    t, step = _plane_window(phi.beta)
+    step = _plane_window(phi.beta)[1]
     factors = [pole_factor(c - 1.0, step) for c in lam0]
     simple = [(k, k + 1) for k in range(1, rank + 1)]
-    r1 = _ratio_residue(datum)
+    r1 = _ratio_residue(datum, _RESIDUE_CIRCLE)
+    lines = [(w, simple[k]) for k, e in enumerate(factors)
+             if rank == 2 and e > 2.0 ** -53
+             for w, inversions in _inversion_sets(datum)
+             if simple[k] in inversions]
+    scale, terms = _plane_terms(phi, lam0, lines)
+    raw = sum(complex(np.sum(m * phi_vals * image)) * scale
+              for m, phi_vals, image in itertools.islice(
+                  terms, len(datum.weyl_group())))
     correction = 0.0 + 0.0j
     if math.prod(factors) > 2.0 ** -53:
         # every pole plane meets at rho: the GL(2) point, the GL(3) corner
-        terms = [(w, tuple(simple)) for w in datum.weyl_group()
-                 if w.inversions().issuperset(simple)]
-        point = np.sum(_residue_line(phi, r1, terms, datum.rho(),
+        corner = [(w, tuple(simple)) for w, inversions in
+                  _inversion_sets(datum) if inversions.issuperset(simple)]
+        point = np.sum(_residue_line(phi, r1, corner, datum.rho(),
                                      datum.fundamental_weight(1),
                                      np.zeros(1), None, None))
         correction += (-1) ** (rank + 1) * math.prod(factors) * point
-    lines = ([k for k, e in enumerate(factors) if e > 2.0 ** -53]
-             if rank == 2 else [])
     if lines:
-        rows = [(k, w) for k in lines for w in datum.weyl_group()
-                if simple[k] in w.inversions()]
-        vals = _residue_line(
-            phi, r1, [(w, (simple[k],)) for k, w in rows],
-            [datum.weight(tuple(1.0 if j == k else c
-                                for j, c in enumerate(lam0)))
-             for k, _ in rows],
-            [datum.fundamental_weight(2 - k) for k, _ in rows], 1j * t,
-            None, None)
-        weights = np.array([factors[k] for k, _ in rows])
+        vals = np.stack([v.ravel() for v in _residues(
+            r1, [(w, (root,)) for w, root in lines], terms)])
+        weights = np.array([factors[root[0] - 1] for _, root in lines])
         correction += np.sum(weights @ vals) * step / (2.0 * np.pi)
-    return complex(correction)
+    return raw, complex(correction)
 
 
 def _shifted_norm(phi: PaleyWienerGaussian, lam0: tuple) -> complex:
     """The shifted integral over lam0 + i R^r: the plane rule less its pole
-    correction.  Every coordinate of lam0 must be >= 1.05: beyond rho, and
-    at least 0.05 from its pole plane z_k = 1 (on GL(3) the plane z_1 + z_2
-    = 1 is then farther still)."""
+    correction (_plane_rule).  Every coordinate of lam0 must be >= 1.05:
+    beyond rho, and at least 0.05 from its pole plane z_k = 1 (on GL(3)
+    the plane z_1 + z_2 = 1 is then farther still)."""
     if not all(1.05 <= c < math.inf for c in lam0):
         raise DomainError(f"contour base {lam0} needs every coordinate >= "
                           "1.05: beyond rho, 0.05 from its pole plane")
-    scale, terms = _plane_terms(phi, lam0)
-    raw = sum(complex(np.sum(m * phi_vals * image)) * scale
-              for m, phi_vals, image in terms)
-    return raw - _pole_correction(phi, lam0)
+    raw, correction = _plane_rule(phi, lam0)
+    return raw - correction
 
 
 def shifted_norm_gl2(phi: PaleyWienerGaussian, sigma0: float) -> complex:
@@ -443,7 +566,7 @@ def shifted_norm_gl3(phi: PaleyWienerGaussian,
 def contribution_A(phi: PaleyWienerGaussian) -> tuple[complex, complex]:
     """Continuous contribution on i R^r, both ways: (direct W-sum,
     (1/|W|) |F|^2 form)."""
-    scale, terms = _plane_terms(phi, (0.0,) * phi.datum.rank)
+    scale, terms = _plane_terms(phi, (0.0,) * phi.datum.rank, [])
     direct = 0.0 + 0.0j
     f_sum = 0.0
     # Phi(w lam) = conj Phi*(-w lam) on the imaginary plane
@@ -517,8 +640,9 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     terms = [(sigma(i, j), (_line_root(i),)) for i in (1, 2, 3)
              for j in (1, 2, 3)]
     pickup = np.sum(_residue_line(
-        phi, _ratio_residue(GL3), terms, [delta_weight(i) for i in lines],
-        [line_direction(i) for i in lines], x, None, None))
+        phi, _ratio_residue(GL3, _RESIDUE_CIRCLE), terms,
+        [delta_weight(i) for i in lines], [line_direction(i) for i in lines],
+        x, None, None))
     kappa_b = (pickup * step / (2.0 * np.pi) / b_direct).real
 
     # inner circle in z1 around 1, outer circle in z2 around 1; nothing is

@@ -23,15 +23,19 @@ Evaluation strategy:
   value does not depend on its batch.
 * Separable grids.  The evaluators take an optional second argument and
   then work on the outer sum s_ij = a_i + b_j.  The Euler-Maclaurin partial
-  sum factors there, sum_{n<N} n^(-a_i - b_j) = (E_a @ E_b^T)_ij with
-  E_x[k, n] = exp(-x_k log n), so |a| + |b| rows of exponentials and one
-  matrix product replace |a| |b| N exponentials (the dense, low-N relative
-  of Odlyzko-Schoenhage multi-evaluation).  Reflected points stay on a
-  grid, 1 - a_i - b_j = (1 - a_i) + (-b_j); a grid that straddles Re 1/2
-  takes one product per side.  The Bernoulli tail, Gamma, pi^(-w/2), the
-  pole guard and the Laurent fill stay per point, and N is chosen from
-  max |Im s_ij| over the whole grid.  A pointwise call is the
-  degenerate case without b, where the product is the row sum of n^(-w).
+  sum factors there, sum_{n<N} n^(-a_i - b_j) = sum_n E_a[i, n] E_b[j, n]
+  with E_x[k, n] = exp(-x_k log n), so |a| + |b| rows of exponentials and
+  one contraction replace |a| |b| N exponentials (the dense, low-N
+  relative of Odlyzko-Schoenhage multi-evaluation).  The contraction is a
+  plain einsum, never a BLAS product: on the kappa_C grid (64 x 48 by
+  48 x 34) a BLAS product is large enough to start a thread pool, whose
+  threads then spin between calls and compete with the caller for CPU.
+  Reflected points stay on a grid, 1 - a_i - b_j = (1 - a_i) + (-b_j); a
+  grid that straddles Re 1/2 takes one contraction per side.  The
+  Bernoulli tail, Gamma, pi^(-w/2), the pole guard and the Laurent fill
+  stay per point, and N is chosen from max |Im s_ij| over the whole grid.
+  A pointwise call is the degenerate case without b, where the
+  contraction is the row sum of n^(-w).
 * Gamma by a fixed Lanczos coefficient set (g = 607/128, 15 terms), with the
   reflection formula for Re(s) < 1/2.  The terms c_k / (z + k - 1) are one
   14-row table whose rows are added in order, the order of the term-by-term
@@ -228,12 +232,13 @@ def _zeta_em_core(a, b, reflect):
     if b is None:
         acc = powers(w).sum(axis=-1)
     else:
-        # sum_{n < N} n^(-x_i - y_j) = (powers(x) @ powers(y)^T)_ij, with
-        # (x, y) = (a, b) where w = s and (1 - a, -b) where w = 1 - s
+        # sum_{n < N} n^(-x_i - y_j) = sum_n powers(x)[i, n] powers(y)[j, n],
+        # with (x, y) = (a, b) where w = s and (1 - a, -b) where w = 1 - s
         acc = 0.0
         for side, x, y in ((~left, a, b), (left, 1.0 - a, -b)):
             if side.any():
-                acc = np.where(side, powers(x) @ powers(y).T, acc)
+                acc = np.where(side, np.einsum("in,jn->ij", powers(x),
+                                               powers(y)), acc)
 
     N = float(n_terms)
     logN = math.log(N)

@@ -83,8 +83,19 @@ def test_residue_node_stability_can_fail(monkeypatch):
     assert stability.residual > 1e3 * cli.TOLERANCES["node-stability"]
 
 
+@pytest.fixture
+def fresh_r1():
+    """R1 = Res_{s=1} ratio_L is cached per root datum and circle: a test
+    that mutates the kernel computes it afresh under the mutation, and
+    leaves no mutated value behind."""
+    cached = parseval._ratio_residue
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
 @pytest.mark.parametrize("kernel", ["_gamma_raw", "_ratio_L_raw"])
-def test_conjugation_equivariance_can_fail(monkeypatch, kernel):
+def test_conjugation_equivariance_can_fail(monkeypatch, kernel, fresh_r1):
     # the check reads exactly 0 on every seed; Gamma off by a factor of
     # 1 + 1e-9 i breaks the symmetry in L and fails it, and so does the
     # quotient of ratio_L alone, which the check covers with zeta and L
@@ -144,6 +155,36 @@ def test_parseval_kappa_unity_sees_a_relative_fault(monkeypatch, name):
                         lambda *args: scaled(*args) * (1.0 + 1e-7))
     report = run(RunConfig(command="parseval"))
     failed = [r.name for r in report.records if not r.passed]
+    assert "parseval-kappa-unity" in failed
+
+
+def _on_the_R1_circle(z) -> bool:
+    radius, nodes = parseval._RESIDUE_CIRCLE
+    return np.size(z) == nodes and np.allclose(np.abs(np.asarray(z) - 1.0),
+                                               radius)
+
+
+@pytest.mark.parametrize("fault", ["value", "kernel", "circle"])
+def test_parseval_kappa_unity_sees_a_fault_in_R1(monkeypatch, fresh_r1,
+                                                 fault):
+    # R1 enters kappa_B and the plane's pole correction, and is cached per
+    # root datum and circle: R1 itself or the kernel on its circle off by
+    # 1e-7, or a coarse circle of 3 nodes (a new key; R1 off by 6.8e-7),
+    # each moves kappa_B past its gate
+    zeta_module = importlib.import_module("eisenspec.zeta")
+    if fault == "value":
+        residue = parseval._ratio_residue
+        monkeypatch.setattr(parseval, "_ratio_residue",
+                            lambda *args: residue(*args) * (1.0 + 1e-7))
+    elif fault == "kernel":
+        raw = zeta_module._ratio_L_raw
+        monkeypatch.setattr(
+            zeta_module, "_ratio_L_raw", lambda z, plus: raw(z, plus) * (
+                1.0 + 1e-7 * (plus is None and _on_the_R1_circle(z))))
+    else:
+        monkeypatch.setattr(parseval, "_RESIDUE_CIRCLE", (0.1, 3))
+    failed = [r.name for r in run(RunConfig(command="parseval")).records
+              if not r.passed]
     assert "parseval-kappa-unity" in failed
 
 

@@ -34,6 +34,11 @@ completed_L (or _completed_L_raw) value by another.  The fold of conjugate
 halves lives there too: outside zeta, no module reverses an array and
 conjugates it, so a second fold of ratio_L values cannot grow elsewhere.
 
+zeta forms no BLAS product: no @, dot, matmul, tensordot, inner or vdot,
+and no einsum with optimize, which may hand its contraction to BLAS.  A
+BLAS product large enough to start a thread pool leaves threads spinning
+between ratio_L calls.
+
 Every gate of a CLI check is named in cli.TOLERANCES: each report.add
 passes as its tolerance either a TOLERANCES[...] lookup or the literal 0,
 for a check that must hold exactly.  A bound computed at the check, or a
@@ -302,6 +307,33 @@ def test_only_zeta_folds_conjugate_halves():
         "c = np.conjugate(vals)[..., ::-1]\n"
         "d = vals[::-1] * np.conj(vals)\n"
         "e = vals[::2].conj()")) == [1, 2, 3]
+
+
+def _blas_products(tree: ast.AST) -> list[int]:
+    """Lines of tree that form a product BLAS may evaluate."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult))
+                   or (isinstance(node, ast.Call)
+                       and (_called_name(node) in ("dot", "matmul",
+                                                   "tensordot", "inner",
+                                                   "vdot")
+                            or (_called_name(node) == "einsum"
+                                and any(k.arg == "optimize"
+                                        for k in node.keywords))))})
+
+
+def test_zeta_forms_no_blas_product():
+    assert _blas_products(ast.parse((SRC / "zeta.py").read_text())) == []
+    assert _blas_products(ast.parse(
+        "a = x @ y.T\n"
+        "a @= y\n"
+        "b = np.dot(x, y)\n"
+        "c = x.dot(y)\n"
+        "d = np.einsum('in,jn->ij', x, y, optimize=True)\n"
+        "e = np.tensordot(x, y, 1) + np.inner(x, y) + np.matmul(x, y)\n"
+        "f = np.einsum('in,jn->ij', x, y)\n"
+        "g = x * y")) == [1, 2, 3, 4, 5, 6]
 
 
 def test_every_cli_gate_is_named():

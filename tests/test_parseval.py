@@ -14,11 +14,12 @@ from eisenspec.parseval import (PaleyWienerGaussian, contribution_A,
                                 decomposed_norm_gl2, measure_constants,
                                 parseval_check_gl3, shifted_norm_gl2,
                                 shifted_norm_gl3)
-from eisenspec.roots import RootDatum
+from eisenspec.roots import RootDatum, WeylElement
 from eisenspec.zeta import completed_L, ratio_L
 
 GL2 = RootDatum(2)
 GL3 = RootDatum(3)
+EPS = np.finfo(np.float64).eps
 
 
 def test_gl2_contour_independence():
@@ -112,7 +113,7 @@ def test_gl2_pole_correction_is_C_times_the_pole_factor(sigma0):
     phi = _random_quadratic(GL2, 0.5, 6)
     step = parseval._plane_window(phi.beta)[1]
     want = contribution_C(phi) * pole_factor(sigma0 - 1.0, step)
-    got = parseval._pole_correction(phi, (sigma0,))
+    got = parseval._plane_rule(phi, (sigma0,))[1]
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
@@ -205,7 +206,7 @@ def test_rule_sized_circles_are_stable_under_node_doubling(monkeypatch):
     def values():
         return [*measure_constants(phi, b_direct, c),
                 *(v for _, _, v in gl3.double_residue_table()),
-                parseval._pole_correction(phi, (1.05, 1.05))]
+                parseval._plane_rule(phi, (1.05, 1.05))[1]]
 
     before = values()
     doubled = tuple((r, 2 * n) for r, n in gl3.DOUBLE_CIRCLES)
@@ -379,7 +380,7 @@ def test_pickup_terms_in_one_call_match_per_line_calls():
     # calls
     phi = _random_quadratic(GL3, 0.5, 4)
     x = 1j * (parseval._LINE_STEP * (np.arange(-30, 30) + 0.5))
-    r1 = parseval._ratio_residue(GL3)
+    r1 = parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
     terms = [(gl3.sigma(i, j), (parseval._line_root(i),))
              for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -401,7 +402,7 @@ def test_residue_line_matches_the_circle_form(seed):
     # lines z_k = 1 at (1.3, 1.8) and on the kappa_B lines (3.7e-15
     # measured)
     phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(seed))
-    r1 = parseval._ratio_residue(GL3)
+    r1 = parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)
     x = 1j * parseval._LINE_STEP * np.arange(-40, 41)
     w1, w2 = GL3.fundamental_weight(1), GL3.fundamental_weight(2)
     frames = [(GL3.weight((1.0, 1.8)), w2, w1, (1, 2)),
@@ -418,6 +419,110 @@ def test_residue_line_matches_the_circle_form(seed):
             parseval._shifted_integrand(phi, ws, base, x_dir, x, u_dir, u)]),
             trapezoid_circle(0.1, 0.7))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _term_by_term(terms, lines, size):
+    """The term-by-term expansion of sum over (e, coeff) of coeff prod_k
+    (a_k + b_k x + c_k y)^(e_k) into a (size, size) matrix, lines[k] =
+    (a_k, b_k, c_k): the oracle of the monomial tables."""
+    poly = np.zeros((size, size), dtype=np.complex128)
+    for expo, coeff in terms:
+        term = {(0, 0): complex(coeff)}
+        for (a, b, c), e in zip(lines, expo):
+            for _ in range(e):
+                product = {}
+                for (p, q), v in term.items():
+                    for key, f in (((p, q), a), ((p + 1, q), b),
+                                   ((p, q + 1), c)):
+                        if f:
+                            product[key] = product.get(key, 0.0) + v * f
+                term = product
+        for (p, q), v in term.items():
+            poly[p, q] += v
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_tables_match_the_term_by_term_expansion(seed):
+    # Q and <lam, lam> as sums of cached tables against the expansion term
+    # by term, on random complex lines and on the Weyl images of a kappa_B
+    # line's exact frame, to a few ulp of the expansion in absolute values
+    # (1.8 ulp at worst over 20 seeds, measured)
+    rng = np.random.default_rng(seed)
+    frame = (gl3.delta_weight(2), gl3.line_direction(2), GL3.weight((0, 0)))
+    for datum in (GL2, GL3):
+        phi = PaleyWienerGaussian.random(datum, rng)
+        gram = [(tuple((k == i) + (k == j) for k in range(datum.rank)), g)
+                for i, row in enumerate(datum.gram_fw)
+                for j, g in enumerate(row)]
+        size = 3
+        index = parseval._monomials(datum.rank, size)
+        lines = [tuple(tuple(complex(*rng.uniform(-3, 3, 2))
+                             for _ in range(3)) for _ in range(datum.rank))
+                 for _ in range(3)]
+        if datum is GL3:
+            lines += [parseval._frame_lines(frame, w)
+                      for w in (None, *GL3.weyl_group())]
+        for line in lines:
+            tables = parseval._tables(line, size)
+            magnitudes = tuple(tuple(abs(v) for v in k) for k in line)
+            for terms, coeffs in (
+                    (list(phi.poly_coeffs.items()),
+                     parseval._coefficients(phi.poly_coeffs, index)),
+                    (gram, parseval._gram_coefficients(datum, size))):
+                got = parseval._affine_poly(coeffs, tables)
+                want = _term_by_term(terms, line, size)
+                scale = _term_by_term([(e, abs(c)) for e, c in terms],
+                                      magnitudes, size).real
+                assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+
+
+def _spectral_op(phi):
+    return parseval_check_gl3(phi, (1.5, 1.5), (1.3, 1.8))
+
+
+def test_cached_lines_are_the_weyl_action(monkeypatch):
+    # every (frame, w) of a spectral op: the lines its cached tables were
+    # built from are the frame's coordinates and their images under
+    # w.act_coords, exactly
+    frames = set()
+    cached = parseval._frame_tables
+
+    def recording(frame, size):
+        frames.add(frame)
+        return cached(frame, size)
+
+    monkeypatch.setattr(parseval, "_frame_tables", recording)
+    _spectral_op(_random_quadratic(GL3, 0.5, 12))
+    assert len(frames) >= 10
+    for frame in frames:
+        tables = cached(frame, 3)
+        images = {None: [d.coeffs for d in frame]}
+        images.update({w.perm: [w.act_coords(*(-c for c in d.coeffs))
+                                for d in frame] for w in GL3.weyl_group()})
+        assert tables.keys() == images.keys()
+        for key, coords in images.items():
+            want = tuple(zip(*(map(complex, c) for c in coords)))
+            assert tables[key][0] == want
+
+
+def test_second_check_makes_no_weyl_action(monkeypatch):
+    # a second spectral op, on a new profile at the same bases, finds every
+    # frame's lines and tables cached
+    _spectral_op(_random_quadratic(GL3, 0.5, 13))
+    calls = []
+    act_coords = WeylElement.act_coords
+
+    def counting(self, *coords):
+        calls.append(self)
+        return act_coords(self, *coords)
+
+    monkeypatch.setattr(WeylElement, "act_coords", counting)
+    _spectral_op(_random_quadratic(GL3, 0.7, 14))
+    assert calls == []
+    parseval._frame_tables.cache_clear()
+    _spectral_op(_random_quadratic(GL3, 0.7, 14))
+    assert len(calls) > 0
 
 
 def test_shifted_norm_peak_memory():
@@ -443,12 +548,13 @@ def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
 
     phi = PaleyWienerGaussian(GL3, 0.6)
     b_direct, c = contribution_B(phi)[0], contribution_C(phi)
+    parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
-    # R1's circle, and the pickup's two lines +-1/2 + it, each read reversed
-    # in t for its mirror; at rho z1 and z2 lie on one circle each, and
-    # z1 + z2 is a separable grid
-    assert len(calls) == 6
+    # the pickup's two lines +-1/2 + it, each read reversed in t for its
+    # mirror; at rho z1 and z2 lie on one circle each, and z1 + z2 is a
+    # separable grid.  R1's circle is cached per root datum
+    assert len(calls) == 5
     assert sum(calls) == 1
 
 
@@ -459,16 +565,18 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
         sizes.append(np.size(z) * (1 if plus is None else np.size(plus)))
         return ratio_L(z, plus)
 
+    parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size
     # z1, z2 and the z1 + z2 lattice, never the n x n grid.  On A's
-    # diagonal base z2 is z1 transposed.  The shifted norm's pole correction
-    # adds R1's circle and the lines' z and 1 + z: at (1.3, 1.8) the corner's
-    # factor is below 2^-53, and at (1.5, 1.5) it adds one point while the
-    # two lines share their arrays
-    for run, count in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 8),
-                       (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 6),
+    # diagonal base z2 is z1 transposed.  The correction lines ride the
+    # plane's call: a line at z_k = 1 reads the other coordinate's array
+    # from the plane, and adds only its 1 + z_other.  At (1.3, 1.8) the
+    # corner's factor is below 2^-53; at (1.5, 1.5) the corner adds one
+    # point, and the two lines' 1 + z arrays are one transposed
+    for run, count in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 5),
+                       (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 4),
                        (lambda: contribution_A(phi), 2)):
         sizes.clear()
         run()
@@ -525,7 +633,7 @@ def test_identity_term_isolation():
     phi = PaleyWienerGaussian(GL3, 0.5, {(0, 0): 0.7, (1, 1): 0.3j})
     lam0 = (1.5, 1.5)
     assert GL3.weyl_group()[0] == GL3.identity()
-    scale, terms = parseval._plane_terms(phi, lam0)
+    scale, terms = parseval._plane_terms(phi, lam0, [])
     m, phi_vals, image = next(terms)
     assert np.all(m == 1.0)
     term = complex(np.sum(m * phi_vals * image)) * scale
