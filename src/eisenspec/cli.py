@@ -70,7 +70,6 @@ TOLERANCES = {
 @dataclass
 class RunConfig:
     command: str = "all"
-    group: str = "gl3"
     seed: int = 42
     json_path: str | None = None
     csv_path: str | None = None
@@ -80,12 +79,6 @@ class RunConfig:
     s1: float = 1.2
     s2: float = 1.3
     z: complex = 0.7j
-
-    def gln(self) -> int:
-        digits = "".join(ch for ch in self.group if ch.isdigit())
-        if not digits or not self.group.lower().startswith("gl"):
-            raise DomainError(f"unknown group {self.group}")
-        return int(digits)
 
 
 def enc(v):
@@ -102,7 +95,7 @@ def enc(v):
 
 def spectral_json(rep: pv.SpectralReport) -> str:
     """The .spectral file: every field of the report, encoded by enc."""
-    return json.dumps({"schema": "eisenspec.spectral_report/1",
+    return json.dumps({"schema": "eisenspec.spectral_report/2",
                        **{k: enc(v) for k, v in asdict(rep).items()}},
                       indent=2, sort_keys=True)
 
@@ -148,10 +141,9 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "eisenspec.verification_report/2",
+            "schema": "eisenspec.verification_report/3",
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "command": self.config.command,
-            "group": self.config.group,
             "seed": self.config.seed,
             "summary": {
                 "total": len(self.records),
@@ -414,16 +406,7 @@ def suite_residues(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_volume(report: VerificationReport, cfg: RunConfig):
-    n = max(4, cfg.gln())
-    # log vol(GL(n)) = sum_f log L(f) by lgamma: a rank whose volume is past
-    # double range is refused before any L is evaluated.  L(f) < 1 up to
-    # f = 17 and L(f) > 1 beyond, so every smaller rank is then in range too.
-    log_vol = sum(math.lgamma(f / 2) - f / 2 * math.log(math.pi)
-                  + math.log(scipy.special.zeta(f)) for f in range(2, n + 1))
-    if not log_vol < math.log(sys.float_info.max):
-        raise DomainError(f"vol(GL({n})) = exp({log_vol:.1f}) is past "
-                          "double range")
-    for k in range(2, n + 1):
+    for k in (2, 3):
         datum = RootDatum(k)
         factors = gl3mod.volume_factors(datum)
         ok = factors == list(range(2, k + 1))
@@ -612,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "decomposition machinery (completed-zeta ratios, root "
                     "combinatorics, residue matrices, truncation formulas).")
     parser.add_argument("--command", choices=COMMANDS, default=default.command)
-    parser.add_argument("--group", default=default.group,
-                        help="gl2, gl3, gl4, ... (read by the volume suite)")
     parser.add_argument("--seed", type=_seed, default=default.seed)
     parser.add_argument("--json", dest="json_path", default=default.json_path,
                         help="write the verification report as JSON")

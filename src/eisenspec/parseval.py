@@ -54,11 +54,11 @@ x_dir, y_dir) of weights: the lines of lam and of -w lam for every Weyl
 element (from WeylElement.act_coords) and their monomial tables, so that
 Q(lam), Q*(-w lam) and <lam, lam> are sums of tables weighted by the
 profile's coefficients, six 3 x 3 tables at degree <= 2 on GL(3)
-(_frame_tables).  Per root datum: the Gram matrix in floats, the
-inversion sets, and R1 on its circle, keyed by the circle too.  The
-correction lines of the pole-corrected plane ride the plane's own
-evaluation of the integrand (_plane_terms), so each reads the ratio_L
-array of its free coordinate from the plane's.
+(_frame_tables).  Per root datum: the Gram matrix in floats and R1 on its
+circle, keyed by the circle too.  The correction lines of the
+pole-corrected plane ride the plane's own evaluation of the integrand
+(_plane_terms), so each reads the ratio_L array of its free coordinate
+from the plane's.
 """
 
 from __future__ import annotations
@@ -475,13 +475,6 @@ def _residue_line(phi: PaleyWienerGaussian, r1: complex, terms, base,
         phi, terms, base, x_dir, x, y_dir, y))))
 
 
-@functools.cache
-def _inversion_sets(datum: RootDatum) -> tuple:
-    """(w, w.inversions()) for each w of the Weyl group, once per root
-    datum."""
-    return tuple((w, w.inversions()) for w in datum.weyl_group())
-
-
 def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
                                                                 complex]:
     """(raw, correction): the plane rule of _plane_terms on lam0 + i R^r,
@@ -505,8 +498,7 @@ def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
     r1 = _ratio_residue(datum, _RESIDUE_CIRCLE)
     lines = [(w, simple[k]) for k, e in enumerate(factors)
              if rank == 2 and e > 2.0 ** -53
-             for w, inversions in _inversion_sets(datum)
-             if simple[k] in inversions]
+             for w in datum.weyl_group() if simple[k] in w.inversions()]
     scale, terms = _plane_terms(phi, lam0, lines)
     raw = sum(complex(np.sum(m * phi_vals * image)) * scale
               for m, phi_vals, image in itertools.islice(
@@ -514,8 +506,8 @@ def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
     correction = 0.0 + 0.0j
     if math.prod(factors) > 2.0 ** -53:
         # every pole plane meets at rho: the GL(2) point, the GL(3) corner
-        corner = [(w, tuple(simple)) for w, inversions in
-                  _inversion_sets(datum) if inversions.issuperset(simple)]
+        corner = [(w, tuple(simple)) for w in datum.weyl_group()
+                  if w.inversions().issuperset(simple)]
         point = np.sum(_residue_line(phi, r1, corner, datum.rho(),
                                      datum.fundamental_weight(1),
                                      np.zeros(1), None, None))
@@ -659,7 +651,6 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
 class SpectralReport:
     """Everything the Parseval check produced, JSON-serializable."""
 
-    group: str
     shifted: complex
     shifted_alt: complex | None
     A_direct: complex
@@ -693,7 +684,6 @@ def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
     assembled = a_direct + b_direct + c_val
     residual = abs(shifted - assembled)
     return SpectralReport(
-        group="gl3",
         shifted=shifted,
         shifted_alt=shifted_alt,
         A_direct=a_direct,

@@ -128,6 +128,12 @@ def _weyl_group(n: int) -> tuple["WeylElement", ...]:
                  for p in itertools.permutations(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
+def _inversions(w: "WeylElement") -> frozenset[tuple[int, int]]:
+    return frozenset((i, j) for (i, j) in w.datum.positive_roots()
+                     if w(i) > w(j))
+
+
 def _epsilon_coords(coeffs) -> tuple:
     """Lift to e-coordinates (v_1..v_n) with the gauge v_n = 0."""
     partial = []
@@ -204,9 +210,9 @@ class WeylElement:
         return len(self.inversions())
 
     def inversions(self) -> frozenset[tuple[int, int]]:
-        """The positive roots (i, j) sent to negative roots."""
-        return frozenset((i, j) for (i, j) in self.datum.positive_roots()
-                         if self(i) > self(j))
+        """The positive roots (i, j) sent to negative roots, computed once
+        per element."""
+        return _inversions(self)
 
     def act_root(self, root: tuple[int, int]) -> tuple[int, tuple[int, int]]:
         """Image of the positive root e_i - e_j as (sign, positive root)."""

@@ -113,6 +113,12 @@ class TruncationParam:
         return math.exp(self.T)
 
 
+def _check_points(x: np.ndarray, y: np.ndarray, name: str):
+    """Refuse any point outside H: each x finite and each y in (0, inf)."""
+    if not np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)):
+        raise DomainError(f"{name} needs points of H (finite x, 0 < y < inf)")
+
+
 def _direct_points(x, y, s, bound: int):
     """Check the direct sum's domain; the points broadcast and flattened,
     with their shape."""
@@ -123,15 +129,16 @@ def _direct_points(x, y, s, bound: int):
         raise DomainError(f"lattice bound must be at least 3, got {bound}")
     xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
                                  np.asarray(y, dtype=np.float64))
+    _check_points(xa, ya, "direct Eisenstein summation")
     return xa.shape, xa.ravel(), ya.ravel()
 
 
 def eisenstein_direct(x, y, s, bound: int):
     """Direct coprime-pair sum truncated at max(|c|, |d|) <= bound.
 
-    Vectorized over arrays x, y of one broadcast shape.  Convention: pairs
-    are taken modulo the unit -1 by requiring c >= 0, with (0, 1)
-    contributing y^s.
+    Vectorized over arrays x, y of one broadcast shape; a point outside H
+    raises DomainError.  Convention: pairs are taken modulo the unit -1 by
+    requiring c >= 0, with (0, 1) contributing y^s.
     """
     shape, xs, ys = _direct_points(x, y, s, bound)
     d = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -192,9 +199,9 @@ def _lattice_pairs(x_min: float, x_max: float, y_min: float, y_max: float,
 def eisenstein_theta(x, y, s: float):
     """E(z, s) for real s > 1 via the incomplete-gamma representation.
 
-    Vectorized over arrays x, y of points of H (y > 0, else DomainError);
-    every lattice term decays like exp(-pi Q), so the cutoff pi Q <= 38
-    leaves an error below 1e-16 of scale.
+    Vectorized over arrays x, y of points of H (finite x, 0 < y < inf, else
+    DomainError); every lattice term decays like exp(-pi Q), so the cutoff
+    pi Q <= 38 leaves an error below 1e-16 of scale.
 
     One sweep over the batch: Q of every (pair, point) is one (P, N) array,
     the terms with Q within the cutoff take one incomplete-gamma call at s
@@ -214,8 +221,7 @@ def eisenstein_theta(x, y, s: float):
     scalar = np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0
     if xa.size == 0:
         return np.zeros(xa.shape)
-    if not np.all(ya > 0.0):
-        raise DomainError("eisenstein_theta needs points of H (y > 0)")
+    _check_points(xa, ya, "eisenstein_theta")
 
     q_cut = 38.0 / math.pi
     xs, ys = xa.ravel(), ya.ravel()
@@ -320,8 +326,9 @@ def eisenstein_fourier(x, y, s: float):
 
     (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), each point
     summed to its own N(y) terms, at most eight on D.  Vectorized over x, y
-    of one broadcast shape; y <= 0 and s <= 1 raise DomainError.  A
-    point's value is the same bit for bit alone or in any batch.
+    of one broadcast shape; a point outside H and s <= 1 raise
+    DomainError.  A point's value is the same bit for bit alone or in any
+    batch.
     """
     s = float(s)
     series = _bessel_series(s)
@@ -329,8 +336,9 @@ def eisenstein_fourier(x, y, s: float):
                                  np.asarray(y, dtype=np.float64))
     if xa.size == 0:
         return np.zeros(xa.shape)
+    _check_points(xa, ya, "eisenstein_fourier")
     xs, ys = xa.ravel(), ya.ravel()
-    bessel = series(xs, ys)  # refuses y <= 0 before any power of y
+    bessel = series(xs, ys)
     c = _c_function(s).real
     value = ys ** s + c * ys ** (1.0 - s) + bessel
     return float(value[0]) if xa.ndim == 0 else value.reshape(xa.shape)

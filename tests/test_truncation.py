@@ -23,6 +23,11 @@ from eisenspec.zeta import completed_L, ratio_L, zeta
 
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
 
+# points (x, y) outside H, each refused by every point evaluator of E
+_OUTSIDE_H = [(0.0, -1.0), (0.0, 0.0), (0.0, np.array([1.0, 0.0])),
+              (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+              (math.inf, 1.0), (-math.inf, 1.0)]
+
 
 def test_params_validation():
     for check in (eisenstein_direct, eisenstein_tail_bound):
@@ -30,6 +35,9 @@ def test_params_validation():
             check(0.0, 1.0, 0.9, 400)
         with pytest.raises(DomainError):
             check(0.0, 1.0, 1.5, 2)
+        for x, y in _OUTSIDE_H:
+            with pytest.raises(DomainError):
+                check(x, y, 1.5, 10)
     for T in (-0.5, math.nan):
         with pytest.raises(DomainError):
             TruncationParam(T)
@@ -87,9 +95,9 @@ def test_theta_evaluator_modular_invariance():
 def test_theta_evaluator_domain():
     with pytest.raises(DomainError):
         eisenstein_theta(0.0, 1.0, 1.0)
-    for y in (-1.0, 0.0, np.array([1.0, 0.0]), np.nan):
+    for x, y in _OUTSIDE_H:
         with pytest.raises(DomainError):
-            eisenstein_theta(0.0, y, 1.5)
+            eisenstein_theta(x, y, 1.5)
     empty = eisenstein_theta(np.array([]), np.array([]), 1.5)
     assert empty.shape == (0,)
 
@@ -202,9 +210,9 @@ def test_fourier_domain():
     for s in (1.0, 0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             eisenstein_fourier(0.0, 1.0, s)
-    for y in (-1.0, 0.0, np.array([1.0, 0.0]), np.nan):
+    for x, y in _OUTSIDE_H:
         with pytest.raises(DomainError):
-            eisenstein_fourier(0.0, y, 1.5)
+            eisenstein_fourier(x, y, 1.5)
     empty = eisenstein_fourier(np.array([]), np.array([]), 1.5)
     assert empty.shape == (0,) and isinstance(
         eisenstein_fourier(0.1, 1.2, 1.5), float)
