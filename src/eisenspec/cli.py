@@ -5,11 +5,11 @@ prints an aligned table, optionally writes a versioned JSON report and
 plot-ready CSV, and exits 0 iff every residual met its tolerance.  This is
 the only module that writes files.  The report times every check itself and
 keeps the times in a "timing" block apart from the checks.  A suite that
-raises DomainError, NonConvergence or PoleProximity is recorded as a failed
-"<suite>-error" check, and the run goes on to the next suite.  All
-randomized inputs are drawn from a numpy generator seeded by --seed, so a
-given (config, seed) pair reproduces its report byte for byte apart from the
-timestamp field and the timing block.
+raises DomainError or PoleProximity is recorded as a failed "<suite>-error"
+check, and the run goes on to the next suite.  All randomized inputs are
+drawn from a numpy generator seeded by --seed, so a given (config, seed)
+pair reproduces its report byte for byte apart from the timestamp field and
+the timing block.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.special
 from . import gl3 as gl3mod
 from . import parseval as pv
 from .contour import circle_residue, trapezoid_circle
-from .errors import DomainError, NonConvergence, PoleProximity
+from .errors import DomainError, PoleProximity
 from .intertwine import cocycle_check, m_scalar, unitarity_check
 from .roots import (RHO_CHECK, RootDatum, association_classes, tau_hat,
                     transporters, truncation_terms)
@@ -548,7 +548,7 @@ def run(config: RunConfig) -> VerificationReport:
         report.begin_suite()
         try:
             SUITES[name](report, config)
-        except (DomainError, NonConvergence, PoleProximity) as err:
+        except (DomainError, PoleProximity) as err:
             report.add(f"{name}-error", f"the {name} suite runs to completion",
                        "no error", f"{type(err).__name__}: {err}", 1.0, 0.0)
     if config.json_path:

@@ -1,9 +1,8 @@
 """Shared error types for the verification suites.
 
-Numerical operations in this package never return NaN/inf silently; when an
-evaluation point is too close to a pole, or an iterative scheme fails its own
-convergence check, one of the exceptions below is raised with enough context
-to reproduce the failure.
+Numerical operations in this package never return NaN/inf silently: an
+argument outside an operation's domain raises DomainError, and an evaluation
+point too close to a pole raises PoleProximity with the point and the pole.
 """
 
 from __future__ import annotations
@@ -12,18 +11,16 @@ from __future__ import annotations
 class PoleProximity(ValueError):
     """Requested evaluation point lies inside the exclusion disk of a pole."""
 
-    def __init__(self, message: str, point=None, pole=None):
+    def __init__(self, message: str, point, pole):
         super().__init__(message)
         self.point = point
         self.pole = pole
 
 
 class NonConvergence(RuntimeError):
-    """An adaptive scheme exhausted its budget before meeting its tolerance."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """An iterative scheme failed its own convergence check.  No operation
+    of the package raises it, as every quadrature is a fixed rule; perfbench
+    still catches it."""
 
 
 class DomainError(ValueError):

@@ -50,12 +50,14 @@ Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y): the Bessel sum
 alone above y0, where the constant term is removed, and the whole Fourier
 route below it; c(s), L(2s) and the coefficient table are computed once per
 evaluator.  The truncated inner product over D with the hyperbolic
-measure dx dy / y^2 is computed by adaptive tensor Gauss-Legendre panels,
-each sampled once on the nodes of both its orders, and compared against the
-closed rank-one formula omega_rank1, which is the Maass-Selberg check.  That
-is one expression f(s2), holomorphic out to the pole of c at 1.  It cancels
-at its removable point s2 = s1, so within r/2 of s1 it is the mean of f on
-the circle of radius r, half that clearance, whose nodes stay r/2 from s1.
+measure dx dy / y^2 is computed by one fixed tensor Gauss-Legendre rule on
+two regions split at y0, log-uniform in y over the arc floor and uniform in
+1/y above, each sampled once on the nodes of two orders, and compared
+against the closed rank-one formula omega_rank1, which is the Maass-Selberg
+check.  That is one expression f(s2), holomorphic out to the pole of c at
+1.  It cancels at its removable point s2 = s1, so within r/2 of s1 it is
+the mean of f on the circle of radius r, half that clearance, whose nodes
+stay r/2 from s1.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import numpy as np
 from scipy.special import exp1, gammaincc, kv
 
 from .contour import circle_residue, line_step, trapezoid_circle
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 from .zeta import completed_L, ratio_L, zeta
 
 __all__ = [
@@ -93,10 +95,6 @@ DECAY_CUTOFF = 12.0
 
 # D's lowest point, at x = +-1/2 on the arc |z| = 1.
 _Y_MIN = math.sqrt(3.0) / 2.0
-
-# Panel budget of inner_product_fd, past which it raises NonConvergence.
-_MAX_PANELS = 3000
-
 
 @dataclass(frozen=True)
 class TruncationParam:
@@ -279,8 +277,8 @@ def _bessel_series(s: float) -> Callable:
     def series(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if not np.all(y > 0.0):
             raise DomainError("the Fourier expansion needs points of H (y > 0)")
-        # K_{s-1/2}(2 pi n y) once per distinct (y, n): the x-nodes of a
-        # top panel's row share one height
+        # K_{s-1/2}(2 pi n y) once per distinct (y, n): the x-nodes of one
+        # u = 1/y in the upper region of inner_product_fd share one height
         heights, at = np.unique(y, return_inverse=True)
         terms = _bessel_terms(heights)
         top = int(terms.max())
@@ -347,10 +345,13 @@ def eisenstein_fourier(x, y, s: float):
 def constant_term(y, s):
     """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s).
 
-    At s = 1, c(s) has a pole, and ratio_L raises PoleProximity.
+    At s = 1, c(s) has a pole, and ratio_L raises PoleProximity; a height y
+    outside (0, inf) raises DomainError.
     """
     s = complex(s)
-    log_y = np.log(np.asarray(y, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    _check_points(0.0, y, "constant_term")
+    log_y = np.log(y)
     out = np.exp(s * log_y) + _c_function(s) * np.exp((1.0 - s) * log_y)
     return complex(out[()]) if out.ndim == 0 else out
 
@@ -362,8 +363,9 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
     y <= y0: above y0 nothing is subtracted, so no cancellation is left.
     c(s), L(2s) and the coefficient table are computed once per evaluator.
     Returns exactly 0 above DECAY_CUTOFF, where the remaining Fourier tail
-    is below 1e-30 of scale; this keeps the top panels cheap and noise-free.
-    A cut line y0 at or above DECAY_CUTOFF raises DomainError.
+    is below 1e-30 of scale; this keeps the nodes of the rule's upper
+    region near u = 0 cheap and noise-free.  A point outside H, or a cut
+    line y0 at or above DECAY_CUTOFF, raises DomainError.
     """
     y0 = trunc.y0
     if y0 >= DECAY_CUTOFF:
@@ -376,6 +378,7 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
     def truncated(x, y) -> np.ndarray:
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
                                      np.asarray(y, dtype=np.float64))
+        _check_points(xb, yb, "truncated_eisenstein")
         out = np.zeros(xb.shape)
         live = yb <= DECAY_CUTOFF
         if np.any(live):
@@ -391,16 +394,20 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the adaptive fundamental-domain quadrature."""
+    """Gauss-Legendre order and region split of the fixed rule over D."""
 
-    tol: float = 1e-8
     base_order: int = 10
     y_split: float = 2.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.y_split) and self.y_split > 1.0):
+            raise DomainError(f"the region split needs 1 < y_split < inf, "
+                              f"got {self.y_split}")
 
 
 @dataclass
 class QuadratureResult:
-    """Value of an adaptive integral together with its error estimate."""
+    """Value of the rule over D together with its error estimate."""
 
     value: complex
     error_estimate: float
@@ -409,104 +416,49 @@ class QuadratureResult:
 
 
 @functools.cache
-def _leg_nodes(order: int):
-    """Gauss-Legendre nodes on [0, 1] and the tensor weights on [0, 1]^2."""
+def _tensor_rule(order: int):
+    """The tensor Gauss-Legendre rule of order^2 nodes on [0, 1]^2, as flat
+    arrays: the nodes' first and second coordinates and their weights."""
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes, wmat = 0.5 * (x + 1.0), np.multiply.outer(0.5 * w, 0.5 * w)
-    nodes.flags.writeable = wmat.flags.writeable = False
-    return nodes, wmat
-
-
-class _Region:
-    """The part of D below y_top, mapped from (x, t) in [-1/2, 1/2] x [0, 1]
-    by y = floor(x) + (y_top - floor(x)) t over the arc floor, or with top
-    set the part above y_top."""
-
-    def __init__(self, y_top: float, top: bool = False):
-        self.y_top = y_top
-        self.top = top  # top regions use u = 1/y, du = dy / y^2
-
-    def sample(self, integrand, x0, x1, t0, t1, rules):
-        """The panel's integral by each Gauss-Legendre rule, from one call
-        of the integrand on the nodes of every rule."""
-        grids = [np.meshgrid(x0 + (x1 - x0) * nodes, t0 + (t1 - t0) * nodes,
-                             indexing="ij") for nodes, _ in rules]
-        X = np.concatenate([g[0].ravel() for g in grids])
-        Tt = np.concatenate([g[1].ravel() for g in grids])
-        if self.top:
-            Y = 1.0 / Tt  # t is already u = 1/y on (0, 1/y_split]
-            vals = integrand(X, Y)  # measure dy/y^2 = du
-        else:
-            lo = np.sqrt(np.maximum(1.0 - X * X, 0.0))
-            Y = lo + (self.y_top - lo) * Tt
-            vals = integrand(X, Y) * (self.y_top - lo) / (Y * Y)
-        sums, start = [], 0
-        for _, wmat in rules:
-            block = vals[start:start + wmat.size].reshape(wmat.shape)
-            start += wmat.size
-            sums.append(complex(np.sum(block * wmat)) * (x1 - x0) * (t1 - t0))
-        return sums
+    nodes, w = 0.5 * (x + 1.0), 0.5 * w
+    rule = (np.repeat(nodes, order), np.tile(nodes, order),
+            np.outer(w, w).ravel())
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def inner_product_fd(f: Callable, g: Callable,
                      quad: QuadratureSpec) -> QuadratureResult:
-    """Adaptive quadrature of integral over D of f * conj(g) dx dy / y^2.
+    """Integral over D of f * conj(g) dx dy / y^2 by one fixed rule.
 
     f and g must be vectorized callables of (x, y); when g is f, f is
-    evaluated once per panel.  The domain, x in [-1/2, 1/2], is covered by
-    the arc-floor region up to y_split and a top region mapped by u = 1/y
-    covering [y_split, infinity).  Each panel is sampled once on the nodes
-    of both its Gauss-Legendre orders, and panels are refined worst-first
-    until the summed two-order error estimate meets the tolerance.
+    evaluated once per region.  Both regions take x in [-1/2, 1/2] whole.
+    Below y_split, v = log y runs from log sqrt(1 - x^2) up to log y_split,
+    with dx dy / y^2 = e^(-v) dv dx; above it, u = 1/y runs over
+    (0, 1/y_split], with dy / y^2 = du.  Each region is sampled once, in
+    one call of each function, on the tensor Gauss-Legendre nodes of
+    base_order and of 2 base_order; the value is the finer sum and the
+    error estimate its distance from the coarser one.
     """
-    x0, x1 = -0.5, 0.5
-    y_top = float(quad.y_split)
-    regions = (_Region(y_top), _Region(y_top, top=True))
+    (x_coarse, t_coarse, w_coarse), (x_fine, t_fine, w_fine) = (
+        _tensor_rule(quad.base_order), _tensor_rule(2 * quad.base_order))
+    X = np.concatenate((x_coarse, x_fine)) - 0.5
+    t = np.concatenate((t_coarse, t_fine))
+    log_floor, log_top = 0.5 * np.log1p(-X * X), math.log(quad.y_split)
+    y_low = np.exp(log_floor + (log_top - log_floor) * t)
+    regions = ((y_low, (log_top - log_floor) / y_low),
+               (quad.y_split / t, 1.0 / quad.y_split))
 
-    def integrand(X, Y):
-        if g is f:
-            v = f(X, Y)
-            return v * np.conj(v)
-        return f(X, Y) * np.conj(g(X, Y))
-
-    rules = (_leg_nodes(quad.base_order), _leg_nodes(2 * quad.base_order))
-    evals = [0]
-
-    def eval_panel(region: _Region, rect):
-        coarse, fine = region.sample(integrand, *rect, rules)
-        evals[0] += quad.base_order ** 2 + 4 * quad.base_order ** 2
-        return fine, abs(fine - coarse)
-
-    panels = []
-    for region in regions:
-        tmax = 1.0 / y_top if region.top else 1.0
-        for (a, b) in ((x0, 0.5 * (x0 + x1)), (0.5 * (x0 + x1), x1)):
-            rect = (a, b, 0.0, tmax)
-            val, err = eval_panel(region, rect)
-            panels.append([err, region, rect, val])
-
-    while True:
-        total_err = sum(p[0] for p in panels)
-        if total_err <= quad.tol:
-            break
-        if len(panels) >= _MAX_PANELS:
-            raise NonConvergence(
-                "inner_product_fd: panel budget exhausted",
-                diagnostics={"panels": len(panels), "error": total_err,
-                             "tol": quad.tol})
-        panels.sort(key=lambda p: -p[0])
-        err, region, (a, b, c, d), _ = panels.pop(0)
-        if (b - a) >= (d - c):
-            cuts = ((a, 0.5 * (a + b), c, d), (0.5 * (a + b), b, c, d))
-        else:
-            cuts = ((a, b, c, 0.5 * (c + d)), (a, b, 0.5 * (c + d), d))
-        for rect in cuts:
-            val, err = eval_panel(region, rect)
-            panels.append([err, region, rect, val])
-
-    value = sum(p[3] for p in panels)
-    return QuadratureResult(value=value, error_estimate=total_err,
-                            panels=len(panels), evaluations=evals[0])
+    n = w_coarse.size
+    coarse = fine = 0j
+    for Y, jacobian in regions:
+        v = f(X, Y)
+        vals = (v * np.conj(v) if g is f else v * np.conj(g(X, Y))) * jacobian
+        coarse += complex(np.sum(vals[:n] * w_coarse))
+        fine += complex(np.sum(vals[n:] * w_fine))
+    return QuadratureResult(value=fine, error_estimate=abs(fine - coarse),
+                            panels=2, evaluations=10 * quad.base_order ** 2)
 
 
 def _c_function(s) -> complex:
@@ -548,15 +500,13 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
                                   trapezoid_circle(r, s2 - 1.0)))
 
 
-def maass_selberg_record(s1: float, s2: float, T: float,
-                         quad_tol: float = 1e-6) -> dict:
+def maass_selberg_record(s1: float, s2: float, T: float) -> dict:
     """Quadrature inner product vs closed formula for one (s1, s2, T)."""
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc)
     # on the diagonal one evaluator serves both sides of the product
     f2 = f1 if s2 == s1 else truncated_eisenstein(s2, trunc)
-    quad = inner_product_fd(f1, f2,
-                            QuadratureSpec(tol=quad_tol, y_split=trunc.y0))
+    quad = inner_product_fd(f1, f2, QuadratureSpec(y_split=trunc.y0))
     formula = omega_rank1(s1, s2, trunc)
     abs_err = abs(complex(quad.value) - formula)
     return {"s1": s1, "s2": s2, "T": T,

@@ -152,7 +152,7 @@ def test_criterion_09_volume_formula():
                                      (1.4, 1.1, 0.5)])
 def test_criterion_10_maass_selberg(s1, s2, T):
     t0 = time.perf_counter()
-    rec = maass_selberg_record(s1, s2, T, quad_tol=1e-7)
+    rec = maass_selberg_record(s1, s2, T)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
     _report(10, f"Maass-Selberg ({s1}, {s2}, T={T})", rec["rel_err"], 1e-3,

@@ -16,7 +16,8 @@ def test_circle_residue_propagates_pole_and_domain_errors(error):
 
     def f(u):
         calls.append(u)
-        raise error("rejected")
+        # PoleProximity carries the point and the pole
+        raise error("rejected", *((u, 0.0) if error is PoleProximity else ()))
 
     with pytest.raises(error):
         circle_residue(f, (0.1, 16))
