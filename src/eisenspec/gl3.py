@@ -211,7 +211,8 @@ def transverse_residue(i: int, j: int, z):
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
     Integrates m(sigma_ij, lam_i(z) + u delta_i) around TRANSVERSE_CIRCLE,
-    on m_on_grid's z (+) u grid; the normalization <delta_i, beta_check_i>
+    on m_on_grid's z (+) u grid, which for a point z is one stacked
+    ratio_L call over the circle; the normalization <delta_i, beta_check_i>
     = 1, with delta_i orthogonal to e_i, makes the value equal n_ij(z)/L(2)
     independently of the remaining gauge freedom.  A point z gives a
     complex, an array z an array of its shape.  Raises DomainError outside

@@ -225,8 +225,9 @@ class WeylElement:
         permute, take differences (exact for rational coordinates).  Arrays
         of one broadcast shape act as a cloud of weights at once."""
         v = _epsilon_coords(coords)
-        inv = self.inverse()
-        u = tuple(v[inv(k) - 1] for k in range(1, self.datum.n + 1))
+        u = [None] * self.datum.n
+        for i, image in enumerate(self.perm):
+            u[image - 1] = v[i]
         return tuple(u[k] - u[k + 1] for k in range(self.datum.rank))
 
     def act(self, weight: Weight) -> Weight:

@@ -250,7 +250,8 @@ def _bessel_terms(y):
 
 
 def _bessel_series(s: float) -> Callable:
-    """The Bessel sum of E(., s), as a function of flat arrays x, y:
+    """The Bessel sum of E(., s), as a function of flat arrays x, y of
+    points of H, which its callers check (_check_points):
 
         sum_{n <= N(y)} a_n sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x),
         a_n = 4 n^(s-1/2) sigma_{1-2s}(n) / L(2s).
@@ -275,8 +276,6 @@ def _bessel_series(s: float) -> Callable:
     table = coefficients(int(_bessel_terms(_Y_MIN)))
 
     def series(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if not np.all(y > 0.0):
-            raise DomainError("the Fourier expansion needs points of H (y > 0)")
         # K_{s-1/2}(2 pi n y) once per distinct (y, n): the x-nodes of one
         # u = 1/y in the upper region of inner_product_fd share one height
         heights, at = np.unique(y, return_inverse=True)
@@ -407,7 +406,16 @@ class QuadratureSpec:
 
 @dataclass
 class QuadratureResult:
-    """Value of the rule over D together with its error estimate."""
+    """Value of the rule over D and its node-doubling difference.
+
+    value is the sum on the tensor nodes of 2 base_order per axis, and
+    error_estimate is |value - coarse|, coarse the sum on base_order nodes:
+    the error of the coarse sum, not a bound on value's, and in the same
+    absolute units as value.  On the Maass-Selberg integrands it exceeds
+    value's error against the closed form by three to five orders of
+    magnitude: at maass_selberg_record(1.001, 1.001, 0.01) it reads 9.0e-7
+    where abs_err is 3.6e-10 (a relative 6.9e-15 of 5.2e4).
+    """
 
     value: complex
     error_estimate: float
@@ -438,8 +446,9 @@ def inner_product_fd(f: Callable, g: Callable,
     with dx dy / y^2 = e^(-v) dv dx; above it, u = 1/y runs over
     (0, 1/y_split], with dy / y^2 = du.  Each region is sampled once, in
     one call of each function, on the tensor Gauss-Legendre nodes of
-    base_order and of 2 base_order; the value is the finer sum and the
-    error estimate its distance from the coarser one.
+    base_order and of 2 base_order; the value is the finer sum and
+    error_estimate its distance from the coarser one, an error of the
+    coarser sum, not of the value (see QuadratureResult).
     """
     (x_coarse, t_coarse, w_coarse), (x_fine, t_fine, w_fine) = (
         _tensor_rule(quad.base_order), _tensor_rule(2 * quad.base_order))
@@ -501,7 +510,13 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
 
 
 def maass_selberg_record(s1: float, s2: float, T: float) -> dict:
-    """Quadrature inner product vs closed formula for one (s1, s2, T)."""
+    """Quadrature inner product vs closed formula for one (s1, s2, T).
+
+    quad_error_estimate is the rule's error_estimate, |fine - coarse|, an
+    absolute difference: the coarse sum's error, three to five orders
+    of magnitude above abs_err, quadrature_value's distance from the closed
+    form (see QuadratureResult).
+    """
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc)
     # on the diagonal one evaluator serves both sides of the product

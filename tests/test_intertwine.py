@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from eisenspec import gl3, intertwine
+from eisenspec import cli, gl3, intertwine
 from eisenspec.contour import circle_nodes
 from eisenspec.errors import PoleProximity
 from eisenspec.gl3 import named_weyl
 from eisenspec.intertwine import (cocycle_check, m_on_grid, m_scalar,
                                   unitarity_check)
-from eisenspec.roots import RootDatum
+from eisenspec.roots import RootDatum, WeylElement
 from eisenspec.zeta import completed_L, ratio_L
 
 GL2 = RootDatum(2)
@@ -268,28 +268,86 @@ def test_cloud_matches_pointwise_calls():
 
 
 def test_one_ratio_call_per_point_evaluation(monkeypatch):
-    shapes = []
+    # (shape, pointwise) of every ratio_L call of intertwine and gl3
+    calls = []
 
     def counting(z, plus=None):
-        shapes.append(np.shape(z))
+        calls.append((np.shape(z), plus is None))
         return ratio_L(z, plus)
 
-    monkeypatch.setattr(intertwine, "ratio_L", counting)
+    for module in (intertwine, gl3):
+        monkeypatch.setattr(module, "ratio_L", counting)
     W = list(named_weyl().values())
     lam = GL3.weight((1.4 + 0.3j, 1.7 - 0.2j))
     for w in W:
-        shapes.clear()
+        calls.clear()
         m_scalar(w, lam)
-        assert shapes == ([] if w.length() == 0 else [(w.length(),)])
+        assert calls == ([] if w.length() == 0 else [((w.length(),), True)])
     ys = np.random.default_rng(6).uniform(-4.0, 4.0, size=(50, 2))
     for w in W[1:]:
-        shapes.clear()
+        calls.clear()
         unitarity_check(w, ys)
-        assert shapes == [(w.length(), 50)]
+        assert calls == [((w.length(), 50), True)]
+    # the roots of inv(st) and inv(t) at lam, each once, and those of
+    # inv(s) at t lam: no argument twice, and none for (e, e)
     cloud, _ = _cloud(np.random.default_rng(7), 5)
-    for s in W:
-        for t in W:
-            shapes.clear()
-            cocycle_check(s, t, cloud)
-            assert len(shapes) <= 1
+    for point, shape in ((lam, ()), (cloud, (5,))):
+        for s in W:
+            for t in W:
+                calls.clear()
+                cocycle_check(s, t, point)
+                size = len((s * t).inversions() | t.inversions()) + s.length()
+                assert calls == ([] if size == 0
+                                 else [((size,) + shape, True)])
+    # a circle at a point z is one pointwise call: every root's row of
+    # TRANSVERSE_CIRCLE's nodes, stacked, and no separable 1 x n grid
+    nodes = gl3.TRANSVERSE_CIRCLE[1]
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            calls.clear()
+            gl3.transverse_residue(i, j, 0.7j)
+            (shape, pointwise), = calls
+            assert pointwise and np.prod(shape) == (
+                gl3.sigma(i, j).length() * nodes)
 
+
+def _worst_cocycle(lam):
+    W = GL3.weyl_group()
+    return max(cocycle_check(s, t, lam) for s in W for t in W)
+
+
+@pytest.mark.parametrize("fault", ["weyl-action", "inversion-sets"])
+def test_cocycle_sees_the_weyl_action_and_the_inversion_sets(monkeypatch,
+                                                             fault):
+    # cocycle_check reads m(s, .) at t lam from the Weyl action, and every
+    # factor from an inversion set: a fault in either trips the gate
+    lam = GL3.weight((1.4 + 0.3j, 1.7 - 0.2j))
+    gate = cli.TOLERANCES["cocycle"]
+    assert _worst_cocycle(lam) <= gate
+    if fault == "weyl-action":
+        act_coords = WeylElement.act_coords
+        monkeypatch.setattr(WeylElement, "act_coords", lambda w, *coords: tuple(
+            c * (1.0 + 1e-7) for c in act_coords(w, *coords)))
+    else:
+        named = named_weyl()
+        swap = {named["r1"]: named["r2"], named["r2"]: named["r1"]}
+        inversions = WeylElement.inversions
+        monkeypatch.setattr(WeylElement, "inversions",
+                            lambda w: inversions(swap.get(w, w)))
+    assert _worst_cocycle(lam) > gate
+
+
+def test_one_node_grid_matches_the_grid_path():
+    # x of one node takes the pointwise route, one stacked call over rows
+    # that depend on x alone, on y alone and on both; it must agree with
+    # the first row of the same grid on two nodes
+    W = list(named_weyl().values())
+    frame = (GL3.weight((0.3 + 0.1j, 1.2)), GL3.weight((1, 0)))
+    x = np.array([0.4j, 0.9j])
+    for y_dir, y in ((None, None), (GL3.weight((0, 1)), _CIRCLE)):
+        one = list(m_on_grid(W, *frame, x[:1], y_dir, y))
+        two = list(m_on_grid(W, *frame, x, y_dir, y))
+        for m1, m2 in zip(one, two):
+            want = np.broadcast_to(m2, (2,) + np.shape(m2)[1:])[:1]
+            assert np.shape(m1) in ((), np.shape(want))
+            assert np.max(np.abs(m1 - want) / np.abs(want)) <= 1e-14

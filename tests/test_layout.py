@@ -22,6 +22,11 @@ it: the rank-generic plane terms, one path for GL(2) and GL(3), and the
 residue lines, which serve the plane's pole correction and both kappa
 pickups of measure_constants.
 
+The residue checks read m through m_on_grid: intertwine.cocycle_check,
+intertwine.unitarity_check and gl3.transverse_residue call no ratio_L
+themselves, so that each public call stays one stacked pass of the one
+evaluator of m.
+
 Circle nodes, the 2^-53 sizing of trapezoid rules and the pole factor
 1/expm1(2 pi d / h) of a trapezoid sum live in contour: no other module
 forms circle nodes, spells out 53 log 2 or calls expm1 on a multiple of
@@ -189,6 +194,22 @@ def test_shifted_integrand_has_two_readers():
                              and _called_name(call) == "_shifted_integrand"
                              for call in ast.walk(fn)))
     assert callers == ["_plane_terms", "_residue_line"]
+
+
+def test_residue_checks_read_m_through_m_on_grid():
+    found = {}
+    for module, names in (("intertwine", ("cocycle_check", "unitarity_check")),
+                          ("gl3", ("transverse_residue",))):
+        path = SRC / f"{module}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                found[fn.name] = {_called_name(call) for call in ast.walk(fn)
+                                  if isinstance(call, ast.Call)}
+    assert sorted(found) == ["cocycle_check", "transverse_residue",
+                             "unitarity_check"]
+    assert [name for name, called in found.items()
+            if "ratio_L" in called or "m_on_grid" not in called] == []
 
 
 def _spells_out_53_bits(tree: ast.AST) -> list[int]:

@@ -215,6 +215,8 @@ def test_fourier_domain():
         with pytest.raises(DomainError):
             eisenstein_fourier(0.0, 1.0, s)
     truncated = truncated_eisenstein(1.5, TruncationParam(1.0))
+    # y <= 0 among them: each caller refuses it itself, as the Bessel sum
+    # it calls checks nothing
     for x, y in _OUTSIDE_H:
         with pytest.raises(DomainError):
             eisenstein_fourier(x, y, 1.5)
