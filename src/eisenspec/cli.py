@@ -23,7 +23,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.special
 
 from . import gl3 as gl3mod
 from . import parseval as pv
@@ -162,7 +161,9 @@ class VerificationReport:
             "timing": {"wall_ms": [r.wall_ms for r in self.records]},
         }
 
-    def print_table(self, stream=sys.stdout):
+    def print_table(self, stream=None):
+        # sys.stdout is read at call time, so that a redirect_stdout holds
+        stream = sys.stdout if stream is None else stream
         width = max([len(r.name) for r in self.records] + [10])
         print(f"{'check':<{width}}  {'residual':>12}  {'tolerance':>12}  status",
               file=stream)
@@ -406,6 +407,7 @@ def suite_residues(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_volume(report: VerificationReport, cfg: RunConfig):
+    import scipy.special  # loaded by the one suite that needs it
     for k in (2, 3):
         datum = RootDatum(k)
         factors = gl3mod.volume_factors(datum)

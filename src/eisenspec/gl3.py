@@ -32,7 +32,7 @@ import numpy as np
 
 from .contour import circle_residue, trapezoid_circle
 from .errors import DomainError
-from .intertwine import m_on_grid
+from .intertwine import m_on_grid, one_entry_table
 from .roots import RootDatum, Weight, WeylElement
 from .zeta import completed_L, ratio_L
 
@@ -149,17 +149,30 @@ def n_matrix(z) -> np.ndarray:
     return n
 
 
-def n_entry(i: int, j: int, z) -> complex:
-    """Closed-form entry n_ij(z) of the residue matrix N(z), i, j in 1..3."""
+@one_entry_table
+def _n_table(n, z) -> np.ndarray:
+    """N(z) from the evaluator n (n_matrix), shared by n_entry and the
+    three N residuals, which only read it: the nine entries and the three
+    residuals at one z cost one build."""
+    return n(z)
+
+
+def _check_indices(i: int, j: int, what: str):
     if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError(f"n_entry indices out of range: ({i}, {j})")
-    return complex(n_matrix(complex(z))[i - 1, j - 1])
+        raise ValueError(f"{what} indices out of range: ({i}, {j})")
+
+
+def n_entry(i: int, j: int, z) -> complex:
+    """Closed-form entry n_ij(z) of the residue matrix N(z), i, j in 1..3,
+    read from the table of N at z."""
+    _check_indices(i, j, "n_entry")
+    return complex(_n_table(n_matrix, complex(z))[i - 1, j - 1])
 
 
 def rank_one_residual(z) -> float:
     """Max modulus of the nine 2x2 minors of N(z), over z (a point or an
     array)."""
-    return max_minor(n_matrix(z))
+    return max_minor(_n_table(n_matrix, z))
 
 
 def max_minor(m: np.ndarray) -> float:
@@ -190,7 +203,7 @@ def symmetry_residual(z) -> float:
     n_t = np.ones((3, 3) + z.shape, dtype=np.complex128)
     for (i, j, _), v in zip(factors, vals):
         n_t[i, j] *= v
-    return float(np.max(np.abs(n_matrix(z) - n_t)))
+    return float(np.max(np.abs(_n_table(n_matrix, z) - n_t)))
 
 
 def multiplicativity_residual(z) -> float:
@@ -202,36 +215,52 @@ def multiplicativity_residual(z) -> float:
     z = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(z.real) > 1e-12):
         raise ValueError("multiplicativity_residual needs purely imaginary z")
-    m = n_matrix(z)
+    m = _n_table(n_matrix, z)
     return float(max(np.max(np.abs(m - m[:, None, k] * np.conj(m[None, :, k])))
                      for k in (0, 1)))
+
+
+@one_entry_table
+def _circle_table(m, z: np.ndarray) -> np.ndarray:
+    """The nine transverse residues at the points z (1-D), row 3(i - 1) +
+    j - 1 for (i, j), of shape (9, z.size), or (9, 1) when no root of any
+    sigma_ij depends on z.
+
+    One circle_residue over one call of the evaluator m (m_on_grid) on the
+    z (+) u grid with the nine frames (delta_i, e_i, delta_i), one per
+    sigma_ij, which for a point z is one stacked ratio_L call over the
+    circle.  Raises DomainError outside the domain of transverse_residue.
+    """
+    outside = (np.min(np.abs(2.0 * z[:, None] - (-3.0, -1.0, 1.0, 3.0)),
+                      axis=1) < 1.0) | (np.abs(z.imag) > 13.6)
+    if np.any(outside):
+        raise DomainError(f"transverse_residue: z = {z[outside][0]} is "
+                          "outside |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6")
+    lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
+    bases = [delta_weight(i) for i in lines]
+    dirs = [line_direction(i) for i in lines]
+    ws = [sigma(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    return circle_residue(lambda u: np.stack(np.broadcast_arrays(
+        *m(ws, bases, dirs, z, bases, u))), TRANSVERSE_CIRCLE)
 
 
 def transverse_residue(i: int, j: int, z):
     """Residue of m(sigma_ij, .) across Line_i at lam_i(z), by quadrature.
 
-    Integrates m(sigma_ij, lam_i(z) + u delta_i) around TRANSVERSE_CIRCLE,
-    on m_on_grid's z (+) u grid, which for a point z is one stacked
-    ratio_L call over the circle; the normalization <delta_i, beta_check_i>
-    = 1, with delta_i orthogonal to e_i, makes the value equal n_ij(z)/L(2)
-    independently of the remaining gauge freedom.  A point z gives a
-    complex, an array z an array of its shape.  Raises DomainError outside
-    the domain |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6 on which the
-    circle's clearance is 1.
+    Integrates m(sigma_ij, lam_i(z) + u delta_i) around TRANSVERSE_CIRCLE;
+    the normalization <delta_i, beta_check_i> = 1, with delta_i orthogonal
+    to e_i, makes the value equal n_ij(z)/L(2) independently of the
+    remaining gauge freedom.  The value is entry (i, j) of the table of all
+    nine circles at z, one kernel pass for the nine (_circle_table).  A
+    point z gives a complex, an array z an array of its shape, the
+    caller's own.  Raises DomainError outside the domain |2z -+ 1|,
+    |2z -+ 3| >= 1, |Im z| <= 13.6 on which the circle's clearance is 1.
     """
+    _check_indices(i, j, "transverse_residue")
     zs = np.asarray(z, dtype=np.complex128)
-    flat = zs.ravel()
-    outside = (np.min(np.abs(2.0 * flat[:, None] - (-3.0, -1.0, 1.0, 3.0)),
-                      axis=1) < 1.0) | (np.abs(flat.imag) > 13.6)
-    if np.any(outside):
-        raise DomainError(f"transverse_residue: z = {flat[outside][0]} is "
-                          "outside |2z -+ 1|, |2z -+ 3| >= 1, |Im z| <= 13.6")
-    res = circle_residue(lambda u: next(m_on_grid(
-        [sigma(i, j)], delta_weight(i), line_direction(i), flat,
-        delta_weight(i), u)), TRANSVERSE_CIRCLE)
-    # res has shape (1,) when every root of sigma_ij depends on u alone
-    vals = np.broadcast_to(res, zs.size)
-    return complex(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
+    row = _circle_table(m_on_grid, zs.ravel())[3 * (i - 1) + j - 1]
+    vals = np.broadcast_to(row, zs.size)
+    return complex(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape).copy()
 
 
 # Double-residue targets: (weyl element name, point, inner axis).  The inner

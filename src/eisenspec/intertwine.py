@@ -9,10 +9,15 @@ attached to a Weyl element w acts by the scalar
 a product of completed-zeta ratios over the inversion set of w.  The two
 structural properties verified numerically downstream are the cocycle
 identity m(st, lam) = m(s, t lam) m(t, lam) and unimodularity on the
-purely imaginary axis.
+purely imaginary axis.  Both read one Weyl table per argument: m(w, t lam)
+for every (t, w) in W x W from one m_on_grid call, held in a table of one
+entry (one_entry_table), so the 36 GL(3) pairs at one weight, or the six
+elements at one y, cost one kernel pass.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,6 +29,7 @@ __all__ = [
     "m_scalar",
     "cocycle_check",
     "unitarity_check",
+    "one_entry_table",
 ]
 
 
@@ -168,6 +174,63 @@ def m_on_grid(ws, base: Weight | list[Weight],
         yield m
 
 
+# Every table of one_entry_table, so that all of them can be emptied at once.
+_TABLES = []
+
+
+def _exact(value):
+    """A hashable key that equals another exactly when the values are the
+    same bits: a weight by its datum and coordinates, an array or number by
+    its dtype, shape and bytes (exact numbers such as Fraction by value)."""
+    if isinstance(value, Weight):
+        return value.datum, tuple(map(_exact, value.coeffs))
+    a = np.asarray(value)
+    if a.dtype == object:
+        return a.shape, tuple((type(v), v) for v in a.flat)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def one_entry_table(build):
+    """build(evaluator, arg) behind a table of one entry.
+
+    The entry is keyed by the evaluator, as bound where the table is read,
+    and by the exact value of the argument (_exact).  A run of reads at one
+    argument costs one build; a read at another argument, or through
+    another evaluator (a wrapped or patched one), builds afresh and
+    replaces the entry, so no read ever returns a value that its own
+    evaluator and argument did not compute.  A build that raises leaves the
+    entry as it was.  The table's values are shared between its readers,
+    which must not write into them.  table.cache_clear() empties it.
+    """
+    entry = []
+
+    @functools.wraps(build)
+    def table(evaluator, arg):
+        key = evaluator, _exact(arg)
+        if not entry or entry[0] != key:
+            value = build(evaluator, arg)
+            entry[:] = key, value
+        return entry[1]
+
+    table.cache_clear = entry.clear
+    _TABLES.append(table)
+    return table
+
+
+@one_entry_table
+def _weyl_table(m, lam: Weight) -> dict:
+    """m(w, t lam) for every (t, w) in W x W, keyed (t, w), from one call of
+    the evaluator m (m_on_grid): t lam is t.act(lam), and lam itself for
+    t = e.  Each base is passed as one object, so each argument <t lam,
+    root_check> enters the one stacked ratio_L call once: at most
+    |W| |Phi+| of them (18 for GL(3))."""
+    weyl = lam.datum.weyl_group()
+    images = [t.act(lam) if t.length() else lam for t in weyl]
+    pairs = [(t, w) for t in weyl for w in weyl]
+    return dict(zip(pairs, m([w for _, w in pairs],
+                             [image for image in images for _ in weyl])))
+
+
 def m_scalar(w: WeylElement, lam: Weight) -> complex:
     """Product of completed-zeta ratios over the inversion set of w."""
     m, = m_on_grid([w], lam)
@@ -176,18 +239,20 @@ def m_scalar(w: WeylElement, lam: Weight) -> complex:
 
 def cocycle_check(s: WeylElement, t: WeylElement, lam: Weight) -> float:
     """max |m(st, lam) - m(s, t lam) m(t, lam)| over lam, a weight or a
-    cloud (see m_on_grid); zero in exact arithmetic.  One m_on_grid call
-    reads m(st, .) and m(t, .) at lam and m(s, .) at t lam, so one ratio_L
-    call takes the roots of inv(st) and inv(t) at lam, each once, and those
-    of inv(s) at t lam."""
-    m_st, m_t, m_s = m_on_grid([s * t, t, s], [lam, lam, t.act(lam)])
+    cloud (see m_on_grid); zero in exact arithmetic, and exactly zero for
+    t = e.  The three values are entries of the Weyl table at lam, so every
+    pair at one lam reads the table of one kernel pass."""
+    table = _weyl_table(m_on_grid, lam)
+    e = lam.datum.identity()
+    m_st, m_t, m_s = table[e, s * t], table[e, t], table[t, s]
     return float(np.abs(m_st - m_s * m_t).max())
 
 
 def unitarity_check(w: WeylElement, y) -> float:
     """max | |m(w, i y)| - 1 | over the rows of y, each a real coordinate
-    vector; a single vector is one row."""
+    vector; a single vector is one row.  m(w, i y) is the (e, w) entry of
+    the Weyl table at i y, so every element at one y reads one table."""
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    m, = m_on_grid([w], w.datum.weight(tuple(1j * y.T)))
+    lam = w.datum.weight(tuple(1j * y.T))
+    m = _weyl_table(m_on_grid, lam)[w.datum.identity(), w]
     return float(np.max(np.abs(np.abs(m) - 1.0)))
-

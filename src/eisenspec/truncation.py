@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1, gammaincc, kv
 
 from .contour import circle_residue, line_step, trapezoid_circle
 from .errors import DomainError
@@ -95,6 +94,25 @@ DECAY_CUTOFF = 12.0
 
 # D's lowest point, at x = +-1/2 on the arc |z| = 1.
 _Y_MIN = math.sqrt(3.0) / 2.0
+
+
+# scipy.special's K_nu, regularized upper incomplete Gamma and E_1, imported
+# at the first call: loading scipy.special costs more than the rest of the
+# package's import together, and only these routes need it.
+def kv(nu, x):
+    from scipy.special import kv as scipy_kv
+    return scipy_kv(nu, x)
+
+
+def gammaincc(a, x):
+    from scipy.special import gammaincc as scipy_gammaincc
+    return scipy_gammaincc(a, x)
+
+
+def exp1(x):
+    from scipy.special import exp1 as scipy_exp1
+    return scipy_exp1(x)
+
 
 @dataclass(frozen=True)
 class TruncationParam:

@@ -1,16 +1,21 @@
 """CLI harness: suites run, reports serialize, seeds reproduce."""
 
+import contextlib
 import csv
 import importlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.special import kv
 
+import eisenspec
 from eisenspec import cli, gl3, parseval, truncation
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
@@ -383,3 +388,26 @@ def test_cli_exit_code_nonzero_on_failure():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout and "nmatrix-error" in proc.stdout
+
+
+def test_print_table_follows_redirect_stdout(capsys):
+    report = run(RunConfig(command="combinatorics"))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        report.print_table()
+    assert "-- 3 checks: all checks passed" in buffer.getvalue()
+    assert capsys.readouterr().out == ""
+
+
+def test_scipy_special_loads_only_where_it_is_used():
+    # importing the package and its CLI leaves scipy.special unloaded; the
+    # Bessel and incomplete-Gamma routes of one Maass-Selberg record load it
+    code = ("import sys, eisenspec, eisenspec.cli\n"
+            "print('scipy.special' in sys.modules)\n"
+            "eisenspec.maass_selberg_record(1.2, 1.3, 1.0)\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eisenspec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

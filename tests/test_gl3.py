@@ -368,3 +368,69 @@ def test_transverse_residue_consistent_with_m_scalar():
         vals.append(m_scalar(w, lam))
     hand = np.mean(np.array(vals) * u)
     assert hand == pytest.approx(transverse_residue(i, j, z), rel=1e-9)
+
+
+def _seeded_z(seed):
+    """Five seeded points z on the imaginary axis, and an array of five
+    off it, |Im z| >= 0.6 keeping them inside the circle's domain."""
+    rng = np.random.default_rng(seed)
+    return [1j * complex(t) for t in rng.uniform(-2.5, 2.5, 5)] + [
+        rng.uniform(-0.3, 0.3, 5)
+        + 1j * rng.choice([-1.0, 1.0], 5) * rng.uniform(0.6, 2.5, 5)]
+
+
+def test_circle_table_entries_come_from_their_own_frames():
+    # every circle read from the nine-frame table at z is bit for bit the
+    # circle of its own frame alone
+    for z in _seeded_z(21):
+        zs = np.asarray(z, dtype=np.complex128)
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                res = circle_residue(lambda u: next(gl3.m_on_grid(
+                    [sigma(i, j)], delta_weight(i), line_direction(i),
+                    zs.ravel(), delta_weight(i), u)), gl3.TRANSVERSE_CIRCLE)
+                want = np.broadcast_to(res, zs.size).reshape(zs.shape)
+                assert np.array_equal(transverse_residue(i, j, z), want)
+
+
+def test_tables_hold_the_last_argument_and_lend_nothing():
+    # at a, then b, then a, each value is the one a first call gives, and
+    # writing into a returned array changes no later read, the next read
+    # at the same argument included
+    a, b = _seeded_z(22)[0], _seeded_z(22)[-1]
+    want = {id(z): ([transverse_residue(i, j, z) for i in (1, 2, 3)
+                     for j in (1, 2, 3)], n_matrix(z)) for z in (a, b)}
+    for z in (a, b, a, b):
+        circles, n = want[id(z)]
+        for _ in range(2):
+            got = [transverse_residue(i, j, z) for i in (1, 2, 3)
+                   for j in (1, 2, 3)]
+            for g, w in zip(got, circles):
+                assert np.array_equal(g, w)
+                if isinstance(g, np.ndarray):
+                    g[...] = 7.0
+            gl3.n_matrix(z)[...] = 7.0
+            if np.ndim(z) == 0:
+                assert np.array_equal([[n_entry(i, j, z) for j in (1, 2, 3)]
+                                       for i in (1, 2, 3)], n)
+            assert rank_one_residual(z) == max_minor(n)
+
+
+def test_transverse_gate_sees_two_frames_swapped(monkeypatch, fresh_tables):
+    # sigma_12 and sigma_13 swapped inside the nine-frame table: the (1, 2)
+    # and (1, 3) circles read each other's residue, far past the gate
+    z = 0.7j
+    L2 = complex(completed_L(2.0))
+    gate = 1e-6  # cli.TOLERANCES["transverse"]
+
+    def worst():
+        return max(abs(transverse_residue(i, j, z) - n_entry(i, j, z) / L2)
+                   / abs(n_entry(i, j, z) / L2)
+                   for i in (1, 2, 3) for j in (1, 2, 3))
+
+    assert worst() <= gate
+    swap = {(1, 2): (1, 3), (1, 3): (1, 2)}
+    monkeypatch.setattr(gl3, "sigma", lambda i, j: sigma(*swap.get((i, j),
+                                                                  (i, j))))
+    fresh_tables()
+    assert worst() > 1e3 * gate

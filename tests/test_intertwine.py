@@ -1,5 +1,7 @@
 """Intertwining scalars: closed forms, cocycle, unitarity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -283,32 +285,36 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
         calls.clear()
         m_scalar(w, lam)
         assert calls == ([] if w.length() == 0 else [((w.length(),), True)])
-    ys = np.random.default_rng(6).uniform(-4.0, 4.0, size=(50, 2))
-    for w in W[1:]:
+    # all six elements at one y read one Weyl table: the three roots at
+    # each of the six images t(iy), one call; another y is a fresh call
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        ys = rng.uniform(-4.0, 4.0, size=(50, 2))
         calls.clear()
-        unitarity_check(w, ys)
-        assert calls == [((w.length(), 50), True)]
-    # the roots of inv(st) and inv(t) at lam, each once, and those of
-    # inv(s) at t lam: no argument twice, and none for (e, e)
+        for w in W:
+            unitarity_check(w, ys)
+        assert calls == [((18, 50), True)]
+    # all 36 pairs at one weight, a point or a cloud, read one Weyl table:
+    # 18 arguments in one call, and another weight is a fresh call
     cloud, _ = _cloud(np.random.default_rng(7), 5)
-    for point, shape in ((lam, ()), (cloud, (5,))):
+    other, _ = _cloud(np.random.default_rng(8), 5)
+    for point, shape in ((lam, ()), (cloud, (5,)),
+                         (GL3.weight((1.2 - 0.1j, 1.9)), ()), (other, (5,))):
+        calls.clear()
         for s in W:
             for t in W:
-                calls.clear()
                 cocycle_check(s, t, point)
-                size = len((s * t).inversions() | t.inversions()) + s.length()
-                assert calls == ([] if size == 0
-                                 else [((size,) + shape, True)])
-    # a circle at a point z is one pointwise call: every root's row of
-    # TRANSVERSE_CIRCLE's nodes, stacked, and no separable 1 x n grid
+        assert calls == [((18,) + shape, True)]
+    # all nine circles at a point z read one table: one pointwise call on
+    # the five distinct rows of TRANSVERSE_CIRCLE's nodes, no separable
+    # 1 x n grid; another z is a fresh call
     nodes = gl3.TRANSVERSE_CIRCLE[1]
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            calls.clear()
-            gl3.transverse_residue(i, j, 0.7j)
-            (shape, pointwise), = calls
-            assert pointwise and np.prod(shape) == (
-                gl3.sigma(i, j).length() * nodes)
+    for z in (0.7j, -1.3j):
+        calls.clear()
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                gl3.transverse_residue(i, j, z)
+        assert calls == [((5, 1, nodes), True)]
 
 
 def _worst_cocycle(lam):
@@ -317,10 +323,11 @@ def _worst_cocycle(lam):
 
 
 @pytest.mark.parametrize("fault", ["weyl-action", "inversion-sets"])
-def test_cocycle_sees_the_weyl_action_and_the_inversion_sets(monkeypatch,
-                                                             fault):
+def test_cocycle_sees_the_weyl_action_and_the_inversion_sets(
+        monkeypatch, fresh_tables, fault):
     # cocycle_check reads m(s, .) at t lam from the Weyl action, and every
-    # factor from an inversion set: a fault in either trips the gate
+    # factor from an inversion set: a fault in either trips the gate, once
+    # the Weyl table at lam is built again under it
     lam = GL3.weight((1.4 + 0.3j, 1.7 - 0.2j))
     gate = cli.TOLERANCES["cocycle"]
     assert _worst_cocycle(lam) <= gate
@@ -334,6 +341,7 @@ def test_cocycle_sees_the_weyl_action_and_the_inversion_sets(monkeypatch,
         inversions = WeylElement.inversions
         monkeypatch.setattr(WeylElement, "inversions",
                             lambda w: inversions(swap.get(w, w)))
+    fresh_tables()
     assert _worst_cocycle(lam) > gate
 
 
@@ -351,3 +359,71 @@ def test_one_node_grid_matches_the_grid_path():
             want = np.broadcast_to(m2, (2,) + np.shape(m2)[1:])[:1]
             assert np.shape(m1) in ((), np.shape(want))
             assert np.max(np.abs(m1 - want) / np.abs(want)) <= 1e-14
+
+
+def _seeded_weights(seed):
+    """Five seeded weights in the cocycle range, and a 5-cloud."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(1.1, 2.0, (2, 5)) + 1j * rng.uniform(-1, 1, (2, 5))
+    cloud, _ = _cloud(rng, 5)
+    return [GL3.weight((complex(c[0, k]), complex(c[1, k])))
+            for k in range(5)] + [cloud]
+
+
+def test_weyl_table_entries_come_from_their_own_frames():
+    # every pair read from the Weyl table at lam is bit for bit the pair's
+    # own m_on_grid call; for t = e the table reads lam itself, so the
+    # residual is exactly 0 (the per-pair call read e lam, a new weight)
+    W = GL3.weyl_group()
+    e = GL3.identity()
+    for lam in _seeded_weights(11):
+        for s in W:
+            for t in W:
+                got = cocycle_check(s, t, lam)
+                if t == e:
+                    assert got == 0.0
+                    continue
+                m_st, m_t, m_s = m_on_grid([s * t, t, s],
+                                           [lam, lam, t.act(lam)])
+                assert got == float(np.abs(m_st - m_s * m_t).max())
+    rng = np.random.default_rng(12)
+    for y in [rng.uniform(-4.0, 4.0, 2) for _ in range(5)] + [
+            rng.uniform(-4.0, 4.0, (50, 2))]:
+        lam = GL3.weight(tuple(1j * np.atleast_2d(y).T))
+        for w in W:
+            m, = m_on_grid([w], lam)
+            assert unitarity_check(w, y) == float(
+                np.max(np.abs(np.abs(m) - 1.0)))
+
+
+def test_weyl_table_holds_the_last_argument_only(monkeypatch):
+    # at a, then b, then a: each switch is a fresh kernel pass, and each
+    # value is the one a first call at that argument gives
+    W = GL3.weyl_group()
+    a, b = _seeded_weights(13)[:2]
+
+    def residuals(lam):
+        return [cocycle_check(s, t, lam) for s in W for t in W]
+
+    want = {id(a): residuals(a), id(b): residuals(b)}
+    calls = _counting_ratio(monkeypatch)
+    for lam in (a, b, a):
+        calls.clear()
+        assert residuals(lam) == want[id(lam)]
+        assert len(calls) == 1
+    # an equal weight built afresh reads the table; a patched evaluator
+    # does not
+    same = GL3.weight(tuple(complex(c) for c in a.coeffs))
+    calls.clear()
+    assert residuals(same) == want[id(a)] and calls == []
+    monkeypatch.setattr(intertwine, "m_on_grid", lambda *args: m_on_grid(
+        *args))
+    assert residuals(same) == want[id(a)] and len(calls) == 1
+    # exact coordinates key by value, never by the address of the object
+    counts = []
+    for coords in ((Fraction(3, 2), Fraction(7, 5)),
+                   (Fraction(3, 2), Fraction(7, 5)), (1.5, 1.4)):
+        calls.clear()
+        residuals(GL3.weight(coords))
+        counts.append(len(calls))
+    assert counts == [1, 0, 1]

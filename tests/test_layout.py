@@ -196,20 +196,37 @@ def test_shifted_integrand_has_two_readers():
     assert callers == ["_plane_terms", "_residue_line"]
 
 
+def _reached(tree: ast.Module, name: str, stop: str) -> set[str]:
+    """The names that the module-level function name calls or passes as an
+    argument, following every module-level function it calls (a table's
+    build included) but not stop, the evaluator itself."""
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo = set(), [name]
+    while todo:
+        for call in ast.walk(fns[todo.pop()]):
+            if not isinstance(call, ast.Call):
+                continue
+            called = _called_name(call)
+            passed = {arg.id for arg in call.args if isinstance(arg, ast.Name)}
+            if called in fns and called != stop and called not in reached:
+                todo.append(called)
+            reached |= {called} | passed
+    return reached
+
+
 def test_residue_checks_read_m_through_m_on_grid():
     found = {}
     for module, names in (("intertwine", ("cocycle_check", "unitarity_check")),
                           ("gl3", ("transverse_residue",))):
         path = SRC / f"{module}.py"
         tree = ast.parse(path.read_text(), filename=str(path))
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name in names:
-                found[fn.name] = {_called_name(call) for call in ast.walk(fn)
-                                  if isinstance(call, ast.Call)}
-    assert sorted(found) == ["cocycle_check", "transverse_residue",
-                             "unitarity_check"]
-    assert [name for name, called in found.items()
-            if "ratio_L" in called or "m_on_grid" not in called] == []
+        found.update({name: _reached(tree, name, "m_on_grid")
+                      for name in names})
+    # each check reaches m_on_grid, directly or as the evaluator of its
+    # table, and neither it nor a helper or table it reads calls ratio_L
+    assert [name for name, reached in found.items()
+            if "ratio_L" in reached or "m_on_grid" not in reached] == []
+    assert {"_weyl_table", "_circle_table"} <= set().union(*found.values())
 
 
 def _spells_out_53_bits(tree: ast.AST) -> list[int]:
