@@ -7,9 +7,9 @@ the only module that writes files.  The report times every check itself and
 keeps the times in a "timing" block apart from the checks.  A suite that
 raises DomainError or PoleProximity is recorded as a failed "<suite>-error"
 check, and the run goes on to the next suite.  All randomized inputs are
-drawn from a numpy generator seeded by --seed, so a given (config, seed)
-pair reproduces its report byte for byte apart from the timestamp field and
-the timing block.
+drawn from a numpy generator seeded by --seed, and every other point a check
+reads is a constant of its suite, so a given (command, seed) pair reproduces
+its report byte for byte apart from the timestamp field and the timing block.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class RunConfig:
     seed: int = 42
     json_path: str | None = None
     csv_path: str | None = None
-    beta: float = 0.5
-    lambda0: tuple[float, float] = (1.5, 1.5)
-    T: float = 1.0
-    s1: float = 1.2
-    s2: float = 1.3
-    z: complex = 0.7j
 
 
 def enc(v):
@@ -191,6 +185,15 @@ def emit_csv(series: dict[str, list], path: str):
 
 
 # ------------------------------------------------------------ the suites --
+
+# The points the suites pin, since a run's only inputs are its command and
+# seed: where nmatrix reports N's entries; maass-selberg's (s1, s2, T), off
+# the diagonal, on it, and s1 > s2 at a lower cut line; and parseval's fixed
+# GL(3) width beta and the contour base lam0 of every GL(3) check.
+NMATRIX_Z = 0.7j
+MAASS_SELBERG_TRIPLES = ((1.2, 1.3, 1.0), (1.25, 1.25, 1.0), (1.4, 1.1, 0.5))
+PARSEVAL_BETA = 0.5
+PARSEVAL_LAM0 = (1.5, 1.5)
 
 
 def _direct_L(s):
@@ -348,9 +351,9 @@ def suite_nmatrix(report: VerificationReport, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     zs = 1j * np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 19)])
 
-    n = gl3mod.n_matrix(complex(cfg.z))
+    n = gl3mod.n_matrix(NMATRIX_Z)
     entries = [[complex(v) for v in row] for row in n]
-    report.add(f"nmatrix-at-z={cfg.z}", "the nine entries of N(z), rank one",
+    report.add(f"nmatrix-at-z={NMATRIX_Z}", "the nine entries of N(z), rank one",
                "rank one", entries, gl3mod.max_minor(n),
                TOLERANCES["nmatrix-rank"])
 
@@ -424,13 +427,8 @@ def suite_volume(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
-    default = RunConfig()
-    triples = [(default.s1, default.s2, default.T), (1.25, 1.25, 1.0),
-               (1.4, 1.1, 0.5)]
-    if (cfg.s1, cfg.s2, cfg.T) != triples[0]:
-        triples.append((cfg.s1, cfg.s2, cfg.T))
     records = []
-    for (s1, s2, T) in triples:
+    for (s1, s2, T) in MAASS_SELBERG_TRIPLES:
         rec = maass_selberg_record(s1, s2, T)
         records.append(rec)
         report.add(f"maass-selberg-{s1}-{s2}-T{T}",
@@ -479,10 +477,11 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
 
     g3 = RootDatum(3)
 
-    fixed = pv.PaleyWienerGaussian(g3, cfg.beta)
-    rep = pv.parseval_check_gl3(fixed, cfg.lambda0, None, with_kappa=False)
+    fixed = pv.PaleyWienerGaussian(g3, PARSEVAL_BETA)
+    rep = pv.parseval_check_gl3(fixed, PARSEVAL_LAM0, None, with_kappa=False)
     report.add("parseval-gl3-fixed-beta",
-               f"decomposition at beta={cfg.beta}, lam0={list(cfg.lambda0)}",
+               f"decomposition at beta={PARSEVAL_BETA}, "
+               f"lam0={list(PARSEVAL_LAM0)}",
                0.0, rep.residual_rel, rep.residual_rel,
                TOLERANCES["parseval-gl3"])
 
@@ -491,7 +490,7 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
     worst_aform = worst_bform = 0.0
     for _ in range(3):
         phi = pv.PaleyWienerGaussian.random(g3, rng)
-        rep = pv.parseval_check_gl3(phi, cfg.lambda0, lam0_alt)
+        rep = pv.parseval_check_gl3(phi, PARSEVAL_LAM0, lam0_alt)
         kappas.append((rep.kappa_B, rep.kappa_C))
         worst_resid = max(worst_resid, rep.residual_rel)
         worst_resid = max(worst_resid,
@@ -540,10 +539,14 @@ COMMANDS = (*SUITES, "all")
 
 def run(config: RunConfig) -> VerificationReport:
     """Execute the selected suite(s) and collect a verification report; a
-    command that names no suite and is not "all" raises DomainError."""
+    command that names no suite and is not "all", or a CSV path under "all",
+    where three suites would write the one file, raises DomainError."""
     if config.command not in COMMANDS:
         raise DomainError(f"unknown command {config.command!r}; expected one "
                           f"of {', '.join(COMMANDS)}")
+    if config.command == "all" and config.csv_path:
+        raise DomainError("--csv takes one suite: under --command all three "
+                          "suites would write the one file in turn")
     report = VerificationReport(config)
     names = list(SUITES) if config.command == "all" else [config.command]
     for name in names:
@@ -560,18 +563,6 @@ def run(config: RunConfig) -> VerificationReport:
     return report
 
 
-def _base_point(text: str) -> tuple[float, float]:
-    """--lambda0: one or two comma-separated floats, 'c' meaning 'c,c'."""
-    values = text.split(",")
-    try:
-        if len(values) <= 2:
-            return tuple(float(values[k]) for k in (0, -1))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected one or two comma-separated floats, got {text!r}")
-
-
 def _seed(text: str) -> int:
     """--seed: a nonnegative integer, as numpy's default_rng requires."""
     if not text.isdecimal():
@@ -580,36 +571,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _complex_point(text: str) -> complex:
-    """--z: a complex number, with i or j as the imaginary unit."""
-    try:
-        return complex(text.replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a complex number, got {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
-    default = RunConfig()
     parser = argparse.ArgumentParser(
         prog="eisenspec",
         description="Verification suites for the K-invariant spectral "
                     "decomposition machinery (completed-zeta ratios, root "
                     "combinatorics, residue matrices, truncation formulas).")
-    parser.add_argument("--command", choices=COMMANDS, default=default.command)
-    parser.add_argument("--seed", type=_seed, default=default.seed)
-    parser.add_argument("--json", dest="json_path", default=default.json_path,
+    parser.add_argument("--command", choices=COMMANDS, default=RunConfig.command)
+    parser.add_argument("--seed", type=_seed, default=RunConfig.seed)
+    parser.add_argument("--json", dest="json_path",
                         help="write the verification report as JSON")
-    parser.add_argument("--csv", dest="csv_path", default=default.csv_path,
-                        help="write suite-specific sample CSV")
-    parser.add_argument("--beta", type=float, default=default.beta)
-    parser.add_argument("--lambda0", type=_base_point, default=default.lambda0,
-                        help="contour base point, e.g. '1.5,1.7' or '1.5'")
-    parser.add_argument("--T", type=float, default=default.T)
-    parser.add_argument("--s1", type=float, default=default.s1)
-    parser.add_argument("--s2", type=float, default=default.s2)
-    parser.add_argument("--z", type=_complex_point, default=default.z,
-                        help="point of the nmatrix suite, e.g. '0.7j' or '0.7i'")
+    parser.add_argument("--csv", dest="csv_path",
+                        help="write the suite's sample CSV (one suite only)")
     return parser
 
 
@@ -618,9 +591,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    report = run(config)
+    parser = build_parser()
+    try:
+        report = run(config_from_args(parser.parse_args(argv)))
+    except DomainError as err:
+        parser.error(str(err))  # exits 2, as for a bad flag
     report.print_table()
     return 0 if report.all_passed else 1
 

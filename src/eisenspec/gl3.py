@@ -41,6 +41,7 @@ __all__ = [
     "sigma",
     "delta_weight",
     "line_direction",
+    "line_root",
     "lambda_line",
     "n_entry",
     "n_matrix",
@@ -107,6 +108,14 @@ def sigma(i: int, j: int) -> WeylElement:
     if len(hits) != 1:
         raise RuntimeError(f"sigma({i},{j}) not unique: {hits}")
     return hits[0]
+
+
+@lru_cache(maxsize=None)
+def line_root(i: int) -> tuple[int, int]:
+    """beta_i, the positive root with <delta_i, beta_check_i> = 1: its
+    factor ratio_L carries the pole of Line_i."""
+    return next(root for root in GL3.positive_roots()
+                if delta_weight(i).pair_root(root) == 1)
 
 
 def lambda_line(i: int, z) -> Weight:
@@ -188,21 +197,19 @@ def max_minor(m: np.ndarray) -> float:
 def symmetry_residual(z) -> float:
     """Max |n_ij(z) - n_ji(-z)|, over z (a point or an array).
 
-    N(-z) comes from root data, not from n_matrix's table: n_ji(-z) is the
-    product of ratio_L(<lam_j(-z), a_check>) over the inversions a of
-    sigma_ji other than beta_j, the root with <delta_j, beta_check_j> = 1
-    whose factor carries the 1/L(2) of the transverse residue.  All the
-    factors come from one stacked ratio_L call.
+    N(-z) comes from root data, not from n_matrix's table: n_ji(-z) is
+    m(sigma_ji, lam_j(-z)) without the factor of beta_j, the root with
+    <delta_j, beta_check_j> = 1 whose factor carries the 1/L(2) of the
+    transverse residue.  One m_on_grid call on the three line clouds reads
+    all nine, one stacked ratio_L call.
     """
     z = np.asarray(z, dtype=np.complex128)
-    factors = [(i, j, root) for i in range(3) for j in range(3)
-               for root in sorted(sigma(j + 1, i + 1).inversions())
-               if delta_weight(j + 1).pair_root(root) != 1]
-    vals = ratio_L(np.stack([lambda_line(j + 1, -z).pair_root(root)
-                             for _, j, root in factors]))
-    n_t = np.ones((3, 3) + z.shape, dtype=np.complex128)
-    for (i, j, _), v in zip(factors, vals):
-        n_t[i, j] *= v
+    lines = [lambda_line(j, -z) for j in (1, 2, 3)]
+    pairs = [(sigma(j, i), (line_root(j),)) for i in (1, 2, 3)
+             for j in (1, 2, 3)]
+    n_t = np.empty((3, 3) + z.shape, dtype=np.complex128)
+    for k, m in enumerate(m_on_grid(pairs, lines * 3)):
+        n_t[divmod(k, 3)] = m
     return float(np.max(np.abs(_n_table(n_matrix, z) - n_t)))
 
 

@@ -76,7 +76,7 @@ from .contour import (circle_residue, gaussian_width, line_step,
                       pole_factor, trapezoid_circle, window)
 from .errors import DomainError
 from .gl3 import (DOUBLE_CIRCLES, GL3, delta_weight, lambda_line,
-                  line_direction, n_matrix, named_weyl, sigma,
+                  line_direction, line_root, n_matrix, named_weyl, sigma,
                   volume_constant)
 from .intertwine import m_on_grid
 from .roots import RootDatum, Weight
@@ -597,13 +597,6 @@ def contribution_C(phi: PaleyWienerGaussian) -> complex:
     return v * v.conjugate() / volume_constant(phi.datum)
 
 
-def _line_root(i: int) -> tuple[int, int]:
-    """beta_i, the positive root with <delta_i, beta_check_i> = 1: its
-    factor ratio_L carries the pole of Line_i."""
-    return next(root for root in GL3.positive_roots()
-                if delta_weight(i).pair_root(root) == 1)
-
-
 def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
                       c: complex) -> tuple[float, float]:
     """Per-run numerical derivation of (kappa_B, kappa_C).
@@ -629,7 +622,7 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     n = t.size // 2
     x = 1j * (step * (np.arange(-n, n) + 0.5))  # x[::-1] == -x exactly
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
-    terms = [(sigma(i, j), (_line_root(i),)) for i in (1, 2, 3)
+    terms = [(sigma(i, j), (line_root(i),)) for i in (1, 2, 3)
              for j in (1, 2, 3)]
     pickup = np.sum(_residue_line(
         phi, _ratio_residue(GL3, _RESIDUE_CIRCLE), terms,

@@ -332,6 +332,32 @@ def _bessel_tail_bound(s: float, y: float) -> float:
     return lead / (1.0 - ratio)
 
 
+def _fourier_expansion(s: float, y0: float, cutoff: float) -> Callable:
+    """E(., s) by its Fourier expansion, as a function of x, y of one
+    broadcast shape: the Bessel sum, plus the constant term where y <= y0,
+    and exactly 0 above cutoff.  c(s), L(2s) and the coefficient table are
+    computed once per evaluator.  A point outside H raises DomainError."""
+    s = float(s)
+    series = _bessel_series(s)
+    c = _c_function(s).real
+
+    def expansion(x, y) -> np.ndarray:
+        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                     np.asarray(y, dtype=np.float64))
+        _check_points(xb, yb, "the Fourier expansion")
+        out = np.zeros(xb.shape)
+        live = yb <= cutoff
+        if np.any(live):
+            xl, yl = xb[live], yb[live]
+            vals = series(xl, yl)
+            low = yl <= y0
+            vals[low] += yl[low] ** s + c * yl[low] ** (1.0 - s)
+            out[live] = vals
+        return out
+
+    return expansion
+
+
 def eisenstein_fourier(x, y, s: float):
     """E(z, s) for real s > 1 from its Fourier-Whittaker expansion
 
@@ -340,23 +366,14 @@ def eisenstein_fourier(x, y, s: float):
               K_{s-1/2}(2 pi n y) cos(2 pi n x)
 
     (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), each point
-    summed to its own N(y) terms, at most eight on D.  Vectorized over x, y
-    of one broadcast shape; a point outside H and s <= 1 raise
-    DomainError.  A point's value is the same bit for bit alone or in any
-    batch.
+    summed to its own N(y) terms, at most eight on D: the evaluator of
+    truncated_eisenstein with no cut line and no cutoff.  Vectorized over
+    x, y of one broadcast shape, a float for a point; a point outside H and
+    s <= 1 raise DomainError.  A point's value is the same bit for bit
+    alone or in any batch.
     """
-    s = float(s)
-    series = _bessel_series(s)
-    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                 np.asarray(y, dtype=np.float64))
-    if xa.size == 0:
-        return np.zeros(xa.shape)
-    _check_points(xa, ya, "eisenstein_fourier")
-    xs, ys = xa.ravel(), ya.ravel()
-    bessel = series(xs, ys)
-    c = _c_function(s).real
-    value = ys ** s + c * ys ** (1.0 - s) + bessel
-    return float(value[0]) if xa.ndim == 0 else value.reshape(xa.shape)
+    value = _fourier_expansion(s, math.inf, math.inf)(x, y)
+    return float(value) if value.ndim == 0 else value
 
 
 def constant_term(y, s):
@@ -378,7 +395,6 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
 
     The Bessel sum of eisenstein_fourier, plus the constant term where
     y <= y0: above y0 nothing is subtracted, so no cancellation is left.
-    c(s), L(2s) and the coefficient table are computed once per evaluator.
     Returns exactly 0 above DECAY_CUTOFF, where the remaining Fourier tail
     is below 1e-30 of scale; this keeps the nodes of the rule's upper
     region near u = 0 cheap and noise-free.  A point outside H, or a cut
@@ -388,25 +404,7 @@ def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:
     if y0 >= DECAY_CUTOFF:
         raise DomainError(f"truncation height {y0} above the decay "
                           f"cutoff {DECAY_CUTOFF}")
-    s = float(s)
-    series = _bessel_series(s)
-    c = _c_function(s).real
-
-    def truncated(x, y) -> np.ndarray:
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                     np.asarray(y, dtype=np.float64))
-        _check_points(xb, yb, "truncated_eisenstein")
-        out = np.zeros(xb.shape)
-        live = yb <= DECAY_CUTOFF
-        if np.any(live):
-            xl, yl = xb[live], yb[live]
-            vals = series(xl, yl)
-            low = yl <= y0
-            vals[low] += yl[low] ** s + c * yl[low] ** (1.0 - s)
-            out[live] = vals
-        return out
-
-    return truncated
+    return _fourier_expansion(s, y0, DECAY_CUTOFF)
 
 
 @dataclass(frozen=True)

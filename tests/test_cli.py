@@ -21,7 +21,7 @@ from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
 from eisenspec.contour import line_step
-from eisenspec.errors import DomainError
+from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.parseval import SpectralReport
 from eisenspec.zeta import completed_L
 
@@ -248,19 +248,34 @@ def _no_constant(name):
     raise AssertionError(f"the report holds the non-JSON token {name}")
 
 
-@pytest.mark.parametrize("argv, suite, error", [
-    (["--command", "nmatrix", "--z", "1.5"], "nmatrix", "PoleProximity"),
-    (["--command", "parseval", "--lambda0", "1.02,1.5"], "parseval",
-     "DomainError"),
-    # non-finite values parse as floats and are refused by the library
-    (["--command", "maass-selberg", "--s1", "nan"], "maass-selberg",
-     "DomainError"),
-    (["--command", "maass-selberg", "--T", "nan"], "maass-selberg",
-     "DomainError"),
-    (["--command", "parseval", "--beta", "inf"], "parseval", "DomainError"),
-    (["--command", "nmatrix", "--z", "nan"], "nmatrix", "DomainError"),
+def _raising(err):
+    def fail(*args, **kwargs):
+        raise err
+    return fail
+
+
+# Each suite's library error, raised by a library call the suite makes, with
+# the message the library gives at the input named by the id: a suite's
+# inputs are pinned, so no flag reaches one.
+@pytest.mark.parametrize("suite, target, attr, err", [
+    ("nmatrix", gl3, "n_matrix", PoleProximity(
+        "ratio_L: argument (1+0j) within 1e-06 of pole at 1.0", 1.0, 1.0)),
+    ("parseval", parseval, "parseval_check_gl3", DomainError(
+        "contour base (1.02, 1.5) needs every coordinate >= 1.05")),
+    ("maass-selberg", cli, "maass_selberg_record", DomainError(
+        "the Fourier expansion needs real s > 1, got nan")),
+    ("maass-selberg", truncation.TruncationParam, "__post_init__",
+     DomainError("truncation needs T > 0 (y0 > 1), got nan")),
+    ("parseval", parseval.PaleyWienerGaussian, "__post_init__",
+     DomainError("PaleyWienerGaussian needs 0 < beta < inf")),
+    ("nmatrix", gl3, "n_matrix", DomainError(
+        "ratio_L: argument (nan-0j) is not finite")),
 ], ids=("nmatrix", "parseval", "s1-nan", "T-nan", "beta-inf", "z-nan"))
-def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
+def test_library_error_is_a_failed_check(tmp_path, monkeypatch, suite,
+                                         target, attr, err):
+    monkeypatch.setattr(target, attr, _raising(err))
+    error = type(err).__name__
+    argv = ["--command", suite]
     report = run(config_from_args(build_parser().parse_args(argv)))
     record = report.records[-1]
     assert record.name == f"{suite}-error"
@@ -273,24 +288,42 @@ def test_library_error_is_a_failed_check(tmp_path, argv, suite, error):
     assert blob["summary"]["failed"] == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["--command", "nmatrix", "--z", "abc"],
-    ["--command", "parseval", "--lambda0", "x"],
-    ["--command", "parseval", "--lambda0", "1.5,1.5,9"],
-    ["--command", "zeta", "--seed", "-1"],
-    ["--command", "zeta", "--seed", "1.5"],
-], ids=("z", "lambda0", "lambda0-three-values", "seed-negative",
+@pytest.mark.parametrize("argv, message", [
+    # the points a check reads are constants of its suite: no flag moves
+    # one, not even to its own value
+    (["--command", "nmatrix", "--z", "0.7j"], "unrecognized arguments: --z"),
+    (["--command", "parseval", "--lambda0", "1.5,1.5"],
+     "unrecognized arguments: --lambda0"),
+    (["--command", "parseval", "--beta", "0.5"],
+     "unrecognized arguments: --beta"),
+    (["--command", "maass-selberg", "--T", "1.0"],
+     "unrecognized arguments: --T"),
+    (["--command", "maass-selberg", "--s1", "1.2"],
+     "unrecognized arguments: --s1"),
+    (["--command", "maass-selberg", "--s2", "1.3"],
+     "unrecognized arguments: --s2"),
+    (["--command", "zeta", "--seed", "-1"], "argument --seed: "),
+    (["--command", "zeta", "--seed", "1.5"], "argument --seed: "),
+], ids=("z", "lambda0", "beta", "T", "s1", "s2", "seed-negative",
         "seed-fraction"))
-def test_bad_flag_value_is_a_usage_error(capsys, argv):
+def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert f"argument {argv[2]}: " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-def test_lambda0_single_value_is_the_diagonal():
-    args = build_parser().parse_args(["--lambda0", "1.7"])
-    assert config_from_args(args).lambda0 == (1.7, 1.7)
+def test_csv_under_all_is_refused(tmp_path, capsys):
+    # m-scalar, nmatrix and maass-selberg would each overwrite the one file
+    path = tmp_path / "all.csv"
+    with pytest.raises(DomainError, match="--csv takes one suite"):
+        run(RunConfig(command="all", csv_path=str(path)))
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", "all", "--csv", str(path), "--json", str(report)])
+    assert exit_info.value.code == 2
+    assert "--csv takes one suite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_changes_no_check(tmp_path):
@@ -335,10 +368,6 @@ def test_emit_csv_empty_and_inconsistent(tmp_path):
 
 
 def test_parser_tolerance_flags(capsys):
-    parser = build_parser()
-    args = parser.parse_args(["--command", "zeta", "--lambda0", "1.4,1.6"])
-    cfg = config_from_args(args)
-    assert cfg.lambda0 == (1.4, 1.6)
     # gates are pinned in cli.TOLERANCES: no option overrides one
     with pytest.raises(SystemExit) as exit_info:
         main(["--command", "zeta", "--tol-functional-equation", "1e-9"])
@@ -381,11 +410,18 @@ def test_failing_tolerance_reported(monkeypatch):
 
 
 def test_cli_exit_code_nonzero_on_failure():
-    # z = 1.5 is a pole of N, so the nmatrix suite records nmatrix-error
-    proc = subprocess.run(
-        [sys.executable, "-m", "eisenspec.cli", "--command", "nmatrix",
-         "--z", "1.5"],
-        capture_output=True, text=True)
+    # N(z) made to raise PoleProximity, so the nmatrix suite records
+    # nmatrix-error; the module then runs as python -m eisenspec.cli does
+    code = ("import runpy, sys\n"
+            "from eisenspec import gl3\n"
+            "from eisenspec.errors import PoleProximity\n"
+            "def pole(z):\n"
+            "    raise PoleProximity('ratio_L: pole at 1.0', 1.0, 1.0)\n"
+            "gl3.n_matrix = pole\n"
+            "sys.argv = ['eisenspec', '--command', 'nmatrix']\n"
+            "runpy.run_module('eisenspec.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout and "nmatrix-error" in proc.stdout
 

@@ -294,7 +294,7 @@ def test_grid_profiles_match_the_pointwise_oracle(grid):
         "plane": (gl3.named_weyl().values(), GL3.weight((1.3, 1.8)),
                   GL3.fundamental_weight(1), plane,
                   GL3.fundamental_weight(2), plane),
-        "residue-line": ([(gl3.sigma(2, j), (parseval._line_root(2),))
+        "residue-line": ([(gl3.sigma(2, j), (gl3.line_root(2),))
                           for j in (1, 2, 3)], gl3.delta_weight(2),
                          gl3.line_direction(2), line, None, None),
         "double-circle": ([gl3.named_weyl()["s3"]], GL3.rho(),
@@ -382,7 +382,7 @@ def test_pickup_terms_in_one_call_match_per_line_calls():
     x = 1j * (parseval._LINE_STEP * (np.arange(-30, 30) + 0.5))
     r1 = parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
-    terms = [(gl3.sigma(i, j), (parseval._line_root(i),))
+    terms = [(gl3.sigma(i, j), (gl3.line_root(i),))
              for i in (1, 2, 3) for j in (1, 2, 3)]
     got = parseval._residue_line(
         phi, r1, terms, [gl3.delta_weight(i) for i in lines],
@@ -408,7 +408,7 @@ def test_residue_line_matches_the_circle_form(seed):
     frames = [(GL3.weight((1.0, 1.8)), w2, w1, (1, 2)),
               (GL3.weight((1.3, 1.0)), w1, w2, (2, 3))]
     frames += [(gl3.delta_weight(i), gl3.line_direction(i),
-                gl3.delta_weight(i), parseval._line_root(i))
+                gl3.delta_weight(i), gl3.line_root(i))
                for i in (1, 2, 3)]
     for base, x_dir, u_dir, root in frames:
         ws = [w for w in GL3.weyl_group() if root in w.inversions()]
