@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -37,6 +38,8 @@ from .zeta import completed_L, gamma_fn, ratio_L, zeta
 
 # L(0.3 + 2i), by mpmath at 30 digits
 L_03_2I = complex(-0.20717261339322476282, 0.043375669082548637421)
+# zeta(2) = pi^2/6, and zeta(3) by mpmath at 30 digits
+ZETA_VALUES = {2: math.pi ** 2 / 6.0, 3: 1.2020569031595942854}
 
 # The gate of each check, pinned here: no option overrides one.
 TOLERANCES = {
@@ -410,7 +413,6 @@ def suite_residues(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_volume(report: VerificationReport, cfg: RunConfig):
-    import scipy.special  # loaded by the one suite that needs it
     for k in (2, 3):
         datum = RootDatum(k)
         factors = gl3mod.volume_factors(datum)
@@ -418,7 +420,7 @@ def suite_volume(report: VerificationReport, cfg: RunConfig):
         value = gl3mod.volume_constant(datum)
         # L(f) = pi^(-f/2) Gamma(f/2) zeta(f), computed outside eisenspec
         closed = math.prod(math.pi ** (-f / 2) * math.gamma(f / 2)
-                           * float(scipy.special.zeta(f)) for f in factors)
+                           * ZETA_VALUES[f] for f in factors)
         report.add(f"volume-gl{k}",
                    f"vol = {'*'.join('L(%d)' % f for f in factors)}",
                    closed, value,
@@ -539,14 +541,19 @@ COMMANDS = (*SUITES, "all")
 
 def run(config: RunConfig) -> VerificationReport:
     """Execute the selected suite(s) and collect a verification report; a
-    command that names no suite and is not "all", or a CSV path under "all",
-    where three suites would write the one file, raises DomainError."""
+    command that names no suite and is not "all", a CSV path under "all",
+    where three suites would write the one file, or a JSON or CSV path in a
+    directory that does not exist raises DomainError before any suite runs."""
     if config.command not in COMMANDS:
         raise DomainError(f"unknown command {config.command!r}; expected one "
                           f"of {', '.join(COMMANDS)}")
     if config.command == "all" and config.csv_path:
         raise DomainError("--csv takes one suite: under --command all three "
                           "suites would write the one file in turn")
+    for path in (config.json_path, config.csv_path):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DomainError(f"cannot write {path!r}: its directory does "
+                              "not exist")
     report = VerificationReport(config)
     names = list(SUITES) if config.command == "all" else [config.command]
     for name in names:

@@ -25,7 +25,6 @@ independent route to every number.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -61,9 +60,6 @@ __all__ = [
 
 GL3 = RootDatum(3)
 
-_HALF = Fraction(1, 2)
-
-
 # The (radius, nodes) circles of circle_residue.  TRANSVERSE_CIRCLE is the
 # u-circle of transverse_residue, at lam_i(z) + u delta_i.  The root beta_i
 # gives ratio_L(1 + u): the pole at u = 0 is the residue, and its next
@@ -87,9 +83,9 @@ DOUBLE_CIRCLES = (trapezoid_circle(0.3, 1.0), trapezoid_circle(0.1, 0.3))
 
 @lru_cache(maxsize=None)
 def delta_weight(i: int) -> Weight:
-    """delta_i = alpha_i / 2 (alpha_3 the highest root), exact coordinates."""
-    coords = {1: (Fraction(1), -_HALF), 2: (-_HALF, Fraction(1)),
-              3: (_HALF, _HALF)}
+    """delta_i = alpha_i / 2 (alpha_3 the highest root), in coordinates
+    that are exact in binary floating point."""
+    coords = {1: (1.0, -0.5), 2: (-0.5, 1.0), 3: (0.5, 0.5)}
     return GL3.weight(coords[i])
 
 

@@ -78,27 +78,34 @@ def _stacked_ratios(args: dict) -> dict:
             for key, v, a in zip(args, np.split(flat, ends), arrays)}
 
 
-def _grid_ratios(keys: list, x: np.ndarray, y) -> dict:
-    """ratio_L on the (x.size, y.size) outer sum a0 + ax x_k + ay y_l of
-    each distinct key (a0, ax, ay), one call per key but for the mirrors
-    and transposes read from a key already evaluated (see m_on_grid)."""
-    ratios = {}
-    mirror = np.array_equal(x[::-1], -x)
+def _grid_ratios(keys: list, x: np.ndarray, y) -> tuple:
+    """(keys, ratios): ratio_L on the (x.size, y.size) outer sum a0 + ax x_k
+    + ay y_l of each distinct key (a0, ax, ay), the keys with an x of one
+    node folded; the rows take one _stacked_ratios call on their 1-D
+    arguments, the mirrors and transposes are read (see m_on_grid)."""
+    if x.size == 1:  # an axis of one node only adds a constant
+        keys = [[(a0 + ax * x.item(), 0j, ay) for a0, ax, ay in row]
+                for row in keys]
+    mirror = np.array_equal(np.flip(x), -x)
     square = y is not None and np.array_equal(x, y)
-    for a0, ax, ay in dict.fromkeys(k for row in keys for k in row):
-        if mirror and (a0, -ax, ay) in ratios:
-            vals = ratios[a0, -ax, ay][::-1]
-        elif square and 0 in (ax, ay) and (a0, ay, ax) in ratios:
-            vals = ratios[a0, ay, ax].T
-        elif ay == 0:
-            vals = np.asarray(ratio_L(a0 + ax * x))
-            vals = vals if y is None else vals[:, None]
-        elif ax == 0:
-            vals = np.asarray(ratio_L(a0 + ay * y))[None, :]
+    rules, rows, ratios = {}, {}, {}
+    for key in dict.fromkeys(k for row in keys for k in row):
+        a0, ax, ay = key
+        if mirror and (a0, -ax, ay) in rules:
+            rules[key] = (a0, -ax, ay), np.flipud
+        elif square and 0 in (ax, ay) and (a0, ay, ax) in rules:
+            rules[key] = (a0, ay, ax), np.transpose
+        elif ax != 0 and ay != 0:
+            rules[key], ratios[key] = None, _sum_ratio(a0, ax * x, ay * y)
         else:
-            vals = _sum_ratio(a0, ax * x, ay * np.asarray(y))
-        ratios[a0, ax, ay] = vals
-    return ratios
+            rules[key], rows[key] = None, a0 + (ay * y if ay != 0 else ax * x)
+    for (a0, ax, ay), vals in _stacked_ratios(rows).items():
+        ratios[a0, ax, ay] = (vals if y is None else vals[None, :] if ay != 0
+                              else np.reshape(vals, (-1, 1)))
+    for key, rule in rules.items():
+        if rule is not None:
+            ratios[key] = rule[1](ratios[rule[0]])
+    return keys, ratios
 
 
 def m_on_grid(ws, base: Weight | list[Weight],
@@ -121,16 +128,15 @@ def m_on_grid(ws, base: Weight | list[Weight],
     takes its term count for all of them from the largest |Im| among them.
 
     On a grid each root argument <lam, root_check> = a0 + ax x_k + ay y_l
-    is an outer sum.  When x has one node, every distinct row a0 + ax x_0
-    + ay y (one point where ay = 0) goes into one stacked ratio_L call, as
-    a cloud would.  Otherwise ratio_L is called once per distinct triple
-    (a0, ax, ay) over every frame and inversion set: on the 1-D nodes when
-    the argument depends on x or y alone, and on the outer sum otherwise
-    (see _sum_ratio).  When x[::-1] == -x exactly, a triple whose mirror
-    (a0, -ax, ay) is already evaluated is read as that array reversed
-    along x, and when y equals x, a triple (a0, c, 0) or (a0, 0, c) whose
-    transpose is already evaluated is read as that array transposed: views
-    of bit-identical values.
+    is an outer sum, keyed by its triple (a0, ax, ay); an x of one node
+    only adds a constant, ax x_0, to a0.  Every distinct triple over every
+    frame and inversion set whose argument lies on one axis, a row on x or
+    y or a constant, goes into one stacked ratio_L call, and every other
+    one is evaluated on the outer sum (see _sum_ratio).  When x[::-1] == -x
+    exactly, a triple whose mirror (a0, -ax, ay) is already met is read as
+    that array reversed along x, and when y equals x, a triple (a0, c, 0)
+    or (a0, 0, c) whose transpose is already met is read as that array
+    transposed: views of bit-identical values.
 
     The products are formed as they are consumed; each broadcasts to
     (x.size, y.size), to x.shape without y, and to the cloud's shape
@@ -148,25 +154,14 @@ def m_on_grid(ws, base: Weight | list[Weight],
             key: bases[key[0]].pair_root(key[1])
             for key in dict.fromkeys(k for row in keys for k in row)})
     else:
-        x = np.asarray(x)
+        x, y = np.asarray(x), None if y is None else np.asarray(y)
         frames = zip(*(d if isinstance(d, list) else [d] * len(inversions)
                        for d in (base, x_dir, y_dir)))
         keys = [[(complex(b.pair_root(root)), complex(dx.pair_root(root)),
                   complex(dy.pair_root(root)) if y is not None else 0j)
                  for root in inverted]
                 for (b, dx, dy), inverted in zip(frames, inversions)]
-        if x.size == 1:
-            # a row is keyed by its point a0 + ax x_0 and its slope ay
-            x0 = x.item()
-            keys = [[(a0 + ax * x0, ay) for a0, ax, ay in row]
-                    for row in keys]
-            point = x.shape if y is None else (1, 1)
-            ratios = _stacked_ratios({
-                (c, ay): np.full(point, c) if ay == 0
-                else c + ay * np.asarray(y)[None, :]
-                for c, ay in dict.fromkeys(k for row in keys for k in row)})
-        else:
-            ratios = _grid_ratios(keys, x, y)
+        keys, ratios = _grid_ratios(keys, x, y)
     for row in keys:
         m = 1.0 + 0.0j
         for key in row:

@@ -326,6 +326,24 @@ def test_csv_under_all_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flag", [("parseval", "--json"),
+                                           ("lfn", "--json"),
+                                           ("nmatrix", "--csv")])
+def test_output_in_a_missing_directory_is_refused(tmp_path, capsys, command,
+                                                  flag):
+    # refused before any suite runs: under parseval the .spectral write, and
+    # otherwise the final one, would raise FileNotFoundError after the checks
+    path = str(tmp_path / "missing" / "out")
+    field = {"--json": "json_path", "--csv": "csv_path"}[flag]
+    with pytest.raises(DomainError, match="directory does not exist"):
+        run(RunConfig(command=command, **{field: path}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", command, flag, path])
+    assert exit_info.value.code == 2
+    assert "directory does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_changes_no_check(tmp_path):
     argv = ["--command", "maass-selberg"]
     path = tmp_path / "ms.csv"
@@ -436,9 +454,12 @@ def test_print_table_follows_redirect_stdout(capsys):
 
 
 def test_scipy_special_loads_only_where_it_is_used():
-    # importing the package and its CLI leaves scipy.special unloaded; the
-    # Bessel and incomplete-Gamma routes of one Maass-Selberg record load it
+    # importing the package and its CLI, and the volume suite, whose zeta
+    # values are constants, leave scipy.special unloaded; the Bessel and
+    # incomplete-Gamma routes of one Maass-Selberg record load it
     code = ("import sys, eisenspec, eisenspec.cli\n"
+            "print('scipy.special' in sys.modules)\n"
+            "eisenspec.cli.run(eisenspec.cli.RunConfig(command='volume'))\n"
             "print('scipy.special' in sys.modules)\n"
             "eisenspec.maass_selberg_record(1.2, 1.3, 1.0)\n"
             "print('scipy.special' in sys.modules)\n")
@@ -446,4 +467,4 @@ def test_scipy_special_loads_only_where_it_is_used():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]

@@ -220,9 +220,10 @@ def test_multi_frame_call_matches_per_frame_calls(monkeypatch):
     ws, bases, x_dirs, y_dirs = _pickup_frames()
     calls = _counting_ratio(monkeypatch)
     got = list(m_on_grid(ws, bases, x_dirs, _SYMMETRIC, y_dirs, _CIRCLE))
-    # ratio_L(1 + u) on the circle, shared by the three lines, and the two
-    # grids +-(1 + u)/2 + x, each read reversed for its mirror
-    assert calls == [False, True, True]
+    # the two grids +-(1 + u)/2 + x, each read reversed for its mirror, and
+    # ratio_L(1 + u) on the circle, shared by the three lines, the one row
+    # of the stacked call
+    assert calls == [True, True, False]
     for k in (0, 3, 6):
         want = m_on_grid(ws[k:k + 3], bases[k], x_dirs[k], _SYMMETRIC,
                          y_dirs[k], _CIRCLE)
@@ -306,15 +307,15 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
                 cocycle_check(s, t, point)
         assert calls == [((18,) + shape, True)]
     # all nine circles at a point z read one table: one pointwise call on
-    # the five distinct rows of TRANSVERSE_CIRCLE's nodes, no separable
-    # 1 x n grid; another z is a fresh call
+    # the five distinct rows of TRANSVERSE_CIRCLE's nodes, stacked as 1-D
+    # rows, no separable 1 x n grid; another z is a fresh call
     nodes = gl3.TRANSVERSE_CIRCLE[1]
     for z in (0.7j, -1.3j):
         calls.clear()
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 gl3.transverse_residue(i, j, z)
-        assert calls == [((5, 1, nodes), True)]
+        assert calls == [((5, nodes), True)]
 
 
 def _worst_cocycle(lam):
@@ -346,9 +347,10 @@ def test_cocycle_sees_the_weyl_action_and_the_inversion_sets(
 
 
 def test_one_node_grid_matches_the_grid_path():
-    # x of one node takes the pointwise route, one stacked call over rows
-    # that depend on x alone, on y alone and on both; it must agree with
-    # the first row of the same grid on two nodes
+    # an x of one node only adds a constant to each argument, so every
+    # argument, on x alone, on y alone or on both, is a row of the one
+    # stacked call; it must agree with the first row of the same grid on
+    # two nodes
     W = list(named_weyl().values())
     frame = (GL3.weight((0.3 + 0.1j, 1.2)), GL3.weight((1, 0)))
     x = np.array([0.4j, 0.9j])

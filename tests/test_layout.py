@@ -22,6 +22,12 @@ it: the rank-generic plane terms, one path for GL(2) and GL(3), and the
 residue lines, which serve the plane's pole correction and both kappa
 pickups of measure_constants.
 
+intertwine reaches ratio_L by two routes: _stacked_ratios, the one
+stacked call of an m_on_grid call on all of its points and rows, and
+_sum_ratio, for each outer sum on two axes.  A third caller would add
+kernel passes to an m_on_grid call, and each pass costs a fixed number of
+numpy calls whatever its size, which on a few points is its whole cost.
+
 The residue checks read m through m_on_grid: intertwine.cocycle_check,
 intertwine.unitarity_check, gl3.transverse_residue and
 gl3.symmetry_residual call no ratio_L themselves, so that each public call
@@ -228,6 +234,17 @@ def test_residue_checks_read_m_through_m_on_grid():
     assert [name for name, reached in found.items()
             if "ratio_L" in reached or "m_on_grid" not in reached] == []
     assert {"_weyl_table", "_circle_table"} <= set().union(*found.values())
+
+
+def test_intertwine_calls_ratio_L_in_two_functions():
+    path = SRC / "intertwine.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = sorted(fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     and any(isinstance(node, ast.Name)
+                             and node.id == "ratio_L"
+                             for node in ast.walk(fn)))
+    assert callers == ["_stacked_ratios", "_sum_ratio"]
 
 
 def _spells_out_53_bits(tree: ast.AST) -> list[int]:

@@ -551,10 +551,11 @@ def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
     parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
-    # the pickup's two lines +-1/2 + it, each read reversed in t for its
-    # mirror; at rho z1 and z2 lie on one circle each, and z1 + z2 is a
-    # separable grid.  R1's circle is cached per root datum
-    assert len(calls) == 5
+    # the pickup's two lines +-1/2 + it in one stacked call, each read
+    # reversed in t for its mirror; at rho z1 and z2 lie on one circle
+    # each, one stacked call for both, and z1 + z2 is a separable grid.
+    # R1's circle is cached per root datum
+    assert len(calls) == 3
     assert sum(calls) == 1
 
 
@@ -569,19 +570,21 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size
-    # z1, z2 and the z1 + z2 lattice, never the n x n grid.  On A's
-    # diagonal base z2 is z1 transposed.  The correction lines ride the
-    # plane's call: a line at z_k = 1 reads the other coordinate's array
-    # from the plane, and adds only its 1 + z_other.  At (1.3, 1.8) the
-    # corner's factor is below 2^-53; at (1.5, 1.5) the corner adds one
-    # point, and the two lines' 1 + z arrays are one transposed
-    for run, count in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 5),
-                       (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 4),
-                       (lambda: contribution_A(phi), 2)):
+    # the z1 + z2 lattice and one stacked call on the rows, never the n x n
+    # grid.  The rows are z1, z2 and the correction lines' 1 + z_other:
+    # a line at z_k = 1 reads the other coordinate's array from the plane's
+    # rows.  On A's diagonal base z2 is z1 transposed, one row.  At (1.3,
+    # 1.8) the corner's factor is below 2^-53, and the rows are four; at
+    # (1.5, 1.5) the two lines' 1 + z arrays are one transposed, so the
+    # rows are two, and the corner adds a call on its one point
+    for run, rows, corner in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 4,
+                               []),
+                              (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 2,
+                               [1]),
+                              (lambda: contribution_A(phi), 1, [])):
         sizes.clear()
         run()
-        assert len(sizes) == count
-        assert max(sizes) <= 2 * n - 1
+        assert sorted(sizes) == sorted([2 * n - 1, rows * n] + corner)
 
 
 def test_parseval_check_computes_B_and_C_once(monkeypatch):
