@@ -81,30 +81,23 @@ def _stacked_ratios(args: dict) -> dict:
 def _grid_ratios(keys: list, x: np.ndarray, y) -> tuple:
     """(keys, ratios): ratio_L on the (x.size, y.size) outer sum a0 + ax x_k
     + ay y_l of each distinct key (a0, ax, ay), the keys with an x of one
-    node folded; the rows take one _stacked_ratios call on their 1-D
-    arguments, the mirrors and transposes are read (see m_on_grid)."""
+    node folded; the arguments on at most one axis take one _stacked_ratios
+    call, a constant as one point, and each other one its _sum_ratio."""
     if x.size == 1:  # an axis of one node only adds a constant
         keys = [[(a0 + ax * x.item(), 0j, ay) for a0, ax, ay in row]
                 for row in keys]
-    mirror = np.array_equal(np.flip(x), -x)
-    square = y is not None and np.array_equal(x, y)
-    rules, rows, ratios = {}, {}, {}
+    rows, ratios = {}, {}
     for key in dict.fromkeys(k for row in keys for k in row):
         a0, ax, ay = key
-        if mirror and (a0, -ax, ay) in rules:
-            rules[key] = (a0, -ax, ay), np.flipud
-        elif square and 0 in (ax, ay) and (a0, ay, ax) in rules:
-            rules[key] = (a0, ay, ax), np.transpose
-        elif ax != 0 and ay != 0:
-            rules[key], ratios[key] = None, _sum_ratio(a0, ax * x, ay * y)
+        if ax != 0 and ay != 0:
+            ratios[key] = _sum_ratio(a0, ax * x, ay * y)
+        elif ay != 0:
+            rows[key] = a0 + ay * y
         else:
-            rules[key], rows[key] = None, a0 + (ay * y if ay != 0 else ax * x)
+            rows[key] = a0 + ax * (x if ax != 0 else x[:1])
     for (a0, ax, ay), vals in _stacked_ratios(rows).items():
         ratios[a0, ax, ay] = (vals if y is None else vals[None, :] if ay != 0
                               else np.reshape(vals, (-1, 1)))
-    for key, rule in rules.items():
-        if rule is not None:
-            ratios[key] = rule[1](ratios[rule[0]])
     return keys, ratios
 
 
@@ -131,12 +124,11 @@ def m_on_grid(ws, base: Weight | list[Weight],
     is an outer sum, keyed by its triple (a0, ax, ay); an x of one node
     only adds a constant, ax x_0, to a0.  Every distinct triple over every
     frame and inversion set whose argument lies on one axis, a row on x or
-    y or a constant, goes into one stacked ratio_L call, and every other
-    one is evaluated on the outer sum (see _sum_ratio).  When x[::-1] == -x
-    exactly, a triple whose mirror (a0, -ax, ay) is already met is read as
-    that array reversed along x, and when y equals x, a triple (a0, c, 0)
-    or (a0, 0, c) whose transpose is already met is read as that array
-    transposed: views of bit-identical values.
+    y or a constant (one point), goes into one stacked ratio_L call, and
+    every other one is evaluated on the outer sum (see _sum_ratio).  Which
+    of those points share a value, a row that repeats or mirrors another,
+    ratio_L decides: it evaluates each distinct point once, up to
+    conjugation.
 
     The products are formed as they are consumed; each broadcasts to
     (x.size, y.size), to x.shape without y, and to the cloud's shape

@@ -55,10 +55,10 @@ element (from WeylElement.act_coords) and their monomial tables, so that
 Q(lam), Q*(-w lam) and <lam, lam> are sums of tables weighted by the
 profile's coefficients, six 3 x 3 tables at degree <= 2 on GL(3)
 (_frame_tables).  Per root datum: the Gram matrix in floats and R1 on its
-circle, keyed by the circle too.  The correction lines of the
-pole-corrected plane ride the plane's own evaluation of the integrand
-(_plane_terms), so each reads the ratio_L array of its free coordinate
-from the plane's.
+circle, keyed by the circle too.  The correction lines and the corner
+of the pole-corrected plane ride the plane's own evaluation of the
+integrand (_plane_terms), so their ratio_L arguments go into the plane's
+one stacked call.
 """
 
 from __future__ import annotations
@@ -398,20 +398,20 @@ def _shifted_integrand(phi: PaleyWienerGaussian, ws,
 # ------------------------------------------- shifted integral, A and C --
 
 
-def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple, lines: list):
+def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple, residues: list):
     """(weight, terms): terms yields the shifted integrand (m(w, lam),
     Phi(lam), Phi*(-w lam)) of each w in phi.datum.weyl_group() on lam =
     lam0 + i R^r, r the rank (1 or 2), on the plane window in each
     coordinate; its sum times weight = (step/2pi)^r is the term of w.
 
-    After them, on GL(3), terms yields the same triple for each (w, root)
-    of lines, with the factor of root, a simple root (k, k + 1), left out
-    of m, on the line of the plane's nodes where z_k = 1: lam = lam0 with
-    coordinate k set to 1, plus i t along the other fundamental weight.
-    The lines ride the plane's one _shifted_integrand call, their frames
-    with a zero direction along z_k: m_on_grid then reads the line's
-    ratio_L array of the other coordinate from the plane's, and its arrays
-    are one row or one column of the plane's shape."""
+    After them, terms yields the same triple for each (w, dropped) of
+    residues, with the factors of dropped, simple roots (k, k + 1), left
+    out of m, where their planes z_k = 1 meet the plane's nodes: lam0 with
+    each such z_k set to 1, plus i t along the other fundamental weights,
+    a line on GL(3) or the point rho.  They ride the plane's one
+    _shifted_integrand call, their frames with a zero direction along each
+    fixed z_k, so that m_on_grid evaluates their ratio_L arguments with
+    the plane's, on one row, one column or one entry of its shape."""
     datum = phi.datum
     if datum.rank > 2:
         raise DomainError("the shifted integral needs GL(2) or GL(3)")
@@ -419,20 +419,19 @@ def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple, lines: list):
     it = 1j * t
     scale = (step / (2.0 * np.pi)) ** datum.rank
     weyl = datum.weyl_group()
-    if datum.rank == 1:
-        return scale, _shifted_integrand(
-            phi, weyl, datum.weight(lam0), datum.fundamental_weight(1), it,
-            None, None)
-    dirs = (datum.fundamental_weight(1), datum.fundamental_weight(2))
-    zero = datum.weight((0, 0))
-    fixed = [root[0] - 1 for _, root in lines]
-    frames = [(datum.weight(lam0), *dirs)] * len(weyl) + [
-        (datum.weight(tuple(1.0 if j == k else c for j, c in enumerate(lam0))),
-         *(zero if j == k else d for j, d in enumerate(dirs)))
-        for k in fixed]
-    base, x_dir, y_dir = (list(d) for d in zip(*frames))
-    ws = [*weyl, *((w, (root,)) for w, root in lines)]
-    return scale, _shifted_integrand(phi, ws, base, x_dir, it, y_dir, it)
+    dirs = [datum.fundamental_weight(k) for k in range(1, datum.rank + 1)]
+    zero = datum.weight((0,) * datum.rank)
+    frames = []
+    for dropped in [()] * len(weyl) + [d for _, d in residues]:
+        fixed = {root[0] - 1 for root in dropped}
+        frames.append((datum.weight(tuple(1.0 if k in fixed else c
+                                          for k, c in enumerate(lam0))),
+                       *(zero if k in fixed else d
+                         for k, d in enumerate(dirs))))
+    base, x_dir, *y_dir = (list(d) for d in zip(*frames))
+    y_dir, y = (y_dir[0], it) if y_dir else (None, None)
+    return scale, _shifted_integrand(phi, [*weyl, *residues], base, x_dir,
+                                     it, y_dir, y)
 
 
 @functools.cache
@@ -465,11 +464,11 @@ def _residue_line(phi: PaleyWienerGaussian, r1: complex, terms, base,
     root_check> = 1 is that of its one factor ratio_L(<lam, root_check>),
     so on that plane a term with dropped = (root,) is the residue of its
     integrand across it, and with two roots the double residue where both
-    planes meet.  Its readers are the corner of the plane's pole correction
-    (_plane_rule, whose lines ride the plane's call through _plane_terms
-    and take their factor from _residues), the kappa_B pickup and, with
-    nothing dropped, the kappa_C circle, which takes the residue at rho by
-    quadrature instead.
+    planes meet.  Its readers are the kappa_B pickup and, with nothing
+    dropped, the kappa_C circle, which takes the residue at rho by
+    quadrature instead; the plane's pole correction (_plane_rule) rides
+    the plane's call through _plane_terms and takes its factor from
+    _residues.
     """
     return np.stack(list(_residues(r1, terms, _shifted_integrand(
         phi, terms, base, x_dir, x, y_dir, y))))
@@ -490,33 +489,30 @@ def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
     the t_1 integral, and that t_2 rule adds e_2 times the integral of
     line 2, which is the summed Line_2 less e_1 RR: so the corner enters
     with the opposite sign.  A term enters when its factor exceeds 2^-53.
-    The lines come from the plane's own pass (_plane_terms)."""
+    The lines and the corner ride the plane's own pass (_plane_terms)."""
     datum, rank = phi.datum, phi.datum.rank
+    weyl = datum.weyl_group()
     step = _plane_window(phi.beta)[1]
     factors = [pole_factor(c - 1.0, step) for c in lam0]
     simple = [(k, k + 1) for k in range(1, rank + 1)]
-    r1 = _ratio_residue(datum, _RESIDUE_CIRCLE)
-    lines = [(w, simple[k]) for k, e in enumerate(factors)
-             if rank == 2 and e > 2.0 ** -53
-             for w in datum.weyl_group() if simple[k] in w.inversions()]
-    scale, terms = _plane_terms(phi, lam0, lines)
+    # the lines z_k = 1 of GL(3), then rho, where every pole plane meets
+    planes = [d for d in [*((r,) for r in simple if rank == 2), tuple(simple)]
+              if math.prod(factors[r[0] - 1] for r in d) > 2.0 ** -53]
+    residues = [(w, dropped) for dropped in planes for w in weyl
+                if w.inversions().issuperset(dropped)]
+    scale, terms = _plane_terms(phi, lam0, residues)
     raw = sum(complex(np.sum(m * phi_vals * image)) * scale
-              for m, phi_vals, image in itertools.islice(
-                  terms, len(datum.weyl_group())))
+              for m, phi_vals, image in itertools.islice(terms, len(weyl)))
+    vals = [v.ravel() for v in _residues(
+        _ratio_residue(datum, _RESIDUE_CIRCLE), residues, terms)]
+    lines = [factors[d[0][0] - 1] for _, d in residues if len(d) < rank]
     correction = 0.0 + 0.0j
-    if math.prod(factors) > 2.0 ** -53:
-        # every pole plane meets at rho: the GL(2) point, the GL(3) corner
-        corner = [(w, tuple(simple)) for w in datum.weyl_group()
-                  if w.inversions().issuperset(simple)]
-        point = np.sum(_residue_line(phi, r1, corner, datum.rho(),
-                                     datum.fundamental_weight(1),
-                                     np.zeros(1), None, None))
-        correction += (-1) ** (rank + 1) * math.prod(factors) * point
+    if vals[len(lines):]:
+        correction += ((-1) ** (rank + 1) * math.prod(factors)
+                       * np.sum(np.stack(vals[len(lines):])))
     if lines:
-        vals = np.stack([v.ravel() for v in _residues(
-            r1, [(w, (root,)) for w, root in lines], terms)])
-        weights = np.array([factors[root[0] - 1] for _, root in lines])
-        correction += np.sum(weights @ vals) * step / (2.0 * np.pi)
+        correction += (np.sum(np.array(lines) @ np.stack(vals[:len(lines)]))
+                       * step / (2.0 * np.pi))
     return raw, complex(correction)
 
 
@@ -620,7 +616,8 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
             "singular lines (B is numerically zero)")
     t, step = _line_window(phi.beta)
     n = t.size // 2
-    x = 1j * (step * (np.arange(-n, n) + 0.5))  # x[::-1] == -x exactly
+    # half steps symmetric in t, so that conjugate pairs meet in one call
+    x = 1j * (step * (np.arange(-n, n) + 0.5))
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
     terms = [(sigma(i, j), (line_root(i),)) for i in (1, 2, 3)
              for j in (1, 2, 3)]

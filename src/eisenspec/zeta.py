@@ -48,16 +48,15 @@ Evaluation strategy:
   Re z < -1/2.  The removable singularity at z = 0 (both L factors have
   simple poles there) is filled by its Laurent expansion, so quadrature
   paths may run straight through 0.
-* Conjugate halves are evaluated once.  ratio_L is exactly conjugation
+* Each point once, up to conjugation.  ratio_L is exactly conjugation
   equivariant, ratio_L(conj z) == conj ratio_L(z) bit for bit (every step
   of a pass, the Laurent fill with its real constant included, treats the
-  real and imaginary parts symmetrically).  So a pointwise argument whose
-  last axis is conjugation symmetric, z[..., ::-1].conj() == z exactly, as
-  on a line a + it or a plane of such lines with a real base and a window
-  symmetric in t, takes its upper half through the kernel and reads the
-  lower half as the conjugate mirror of it.  The pole check runs on the
-  whole argument first, and the largest |Im|, hence the Euler-Maclaurin
-  length, is the same on the half, so every value is the unfolded one.
+  real and imaginary parts symmetrically).  So a pointwise call, whatever
+  its shape, takes each distinct point through the kernel once and reads
+  a point whose conjugate also occurs as the conjugate of that value: a
+  repeated or mirrored row, or a line a + it on a window symmetric in t,
+  costs its distinct points up to conjugation.  Callers pass what they
+  need; which points share a value is decided here alone.
 * Residues are trapezoid sums on circles sized by contour.trapezoid_circle;
   closed forms are reserved for test oracles.  The Laurent constant c0 of L
   at 1, which fills ratio_L at 0, is the residue of L(1 + u)/u.
@@ -345,21 +344,21 @@ def _laurent_c0() -> float:
 
 
 def _ratio_L_pass(z, plus):
-    """_ratio_L_raw(z, plus), and without plus, on the upper half alone of
-    a last axis of z that is conjugation symmetric, z[..., ::-1].conj() ==
-    z: the lower half is the conjugate mirror of the upper, exactly, since
-    ratio_L is exactly conjugation equivariant.  The upper half holds the
-    centre of an odd axis (a real point) and the same largest |Im| as the
-    whole, so Euler-Maclaurin takes the same length and every value is bit
-    for bit the unfolded one."""
-    a = _as_complex_array(z)
-    n = a.shape[-1] if a.ndim else 0
-    if plus is not None or n < 2 or not np.array_equal(a[..., ::-1].conj(),
-                                                       a):
+    """_ratio_L_raw(z, plus), and without plus, on each distinct point of z
+    once, up to conjugation: a point with Im < 0 whose conjugate also
+    occurs in z is read as the conjugate of that value, and one whose
+    conjugate is absent is evaluated as given.  Distinct means unequal, so
+    x + 0j and x - 0j are one point.  The largest |Im|, hence the
+    Euler-Maclaurin length, is that of the whole argument, so every value
+    is bit for bit the one of z passed whole."""
+    a = _as_complex_array(z).ravel()
+    if plus is not None or a.size < 2:
         return _ratio_L_raw(z, plus)
-    upper = _ratio_L_raw(a[..., n // 2:], None)
-    return np.concatenate((upper[..., ::-1][..., :n // 2].conj(), upper),
-                          axis=-1)
+    lower = a.imag < 0
+    keys, inv = np.unique(np.where(lower, a.conj(), a), return_inverse=True)
+    upper = np.bincount(inv[~lower], minlength=keys.size) > 0
+    out = _ratio_L_raw(np.where(upper, keys, keys.conj()), None)[inv]
+    return np.where(lower & upper[inv], out.conj(), out).reshape(np.shape(z))
 
 
 def ratio_L(z, plus=None):
@@ -370,9 +369,8 @@ def ratio_L(z, plus=None):
     extends analytically with value -1.  With plus given the quotient is
     evaluated on the outer sum z (+) plus, of shape z.shape + plus.shape,
     through the separable kernel.  Either way L(z) and L(1+z) come from
-    one kernel pass, with or without points to fill.  Without plus, a last
-    axis that is conjugation symmetric is evaluated on its upper half
-    (_ratio_L_pass).
+    one kernel pass, with or without points to fill.  Without plus, each
+    distinct point is evaluated once, up to conjugation (_ratio_L_pass).
     """
     arr = _as_complex_array(z if plus is None else np.add.outer(z, plus))
     _check_pole(arr, (1.0,), "ratio_L")

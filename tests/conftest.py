@@ -1,8 +1,12 @@
 """Shared fixtures."""
 
+import importlib
+
 import pytest
 
 from eisenspec import intertwine
+
+zeta_module = importlib.import_module("eisenspec.zeta")
 
 
 def _clear_tables():
@@ -19,3 +23,23 @@ def fresh_tables():
     the fixture's value."""
     _clear_tables()
     return _clear_tables
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """The Euler-Maclaurin points of every kernel pass from here on, one
+    entry per pass: a.size, times b.size on a separable grid.  A ratio_L
+    pass takes z and 1 + z, so it counts twice its distinct points.  The
+    Laurent constant of L at 1 is computed first, so that its own circle
+    is not counted."""
+    zeta_module._laurent_c0()
+    points = []
+    kernel = zeta_module._zeta_em_core
+
+    def counting(a, b, reflect):
+        points.append(a.size * (1 if b is None else b.size))
+        return kernel(a, b, reflect)
+
+    monkeypatch.setattr(zeta_module, "_zeta_em_core", counting)
+    return points
+

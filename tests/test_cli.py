@@ -20,7 +20,7 @@ from eisenspec import cli, gl3, parseval, truncation
 from eisenspec.cli import (RunConfig, build_parser, config_from_args,
                            emit_csv, run)
 from eisenspec.cli import main
-from eisenspec.contour import line_step
+from eisenspec.contour import circle_nodes, line_step
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.parseval import SpectralReport
 from eisenspec.zeta import completed_L
@@ -162,9 +162,12 @@ def test_parseval_kappa_unity_sees_a_relative_fault(monkeypatch, name):
 
 
 def _on_the_R1_circle(z) -> bool:
-    radius, nodes = parseval._RESIDUE_CIRCLE
-    return np.size(z) == nodes and np.allclose(np.abs(np.asarray(z) - 1.0),
-                                               radius)
+    """Whether every point of z is a node of the R1 circle, 1 + u, or the
+    conjugate of one: ratio_L passes the kernel each distinct point of the
+    circle once, up to conjugation, so the circle is found by its values."""
+    circle = 1.0 + circle_nodes(*parseval._RESIDUE_CIRCLE)
+    return np.size(z) > 1 and bool(np.all(np.isin(
+        z, np.concatenate((circle, circle.conj())))))
 
 
 @pytest.mark.parametrize("fault", ["value", "kernel", "circle"])

@@ -112,23 +112,27 @@ def test_n_matrix_on_an_array_equals_scalar_calls():
         np.testing.assert_allclose(n[..., k], n_matrix(z), rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("z", [
-    1j * 0.21 * np.arange(-60, 61),
-    1j * 0.21 * (np.arange(-60, 60) + 0.5),
-    (0.3 + 0.8j) * 0.21 * np.arange(-20, 21),
+@pytest.mark.parametrize("z, distinct", [
+    (1j * 0.21 * np.arange(-60, 61), 2 * 61),
+    (1j * 0.21 * (np.arange(-60, 60) + 0.5), 2 * 60),
+    ((0.3 + 0.8j) * 0.21 * np.arange(-20, 21), 2 * 41),
 ], ids=["axis-odd", "axis-even", "off-axis"])
-def test_n_matrix_mirror_matches_point_calls(monkeypatch, z):
-    # z[::-1] == -z: the rows at -z -+ 1/2 are read reversed, bit for bit
-    # the ratio_L values of each point alone (|Im| <= 40 keeps the
-    # Euler-Maclaurin length at 48 for both), and one call on the two rows
-    # at z -+ 1/2 reaches ratio_L, which folds them again to their upper
-    # halves on the imaginary axis
+def test_n_matrix_mirror_matches_point_calls(monkeypatch, kernel_points, z,
+                                             distinct):
+    # z[::-1] == -z: one ratio_L call on the four rows +-z +- 1/2, whose
+    # values are bit for bit those of each point alone (|Im| <= 40 keeps
+    # the Euler-Maclaurin length at 48 for both).  The rows at -z -+ 1/2
+    # are those at z -+ 1/2 reversed, and on the imaginary axis their
+    # conjugates too, so the kernel sees the distinct points of z -+ 1/2,
+    # on the axis their upper halves: z and 1 + z of each
     assert np.array_equal(z[::-1], -z)
     calls = []
     monkeypatch.setattr(gl3, "ratio_L",
                         lambda arg: calls.append(arg.shape) or ratio_L(arg))
+    kernel_points.clear()
     n = n_matrix(z)
-    assert calls == [(2, z.size)]
+    assert calls == [(4, z.size)]
+    assert kernel_points == [2 * distinct]
     r_mm, r_mp, r_pm, r_pp = (np.array([complex(ratio_L(p)) for p in row])
                               for row in (-z - 0.5, -z + 0.5, z - 0.5,
                                           z + 0.5))

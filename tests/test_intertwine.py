@@ -124,17 +124,20 @@ def test_m_on_grid_plane_is_conjugation_symmetric():
         assert np.array_equal(m[::-1, ::-1], np.conj(m))
 
 
-def test_square_grid_reads_each_transpose(monkeypatch):
+def test_square_grid_reads_each_transpose(monkeypatch, kernel_points):
     # on a t (+) t plane with equal base coordinates z1 and z2 take the same
-    # values, so z2 is z1's array transposed: one call for both, bit for bit
-    # the values of one-element calls
+    # values: two rows of one stacked call, whose points ratio_L takes once
+    # up to conjugation, bit for bit the values of one-element calls
     x = 1j * 0.1 * np.arange(-30, 31)
     frame = (GL3.weight((1.5, 1.5)), GL3.weight((1, 0)), x,
              GL3.weight((0, 1)), x)
     want = [next(m_on_grid([w], *frame)) for w in named_weyl().values()]
     calls = _counting_ratio(monkeypatch)
+    kernel_points.clear()
     got = list(m_on_grid(named_weyl().values(), *frame))
-    assert len(calls) == 2  # z1 (and z2), and the z1 + z2 lattice
+    assert len(calls) == 2  # z1 and z2, and the z1 + z2 lattice
+    # the lattice's 121 points and the rows' 61, upper halves of each
+    assert kernel_points == [2 * 61, 2 * 31]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -186,11 +189,16 @@ def _direct_pair(x):
             for ax in (1, -1)]
 
 
-def test_mirrored_grid_is_the_direct_evaluation(monkeypatch):
+def test_mirrored_grid_is_the_direct_evaluation(monkeypatch, kernel_points):
+    # no rule reads one grid as another's mirror: each argument is its own
+    # separable pass of 2 |x| |u| points, as in its own ratio_L call, and
+    # its values are that call's bit for bit
     want = _direct_pair(_SYMMETRIC)
     calls = _counting_ratio(monkeypatch)
+    kernel_points.clear()
     got = _mirror_pair(_SYMMETRIC)
-    assert calls == [True]
+    assert calls == [True, True]
+    assert kernel_points == [2 * _SYMMETRIC.size * _CIRCLE.size] * 2
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -216,14 +224,23 @@ def _pickup_frames():
             [gl3.delta_weight(i) for i in lines])
 
 
-def test_multi_frame_call_matches_per_frame_calls(monkeypatch):
+def _pickup_kernel_points() -> list:
+    """The kernel passes of one m_on_grid call on the pickup frames: the
+    four grids +-(1 + u)/2 +- x, each a separable pass of 2 |x| |u| points,
+    then ratio_L(1 + u) on the circle, shared by the three lines, the one
+    row of the stacked call, whose distinct points up to conjugation each
+    enter once."""
+    row = {complex(p.real, abs(p.imag)) for p in 1.0 + _CIRCLE}
+    return [2 * _SYMMETRIC.size * _CIRCLE.size] * 4 + [2 * len(row)]
+
+
+def test_multi_frame_call_matches_per_frame_calls(monkeypatch, kernel_points):
     ws, bases, x_dirs, y_dirs = _pickup_frames()
     calls = _counting_ratio(monkeypatch)
+    kernel_points.clear()
     got = list(m_on_grid(ws, bases, x_dirs, _SYMMETRIC, y_dirs, _CIRCLE))
-    # the two grids +-(1 + u)/2 + x, each read reversed for its mirror, and
-    # ratio_L(1 + u) on the circle, shared by the three lines, the one row
-    # of the stacked call
-    assert calls == [True, True, False]
+    assert calls == [True] * 4 + [False]
+    assert kernel_points == _pickup_kernel_points()
     for k in (0, 3, 6):
         want = m_on_grid(ws[k:k + 3], bases[k], x_dirs[k], _SYMMETRIC,
                          y_dirs[k], _CIRCLE)
@@ -231,15 +248,15 @@ def test_multi_frame_call_matches_per_frame_calls(monkeypatch):
             assert np.array_equal(g, w)
 
 
-def test_m_on_grid_keeps_no_state(monkeypatch):
+def test_m_on_grid_keeps_no_state(kernel_points):
+    # a second call makes the first one's kernel passes again
     ws, bases, x_dirs, y_dirs = _pickup_frames()
-    calls = _counting_ratio(monkeypatch)
-    counts = []
+    runs = []
     for _ in range(2):
-        calls.clear()
+        kernel_points.clear()
         list(m_on_grid(ws, bases, x_dirs, _SYMMETRIC, y_dirs, _CIRCLE))
-        counts.append(len(calls))
-    assert counts == [3, 3]
+        runs.append(list(kernel_points))
+    assert runs == [_pickup_kernel_points()] * 2
 
 
 def _cloud(rng, size):

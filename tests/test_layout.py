@@ -41,9 +41,10 @@ included, can use it.
 
 Every quotient of L values goes through zeta.ratio_L, which takes both
 factors in one kernel pass: outside zeta, no module divides one
-completed_L (or _completed_L_raw) value by another.  The fold of conjugate
-halves lives there too: outside zeta, no module reverses an array and
-conjugates it, so a second fold of ratio_L values cannot grow elsewhere.
+completed_L (or _completed_L_raw) value by another.  Which points of a
+ratio_L call share a value is decided there too: outside zeta no module
+reverses an array, and intertwine transposes none, so no caller reads one
+ratio_L value as another's mirror or transpose.
 
 zeta forms no BLAS product: no @, dot, matmul, tensordot, inner or vdot,
 and no einsum with optimize, which may hand its contraction to BLAS.  A
@@ -325,9 +326,10 @@ def test_every_L_quotient_goes_through_ratio_L():
 
 
 def _is_reversal(node: ast.AST) -> bool:
-    """x[..., ::-1] (a slice of step -1 on any axis) or np.flip(x)."""
+    """x[..., ::-1] (a slice of step -1 on any axis), np.flip, np.flipud or
+    np.fliplr."""
     if isinstance(node, ast.Call):
-        return _called_name(node) == "flip"
+        return _called_name(node) in ("flip", "flipud", "fliplr")
     if not isinstance(node, ast.Subscript):
         return False
     index = node.slice
@@ -336,33 +338,32 @@ def _is_reversal(node: ast.AST) -> bool:
                and ast.unparse(part.step) == "-1" for part in parts)
 
 
-def _reverses_and_conjugates(tree: ast.AST) -> list[int]:
-    """Lines of tree that conjugate a reversed array or reverse a
-    conjugated one, in either spelling of each."""
-    def is_conj(node):
-        return (isinstance(node, ast.Call)
-                and _called_name(node) in ("conj", "conjugate"))
-
-    return sorted({node.lineno for node in ast.walk(tree)
-                   if (is_conj(node) and any(_is_reversal(sub) for sub in
-                                             ast.walk(node)))
-                   or (_is_reversal(node) and any(is_conj(sub) for sub in
-                                                  ast.walk(node)))})
+def _lines(tree: ast.AST, hit) -> list[int]:
+    return sorted({node.lineno for node in ast.walk(tree) if hit(node)})
 
 
 def test_only_zeta_folds_conjugate_halves():
-    hits = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-            if path.name != "zeta.py"
-            for line in _reverses_and_conjugates(ast.parse(path.read_text()))]
-    assert hits == []
-    assert _reverses_and_conjugates(ast.parse(
-        (SRC / "zeta.py").read_text())) != []
-    assert _reverses_and_conjugates(ast.parse(
-        "a = vals[::-1].conj()\n"
-        "b = np.conj(np.flip(vals, axis=-1))\n"
-        "c = np.conjugate(vals)[..., ::-1]\n"
-        "d = vals[::-1] * np.conj(vals)\n"
-        "e = vals[::2].conj()")) == [1, 2, 3]
+    # no module but zeta reverses an array, and intertwine transposes
+    # none: no caller reads one ratio_L value as another's mirror or
+    # transpose.  zeta's pointwise pass is where conjugates are read
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert [f"{name}:{line}" for name, tree in trees.items()
+            if name != "zeta.py"
+            for line in _lines(tree, _is_reversal)] == []
+    assert _lines(trees["intertwine.py"], lambda node: isinstance(
+        node, ast.Call) and _called_name(node) == "transpose") == []
+    ratio_pass, = [fn for fn in trees["zeta.py"].body
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_ratio_L_pass"]
+    assert _lines(ratio_pass, lambda node: isinstance(node, ast.Call)
+                  and _called_name(node) in ("conj", "conjugate")) != []
+    assert _lines(ast.parse(
+        "a = vals[::-1]\n"
+        "b = np.flip(vals, axis=-1)\n"
+        "c = np.flipud(vals)\n"
+        "d = np.fliplr(vals)[..., ::2]\n"
+        "e = vals[::2].conj()"), _is_reversal) == [1, 2, 3, 4]
 
 
 def _blas_products(tree: ast.AST) -> list[int]:

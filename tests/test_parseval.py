@@ -551,40 +551,44 @@ def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
     parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
-    # the pickup's two lines +-1/2 + it in one stacked call, each read
-    # reversed in t for its mirror; at rho z1 and z2 lie on one circle
+    # the pickup's rows +-1/2 +- it in one stacked call, whose points
+    # ratio_L takes once up to conjugation; at rho z1 and z2 lie on one circle
     # each, one stacked call for both, and z1 + z2 is a separable grid.
     # R1's circle is cached per root datum
     assert len(calls) == 3
     assert sum(calls) == 1
 
 
-def test_contour_planes_three_ratio_calls_on_lines(monkeypatch):
-    sizes = []
+def test_contour_planes_three_ratio_calls_on_lines(monkeypatch,
+                                                   kernel_points):
+    calls = []
 
     def counting(z, plus=None):
-        sizes.append(np.size(z) * (1 if plus is None else np.size(plus)))
+        calls.append(plus is None)
         return ratio_L(z, plus)
 
     parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size
+    half = n - n // 2  # t >= 0 on the window, symmetric in t
     # the z1 + z2 lattice and one stacked call on the rows, never the n x n
-    # grid.  The rows are z1, z2 and the correction lines' 1 + z_other:
-    # a line at z_k = 1 reads the other coordinate's array from the plane's
-    # rows.  On A's diagonal base z2 is z1 transposed, one row.  At (1.3,
-    # 1.8) the corner's factor is below 2^-53, and the rows are four; at
-    # (1.5, 1.5) the two lines' 1 + z arrays are one transposed, so the
-    # rows are two, and the corner adds a call on its one point
-    for run, rows, corner in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 4,
-                               []),
-                              (lambda: shifted_norm_gl3(phi, (1.5, 1.5)), 2,
-                               [1]),
-                              (lambda: contribution_A(phi), 1, [])):
-        sizes.clear()
+    # grid.  Window and bases are conjugation symmetric, so the kernel sees
+    # the lattice's n distinct points up to conjugation and the rows'
+    # upper halves: z1, z2 and the correction lines' 1 + z_other, four
+    # rows at (1.3, 1.8), whose corner factor is below 2^-53.  At (1.5,
+    # 1.5) z1 and z2 are one row, so are the two lines', and the corner
+    # rho rides the stacked call as its one point ratio_L(2).  On A's base
+    # z1 and z2 are one row, it
+    for run, rows in ((lambda: shifted_norm_gl3(phi, (1.3, 1.8)), 4 * half),
+                      (lambda: shifted_norm_gl3(phi, (1.5, 1.5)),
+                       2 * half + 1),
+                      (lambda: contribution_A(phi), half)):
+        calls.clear()
+        kernel_points.clear()
         run()
-        assert sorted(sizes) == sorted([2 * n - 1, rows * n] + corner)
+        assert calls == [True, True]
+        assert kernel_points == [2 * n, 2 * rows]
 
 
 def test_parseval_check_computes_B_and_C_once(monkeypatch):

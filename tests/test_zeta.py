@@ -498,3 +498,50 @@ def test_folded_halves_take_half_the_kernel_points(monkeypatch, name):
     points.clear()
     ratio_L(z + 0.01j)  # not symmetric: the whole axis
     assert points == [2 * z.size]
+
+
+def _shared_points():
+    """Arguments whose points repeat or come in conjugate pairs in every
+    arrangement the rule must see through, |Im| <= 40 throughout."""
+    rng = np.random.default_rng(43)
+    t = rng.uniform(-30.0, 30.0, 12)
+    row = 0.4 + 1j * t
+    square = rng.uniform(-2.0, 0.5, (5, 5)) + 1j * rng.uniform(-9.0, 9.0,
+                                                               (5, 5))
+    tiny = 1e-7 * (rng.uniform(-5.0, 5.0, 6) + 1j * rng.uniform(-5.0, 5.0, 6))
+    return {
+        "conjugate-rows": np.stack([row, -1.3 + 1j * t, row.conj()]),
+        "mirrored-rows": np.stack([row, row[::-1], row]),
+        "transposed-rows": np.stack([square, square.T]),
+        "signed-zeros": np.array([2.5 + 0j, complex(2.5, -0.0),
+                                  complex(-0.7, -0.0), 3.0 + 1j]),
+        "laurent-fill": np.concatenate([tiny, tiny.conj(), tiny,
+                                        [0j, complex(0.0, -0.0), 0.25j]]),
+        "lone-lower": np.array([0.7 - 2.3j, 1.9 + 0.4j, 1.9 + 0.4j]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_points()))
+def test_each_distinct_point_enters_the_kernel_once(monkeypatch,
+                                                    kernel_points, name):
+    # a pointwise call takes each distinct point once up to conjugation,
+    # whatever the shape it comes in: z and 1 + z of each, one kernel pass,
+    # and every value is the point's own one-point call, bit for bit
+    z = _shared_points()[name]
+    want = np.array([complex(ratio_L(p)) for p in z.ravel()])
+    kernel_points.clear()
+    raw_args = []
+    raw = zeta_module._ratio_L_raw
+    monkeypatch.setattr(zeta_module, "_ratio_L_raw", lambda z, plus: (
+        raw_args.append(np.array(z)) or raw(z, plus)))
+    got = ratio_L(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
+    distinct = {complex(p.real, abs(p.imag)) for p in z.ravel()}
+    assert kernel_points == [2 * len(distinct)]
+    # a lower-half point whose conjugate is absent reaches the kernel as
+    # given
+    passed, = raw_args
+    for p in z[z.imag < 0]:
+        if not np.any(z == np.conj(p)):
+            assert p in passed and np.conj(p) not in passed
