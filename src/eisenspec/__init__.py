@@ -15,10 +15,8 @@ from .gl3 import (GL3, delta_weight, double_residue_table, lambda_line,
                   n_matrix, rank_one_residual, sigma, symmetry_residual,
                   transverse_residue, volume_constant, volume_factors)
 from .truncation import (QuadratureResult, QuadratureSpec, TruncationParam,
-                         constant_term, eisenstein_direct,
-                         eisenstein_fourier, eisenstein_tail_bound,
-                         eisenstein_theta, inner_product_fd,
-                         maass_selberg_record, omega_rank1,
+                         eisenstein_fourier, eisenstein_theta,
+                         inner_product_fd, maass_selberg_record, omega_rank1,
                          truncated_eisenstein)
 from .parseval import (PaleyWienerGaussian, SpectralReport,
                        contribution_A, contribution_B, contribution_C,

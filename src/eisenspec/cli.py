@@ -1,27 +1,27 @@
 """Command-line verification harness.
 
 One binary, one suite per --command value.  Each suite runs its checks,
-prints an aligned table, optionally writes a versioned JSON report and
-plot-ready CSV, and exits 0 iff every residual met its tolerance.  This is
-the only module that writes files.  The report times every check itself and
-keeps the times in a "timing" block apart from the checks.  A suite that
-raises DomainError or PoleProximity is recorded as a failed "<suite>-error"
-check, and the run goes on to the next suite.  All randomized inputs are
-drawn from a numpy generator seeded by --seed, and every other point a check
-reads is a constant of its suite, so a given (command, seed) pair reproduces
-its report byte for byte apart from the timestamp field and the timing block.
+prints an aligned table, optionally writes a versioned JSON report, and
+exits 0 iff every residual met its tolerance.  This is the only module that
+writes files, and a run writes at most one: its --json report.  The report
+times every check itself and keeps the times in a "timing" block apart from
+the checks.  A suite that raises DomainError or PoleProximity is recorded
+as a failed "<suite>-error" check, and the run goes on to the next suite.
+All randomized inputs are drawn from a numpy generator seeded by --seed, and
+every other point a check reads is a constant of its suite, so a given
+(command, seed) pair reproduces its report byte for byte apart from the
+timestamp field and the timing block.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class RunConfig:
     command: str = "all"
     seed: int = 42
     json_path: str | None = None
-    csv_path: str | None = None
 
 
 def enc(v):
@@ -87,13 +86,6 @@ def enc(v):
     if isinstance(v, (list, tuple)):
         return [enc(x) for x in v]
     return v
-
-
-def spectral_json(rep: pv.SpectralReport) -> str:
-    """The .spectral file: every field of the report, encoded by enc."""
-    return json.dumps({"schema": "eisenspec.spectral_report/2",
-                       **{k: enc(v) for k, v in asdict(rep).items()}},
-                      indent=2, sort_keys=True)
 
 
 @dataclass
@@ -171,20 +163,6 @@ class VerificationReport:
         summary = ("all checks passed" if self.all_passed
                    else "SOME CHECKS FAILED")
         print(f"-- {len(self.records)} checks: {summary}", file=stream)
-
-
-def emit_csv(series: dict[str, list], path: str):
-    """Numeric CSV with a header row, full double precision, LF endings."""
-    cols = list(series)
-    lengths = {len(v) for v in series.values()}
-    if len(lengths) > 1:
-        raise ValueError(f"emit_csv: inconsistent column lengths {lengths}")
-    rows = lengths.pop() if lengths else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for k in range(rows):
-            writer.writerow([f"{float(series[c][k]):.17g}" for c in cols])
 
 
 # ------------------------------------------------------------ the suites --
@@ -311,14 +289,6 @@ def suite_m_scalar(report: VerificationReport, cfg: RunConfig):
                want3, got3, abs(got3 - want3) / abs(want3),
                TOLERANCES["m-closed-form"])
 
-    if cfg.csv_path:
-        # Point by point, not as one cloud: a cloud call would take its
-        # Euler-Maclaurin term count from the largest |Im| (80 at y = 40)
-        # for every point of the sweep.
-        ys = np.linspace(0.0, 40.0, 201)
-        mods = [abs(m_scalar(s3, datum.weight((1j * y, 1j * y)))) for y in ys]
-        emit_csv({"y": list(ys), "abs_m_s3": mods}, cfg.csv_path)
-
 
 def suite_combinatorics(report: VerificationReport, cfg: RunConfig):
     bad = 0.0
@@ -370,19 +340,6 @@ def suite_nmatrix(report: VerificationReport, cfg: RunConfig):
     report.add("nmatrix-multiplicativity", "n_ij = n_ik conj(n_jk), k = 1, 2",
                0.0, worst, worst, TOLERANCES["nmatrix-mult"])
 
-    if cfg.csv_path:
-        # N on the imaginary axis, built once, and its minor residual per row.
-        ts = np.linspace(-3, 3, 121)
-        n = gl3mod.n_matrix(1j * ts)
-        series = {"z_imag": ts}
-        for i in range(3):
-            for j in range(3):
-                series[f"re_n{i + 1}{j + 1}"] = n[i, j].real
-                series[f"im_n{i + 1}{j + 1}"] = n[i, j].imag
-        series["minor_residual"] = [gl3mod.max_minor(n[..., k])
-                                    for k in range(ts.size)]
-        emit_csv(series, cfg.csv_path)
-
 
 def suite_residues(report: VerificationReport, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
@@ -429,10 +386,8 @@ def suite_volume(report: VerificationReport, cfg: RunConfig):
 
 
 def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
-    records = []
     for (s1, s2, T) in MAASS_SELBERG_TRIPLES:
         rec = maass_selberg_record(s1, s2, T)
-        records.append(rec)
         report.add(f"maass-selberg-{s1}-{s2}-T{T}",
                    "truncated inner product matches the rank-one formula",
                    rec["formula_value"], rec["quadrature_value"],
@@ -450,11 +405,6 @@ def suite_maass_selberg(report: VerificationReport, cfg: RunConfig):
     report.add("eisenstein-fourier-vs-theta",
                "Fourier-Whittaker E matches the theta-series E on D",
                0.0, worst, worst, TOLERANCES["fourier-theta"])
-    if cfg.csv_path:
-        # one column per field of a record; complex values give their real
-        # part
-        emit_csv({c: [complex(r[c]).real for r in records]
-                  for c in records[0]}, cfg.csv_path)
 
 
 def suite_parseval(report: VerificationReport, cfg: RunConfig):
@@ -519,10 +469,6 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
                "nine-term B equals its rank-one factored form",
                0.0, worst_bform, worst_bform, TOLERANCES["b-form"])
 
-    if cfg.json_path:
-        with open(cfg.json_path + ".spectral", "w") as fh:
-            fh.write(spectral_json(rep))
-
 
 SUITES = {
     "zeta": suite_zeta,
@@ -541,19 +487,16 @@ COMMANDS = (*SUITES, "all")
 
 def run(config: RunConfig) -> VerificationReport:
     """Execute the selected suite(s) and collect a verification report; a
-    command that names no suite and is not "all", a CSV path under "all",
-    where three suites would write the one file, or a JSON or CSV path in a
-    directory that does not exist raises DomainError before any suite runs."""
+    command that names no suite and is not "all", or a JSON path in a
+    directory that does not exist, raises DomainError before any suite
+    runs."""
     if config.command not in COMMANDS:
         raise DomainError(f"unknown command {config.command!r}; expected one "
                           f"of {', '.join(COMMANDS)}")
-    if config.command == "all" and config.csv_path:
-        raise DomainError("--csv takes one suite: under --command all three "
-                          "suites would write the one file in turn")
-    for path in (config.json_path, config.csv_path):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise DomainError(f"cannot write {path!r}: its directory does "
-                              "not exist")
+    path = config.json_path
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise DomainError(f"cannot write {path!r}: its directory does not "
+                          "exist")
     report = VerificationReport(config)
     names = list(SUITES) if config.command == "all" else [config.command]
     for name in names:
@@ -588,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_seed, default=RunConfig.seed)
     parser.add_argument("--json", dest="json_path",
                         help="write the verification report as JSON")
-    parser.add_argument("--csv", dest="csv_path",
-                        help="write the suite's sample CSV (one suite only)")
     return parser
 
 

@@ -639,7 +639,9 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
 
 @dataclass
 class SpectralReport:
-    """Everything the Parseval check produced, JSON-serializable."""
+    """What the GL(3) Parseval check compares: the shifted integral at each
+    base, both forms of A and of B, the measured constants, and the relative
+    residual of shifted = A + B + C."""
 
     shifted: complex
     shifted_alt: complex | None
@@ -647,12 +649,9 @@ class SpectralReport:
     A_symmetric: complex
     B_direct: complex
     B_factored: complex
-    C: complex
     kappa_B: float | None
     kappa_C: float | None
-    residual_abs: float
     residual_rel: float
-    config: dict = field(default_factory=dict)
 
 
 def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
@@ -680,13 +679,7 @@ def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
         A_symmetric=a_sym,
         B_direct=b_direct,
         B_factored=b_fact,
-        C=complex(c_val),
         kappa_B=kappa_b,
         kappa_C=kappa_c,
-        residual_abs=residual,
         residual_rel=residual / max(abs(shifted), 1e-300),
-        config={"lam0": list(lam0),
-                "lam0_alt": list(lam0_alt) if lam0_alt else None,
-                "beta": phi.beta,
-                "poly_size": len(phi.poly_coeffs)},
     )

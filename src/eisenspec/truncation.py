@@ -11,7 +11,7 @@ rapidly decreasing function on the fundamental domain
 
     D = { |Re z| <= 1/2, |z| >= 1 }.
 
-Three evaluators of E are provided, all vectorized over arrays x, y:
+Two evaluators of E are provided, both vectorized over arrays x, y:
 
 * eisenstein_fourier, the production route for real s > 1: the
   Fourier-Whittaker expansion
@@ -38,10 +38,10 @@ Three evaluators of E are provided, all vectorized over arrays x, y:
   incomplete-gamma call at s and one at 1 - s, and np.bincount adds each
   point's terms in pair order.  It uses neither c(s) nor K, so the CLI
   holds the two routes to each other.
-* eisenstein_direct, the direct coprime-pair sum, with the certified
-  integral-comparison bound eisenstein_tail_bound on what it drops (the
-  literal definition; its tail decays only like B^(2-2s), so it is the
-  test oracle that uses no special function, not a route near s = 1).
+
+The direct coprime-pair sum, the literal definition, is not a route here:
+its tail decays only like B^(2-2s).  It lives in the tests, with its
+certified tail bound, as the oracle that uses no special function.
 
 The Fourier and theta routes give a point the same value bit for bit alone
 or in any batch: each adds only its own terms, in a fixed order, from 0.
@@ -77,11 +77,8 @@ __all__ = [
     "TruncationParam",
     "QuadratureSpec",
     "QuadratureResult",
-    "eisenstein_direct",
-    "eisenstein_tail_bound",
     "eisenstein_theta",
     "eisenstein_fourier",
-    "constant_term",
     "truncated_eisenstein",
     "inner_product_fd",
     "omega_rank1",
@@ -133,55 +130,6 @@ def _check_points(x: np.ndarray, y: np.ndarray, name: str):
     """Refuse any point outside H: each x finite and each y in (0, inf)."""
     if not np.all(np.isfinite(x) & np.isfinite(y) & (y > 0.0)):
         raise DomainError(f"{name} needs points of H (finite x, 0 < y < inf)")
-
-
-def _direct_points(x, y, s, bound: int):
-    """Check the direct sum's domain; the points broadcast and flattened,
-    with their shape."""
-    if complex(s).real <= 1.0:
-        raise DomainError(
-            f"direct Eisenstein summation needs Re(s) > 1, got {s}")
-    if bound < 3:
-        raise DomainError(f"lattice bound must be at least 3, got {bound}")
-    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
-                                 np.asarray(y, dtype=np.float64))
-    _check_points(xa, ya, "direct Eisenstein summation")
-    return xa.shape, xa.ravel(), ya.ravel()
-
-
-def eisenstein_direct(x, y, s, bound: int):
-    """Direct coprime-pair sum truncated at max(|c|, |d|) <= bound.
-
-    Vectorized over arrays x, y of one broadcast shape; a point outside H
-    raises DomainError.  Convention: pairs are taken modulo the unit -1 by
-    requiring c >= 0, with (0, 1) contributing y^s.
-    """
-    shape, xs, ys = _direct_points(x, y, s, bound)
-    d = np.arange(-bound, bound + 1, dtype=np.int64)
-    total = ys ** s
-    for c in range(1, bound + 1):
-        dd = d[np.gcd(np.int64(c), d) == 1].astype(np.float64)
-        q = (c * xs[:, None] + dd[None, :]) ** 2 + (c * ys[:, None]) ** 2
-        total = total + ys ** s * (q ** (-s)).sum(axis=1)
-    return total.reshape(shape)
-
-
-def eisenstein_tail_bound(x, y, s, bound: int):
-    """Certified bound on what eisenstein_direct drops at the points (x, y),
-    by integral comparison, with kappa the smallest eigenvalue of the form
-    (c, d) -> |c z + d|^2.
-
-    The points are flattened first, so numpy takes its array power for one
-    point as for many, and a point's bound does not depend on its batch.
-    """
-    shape, xs, ys = _direct_points(x, y, s, bound)
-    sigma = complex(s).real
-    r2 = xs * xs + ys * ys
-    kappa = 0.5 * ((r2 + 1.0) - np.sqrt((r2 - 1.0) ** 2 + 4.0 * xs * xs))
-    b = bound - math.sqrt(2.0)
-    geom = 2.0 * math.pi * (1.0 + math.sqrt(2.0) / (2.0 * b))
-    return ((ys ** sigma) * kappa ** (-sigma) * geom * b ** (2.0 - 2.0 * sigma)
-            / (2.0 * sigma - 2.0)).reshape(shape)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -374,20 +322,6 @@ def eisenstein_fourier(x, y, s: float):
     """
     value = _fourier_expansion(s, math.inf, math.inf)(x, y)
     return float(value) if value.ndim == 0 else value
-
-
-def constant_term(y, s):
-    """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s).
-
-    At s = 1, c(s) has a pole, and ratio_L raises PoleProximity; a height y
-    outside (0, inf) raises DomainError.
-    """
-    s = complex(s)
-    y = np.asarray(y, dtype=np.float64)
-    _check_points(0.0, y, "constant_term")
-    log_y = np.log(y)
-    out = np.exp(s * log_y) + _c_function(s) * np.exp((1.0 - s) * log_y)
-    return complex(out[()]) if out.ndim == 0 else out
 
 
 def truncated_eisenstein(s: float, trunc: TruncationParam) -> Callable:

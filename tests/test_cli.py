@@ -1,7 +1,6 @@
 """CLI harness: suites run, reports serialize, seeds reproduce."""
 
 import contextlib
-import csv
 import importlib
 import io
 import json
@@ -17,12 +16,10 @@ from scipy.special import kv
 
 import eisenspec
 from eisenspec import cli, gl3, parseval, truncation
-from eisenspec.cli import (RunConfig, build_parser, config_from_args,
-                           emit_csv, run)
+from eisenspec.cli import RunConfig, build_parser, config_from_args, run
 from eisenspec.cli import main
 from eisenspec.contour import circle_nodes, line_step
 from eisenspec.errors import DomainError, PoleProximity
-from eisenspec.parseval import SpectralReport
 from eisenspec.zeta import completed_L
 
 
@@ -115,11 +112,14 @@ def test_conjugation_equivariance_can_fail(monkeypatch, kernel, fresh_r1):
     assert clean.passed and clean.residual == 0.0
 
 
-def test_parseval_suite_checks_kappa_unity():
-    report = run(RunConfig(command="parseval"))
+def test_parseval_suite_checks_kappa_unity(tmp_path):
+    path = tmp_path / "r.json"
+    report = run(RunConfig(command="parseval", json_path=str(path)))
     unity, = [r for r in report.records if r.name == "parseval-kappa-unity"]
     assert unity.passed
     assert unity.tolerance == cli.TOLERANCES["kappa-spread"]
+    # the run writes its --json report and nothing beside it
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_b_form_equivalence_sees_an_off_column_entry(monkeypatch):
@@ -301,13 +301,16 @@ def test_library_error_is_a_failed_check(tmp_path, monkeypatch, suite,
      "unrecognized arguments: --beta"),
     (["--command", "maass-selberg", "--T", "1.0"],
      "unrecognized arguments: --T"),
+    # a run's only output is its --json report
+    (["--command", "nmatrix", "--csv", "x.csv"],
+     "unrecognized arguments: --csv"),
     (["--command", "maass-selberg", "--s1", "1.2"],
      "unrecognized arguments: --s1"),
     (["--command", "maass-selberg", "--s2", "1.3"],
      "unrecognized arguments: --s2"),
     (["--command", "zeta", "--seed", "-1"], "argument --seed: "),
     (["--command", "zeta", "--seed", "1.5"], "argument --seed: "),
-], ids=("z", "lambda0", "beta", "T", "s1", "s2", "seed-negative",
+], ids=("z", "lambda0", "beta", "T", "csv", "s1", "s2", "seed-negative",
         "seed-fraction"))
 def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
@@ -316,76 +319,20 @@ def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_csv_under_all_is_refused(tmp_path, capsys):
-    # m-scalar, nmatrix and maass-selberg would each overwrite the one file
-    path = tmp_path / "all.csv"
-    with pytest.raises(DomainError, match="--csv takes one suite"):
-        run(RunConfig(command="all", csv_path=str(path)))
-    report = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--command", "all", "--csv", str(path), "--json", str(report)])
-    assert exit_info.value.code == 2
-    assert "--csv takes one suite" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("command, flag", [("parseval", "--json"),
-                                           ("lfn", "--json"),
-                                           ("nmatrix", "--csv")])
+                                           ("lfn", "--json")])
 def test_output_in_a_missing_directory_is_refused(tmp_path, capsys, command,
                                                   flag):
-    # refused before any suite runs: under parseval the .spectral write, and
-    # otherwise the final one, would raise FileNotFoundError after the checks
+    # refused before any suite runs: the report's write would otherwise
+    # raise FileNotFoundError after the checks
     path = str(tmp_path / "missing" / "out")
-    field = {"--json": "json_path", "--csv": "csv_path"}[flag]
     with pytest.raises(DomainError, match="directory does not exist"):
-        run(RunConfig(command=command, **{field: path}))
+        run(RunConfig(command=command, json_path=path))
     with pytest.raises(SystemExit) as exit_info:
         main(["--command", command, flag, path])
     assert exit_info.value.code == 2
     assert "directory does not exist" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_csv_changes_no_check(tmp_path):
-    argv = ["--command", "maass-selberg"]
-    path = tmp_path / "ms.csv"
-    plain = run(config_from_args(build_parser().parse_args(argv)))
-    with_csv = run(config_from_args(build_parser().parse_args(
-        argv + ["--csv", str(path)])))
-    assert [r.name for r in with_csv.records] == \
-        [r.name for r in plain.records]
-    assert path.exists()
-
-
-def test_nmatrix_suite_csv(tmp_path):
-    csv_path = tmp_path / "nmatrix.csv"
-    cfg = RunConfig(command="nmatrix", csv_path=str(csv_path))
-    report = run(cfg)
-    assert report.all_passed
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "z_imag"
-    assert rows[0][-1] == "minor_residual"
-    assert len(rows) == 122
-    assert all(float(r[-1]) < 1e-9 for r in rows[1:])
-
-
-def test_emit_csv_roundtrip(tmp_path):
-    path = tmp_path / "series.csv"
-    emit_csv({"t": [0.0, 1.0], "value": [0.5235987755982988, 2.0]}, str(path))
-    text = path.read_text()
-    lines = text.split("\n")
-    assert lines[0] == "t,value"
-    assert "0.52359877559829882" in lines[1]
-
-
-def test_emit_csv_empty_and_inconsistent(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_csv({"a": [], "b": []}, str(path))
-    assert path.read_text() == "a,b\n"
-    with pytest.raises(ValueError):
-        emit_csv({"a": [1.0], "b": []}, str(path))
 
 
 def test_parser_tolerance_flags(capsys):
@@ -399,19 +346,6 @@ def test_parser_tolerance_flags(capsys):
         main(["--command", "volume", "--group", "gl4"])
     assert exit_info.value.code == 2
     assert "--group" in capsys.readouterr().err
-
-
-def test_spectral_json_round_trip():
-    # complex values as [re, im]; built by hand, so no quadrature runs
-    rep = SpectralReport(
-        shifted=1.5 + 2e-14j, shifted_alt=1.5 - 1e-14j, A_direct=1.2 + 0j,
-        A_symmetric=1.2 + 0j, B_direct=0.2 + 0j, B_factored=0.2 + 0j,
-        C=0.1 + 0j, kappa_B=1.0, kappa_C=1.0, residual_abs=3e-14,
-        residual_rel=2e-14, config={"lam0": [1.5, 1.5]})
-    blob = json.loads(cli.spectral_json(rep))
-    assert blob["schema"] == "eisenspec.spectral_report/2"
-    assert isinstance(blob["shifted"], list) and len(blob["shifted"]) == 2
-    assert blob["residual_rel"] <= 1e-4
 
 
 def test_cli_exit_code_zero():

@@ -13,13 +13,82 @@ from eisenspec import cli, truncation
 from eisenspec.contour import line_step
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.truncation import (DECAY_CUTOFF, QuadratureSpec,
-                                  TruncationParam, _lattice_pairs,
-                                  _upper_gamma, constant_term,
-                                  eisenstein_direct, eisenstein_fourier,
-                                  eisenstein_tail_bound, eisenstein_theta,
-                                  inner_product_fd, maass_selberg_record,
-                                  omega_rank1, truncated_eisenstein)
+                                  TruncationParam, _c_function,
+                                  _check_points, _lattice_pairs,
+                                  _upper_gamma, eisenstein_fourier,
+                                  eisenstein_theta, inner_product_fd,
+                                  maass_selberg_record, omega_rank1,
+                                  truncated_eisenstein)
 from eisenspec.zeta import completed_L, ratio_L, zeta
+
+# ------------------------------------------------------------ oracles --
+# The literal definition of E and its constant term, which the library's
+# routes are held to here.  The direct sum uses no special function; its
+# tail decays only like bound^(2-2s).
+
+
+def _direct_points(x, y, s, bound: int):
+    """Check the direct sum's domain; the points broadcast and flattened,
+    with their shape."""
+    if complex(s).real <= 1.0:
+        raise DomainError(
+            f"direct Eisenstein summation needs Re(s) > 1, got {s}")
+    if bound < 3:
+        raise DomainError(f"lattice bound must be at least 3, got {bound}")
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    _check_points(xa, ya, "direct Eisenstein summation")
+    return xa.shape, xa.ravel(), ya.ravel()
+
+
+def eisenstein_direct(x, y, s, bound: int):
+    """Direct coprime-pair sum truncated at max(|c|, |d|) <= bound.
+
+    Vectorized over arrays x, y of one broadcast shape; a point outside H
+    raises DomainError.  Convention: pairs are taken modulo the unit -1 by
+    requiring c >= 0, with (0, 1) contributing y^s.
+    """
+    shape, xs, ys = _direct_points(x, y, s, bound)
+    d = np.arange(-bound, bound + 1, dtype=np.int64)
+    total = ys ** s
+    for c in range(1, bound + 1):
+        dd = d[np.gcd(np.int64(c), d) == 1].astype(np.float64)
+        q = (c * xs[:, None] + dd[None, :]) ** 2 + (c * ys[:, None]) ** 2
+        total = total + ys ** s * (q ** (-s)).sum(axis=1)
+    return total.reshape(shape)
+
+
+def eisenstein_tail_bound(x, y, s, bound: int):
+    """Certified bound on what eisenstein_direct drops at the points (x, y),
+    by integral comparison, with kappa the smallest eigenvalue of the form
+    (c, d) -> |c z + d|^2.
+
+    The points are flattened first, so numpy takes its array power for one
+    point as for many, and a point's bound does not depend on its batch.
+    """
+    shape, xs, ys = _direct_points(x, y, s, bound)
+    sigma = complex(s).real
+    r2 = xs * xs + ys * ys
+    kappa = 0.5 * ((r2 + 1.0) - np.sqrt((r2 - 1.0) ** 2 + 4.0 * xs * xs))
+    b = bound - math.sqrt(2.0)
+    geom = 2.0 * math.pi * (1.0 + math.sqrt(2.0) / (2.0 * b))
+    return ((ys ** sigma) * kappa ** (-sigma) * geom * b ** (2.0 - 2.0 * sigma)
+            / (2.0 * sigma - 2.0)).reshape(shape)
+
+
+def constant_term(y, s):
+    """Cusp constant term y^s + c(s) y^(1-s), c(s) = L(2s-1)/L(2s).
+
+    At s = 1, c(s) has a pole, and ratio_L raises PoleProximity; a height y
+    outside (0, inf) raises DomainError.
+    """
+    s = complex(s)
+    y = np.asarray(y, dtype=np.float64)
+    _check_points(0.0, y, "constant_term")
+    log_y = np.log(y)
+    out = np.exp(s * log_y) + _c_function(s) * np.exp((1.0 - s) * log_y)
+    return complex(out[()]) if out.ndim == 0 else out
+
 
 VOL_D = 1.0471975511965976  # pi/3, from the arc integral
 
