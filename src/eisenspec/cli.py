@@ -430,7 +430,7 @@ def suite_parseval(report: VerificationReport, cfg: RunConfig):
     g3 = RootDatum(3)
 
     fixed = pv.PaleyWienerGaussian(g3, PARSEVAL_BETA)
-    rep = pv.parseval_check_gl3(fixed, PARSEVAL_LAM0, None, with_kappa=False)
+    rep = pv.parseval_check_gl3(fixed, PARSEVAL_LAM0, lam0_alt)
     report.add("parseval-gl3-fixed-beta",
                f"decomposition at beta={PARSEVAL_BETA}, "
                f"lam0={list(PARSEVAL_LAM0)}",

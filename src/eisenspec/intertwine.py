@@ -63,19 +63,15 @@ def _kept_roots(w: WeylElement, dropped: tuple) -> frozenset:
 
 
 def _stacked_ratios(args: dict) -> dict:
-    """ratio_L at every argument of args, one per key, in one call: the
-    arguments stacked when they share a shape, else their flat
-    concatenation, each value read back in its argument's shape."""
+    """ratio_L at every argument of args, one per key, in one call on their
+    flat concatenation, each value read back in its argument's shape."""
     if not args:
         return {}
-    if len({getattr(a, "shape", ()) for a in args.values()}) == 1:
-        return dict(zip(args, ratio_L(np.array(list(args.values()),
-                                                dtype=np.complex128))))
     arrays = [np.asarray(a, dtype=np.complex128) for a in args.values()]
-    flat = np.asarray(ratio_L(np.concatenate([a.ravel() for a in arrays])))
-    ends = np.cumsum([a.size for a in arrays[:-1]])
-    return {key: v.reshape(a.shape)
-            for key, v, a in zip(args, np.split(flat, ends), arrays)}
+    flat = np.asarray(ratio_L(np.concatenate(arrays, axis=None)))
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return {key: flat[end - a.size:end].reshape(a.shape)
+            for key, a, end in zip(args, arrays, ends)}
 
 
 def _grid_ratios(keys: list, x: np.ndarray, y) -> tuple:

@@ -644,32 +644,28 @@ class SpectralReport:
     residual of shifted = A + B + C."""
 
     shifted: complex
-    shifted_alt: complex | None
+    shifted_alt: complex
     A_direct: complex
     A_symmetric: complex
     B_direct: complex
     B_factored: complex
-    kappa_B: float | None
-    kappa_C: float | None
+    kappa_B: float
+    kappa_C: float
     residual_rel: float
 
 
 def parseval_check_gl3(phi: PaleyWienerGaussian, lam0: tuple[float, float],
-                       lam0_alt: tuple[float, float] | None,
-                       with_kappa: bool = True) -> SpectralReport:
+                       lam0_alt: tuple[float, float]) -> SpectralReport:
     """Assemble shifted = A + B + C, with the measure constants kappa_B =
-    kappa_C = 1 of the module docstring, and report residuals.  lam0_alt,
-    unless None, is a second base point of the shifted integral.  with_kappa
-    measures both constants numerically (measure_constants) into kappa_B and
-    kappa_C; without it they are None, since nothing was measured."""
+    kappa_C = 1 of the module docstring, and report residuals.  lam0_alt is
+    a second base point of the shifted integral, and both constants are
+    measured numerically (measure_constants) into kappa_B and kappa_C."""
     shifted = shifted_norm_gl3(phi, lam0)
-    shifted_alt = (shifted_norm_gl3(phi, lam0_alt)
-                   if lam0_alt is not None else None)
+    shifted_alt = shifted_norm_gl3(phi, lam0_alt)
     a_direct, a_sym = contribution_A(phi)
     b_direct, b_fact = contribution_B(phi)
     c_val = contribution_C(phi)
-    kappa_b, kappa_c = (measure_constants(phi, b_direct, c_val)
-                        if with_kappa else (None, None))
+    kappa_b, kappa_c = measure_constants(phi, b_direct, c_val)
     assembled = a_direct + b_direct + c_val
     residual = abs(shifted - assembled)
     return SpectralReport(

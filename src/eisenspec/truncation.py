@@ -20,10 +20,10 @@ Two evaluators of E are provided, both vectorized over arrays x, y:
                 sum_{n >= 1} n^(s-1/2) sigma_{1-2s}(n) K_{s-1/2}(2 pi n y)
                 cos(2 pi n x)
 
-  (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), with scipy's kv.
-  Each point keeps its own N(y) terms, sized by contour.line_step so that
-  the first one dropped is below 2^-53 of scale: at most eight on D, where
-  y >= sqrt(3)/2.
+  (Iwaniec, Spectral Methods of Automorphic Forms, ch. 3), with K from kv,
+  this module's trapezoid rule for K_nu.  Each point keeps its own N(y)
+  terms, sized by contour.line_step so that the first one dropped is below
+  2^-53 of scale: at most eight on D, where y >= sqrt(3)/2.
 * eisenstein_theta, the independent pointwise oracle for real s: an
   exponentially convergent incomplete-gamma representation obtained from
   the theta integral of the associated unimodular lattice sum: with
@@ -35,16 +35,18 @@ Two evaluators of E are provided, both vectorized over arrays x, y:
 
   every term decaying like exp(-pi Q).  It is summed in one sweep over a
   batch: the (pair, point) terms within the cutoff pi Q <= 38 take one
-  incomplete-gamma call at s and one at 1 - s, and np.bincount adds each
-  point's terms in pair order.  It uses neither c(s) nor K, so the CLI
-  holds the two routes to each other.
+  call of _upper_gamma, this module's Gauss-Legendre rule for Gamma(a, x),
+  at s and one at 1 - s, and np.bincount adds each point's terms in pair
+  order.  It uses neither c(s) nor K, so the CLI holds the two routes to
+  each other.
 
 The direct coprime-pair sum, the literal definition, is not a route here:
 its tail decays only like B^(2-2s).  It lives in the tests, with its
 certified tail bound, as the oracle that uses no special function.
 
 The Fourier and theta routes give a point the same value bit for bit alone
-or in any batch: each adds only its own terms, in a fixed order, from 0.
+or in any batch: each adds only its own terms, in a fixed order, from 0,
+and so do kv and _upper_gamma with their nodes.
 
 Lambda^T E(., s) is truncated_eisenstein(s, trunc)(x, y): the Bessel sum
 alone above y0, where the constant term is removed, and the whole Fourier
@@ -69,7 +71,8 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import circle_residue, line_step, trapezoid_circle
+from .contour import (circle_residue, gaussian_width, line_step,
+                      trapezoid_circle)
 from .errors import DomainError
 from .zeta import completed_L, ratio_L, zeta
 
@@ -93,22 +96,35 @@ DECAY_CUTOFF = 12.0
 _Y_MIN = math.sqrt(3.0) / 2.0
 
 
-# scipy.special's K_nu, regularized upper incomplete Gamma and E_1, imported
-# at the first call: loading scipy.special costs more than the rest of the
-# package's import together, and only these routes need it.
-def kv(nu, x):
-    from scipy.special import kv as scipy_kv
-    return scipy_kv(nu, x)
+# K_nu(x) = e^-x int_0^inf e^(-2x sinh(t/2)^2) cosh(nu t) dt (DLMF 10.32.9,
+# with cosh t - 1 = 2 sinh(t/2)^2), by the trapezoid rule on the half line.
+# Length: in u = sinh(t/2) the first factor is a Gaussian of rate 2x, so x
+# takes the nodes with u <= gaussian_width(2x) = gaussian_width(2)/sqrt(x);
+# cosh(nu t) <= (2 cosh t)^nu = (2 + 4u^2)^nu is its polynomial factor, of
+# degree 2 nu <= 4.4 for the orders s - 1/2, s <= 2.7, used here.  Step: the
+# sum of step h errs by the integrand's Fourier transform at w = 2 pi/h
+# (Trefethen and Weideman), at most exp(-w^2/2x) of K: the transform of the
+# Gaussian e^(-x t^2/2) it is near t = 0, a Gaussian of rate 1/2x in w.  So
+# w is that Gaussian's window half-width at x = 45, past 43.5 = 2 pi N y at
+# D's floor y = sqrt(3)/2, the largest argument of a term kept there:
+# h = 0.0998.  Past x = 45 the relative error exp(-w^2/2x) grows, but K is
+# below e^-x there, so every term errs by at most exp(-x - w^2/2x) <= e^-89.
+_KV_STEP = 2 * math.pi / gaussian_width(1 / (2 * 45.0))
 
 
-def gammaincc(a, x):
-    from scipy.special import gammaincc as scipy_gammaincc
-    return scipy_gammaincc(a, x)
-
-
-def exp1(x):
-    from scipy.special import exp1 as scipy_exp1
-    return scipy_exp1(x)
+def kv(nu: float, x: np.ndarray) -> np.ndarray:
+    """K_nu(x) for real nu and an array x > 0, by the rule above.  Node k
+    reaches the x < (gaussian_width(2) / u_k)^2, a prefix of the distinct x
+    sorted, so each point adds only its own nodes, in t order from 0."""
+    xs, at = np.unique(x, return_inverse=True)
+    top = int(2.0 * math.asinh(gaussian_width(2.0 * xs[0])) / _KV_STEP) + 2
+    u = np.sinh(0.5 * _KV_STEP * np.arange(top))
+    ends = np.searchsorted(xs, (gaussian_width(2.0) / u[1:]) ** 2)
+    total = np.full(xs.size, 0.5)
+    for k, (v, end) in enumerate(zip(u[1:].tolist(), ends.tolist()), 1):
+        gauss = np.exp(-2.0 * v * v * xs[:end])
+        total[:end] += math.cosh(nu * k * _KV_STEP) * gauss
+    return (_KV_STEP * np.exp(-xs) * total)[at]
 
 
 @dataclass(frozen=True)
@@ -132,28 +148,41 @@ def _check_points(x: np.ndarray, y: np.ndarray, name: str):
         raise DomainError(f"{name} needs points of H (finite x, 0 < y < inf)")
 
 
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of order on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# Gamma(a, x) = x^a e^-x int_0^inf e^(a u - x(e^u - 1)) du, with t = x e^u.
+# Length: e^-(t - x) is a Gaussian of rate 1 in sqrt(t - x), whose window
+# ends at t - x = gaussian_width(1)^2 = 44, so at u = U = log1p(44/x).
+# Order: the integrand is entire, and on the Bernstein ellipse of [0, U]
+# with semi-minor axis pi/2, where Re e^u >= 0, it is at most e^(x + a Re u).
+# For x >= 0.2 (U <= 5.4, so the ellipse's rho >= 1.74) Gauss-Legendre of
+# order n errs by about rho^-2n of that bound, e^-71 at 64 nodes, and the
+# bound exceeds the integral by at most e^11 for a <= 2.7: e^-58 in all.
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """Upper incomplete Gamma(a, x) for real a (x > 0), via the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a below a = 0."""
-    if a > 0:
-        return gammaincc(a, x) * math.gamma(a)
-    if a == 0.0:
-        return exp1(x)
-    return (_upper_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
+    """Upper incomplete Gamma(a, x) for real a and an array x > 0, by the
+    rule above: each point's own nodes, added in node order from 0."""
+    span = np.log1p(gaussian_width(1.0) ** 2 / x)
+    total = np.zeros(x.shape)
+    for node, weight in zip(*_legendre_rule(64)):
+        u = node * span
+        total += weight * np.exp(a * u - x * np.expm1(u))
+    return x ** a * np.exp(-x) * span * total
 
 
 def _lattice_pairs(x_min: float, x_max: float, y_min: float, y_max: float,
                    q_max: float) -> list[tuple[int, int]]:
     """Half-lattice pairs (m, n) that can reach Q = |m z + n|^2 / y <= q_max."""
-    pairs = []
-    n_top = int(math.ceil(math.sqrt(q_max * y_max))) + 1
-    pairs.extend((0, n) for n in range(1, n_top + 1))
-    m_top = int(math.ceil(math.sqrt(q_max / y_min))) + 1
+    reach = math.sqrt(q_max * y_max)
+    pairs = [(0, n) for n in range(1, int(math.ceil(reach)) + 2)]
     half = max(abs(x_min), abs(x_max))
-    for m in range(1, m_top + 1):
+    for m in range(1, int(math.ceil(math.sqrt(q_max / y_min))) + 2):
         if m * m * y_min > q_max:
             break
-        reach = math.sqrt(max(q_max * y_max - 0.0, 0.0))
         n_lo = int(math.floor(-m * half - reach)) - 1
         n_hi = int(math.ceil(m * half + reach)) + 1
         pairs.extend((m, n) for n in range(n_lo, n_hi + 1))
@@ -179,16 +208,14 @@ def eisenstein_theta(x, y, s: float):
     s = float(s)
     if s <= 1.0:
         raise DomainError(f"eisenstein_theta needs real s > 1, got {s}")
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    xa, ya = np.broadcast_arrays(xa, ya)
-    scalar = np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0
-    if xa.size == 0:
-        return np.zeros(xa.shape)
-    _check_points(xa, ya, "eisenstein_theta")
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                 np.asarray(y, dtype=np.float64))
+    _check_points(xb, yb, "eisenstein_theta")
+    if xb.size == 0:
+        return np.zeros(xb.shape)
 
     q_cut = 38.0 / math.pi
-    xs, ys = xa.ravel(), ya.ravel()
+    xs, ys = xb.ravel(), yb.ravel()
     pairs = np.array(_lattice_pairs(float(xs.min()), float(xs.max()),
                                     float(ys.min()), float(ys.max()), q_cut),
                      dtype=np.int64)
@@ -201,10 +228,10 @@ def eisenstein_theta(x, y, s: float):
              + a ** (s - 1.0) * _upper_gamma(1.0 - s, a))
     total = np.bincount(col, weights=terms, minlength=xs.size)
 
-    star = 0.5 / (s - 1.0) - 0.5 / s + total
+    star = (0.5 / (s - 1.0) - 0.5 / s + total).reshape(xb.shape)
     zeta2s = float(np.real(zeta(2.0 * s)))
     value = star * math.pi ** s / (math.gamma(s) * zeta2s)
-    return float(value[0]) if scalar else value.reshape(xa.shape)
+    return float(value) if value.ndim == 0 else value
 
 
 def _bessel_terms(y):
@@ -364,7 +391,8 @@ class QuadratureResult:
     absolute units as value.  On the Maass-Selberg integrands it exceeds
     value's error against the closed form by three to five orders of
     magnitude: at maass_selberg_record(1.001, 1.001, 0.01) it reads 9.0e-7
-    where abs_err is 3.6e-10 (a relative 6.9e-15 of 5.2e4).
+    where value is 3.6e-10 from the closed form (a relative 6.9e-15 of
+    5.2e4).
     """
 
     value: complex
@@ -377,8 +405,7 @@ class QuadratureResult:
 def _tensor_rule(order: int):
     """The tensor Gauss-Legendre rule of order^2 nodes on [0, 1]^2, as flat
     arrays: the nodes' first and second coordinates and their weights."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, w = 0.5 * (x + 1.0), 0.5 * w
+    nodes, w = _legendre_rule(order)
     rule = (np.repeat(nodes, order), np.tile(nodes, order),
             np.outer(w, w).ravel())
     for part in rule:
@@ -460,12 +487,14 @@ def omega_rank1(s1: float, s2: float, trunc: TruncationParam) -> complex:
 
 
 def maass_selberg_record(s1: float, s2: float, T: float) -> dict:
-    """Quadrature inner product vs closed formula for one (s1, s2, T).
+    """Quadrature inner product vs closed formula for one (s1, s2, T): the
+    two values and rel_err, their relative distance, with tail_bound and
+    quad_error_estimate.
 
     quad_error_estimate is the rule's error_estimate, |fine - coarse|, an
-    absolute difference: the coarse sum's error, three to five orders
-    of magnitude above abs_err, quadrature_value's distance from the closed
-    form (see QuadratureResult).
+    absolute difference: the coarse sum's error, three to five orders of
+    magnitude above quadrature_value's distance from the closed form (see
+    QuadratureResult).
     """
     trunc = TruncationParam(T)
     f1 = truncated_eisenstein(s1, trunc)
@@ -473,10 +502,8 @@ def maass_selberg_record(s1: float, s2: float, T: float) -> dict:
     f2 = f1 if s2 == s1 else truncated_eisenstein(s2, trunc)
     quad = inner_product_fd(f1, f2, QuadratureSpec(y_split=trunc.y0))
     formula = omega_rank1(s1, s2, trunc)
-    abs_err = abs(complex(quad.value) - formula)
-    return {"s1": s1, "s2": s2, "T": T,
-            "quadrature_value": complex(quad.value), "formula_value": formula,
-            "abs_err": abs_err, "rel_err": abs_err / abs(formula),
+    return {"quadrature_value": quad.value, "formula_value": formula,
+            "rel_err": abs(quad.value - formula) / abs(formula),
             # the Bessel terms E drops at D's lowest point
             "tail_bound": max(_bessel_tail_bound(s, _Y_MIN) for s in (s1, s2)),
             "quad_error_estimate": quad.error_estimate}

@@ -304,16 +304,18 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
         m_scalar(w, lam)
         assert calls == ([] if w.length() == 0 else [((w.length(),), True)])
     # all six elements at one y read one Weyl table: the three roots at
-    # each of the six images t(iy), one call; another y is a fresh call
+    # each of the six images t(iy), one call on their flat concatenation;
+    # another y is a fresh call
     rng = np.random.default_rng(6)
     for _ in range(2):
         ys = rng.uniform(-4.0, 4.0, size=(50, 2))
         calls.clear()
         for w in W:
             unitarity_check(w, ys)
-        assert calls == [((18, 50), True)]
+        assert calls == [((18 * 50,), True)]
     # all 36 pairs at one weight, a point or a cloud, read one Weyl table:
-    # 18 arguments in one call, and another weight is a fresh call
+    # 18 arguments concatenated in one call, and another weight is a fresh
+    # call
     cloud, _ = _cloud(np.random.default_rng(7), 5)
     other, _ = _cloud(np.random.default_rng(8), 5)
     for point, shape in ((lam, ()), (cloud, (5,)),
@@ -322,17 +324,17 @@ def test_one_ratio_call_per_point_evaluation(monkeypatch):
         for s in W:
             for t in W:
                 cocycle_check(s, t, point)
-        assert calls == [((18,) + shape, True)]
+        assert calls == [((18 * int(np.prod(shape)),), True)]
     # all nine circles at a point z read one table: one pointwise call on
-    # the five distinct rows of TRANSVERSE_CIRCLE's nodes, stacked as 1-D
-    # rows, no separable 1 x n grid; another z is a fresh call
+    # the five distinct rows of TRANSVERSE_CIRCLE's nodes, concatenated,
+    # no separable 1 x n grid; another z is a fresh call
     nodes = gl3.TRANSVERSE_CIRCLE[1]
     for z in (0.7j, -1.3j):
         calls.clear()
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 gl3.transverse_residue(i, j, z)
-        assert calls == [((5, nodes), True)]
+        assert calls == [((5 * nodes,), True)]
 
 
 def _worst_cocycle(lam):

@@ -604,17 +604,8 @@ def test_parseval_check_computes_B_and_C_once(monkeypatch):
                         counted("B", parseval.contribution_B))
     monkeypatch.setattr(parseval, "contribution_C",
                         counted("C", parseval.contribution_C))
-    parseval_check_gl3(PaleyWienerGaussian(GL3, 0.6), (1.5, 1.5), None)
+    parseval_check_gl3(PaleyWienerGaussian(GL3, 0.6), (1.5, 1.5), (1.3, 1.8))
     assert calls == {"B": 1, "C": 1}
-
-
-def test_unmeasured_kappa_is_none():
-    # without with_kappa nothing measures kappa, so the report holds none;
-    # the assembly still uses the derived constants 1
-    rep = parseval_check_gl3(PaleyWienerGaussian(GL3, 0.6), (1.5, 1.5), None,
-                             with_kappa=False)
-    assert rep.kappa_B is None and rep.kappa_C is None
-    assert rep.residual_rel <= 1e-4
 
 
 def test_measure_constants_rejects_a_vanishing_B():

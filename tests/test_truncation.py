@@ -7,7 +7,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaincc, kv
 
 from eisenspec import cli, truncation
 from eisenspec.contour import line_step
@@ -206,15 +205,53 @@ def test_theta_sweep_matches_the_pair_loop_and_not_the_batch(s):
 
 
 def test_theta_is_two_incomplete_gamma_calls(monkeypatch):
-    # one call at s and one at 2 - s (reached by the recurrence from 1 - s),
-    # however many lattice pairs the batch needs
+    # one call at s and one at 1 - s, however many lattice pairs the batch
+    # needs
     calls = []
-    monkeypatch.setattr(truncation, "gammaincc",
-                        lambda a, x: calls.append(a) or gammaincc(a, x))
+
+    def counting(a, x, _real=truncation._upper_gamma):
+        calls.append(a)
+        return _real(a, x)
+
+    monkeypatch.setattr(truncation, "_upper_gamma", counting)
     for y in (1.5, np.linspace(0.87, 11.9, 50)):
         calls.clear()
         eisenstein_theta(0.25, y, 1.5)
-        assert calls == [1.5, 0.5]
+        assert calls == [1.5, 1.0 - 1.5]
+
+
+def _mp_values(fn, orders, x):
+    """fn(order, x_k) by 30-digit mpmath, one row per order."""
+    with mp.workdps(30):
+        return np.array([[float(fn(order, mp.mpf(float(xk)))) for xk in x]
+                         for order in orders])
+
+
+def test_kv_matches_mpmath():
+    # the orders nu = s - 1/2 of the Fourier route, s in (1, 2.7], and x
+    # in [1.8, 45], from below 2 pi 0.3 (the lowest first argument of the
+    # batch tests) past 43.5 (the largest argument kept at D's floor); the
+    # worst over this grid reads 7.0e-16
+    rng = np.random.default_rng(5)
+    s = np.concatenate([[1.0 + 1e-9, 2.7], rng.uniform(1.0, 2.7, 6)])
+    x = np.concatenate([np.geomspace(1.8, 45.0, 14), rng.uniform(1.8, 45.0, 6)])
+    want = _mp_values(mp.besselk, s - 0.5, x)
+    got = np.array([truncation.kv(sk - 0.5, x) for sk in s])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+def test_upper_gamma_matches_mpmath():
+    # a = s and 1 - s of the theta route, s in (1, 2.7], and x = pi Q over
+    # [0.2, 38], the theta cutoff; the worst over this grid reads 1.7e-14,
+    # the floor set by numpy's 64-node Gauss-Legendre weights; a = 1 - s
+    # near 0 is no special case
+    rng = np.random.default_rng(5)
+    s = np.concatenate([[1.0 + 1e-9, 1.5, 2.7], rng.uniform(1.0, 2.7, 9)])
+    a = np.concatenate([s, 1.0 - s])
+    x = np.concatenate([np.geomspace(0.2, 38.0, 18), rng.uniform(0.2, 38.0, 6)])
+    want = _mp_values(mp.gammainc, a, x)
+    got = np.array([_upper_gamma(ak, x) for ak in a])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-14
 
 
 def _cloud(seed, n, y_top):
@@ -324,7 +361,8 @@ def test_record_reports_the_tail_at_the_floor_of_D():
         for m in range(kept + 1, kept + 40):
             sigma = sum(d ** (1.0 - 2.0 * s) for d in range(1, m + 1)
                         if m % d == 0)
-            total += m ** (s - 0.5) * sigma * kv(s - 0.5, 2 * math.pi * m * y)
+            total += m ** (s - 0.5) * sigma * float(
+                mp.besselk(s - 0.5, 2 * math.pi * m * y))
         return 4.0 * math.sqrt(y) * total / float(np.real(completed_L(2 * s)))
 
     rec = maass_selberg_record(1.2, 1.3, 1.0)
