@@ -435,13 +435,12 @@ def _plane_terms(phi: PaleyWienerGaussian, lam0: tuple, residues: list):
 
 
 @functools.cache
-def _ratio_residue(datum: RootDatum, circle: tuple[float, int]) -> complex:
-    """R1 = Res_{s=1} ratio_L on the (radius, nodes) circle: m(s_1, lam) =
-    ratio_L(z_1) on lam = (1 + u) w_1.  Computed once per root datum and
-    circle."""
+def _ratio_residue(datum: RootDatum) -> complex:
+    """R1 = Res_{s=1} ratio_L on _RESIDUE_CIRCLE: m(s_1, lam) = ratio_L(z_1)
+    on lam = (1 + u) w_1.  Computed once per root datum."""
     s1, w1 = datum.simple_reflection(1), datum.fundamental_weight(1)
     return complex(circle_residue(lambda u: next(m_on_grid([s1], w1, w1, u)),
-                                  circle))
+                                  _RESIDUE_CIRCLE))
 
 
 def _residues(r1: complex, terms, triples):
@@ -503,8 +502,8 @@ def _plane_rule(phi: PaleyWienerGaussian, lam0: tuple) -> tuple[complex,
     scale, terms = _plane_terms(phi, lam0, residues)
     raw = sum(complex(np.sum(m * phi_vals * image)) * scale
               for m, phi_vals, image in itertools.islice(terms, len(weyl)))
-    vals = [v.ravel() for v in _residues(
-        _ratio_residue(datum, _RESIDUE_CIRCLE), residues, terms)]
+    vals = [v.ravel() for v in _residues(_ratio_residue(datum), residues,
+                                         terms)]
     lines = [factors[d[0][0] - 1] for _, d in residues if len(d) < rank]
     correction = 0.0 + 0.0j
     if vals[len(lines):]:
@@ -622,7 +621,7 @@ def measure_constants(phi: PaleyWienerGaussian, b_direct: complex,
     terms = [(sigma(i, j), (line_root(i),)) for i in (1, 2, 3)
              for j in (1, 2, 3)]
     pickup = np.sum(_residue_line(
-        phi, _ratio_residue(GL3, _RESIDUE_CIRCLE), terms,
+        phi, _ratio_residue(GL3), terms,
         [delta_weight(i) for i in lines], [line_direction(i) for i in lines],
         x, None, None))
     kappa_b = (pickup * step / (2.0 * np.pi) / b_direct).real

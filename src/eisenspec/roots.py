@@ -48,7 +48,8 @@ RHO_CHECK = "rho"
 
 @dataclass(frozen=True)
 class RootDatum:
-    """The root datum of GL(n): Cartan matrix and fundamental-weight Gram."""
+    """The root datum of GL(n): its roots, weights, Weyl group and
+    standard parabolics."""
 
     n: int
 
@@ -59,14 +60,6 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return self.n - 1
-
-    @property
-    def cartan(self) -> tuple[tuple[int, ...], ...]:
-        r = self.rank
-        return tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                  for j in range(r))
-            for i in range(r))
 
     @property
     def gram_fw(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -200,12 +193,6 @@ class WeylElement:
         return WeylElement(self.datum,
                            tuple(self(other(i)) for i in range(1, self.datum.n + 1)))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.datum.n
-        for i, w in enumerate(self.perm, start=1):
-            inv[w - 1] = i
-        return WeylElement(self.datum, tuple(inv))
-
     def length(self) -> int:
         return len(self.inversions())
 
@@ -251,12 +238,6 @@ class StandardParabolic:
         """dim a_P (before the quotient by a_G)."""
         return self.datum.n - len(self.levi_roots)
 
-    def is_group(self) -> bool:
-        return len(self.levi_roots) == self.datum.rank
-
-    def is_minimal(self) -> bool:
-        return not self.levi_roots
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The composition of n cut by the simple roots not in the Levi."""
         out, cur = [], [1]
@@ -268,13 +249,6 @@ class StandardParabolic:
                 cur = [i + 1]
         out.append(tuple(cur))
         return tuple(out)
-
-    def label(self) -> str:
-        if self.is_group():
-            return "G"
-        if self.is_minimal():
-            return "P0"
-        return "P(" + ",".join(str(i) for i in sorted(self.levi_roots)) + ")"
 
 
 @dataclass(frozen=True)

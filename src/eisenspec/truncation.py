@@ -174,14 +174,20 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return x ** a * np.exp(-x) * span * total
 
 
-def _lattice_pairs(x_min: float, x_max: float, y_min: float, y_max: float,
-                   q_max: float) -> list[tuple[int, int]]:
-    """Half-lattice pairs (m, n) that can reach Q = |m z + n|^2 / y <= q_max."""
-    reach = math.sqrt(q_max * y_max)
+# The theta series keeps the (pair, point) terms with Q <= _Q_CUT, that is
+# pi Q <= 38: each term decays like exp(-pi Q), and e^-38 = 3.1e-17.
+_Q_CUT = 38.0 / math.pi
+
+
+def _lattice_pairs(x_min: float, x_max: float, y_min: float,
+                   y_max: float) -> list[tuple[int, int]]:
+    """Half-lattice pairs (m, n) that can reach Q = |m z + n|^2 / y within
+    the cutoff _Q_CUT."""
+    reach = math.sqrt(_Q_CUT * y_max)
     pairs = [(0, n) for n in range(1, int(math.ceil(reach)) + 2)]
     half = max(abs(x_min), abs(x_max))
-    for m in range(1, int(math.ceil(math.sqrt(q_max / y_min))) + 2):
-        if m * m * y_min > q_max:
+    for m in range(1, int(math.ceil(math.sqrt(_Q_CUT / y_min))) + 2):
+        if m * m * y_min > _Q_CUT:
             break
         n_lo = int(math.floor(-m * half - reach)) - 1
         n_hi = int(math.ceil(m * half + reach)) + 1
@@ -214,14 +220,13 @@ def eisenstein_theta(x, y, s: float):
     if xb.size == 0:
         return np.zeros(xb.shape)
 
-    q_cut = 38.0 / math.pi
     xs, ys = xb.ravel(), yb.ravel()
     pairs = np.array(_lattice_pairs(float(xs.min()), float(xs.max()),
-                                    float(ys.min()), float(ys.max()), q_cut),
+                                    float(ys.min()), float(ys.max())),
                      dtype=np.int64)
     m, n = pairs[:, :1], pairs[:, 1:]
     q = (m * m * (xs * xs + ys * ys) + 2.0 * m * n * xs + n * n) / ys
-    mask = q <= q_cut
+    mask = q <= _Q_CUT
     col = np.nonzero(mask)[1]
     a = math.pi * q[mask]
     terms = (a ** (-s) * _upper_gamma(s, a)

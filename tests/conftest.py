@@ -1,12 +1,9 @@
 """Shared fixtures."""
 
-import importlib
-
 import pytest
 
+import eisenspec.zeta as zeta_module
 from eisenspec import intertwine
-
-zeta_module = importlib.import_module("eisenspec.zeta")
 
 
 def _clear_tables():

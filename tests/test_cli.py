@@ -1,7 +1,6 @@
 """CLI harness: suites run, reports serialize, seeds reproduce."""
 
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import eisenspec
+import eisenspec.zeta as zeta_module
 from eisenspec import cli, gl3, parseval, truncation
 from eisenspec.cli import RunConfig, build_parser, config_from_args, run
 from eisenspec.cli import main
@@ -83,9 +83,9 @@ def test_residue_node_stability_can_fail(monkeypatch):
 
 @pytest.fixture
 def fresh_r1():
-    """R1 = Res_{s=1} ratio_L is cached per root datum and circle: a test
-    that mutates the kernel computes it afresh under the mutation, and
-    leaves no mutated value behind."""
+    """R1 = Res_{s=1} ratio_L is cached per root datum: a test that
+    mutates the kernel or the circle computes it afresh under the mutation,
+    and leaves no mutated value behind."""
     cached = parseval._ratio_residue
     cached.cache_clear()
     yield
@@ -97,7 +97,6 @@ def test_conjugation_equivariance_can_fail(monkeypatch, kernel, fresh_r1):
     # the check reads exactly 0 on every seed; Gamma off by a factor of
     # 1 + 1e-9 i breaks the symmetry in L and fails it, and so does the
     # quotient of ratio_L alone, which the check covers with zeta and L
-    zeta_module = importlib.import_module("eisenspec.zeta")
     original = getattr(zeta_module, kernel)
     monkeypatch.setattr(zeta_module, kernel,
                         lambda *args: original(*args) * (1.0 + 1e-9j))
@@ -172,10 +171,9 @@ def _on_the_R1_circle(z) -> bool:
 def test_parseval_kappa_unity_sees_a_fault_in_R1(monkeypatch, fresh_r1,
                                                  fault):
     # R1 enters kappa_B and the plane's pole correction, and is cached per
-    # root datum and circle: R1 itself or the kernel on its circle off by
-    # 1e-7, or a coarse circle of 3 nodes (a new key; R1 off by 6.8e-7),
-    # each moves kappa_B past its gate
-    zeta_module = importlib.import_module("eisenspec.zeta")
+    # root datum (fresh_r1 empties the cache): R1 itself or the kernel on
+    # its circle off by 1e-7, or a coarse circle of 3 nodes (R1 off by
+    # 6.8e-7), each moves kappa_B past its gate
     if fault == "value":
         residue = parseval._ratio_residue
         monkeypatch.setattr(parseval, "_ratio_residue",

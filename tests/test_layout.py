@@ -60,10 +60,19 @@ Every default has a caller: a defaulted parameter that only tests set is a
 constant, not an argument.  The knob count, defaulted def parameters plus
 @dataclass fields, is at most 48.
 
-Every top-level def and class of the package is reached, by name, from
+Every top-level def and class of the package, and every method and
+property of its classes (dunders aside), is reached, by name, from
 cli.main, from the module-level code of the package (its imports and
 __all__ aside) or from the benchmark's modules: a definition that only
 tests reach is a test oracle, and lives in the tests.
+
+Each name has one home, its submodule: the package's __init__ holds its
+docstring and __version__ and imports nothing, so eisenspec.zeta is the
+module, and importing the package loads neither a submodule nor numpy.
+
+The library provides every name the benchmark reads: each name that a
+benchmark module imports from an eisenspec module or reads as an attribute
+of one, and each layer.function that the tracer times.
 
 No module reads the environment: a switch read from os.environ or
 os.getenv would be a knob that the knob count does not see.
@@ -74,7 +83,12 @@ checks need, K_nu and the incomplete Gamma, are rules of truncation.
 """
 
 import ast
+import importlib
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import eisenspec
@@ -444,6 +458,13 @@ def test_every_cli_gate_is_named():
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+
+def _benchmark_modules() -> list[Path]:
+    """The benchmark's modules, its tests aside."""
+    return [path for path in sorted(PERFBENCH.glob("*.py"))
+            if not path.name.startswith("test_")]
+
+
 # Defaults no call in the package or the benchmark passes, each kept for a
 # reason of its own.
 UNCALLED_DEFAULTS = {
@@ -487,9 +508,7 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
 
 
 def test_every_default_has_a_caller():
-    callers = sorted(SRC.glob("*.py")) + [
-        path for path in sorted(PERFBENCH.glob("*.py"))
-        if not path.name.startswith("test_")]
+    callers = sorted(SRC.glob("*.py")) + _benchmark_modules()
     assert len(callers) >= 12
     calls = [node for path in callers
              for node in ast.walk(ast.parse(path.read_text(),
@@ -536,25 +555,146 @@ def _is_all(stmt: ast.stmt) -> bool:
         getattr(target, "id", None) == "__all__" for target in stmt.targets)
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path: Path):
+    """(name, label, names its body reads) for every top-level def and
+    class of path, and for every method and property of its classes,
+    dunders aside: a class reads its bases, decorators, fields and dunders,
+    and each member is a definition of its own."""
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, f"{path.stem}.{stmt.name}", _names(stmt)
+        elif isinstance(stmt, ast.ClassDef):
+            members = [fn for fn in stmt.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and not _is_dunder(fn.name)]
+            for fn in members:
+                yield (fn.name, f"{path.stem}.{stmt.name}.{fn.name}",
+                       _names(fn))
+            yield stmt.name, f"{path.stem}.{stmt.name}", set().union(
+                *(_names(node) for node in [*stmt.bases, *stmt.keywords,
+                                            *stmt.decorator_list, *stmt.body]
+                  if not any(node is fn for fn in members)))
+
+
 def test_every_definition_is_reached():
     defs, roots = {}, {"main"}
     for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(stmt.name, []).append(stmt)
-            elif not (isinstance(stmt, (ast.Import, ast.ImportFrom))
-                      or _is_all(stmt)):
-                roots |= _names(stmt)
-    for path in sorted(PERFBENCH.glob("*.py")):
-        if not path.name.startswith("test_"):
-            roots |= _names(ast.parse(path.read_text(), filename=str(path)))
-    # a name reaches every definition of that name, in any module
+        for name, label, names in _definitions(path):
+            defs.setdefault(name, []).append((label, names))
+        roots |= set().union(*(
+            _names(stmt) for stmt in ast.parse(path.read_text()).body
+            if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef,
+                                      ast.Import, ast.ImportFrom))
+                    or _is_all(stmt))))
+    for path in _benchmark_modules():
+        roots |= _names(ast.parse(path.read_text(), filename=str(path)))
+    # a name reaches every definition of that name, in any module, and an
+    # attribute reaches every member of that name, in any class
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name in reached:
             continue
         reached.add(name)
-        todo += [n for node in defs.get(name, ()) for n in _names(node)]
-    assert len(defs) >= 100
-    assert sorted(set(defs) - reached) == []
+        todo += [n for _, names in defs.get(name, ()) for n in names]
+    labels = [label for name, entries in defs.items() for label, _ in entries
+              if name not in reached]
+    assert sum(map(len, defs.values())) >= 170
+    assert not labels, f"reached only from tests: {', '.join(sorted(labels))}"
+
+
+def test_the_package_reexports_nothing():
+    # every name is imported from its submodule: __init__ holds its
+    # docstring and __version__, and no package attribute shadows a
+    # submodule (a re-exported zeta made eisenspec.zeta the function)
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    shadowed = [f"eisenspec.{name}" for name in modules
+                if importlib.import_module(f"eisenspec.{name}")
+                is not getattr(eisenspec, name)]
+    assert not shadowed, f"not the module: {', '.join(shadowed)}"
+    assert importlib.import_module("eisenspec.zeta") is eisenspec.zeta
+    path = SRC / "__init__.py"
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    assert [ast.unparse(stmt).split("\n")[0] for stmt in body[1:]] == [
+        "__version__ = '0.1.0'"]
+    # so importing the package loads nothing more
+    code = ("import sys, eisenspec\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('eisenspec', 'numpy'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['eisenspec']"]
+
+
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """The local name of each eisenspec module a benchmark module imports:
+    from eisenspec import gl3 binds gl3 to eisenspec.gl3."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "eisenspec":
+            aliases.update({alias.asname or alias.name:
+                            f"eisenspec.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.Import):
+            aliases.update({alias.asname: alias.name for alias in node.names
+                            if alias.asname
+                            and alias.name.startswith("eisenspec.")})
+    return aliases
+
+
+def _benchmark_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every name the benchmark module reads from an
+    eisenspec module: imported from it, read as an attribute of a module
+    it imported, or read from sys.modules["eisenspec.<module>"]."""
+    aliases = _module_aliases(tree)
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").startswith("eisenspec.")):
+            reads |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                reads.add((aliases[owner.id], node.attr))
+            elif (isinstance(owner, ast.Subscript)
+                  and ast.unparse(owner.value) == "sys.modules"
+                  and isinstance(owner.slice, ast.Constant)
+                  and str(owner.slice.value).startswith("eisenspec.")):
+                reads.add((owner.slice.value, node.attr))
+    return reads
+
+
+def test_the_library_provides_what_the_benchmark_reads():
+    # a deletion that breaks the benchmark fails here, not only in
+    # perfbench/test_bench.py, which runs the benchmark itself
+    reads = set().union(*(_benchmark_reads(ast.parse(path.read_text()))
+                          for path in _benchmark_modules()))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    timed = {(f"eisenspec.{layer}", name) for layer, name in
+             (entry.split(".") for entry in tracer.TIMED_FUNCTIONS)}
+    assert {module for module, _ in reads} >= {
+        "eisenspec.gl3", "eisenspec.intertwine", "eisenspec.parseval",
+        "eisenspec.truncation", "eisenspec.errors", "eisenspec.roots",
+        "eisenspec.zeta"}
+    assert len(timed) >= 5
+    missing = sorted(f"{module}.{name}" for module, name in reads | timed
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, f"gone, but the benchmark reads: {', '.join(missing)}"
+    assert _benchmark_reads(ast.parse(
+        "import sys\n"
+        "from eisenspec import gl3 as g\n"
+        "from eisenspec.zeta import ratio_L\n"
+        "import eisenspec.roots as r\n"
+        "g.n_matrix(z); r.RootDatum(3); other.x\n"
+        "sys.modules['eisenspec.truncation'].QuadratureSpec()")) == {
+        ("eisenspec.gl3", "n_matrix"), ("eisenspec.zeta", "ratio_L"),
+        ("eisenspec.roots", "RootDatum"),
+        ("eisenspec.truncation", "QuadratureSpec")}

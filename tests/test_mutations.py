@@ -1,4 +1,4 @@
-"""Every check that reads exactly 0 must be able to fail.
+"""Every check must be able to fail.
 
 A residual of exactly 0 on every seed shows nothing by itself: a check
 that compared a value with itself would read the same.  So each such check
@@ -7,13 +7,19 @@ name it reads rebound to a mutated copy, where it must fail: a copy whose
 values are off by a relative 1e-7, or, for the exact combinatorics, one
 that drops, negates or empties what the original returns.  Each row runs
 only the suite of its check.
+
+The same holds for checks that read a small nonzero residual, row by row
+as the mutations that trip them are found: each passes as it is, and fails
+once one name it reads is rebound.  Those checks read the one-entry tables
+of the residue checks, which would serve the values computed before the
+rebinding, so each row empties them once it has rebound its name.
 """
 
 import pytest
 
 from eisenspec import cli, gl3
 from eisenspec.cli import RunConfig, run
-from eisenspec.roots import Weight
+from eisenspec.roots import Weight, WeylElement
 
 
 def _scaled(factor):
@@ -51,4 +57,33 @@ def test_exact_check_fails_under_its_mutation(monkeypatch, check, suite,
     record = _record(check, suite)
     assert record.passed and record.residual == 0.0
     monkeypatch.setattr(owner, name, replacement(getattr(owner, name)))
+    assert not _record(check, suite).passed
+
+
+# r1 = s1 s2 and r2 = s2 s1 trade inversion sets; sigma_12 and sigma_13
+# trade circles
+_NAMED = gl3.named_weyl()
+_R1_R2 = {_NAMED["r1"]: _NAMED["r2"], _NAMED["r2"]: _NAMED["r1"]}
+_SIGMA_12_13 = {(1, 2): (1, 3), (1, 3): (1, 2)}
+
+# (row, check, suite, owner, name, replacement), as in MUTATIONS
+TABLE_MUTATIONS = [
+    ("cocycle-weyl-action", "cocycle-all-pairs", "m-scalar", WeylElement,
+     "act_coords", lambda real: lambda w, *coords: tuple(
+         c * (1 + 1e-7) for c in real(w, *coords))),
+    ("cocycle-inversion-sets", "cocycle-all-pairs", "m-scalar", WeylElement,
+     "inversions", lambda real: lambda w: real(_R1_R2.get(w, w))),
+    ("transverse-frames", "transverse-residues", "residues", gl3, "sigma",
+     lambda real: lambda i, j: real(*_SIGMA_12_13.get((i, j), (i, j)))),
+]
+
+
+@pytest.mark.parametrize("check, suite, owner, name, replacement",
+                         [row[1:] for row in TABLE_MUTATIONS],
+                         ids=[row[0] for row in TABLE_MUTATIONS])
+def test_check_fails_under_its_mutation(monkeypatch, fresh_tables, check,
+                                        suite, owner, name, replacement):
+    assert _record(check, suite).passed
+    monkeypatch.setattr(owner, name, replacement(getattr(owner, name)))
+    fresh_tables()
     assert not _record(check, suite).passed

@@ -380,7 +380,7 @@ def test_pickup_terms_in_one_call_match_per_line_calls():
     # calls
     phi = _random_quadratic(GL3, 0.5, 4)
     x = 1j * (parseval._LINE_STEP * (np.arange(-30, 30) + 0.5))
-    r1 = parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)
+    r1 = parseval._ratio_residue(GL3)
     lines = [i for i in (1, 2, 3) for _ in (1, 2, 3)]
     terms = [(gl3.sigma(i, j), (gl3.line_root(i),))
              for i in (1, 2, 3) for j in (1, 2, 3)]
@@ -402,7 +402,7 @@ def test_residue_line_matches_the_circle_form(seed):
     # lines z_k = 1 at (1.3, 1.8) and on the kappa_B lines (3.7e-15
     # measured)
     phi = PaleyWienerGaussian.random(GL3, np.random.default_rng(seed))
-    r1 = parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)
+    r1 = parseval._ratio_residue(GL3)
     x = 1j * parseval._LINE_STEP * np.arange(-40, 41)
     w1, w2 = GL3.fundamental_weight(1), GL3.fundamental_weight(2)
     frames = [(GL3.weight((1.0, 1.8)), w2, w1, (1, 2)),
@@ -548,7 +548,7 @@ def test_measure_constants_one_ratio_call_per_distinct_argument(monkeypatch):
 
     phi = PaleyWienerGaussian(GL3, 0.6)
     b_direct, c = contribution_B(phi)[0], contribution_C(phi)
-    parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
+    parseval._ratio_residue(GL3)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     measure_constants(phi, b_direct, c)
     # the pickup's rows +-1/2 +- it in one stacked call, whose points
@@ -567,7 +567,7 @@ def test_contour_planes_three_ratio_calls_on_lines(monkeypatch,
         calls.append(plus is None)
         return ratio_L(z, plus)
 
-    parseval._ratio_residue(GL3, parseval._RESIDUE_CIRCLE)  # once per datum
+    parseval._ratio_residue(GL3)  # once per datum
     monkeypatch.setattr(intertwine, "ratio_L", counting)
     phi = PaleyWienerGaussian(GL3, 0.6)
     n = parseval._plane_window(phi.beta)[0].size

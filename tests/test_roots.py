@@ -15,6 +15,18 @@ GL2 = RootDatum(2)
 GL3 = RootDatum(3)
 
 
+def _levi(p) -> tuple[int, ...]:
+    """A standard parabolic by the sorted simple roots of its Levi: () is
+    P0, and every simple root is G."""
+    return tuple(sorted(p.levi_roots))
+
+
+def _inverse(w: WeylElement) -> WeylElement:
+    """The inverse permutation: w^-1(w(i)) = i."""
+    return WeylElement(w.datum, tuple(w.perm.index(i) + 1
+                                      for i in range(1, w.datum.n + 1)))
+
+
 def _named_gl3():
     s1 = GL3.simple_reflection(1)
     s2 = GL3.simple_reflection(2)
@@ -46,11 +58,6 @@ def test_gram_is_inverse_cartan():
     assert GL3.gram_fw == ((Fraction(2, 3), Fraction(1, 3)),
                            (Fraction(1, 3), Fraction(2, 3)))
     assert GL2.gram_fw == ((Fraction(1, 2),),)
-
-
-def test_cartan_shape():
-    c = RootDatum(4).cartan
-    assert c == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 
 def test_weyl_act_identity():
@@ -131,14 +138,14 @@ def test_association_counting_exhaustive():
 
 def test_association_gl2_gl3_structure():
     classes2 = association_classes(GL2)
-    assert [sorted(p.label() for p in c.members) for c in classes2] == \
-        [["P0"], ["G"]]
+    assert [sorted(_levi(p) for p in c.members) for c in classes2] == \
+        [[()], [(1,)]]
     c0 = classes2[0]
     assert (c0.w_count(), c0.chamber_count(), c0.a_count) == (2, 2, 1)
 
     classes3 = association_classes(GL3)
-    labels = [sorted(p.label() for p in c.members) for c in classes3]
-    assert labels == [["P0"], ["P(1)", "P(2)"], ["G"]]
+    levis = [sorted(_levi(p) for p in c.members) for c in classes3]
+    assert levis == [[()], [(1,), (2,)], [(1, 2)]]
     mid = classes3[1]
     assert (mid.w_count(), mid.a_count, mid.chamber_count()) == (1, 2, 2)
     assert classes3[0].chamber_count() == 6
@@ -156,10 +163,10 @@ def test_tau_hat_cone():
 
 def test_truncation_terms():
     terms2 = truncation_terms(GL2)
-    assert [(p.label(), s) for p, s in terms2] == [("G", 1), ("P0", -1)]
+    assert [(_levi(p), s) for p, s in terms2] == [((1,), 1), ((), -1)]
     terms3 = truncation_terms(GL3)
-    assert [(p.label(), s) for p, s in terms3] == \
-        [("G", 1), ("P(1)", -1), ("P(2)", -1), ("P0", 1)]
+    assert [(_levi(p), s) for p, s in terms3] == \
+        [((1, 2), 1), ((1,), -1), ((2,), -1), ((), 1)]
     terms4 = truncation_terms(RootDatum(4))
     assert len(terms4) == 8
     for n in (2, 3, 4, 5):
@@ -201,7 +208,9 @@ def test_length_parity_additive(w1, w2):
 @given(gl3_weyl())
 @settings(max_examples=50, deadline=None)
 def test_length_of_inverse(w):
-    assert w.length() == w.inverse().length()
+    inverse = _inverse(w)
+    assert w * inverse == inverse * w == GL3.identity()
+    assert w.length() == inverse.length()
 
 
 def test_inversions_additive_when_lengths_add():
@@ -215,7 +224,7 @@ def test_inversions_additive_when_lengths_add():
                     continue
                 pulled = set()
                 for root in w1.inversions():
-                    sign, img = w2.inverse().act_root(root)
+                    sign, img = _inverse(w2).act_root(root)
                     assert sign > 0  # preimages stay positive in this case
                     pulled.add(img)
                 assert prod.inversions() == w2.inversions() | pulled

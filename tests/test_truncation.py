@@ -177,7 +177,7 @@ def test_theta_evaluator_domain():
 def _theta_by_pair_loop(x, y, s):
     # the per-pair loop the one-sweep sum replaced, kept as its reference
     q_cut, total, r2 = 38.0 / math.pi, np.zeros(x.shape), x * x + y * y
-    for m, n in _lattice_pairs(x.min(), x.max(), y.min(), y.max(), q_cut):
+    for m, n in _lattice_pairs(x.min(), x.max(), y.min(), y.max()):
         q = (m * m * r2 + 2.0 * m * n * x + n * n) / y
         mask = q <= q_cut
         if np.any(mask):

@@ -5,7 +5,6 @@ oracle) and frozen; the mpmath cross-checks are kept for the grid tests
 where a frozen list would obscure the property being verified.
 """
 
-import importlib
 import math
 import warnings
 
@@ -13,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import eisenspec.zeta as zeta_module
 from eisenspec.contour import circle_nodes, circle_residue, trapezoid_circle
 from eisenspec.errors import DomainError, PoleProximity
 from eisenspec.zeta import (_completed_L_raw, _laurent_c0, completed_L,
@@ -293,9 +293,6 @@ def test_ratio_L_grid_rows_do_not_depend_on_a_laurent_fill():
 
 
 # ------------------------------------------------------- one kernel pass --
-
-zeta_module = importlib.import_module("eisenspec.zeta")
-
 
 @pytest.mark.parametrize("z, plus", [
     (np.array([1.5, 0.3 + 2j, -0.8 - 1j, -2.0 + 5j]), None),
