@@ -618,8 +618,9 @@ def test_the_package_reexports_nothing():
     assert not shadowed, f"not the module: {', '.join(shadowed)}"
     assert importlib.import_module("eisenspec.zeta") is eisenspec.zeta
     path = SRC / "__init__.py"
-    body = ast.parse(path.read_text(), filename=str(path)).body
-    assert [ast.unparse(stmt).split("\n")[0] for stmt in body[1:]] == [
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert ast.get_docstring(tree)
+    assert [ast.unparse(stmt) for stmt in tree.body[1:]] == [
         "__version__ = '0.1.0'"]
     # so importing the package loads nothing more
     code = ("import sys, eisenspec\n"
