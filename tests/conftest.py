@@ -3,7 +3,7 @@
 import pytest
 
 import eisenspec.zeta as zeta_module
-from eisenspec import intertwine
+from eisenspec import intertwine, parseval
 
 
 def _clear_tables():
@@ -20,6 +20,18 @@ def fresh_tables():
     the fixture's value."""
     _clear_tables()
     return _clear_tables
+
+
+@pytest.fixture
+def fresh_r1():
+    """R1 = Res_{s=1} ratio_L is cached per root datum: a test that
+    mutates the kernel or the circle computes it afresh under the mutation,
+    and leaves no mutated value behind.  A test that mutates after a first
+    read empties the cache again by calling the fixture's value."""
+    clear = parseval._ratio_residue.cache_clear
+    clear()
+    yield clear
+    clear()
 
 
 @pytest.fixture

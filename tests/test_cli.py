@@ -81,17 +81,6 @@ def test_residue_node_stability_can_fail(monkeypatch):
     assert stability.residual > 1e3 * cli.TOLERANCES["node-stability"]
 
 
-@pytest.fixture
-def fresh_r1():
-    """R1 = Res_{s=1} ratio_L is cached per root datum: a test that
-    mutates the kernel or the circle computes it afresh under the mutation,
-    and leaves no mutated value behind."""
-    cached = parseval._ratio_residue
-    cached.cache_clear()
-    yield
-    cached.cache_clear()
-
-
 @pytest.mark.parametrize("kernel", ["_gamma_raw", "_ratio_L_raw"])
 def test_conjugation_equivariance_can_fail(monkeypatch, kernel, fresh_r1):
     # the check reads exactly 0 on every seed; Gamma off by a factor of

@@ -616,7 +616,6 @@ def test_the_package_reexports_nothing():
                 if importlib.import_module(f"eisenspec.{name}")
                 is not getattr(eisenspec, name)]
     assert not shadowed, f"not the module: {', '.join(shadowed)}"
-    assert importlib.import_module("eisenspec.zeta") is eisenspec.zeta
     path = SRC / "__init__.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert ast.get_docstring(tree)
@@ -689,13 +688,3 @@ def test_the_library_provides_what_the_benchmark_reads():
     missing = sorted(f"{module}.{name}" for module, name in reads | timed
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"gone, but the benchmark reads: {', '.join(missing)}"
-    assert _benchmark_reads(ast.parse(
-        "import sys\n"
-        "from eisenspec import gl3 as g\n"
-        "from eisenspec.zeta import ratio_L\n"
-        "import eisenspec.roots as r\n"
-        "g.n_matrix(z); r.RootDatum(3); other.x\n"
-        "sys.modules['eisenspec.truncation'].QuadratureSpec()")) == {
-        ("eisenspec.gl3", "n_matrix"), ("eisenspec.zeta", "ratio_L"),
-        ("eisenspec.roots", "RootDatum"),
-        ("eisenspec.truncation", "QuadratureSpec")}

@@ -1,4 +1,4 @@
-"""Every check must be able to fail.
+"""Every check that reads exactly 0 must be able to fail.
 
 A residual of exactly 0 on every seed shows nothing by itself: a check
 that compared a value with itself would read the same.  So each such check
@@ -8,11 +8,11 @@ values are off by a relative 1e-7, or, for the exact combinatorics, one
 that drops, negates or empties what the original returns.  Each row runs
 only the suite of its check.
 
-The same holds for checks that read a small nonzero residual, row by row
-as the mutations that trip them are found: each passes as it is, and fails
-once one name it reads is rebound.  Those checks read the one-entry tables
-of the residue checks, which would serve the values computed before the
-rebinding, so each row empties them once it has rebound its name.
+Checks that read a small nonzero residual get rows as the mutations that
+trip them are found: each passes as it is, and fails once one name it
+reads is rebound.  Those checks read the one-entry tables of the residue
+checks, which would serve the values computed before the rebinding, so
+each row empties them once it has rebound its name.
 """
 
 import pytest
